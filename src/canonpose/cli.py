@@ -65,10 +65,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def _add_io(parser: argparse.ArgumentParser, input_help: str) -> None:
     parser.add_argument("--input", required=True, help=input_help)
     parser.add_argument("--output", help="output path (default: stdout)")
@@ -79,15 +75,6 @@ def _add_skeleton(parser: argparse.ArgumentParser) -> None:
         "--skeleton",
         default="h36m17",
         help=f"skeleton name, one of {', '.join(available_skeletons())} (default: h36m17)",
-    )
-
-
-def _add_threads(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker pool size; output is identical for any value (default: logical cores)",
     )
 
 
@@ -108,7 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--camera", required=True, help="camera JSON with fx, fy, cx, cy, width, height (optional R, t)")
     p.add_argument("--mode", choices=("2d", "3d"), default="3d", help="which canonicalization path to run (default: 3d)")
     _add_skeleton(p)
-    _add_threads(p)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker pool size; output is identical for any value (default: logical cores)",
+    )
     p.set_defaults(handler=_cmd_canonicalize)
 
     p = sub.add_parser(
@@ -169,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file overriding study fields: train_root_region, test_root_region, "
         "noise_sigma, n_train, n_test, seed, ridge_lambda, camera, limb_scale, skeleton",
     )
-    _add_threads(p)
+    p.add_argument("--threads", type=int, default=None, help="accepted but ignored: the study has no worker pool")
     p.set_defaults(handler=_cmd_study)
 
     p = sub.add_parser(
@@ -221,15 +213,13 @@ def _apply_extrinsics(sequences, extrinsics):
     """Move world-frame 3D joints into the camera frame, leaving 2D alone."""
     moved = []
     for seq in sequences:
-        frames = []
-        for pair in seq.frames:
-            pose3d = pair.pose_3d
-            if pose3d is not None:
-                joints = batch_world_to_camera(
-                    pose3d.joints[None], extrinsics.rotation, extrinsics.translation
-                )[0]
-                pose3d = dataclasses.replace(pose3d, joints=joints, frame=Frame.CAMERA)
-            frames.append(dataclasses.replace(pair, pose_3d=pose3d))
+        frames = list(seq.frames)
+        with_3d = [i for i, pair in enumerate(frames) if pair.pose_3d is not None]
+        if with_3d:
+            world = np.stack([frames[i].pose_3d.joints for i in with_3d])
+            camera = batch_world_to_camera(world, extrinsics.rotation, extrinsics.translation)
+            for i, joints in zip(with_3d, camera):
+                frames[i] = dataclasses.replace(frames[i], pose_3d=Pose3D(joints, Frame.CAMERA))
         moved.append(dataclasses.replace(seq, frames=tuple(frames)))
     return moved
 

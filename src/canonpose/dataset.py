@@ -23,6 +23,7 @@ order, frames in file order.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -41,7 +42,7 @@ from .canonical import (
     batch_project_centered,
 )
 from .errors import ParseError, SchemaError, SequenceCanonicalizationError
-from .jsonfmt import format_float
+from .jsonfmt import FLOAT_FORMAT, format_float
 from .skeleton import Skeleton
 
 DEFAULT_FPS = 50.0
@@ -186,32 +187,78 @@ def window(seq: PoseSequence, spec: WindowSpec, pad_policy: str = "drop") -> lis
 # ---------------------------------------------------------------------------
 
 
-def _format_joints(array: np.ndarray | None) -> str:
-    if array is None:
-        return "null"
-    rows = ", ".join(
-        "[" + ", ".join(format_float(value) for value in row) + "]" for row in array
-    )
-    return "[" + rows + "]"
+def _joints_template(width: int, n_joints: int) -> str:
+    row = "[" + ", ".join([FLOAT_FORMAT] * width) + "]"
+    return "[" + ", ".join([row] * n_joints) + "]"
 
 
-def _record_line(seq: PoseSequence, frame: FramePair, record: CanonicalRecord | None) -> str:
+@functools.lru_cache(maxsize=64)
+def _body_template(n_joints: int, has_2d: bool, has_3d: bool, canon: str | None) -> str:
+    """The part of a record line after the names, for one line shape.
+
+    ``canon`` is None (no canon block), "null" (null root depth) or "depth".
+    Slots, in order: the frame index, the 2D joints, the 3D joints, the
+    rotation, the source vector and the root depth, each that is present.
+    """
     parts = [
-        f'"subject": {json.dumps(seq.subject)}',
-        f'"action": {json.dumps(seq.action)}',
-        f'"camera": {json.dumps(seq.camera_id)}',
-        f'"frame": {frame.index}',
-        f'"joints_2d": {_format_joints(frame.pose_2d.joints if frame.pose_2d else None)}',
-        f'"joints_3d": {_format_joints(frame.pose_3d.joints if frame.pose_3d else None)}',
+        '"frame": %d',
+        '"joints_2d": ' + (_joints_template(2, n_joints) if has_2d else "null"),
+        '"joints_3d": ' + (_joints_template(3, n_joints) if has_3d else "null"),
     ]
-    if record is not None:
-        rotation = ", ".join(format_float(v) for v in record.rotation.matrix.ravel())
-        source = ", ".join(format_float(v) for v in record.rotation.source_vector)
-        depth = "null" if record.root_depth is None else format_float(record.root_depth)
+    if canon is not None:
         parts.append(
-            f'"canon": {{"rotation": [{rotation}], "source": [{source}], "root_depth": {depth}}}'
+            '"canon": {"rotation": [%s], "source": [%s], "root_depth": %s}'
+            % (
+                ", ".join([FLOAT_FORMAT] * 9),
+                ", ".join([FLOAT_FORMAT] * 3),
+                FLOAT_FORMAT if canon == "depth" else "null",
+            )
         )
-    return "{" + ", ".join(parts) + "}"
+    return ", ".join(parts) + "}"
+
+
+def _line_shape(frame: FramePair, record: CanonicalRecord | None) -> tuple:
+    canon = None
+    if record is not None:
+        canon = "null" if record.root_depth is None else "depth"
+    return (frame.pose_2d is not None, frame.pose_3d is not None, canon)
+
+
+def _shape_values(frames, records, shape) -> np.ndarray:
+    """(n, K) array of one shape's float slots, in template order."""
+    has_2d, has_3d, canon = shape
+    n = len(frames)
+    columns = []
+    if has_2d:
+        columns.append(np.stack([f.pose_2d.joints for f in frames]).reshape(n, -1))
+    if has_3d:
+        columns.append(np.stack([f.pose_3d.joints for f in frames]).reshape(n, -1))
+    if canon is not None:
+        columns.append(np.stack([r.rotation.matrix for r in records]).reshape(n, 9))
+        columns.append(np.stack([r.rotation.source_vector for r in records]))
+        if canon == "depth":
+            columns.append(np.array([[r.root_depth] for r in records], dtype=np.float64))
+    return np.concatenate(columns, axis=1)
+
+
+def _sequence_lines(seq: PoseSequence) -> list[str]:
+    # Names are baked into the line template, so a "%" in one must be doubled.
+    prefix = '{"subject": %s, "action": %s, "camera": %s, ' % tuple(
+        json.dumps(name).replace("%", "%%") for name in seq.key
+    )
+    records = seq.records if seq.records is not None else (None,) * seq.n_frames
+    shapes = [_line_shape(frame, record) for frame, record in zip(seq.frames, records)]
+    lines: list = [None] * seq.n_frames
+    # Nearly every sequence has one shape, so this gathers the whole sequence
+    # into one array and converts it with one tolist().
+    for shape in dict.fromkeys(shapes):
+        positions = [i for i, s in enumerate(shapes) if s == shape]
+        template = prefix + _body_template(seq.skeleton.n_joints, *shape)
+        frames = [seq.frames[i] for i in positions]
+        values = _shape_values(frames, [records[i] for i in positions], shape).tolist()
+        for i, frame, row in zip(positions, frames, values):
+            lines[i] = template % (frame.index, *row)
+    return lines
 
 
 def serialize_sequences(sequences) -> str:
@@ -227,9 +274,7 @@ def serialize_sequences(sequences) -> str:
                 % (json.dumps(next(iter(names))), format_float(next(iter(fps_values))))
             )
     for seq in sequences:
-        records = seq.records if seq.records is not None else (None,) * seq.n_frames
-        for frame, record in zip(seq.frames, records):
-            lines.append(_record_line(seq, frame, record))
+        lines.extend(_sequence_lines(seq))
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -269,11 +314,13 @@ def _parse_canon(value, lineno: int, unit_scale: float):
         matrix = np.asarray(value["rotation"], dtype=np.float64).reshape(3, 3)
         source = np.asarray(value["source"], dtype=np.float64).reshape(3)
         depth = value.get("root_depth")
+        if depth is not None:
+            if isinstance(depth, bool) or not isinstance(depth, (int, float)):
+                raise TypeError(f"root_depth must be a number or null, got {depth!r}")
+            depth = float(depth) * unit_scale
         rotation = CanonicalRotation(matrix, source)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"line {lineno}: invalid canon block: {exc}", lineno) from exc
-    if depth is not None:
-        depth = float(depth) * unit_scale
     return rotation, depth
 
 
@@ -449,6 +496,8 @@ def _canonicalize_sequence_3d(seq: PoseSequence, intrinsics: CameraIntrinsics) -
 
 
 def _canonicalize_sequence_2d(seq: PoseSequence, intrinsics: CameraIntrinsics) -> PoseSequence:
+    if seq.records is not None:
+        raise SequenceCanonicalizationError(f"sequence {seq.key} is already canonical")
     pixels = _sequence_array(seq, "2d")
     root = seq.skeleton.root_index
     try:

@@ -12,10 +12,14 @@ import json
 
 import numpy as np
 
+# The one float spec: 17 significant digits. Row templates in ``dataset`` are
+# built from it, so both emitters write the same text for the same value.
+FLOAT_FORMAT = "%.17g"
+
 
 def format_float(value: float) -> str:
     """17-significant-digit decimal form of a float (round-trip exact)."""
-    return format(float(value), ".17g")
+    return FLOAT_FORMAT % float(value)
 
 
 def dumps(obj, indent: int | None = None) -> str:

@@ -102,6 +102,33 @@ def test_canonicalize_2d_mode(tmp_path, skeleton, camera_file):
     assert np.array_equal(canon2.joints_3d(), original.joints_3d())
 
 
+def test_canonicalize_2d_refuses_canonical_input(tmp_path, camera_file, capsys):
+    data = synth_file(tmp_path, camera=camera_file)
+    for mode in ("3d", "2d"):
+        canon = tmp_path / f"canon_{mode}.ndjson"
+        assert run(["canonicalize", "--input", data, "--camera", camera_file, "--mode", mode, "--output", str(canon)]) == 0
+        again = tmp_path / f"again_{mode}.ndjson"
+        capsys.readouterr()
+        rc = run(["canonicalize", "--input", str(canon), "--camera", camera_file, "--mode", "2d", "--output", str(again)])
+        assert rc == 2
+        assert "already canonical" in capsys.readouterr().err
+        assert not again.exists()
+
+
+def test_canon_root_depth_errors_name_the_line(tmp_path, camera_file, capsys):
+    data = synth_file(tmp_path, count=3, camera=camera_file)
+    canon = tmp_path / "canon.ndjson"
+    assert run(["canonicalize", "--input", data, "--camera", camera_file, "--output", str(canon)]) == 0
+    lines = canon.read_text().splitlines()
+    head, tail = lines[2].rsplit('"root_depth": ', 1)
+    for depth in ('"abc"', "[1.0]", "true"):
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("\n".join(lines[:2] + [head + '"root_depth": ' + depth + "}}"] + lines[3:]) + "\n")
+        capsys.readouterr()
+        assert run(["stats", "--input", str(bad)]) == 2
+        assert "line 3: invalid canon block" in capsys.readouterr().err
+
+
 def test_canonicalize_threads_do_not_change_bytes(tmp_path, camera_file):
     data = synth_file(tmp_path, count=30, camera=camera_file)
     outputs = []

@@ -138,6 +138,26 @@ def test_mixed_canonical_and_raw_frames_rejected(tmp_path, skeleton):
     assert "mixes" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "depth",
+    ['"abc"', "[1.0]", "true", "false", '{"m": 2}', "1" + "0" * 400],
+    ids=["string", "list", "true", "false", "object", "int-overflowing-float"],
+)
+def test_canon_root_depth_must_be_a_number(tmp_path, skeleton, depth):
+    j2 = _joints(skeleton, 2)
+    record = (
+        '{"subject": "S1", "action": "a", "camera": "c", "frame": 0, '
+        f'"joints_2d": {j2}, "joints_3d": null, '
+        f'"canon": {{"rotation": [1,0,0,0,1,0,0,0,1], "source": [0,0,1], "root_depth": {depth}}}}}'
+    )
+    path = tmp_path / "depth.ndjson"
+    path.write_text('{"meta": {"fps": 50}}\n' + record + "\n")
+    with pytest.raises(SchemaError) as excinfo:
+        load_sequences(path, skeleton)
+    assert excinfo.value.line_number == 2
+    assert "line 2: invalid canon block" in str(excinfo.value)
+
+
 def test_window_exact_cover(pose_batch, intrinsics, skeleton):
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=405, seed=25)
     spec = WindowSpec(243, 81)
