@@ -210,7 +210,8 @@ def batch_world_to_camera(points: np.ndarray, rotation: np.ndarray, translation:
 
 
 def _check_depths(z: np.ndarray, what: str) -> None:
-    bad = z <= EPS_DEPTH
+    # atleast_1d: a single (3,) point has a 0-d Z, which nonzero cannot index.
+    bad = np.atleast_1d(z <= EPS_DEPTH)
     if bad.any():
         flat = np.unique(np.nonzero(bad)[0])
         raise BehindCameraError(

@@ -32,9 +32,11 @@ from .camera import (
     Pose2D,
     Pose3D,
     Space,
+    _check_depths,
     _check_rotation_matrix,
     _require_frame,
     _require_space,
+    batch_to_normalized_plane,
 )
 from .errors import (
     AntiparallelError,
@@ -221,15 +223,14 @@ def batch_canonicalize_3d(points: np.ndarray, root_index: int) -> tuple[np.ndarr
 
 def batch_project_centered(points: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Project canonical joints with the principal point replaced by the
-    image center: (fx X / Z + W/2, fy Y / Z + H/2)."""
+    image center: (fx X / Z + W/2, fy Y / Z + H/2).
+
+    Raises BehindCameraError when any Z <= EPS_DEPTH; the error indexes the
+    leading axis of ``points``.
+    """
     pts = np.asarray(points, dtype=np.float64)
     z = pts[..., 2]
-    bad = z <= EPS_DEPTH
-    if bad.any():
-        raise BehindCameraError(
-            f"{int(bad.sum())} canonical joint(s) at or behind the camera plane",
-            indices=np.unique(np.nonzero(bad)[0]),
-        )
+    _check_depths(z, "canonical joint(s)")
     out = np.empty(pts.shape[:-1] + (2,), dtype=np.float64)
     out[..., 0] = intrinsics.fx * pts[..., 0] / z + intrinsics.width / 2.0
     out[..., 1] = intrinsics.fy * pts[..., 1] / z + intrinsics.height / 2.0
@@ -252,8 +253,7 @@ def batch_canonicalize_2d(
     pix = np.asarray(pixels, dtype=np.float64)
     n, j = pix.shape[0], pix.shape[1]
     plane = np.empty((n, j, 3), dtype=np.float64)
-    plane[..., 0] = (pix[..., 0] - intrinsics.cx) / intrinsics.fx
-    plane[..., 1] = (pix[..., 1] - intrinsics.cy) / intrinsics.fy
+    plane[..., :2] = batch_to_normalized_plane(pix, intrinsics)
     plane[..., 2] = 1.0
 
     pelvis = plane[:, root_index].copy()

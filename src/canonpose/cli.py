@@ -95,12 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--camera", required=True, help="camera JSON with fx, fy, cx, cy, width, height (optional R, t)")
     p.add_argument("--mode", choices=("2d", "3d"), default="3d", help="which canonicalization path to run (default: 3d)")
     _add_skeleton(p)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker pool size; output is identical for any value (default: logical cores)",
-    )
+    p.add_argument("--threads", type=int, default=None, help="accepted but ignored: sequences are canonicalized serially")
     p.set_defaults(handler=_cmd_canonicalize)
 
     p = sub.add_parser(
@@ -231,7 +226,7 @@ def _cmd_canonicalize(args) -> int:
     if extrinsics is not None:
         sequences = _apply_extrinsics(sequences, extrinsics)
     mode = "3d-path" if args.mode == "3d" else "2d-path"
-    result = canonicalize_dataset(sequences, intrinsics, mode, threads=args.threads)
+    result = canonicalize_dataset(sequences, intrinsics, mode)
     _write_text(serialize_sequences(result), args.output)
     return 0
 

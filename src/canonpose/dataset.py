@@ -25,23 +25,19 @@ from __future__ import annotations
 
 import functools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .camera import CameraIntrinsics, EPS_DEPTH, Frame, Pose2D, Pose3D, Space
+from .camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space
 from .canonical import (
-    EPS_ANTIPARALLEL,
-    EPS_VEC,
     CanonicalRecord,
     CanonicalRotation,
     batch_canonicalize_2d,
     batch_canonicalize_3d,
     batch_project_centered,
 )
-from .errors import ParseError, SchemaError, SequenceCanonicalizationError
+from .errors import GeometryError, ParseError, SchemaError, SequenceCanonicalizationError
 from .jsonfmt import FLOAT_FORMAT, format_float
 from .skeleton import Skeleton
 
@@ -281,7 +277,15 @@ def serialize_sequences(sequences) -> str:
 def save_sequences(sequences, path) -> None:
     """Write sequences to an NDJSON file; see the module docstring for the
     schema. Saving and re-loading is lossless, and re-saving what was loaded
-    reproduces the file byte for byte."""
+    reproduces the file byte for byte.
+
+    Raises:
+        ValueError: the sequences differ in fps or skeleton, which the one
+            header line cannot carry.
+    """
+    sequences = list(sequences)
+    if len({(seq.fps, seq.skeleton.name) for seq in sequences}) > 1:
+        raise ValueError("sequences differ in fps or skeleton; save each kind to its own file")
     text = serialize_sequences(sequences)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -445,42 +449,26 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
 CANONICALIZE_MODES = ("3d-path", "2d-path")
 
 
-def _sequence_array(seq: PoseSequence, channel: str) -> np.ndarray:
-    getter = {"2d": lambda f: f.pose_2d, "3d": lambda f: f.pose_3d}[channel]
-    missing = [i for i, frame in enumerate(seq.frames) if getter(frame) is None]
+def _stack_poses(seq: PoseSequence, poses: list, what: str) -> np.ndarray:
+    missing = [i for i, pose in enumerate(poses) if pose is None]
     if missing:
         raise SequenceCanonicalizationError(
-            f"sequence {seq.key} lacks {channel.upper()} poses required by this path",
-            frame_indices=missing,
+            f"sequence {seq.key} lacks {what} required by this path", frame_indices=missing
         )
-    return np.stack([getter(frame).joints for frame in seq.frames])
+    return np.stack([pose.joints for pose in poses])
 
 
 def _canonicalize_sequence_3d(seq: PoseSequence, intrinsics: CameraIntrinsics) -> PoseSequence:
-    points = _sequence_array(seq, "3d")
-    if any(f.pose_3d.frame is not Frame.CAMERA for f in seq.frames):
-        raise SequenceCanonicalizationError(
-            f"sequence {seq.key} is not in the camera frame (already canonical?)"
-        )
+    # A 3D pose in any other frame counts as missing: it cannot be rotated
+    # about the camera's principal axis.
+    camera_3d = [
+        f.pose_3d if f.pose_3d is not None and f.pose_3d.frame is Frame.CAMERA else None
+        for f in seq.frames
+    ]
+    points = _stack_poses(seq, camera_3d, "camera-frame 3D poses")
     root = seq.skeleton.root_index
     roots = points[:, root]
-    # Check every frame's root before rotating anything, so one failure
-    # report covers the whole sequence.
-    norms = np.linalg.norm(roots, axis=-1)
-    unit_z = np.where(norms > 0, roots[:, 2] / np.where(norms > 0, norms, 1.0), 0.0)
-    bad = (norms <= EPS_VEC) | (roots[:, 2] <= EPS_DEPTH) | (unit_z < -1.0 + EPS_ANTIPARALLEL)
-    if bad.any():
-        raise SequenceCanonicalizationError(
-            f"sequence {seq.key} has frames whose root cannot be canonicalized",
-            frame_indices=np.nonzero(bad)[0],
-        )
     canonical, rotations, depths = batch_canonicalize_3d(points, root)
-    behind = (canonical[..., 2] <= EPS_DEPTH).any(axis=1)
-    if behind.any():
-        raise SequenceCanonicalizationError(
-            f"sequence {seq.key} has canonical joints at or behind the camera plane",
-            frame_indices=np.nonzero(behind)[0],
-        )
     pixels = batch_project_centered(canonical, intrinsics)
 
     frames, records = [], []
@@ -496,17 +484,9 @@ def _canonicalize_sequence_3d(seq: PoseSequence, intrinsics: CameraIntrinsics) -
 
 
 def _canonicalize_sequence_2d(seq: PoseSequence, intrinsics: CameraIntrinsics) -> PoseSequence:
-    if seq.records is not None:
-        raise SequenceCanonicalizationError(f"sequence {seq.key} is already canonical")
-    pixels = _sequence_array(seq, "2d")
+    pixels = _stack_poses(seq, [f.pose_2d for f in seq.frames], "2D poses")
     root = seq.skeleton.root_index
-    try:
-        canonical, rotations, pelvis = batch_canonicalize_2d(pixels, intrinsics, root)
-    except ValueError as exc:
-        raise SequenceCanonicalizationError(
-            f"sequence {seq.key}: {exc}",
-            frame_indices=getattr(exc, "indices", None) or (),
-        ) from exc
+    canonical, rotations, pelvis = batch_canonicalize_2d(pixels, intrinsics, root)
 
     frames, records = [], []
     for i, frame in enumerate(seq.frames):
@@ -525,32 +505,39 @@ def _canonicalize_sequence_2d(seq: PoseSequence, intrinsics: CameraIntrinsics) -
 def canonicalize_dataset(
     sequences, intrinsics: CameraIntrinsics, mode: str, threads: int | None = None
 ) -> list[PoseSequence]:
-    """Canonicalize every sequence, frame by frame.
+    """Canonicalize every sequence, frame by frame, in input order.
 
     Args:
         sequences: input PoseSequences.
         intrinsics: camera used to build canonical 2D poses.
-        mode: "3d-path" (requires 3D poses; produces canonical 3D and 2D)
-            or "2d-path" (requires 2D poses; produces canonical 2D and the
-            rotation, leaving any stored 3D untouched).
-        threads: worker threads (None means one per logical core). Output is
-            identical for any thread count.
+        mode: "3d-path" (requires camera-frame 3D poses; produces canonical
+            3D and 2D) or "2d-path" (requires 2D poses; produces canonical 2D
+            and the rotation, leaving any stored 3D untouched).
+        threads: accepted and ignored; sequences are canonicalized serially,
+            and output bytes are identical for any value.
 
     Returns:
         New sequences, in input order, carrying one CanonicalRecord per
         frame.
 
     Raises:
-        SequenceCanonicalizationError: some sequence has frames that cannot
-            be canonicalized; the error lists every offending frame position
-            and no partial sequence is emitted.
+        SequenceCanonicalizationError: some sequence is already canonical,
+            or has frames that cannot be canonicalized; the error lists
+            every offending frame position and no partial sequence is
+            emitted.
     """
     if mode not in CANONICALIZE_MODES:
         raise ValueError(f"mode must be one of {CANONICALIZE_MODES}, got {mode!r}")
     work = _canonicalize_sequence_3d if mode == "3d-path" else _canonicalize_sequence_2d
-    sequences = list(sequences)
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    if workers <= 1 or len(sequences) <= 1:
-        return [work(seq, intrinsics) for seq in sequences]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda seq: work(seq, intrinsics), sequences))
+    out = []
+    for seq in sequences:
+        if seq.records is not None:
+            raise SequenceCanonicalizationError(f"sequence {seq.key} is already canonical")
+        try:
+            out.append(work(seq, intrinsics))
+        except GeometryError as exc:
+            # The kernels index frames along their leading axis.
+            raise SequenceCanonicalizationError(
+                f"sequence {seq.key}: {exc}", frame_indices=exc.indices or ()
+            ) from exc
+    return out

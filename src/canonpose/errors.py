@@ -24,8 +24,9 @@ class GeometryError(ValueError):
     """A geometric precondition was violated."""
 
     def __init__(self, message: str, indices=None):
-        super().__init__(_with_indices(message, indices))
+        # Plain ints, so a message shows "[5]", not numpy's "[np.int64(5)]".
         self.indices = tuple(int(i) for i in indices) if indices is not None else None
+        super().__init__(_with_indices(message, self.indices))
 
 
 class FrameMismatchError(GeometryError):

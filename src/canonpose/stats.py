@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Frame, Space
+from .camera import CameraIntrinsics, Frame, Space, batch_project
+from .canonical import batch_project_centered
+from .errors import BehindCameraError
 from .jsonfmt import format_float
 from .skeleton import Skeleton
 
@@ -102,6 +104,10 @@ def pelvis_position_distribution(
     image-plane summary collects every image-space 2D root; frames with 3D
     but no 2D are projected with ``intrinsics`` when given (camera frame via
     the principal point, canonical frame via the image center).
+
+    Raises:
+        BehindCameraError: a root to be projected is at or behind the camera
+            plane.
     """
     xy, image = [], []
     for seq in sequences:
@@ -112,18 +118,14 @@ def pelvis_position_distribution(
             if frame.pose_2d is not None and frame.pose_2d.space is Space.IMAGE:
                 image.append(frame.pose_2d.joints[root])
             elif frame.pose_3d is not None and intrinsics is not None:
-                joint = frame.pose_3d.joints[root]
                 centered = frame.pose_3d.frame is Frame.CANONICAL_CAMERA
-                ox = intrinsics.width / 2.0 if centered else intrinsics.cx
-                oy = intrinsics.height / 2.0 if centered else intrinsics.cy
-                image.append(
-                    np.array(
-                        [
-                            intrinsics.fx * joint[0] / joint[2] + ox,
-                            intrinsics.fy * joint[1] / joint[2] + oy,
-                        ]
-                    )
-                )
+                project = batch_project_centered if centered else batch_project
+                try:
+                    image.append(project(frame.pose_3d.joints[root], intrinsics))
+                except BehindCameraError as exc:
+                    raise BehindCameraError(
+                        f"sequence {seq.key} frame {frame.index}: root at or behind the camera plane"
+                    ) from exc
     empty2 = np.zeros((0, 2))
     return (
         DistributionSummary.from_samples(np.array(xy) if xy else empty2),

@@ -85,17 +85,13 @@ MIN_ROOT_DEPTH = 0.5
 
 @dataclass(frozen=True, eq=False)
 class SynthConfig:
-    """Generator configuration.
-
-    ``intrinsics_pool`` is carried for harnesses that sweep cameras; the
-    generator itself is camera-free (it produces 3D poses).
-    """
+    """Generator configuration; the generator is camera-free (it produces 3D
+    poses)."""
 
     seed: int
     n_poses: int
     limb_scale: float = 1.0
     root_region: Box3 = DEFAULT_ROOT_REGION
-    intrinsics_pool: tuple[CameraIntrinsics, ...] = ()
 
     def __post_init__(self):
         seed = int(self.seed)
@@ -113,7 +109,6 @@ class SynthConfig:
                 f"root_region must lie entirely at Z > {MIN_ROOT_DEPTH} m, "
                 f"got low Z = {self.root_region.low[2]}"
             )
-        object.__setattr__(self, "intrinsics_pool", tuple(self.intrinsics_pool))
 
     def to_dict(self) -> dict:
         return {

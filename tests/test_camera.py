@@ -23,6 +23,7 @@ from canonpose.camera import (
     to_normalized_plane,
     world_to_camera,
 )
+from canonpose.canonical import batch_project_centered
 from canonpose.errors import BehindCameraError, FrameMismatchError, ParseError, SchemaError
 
 finite_coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -51,6 +52,16 @@ def test_project_rejects_joints_behind_camera(intrinsics):
     with pytest.raises(BehindCameraError) as excinfo:
         batch_project(pts, intrinsics)
     assert excinfo.value.indices == (1, 2)
+
+
+def test_projections_reject_a_single_point_behind_camera(intrinsics):
+    for kernel in (batch_project, batch_project_centered):
+        assert kernel(np.array([0.1, 0.2, 1.0]), intrinsics).shape == (2,)
+        for z in (-1.0, 0.0):
+            with pytest.raises(BehindCameraError) as excinfo:
+                kernel(np.array([0.1, 0.2, z]), intrinsics)
+            assert excinfo.value.indices == (0,)
+            assert str(excinfo.value).endswith("(at positions [0])")
 
 
 def test_world_to_camera_against_per_point_loop(rotation_factory):

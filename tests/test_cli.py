@@ -222,6 +222,24 @@ def test_stats_json_and_csv(tmp_path, camera_file, capsys):
     assert json.loads(capsys.readouterr().out)["pelvis_xy_m"]["count"] == 10
 
 
+def test_stats_camera_rejects_3d_root_behind_camera(tmp_path, skeleton, camera_file, capsys):
+    data = synth_file(tmp_path, count=4)
+    seq = load_sequences(data, skeleton)[0]
+    joints = seq.frames[2].pose_3d.joints.copy()
+    joints[skeleton.root_index, 2] = -1.5
+    frames = list(seq.frames)
+    frames[2] = dataclasses.replace(frames[2], pose_2d=None, pose_3d=Pose3D(joints, frames[2].pose_3d.frame))
+    bad = tmp_path / "behind.ndjson"
+    save_sequences([dataclasses.replace(seq, frames=tuple(frames))], bad)
+    capsys.readouterr()
+    assert run(["stats", "--input", str(bad), "--camera", camera_file]) == 2
+    err = capsys.readouterr().err
+    assert "behind the camera" in err
+    assert "frame 2" in err
+    # Without a camera nothing is projected, so the same file is fine.
+    assert run(["stats", "--input", str(bad)]) == 0
+
+
 def test_window_command(tmp_path, skeleton):
     data = synth_file(tmp_path, count=10)
     out = tmp_path / "windows.ndjson"

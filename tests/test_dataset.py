@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -272,3 +274,53 @@ def test_canonicalize_dataset_thread_count_is_invisible(pose_batch, intrinsics, 
     one = serialize_sequences(canonicalize_dataset(seqs, intrinsics, "3d-path", threads=1))
     many = serialize_sequences(canonicalize_dataset(seqs, intrinsics, "3d-path", threads=4))
     assert one == many
+
+
+def test_canonicalize_3d_zero_length_root_names_its_frame(pose_batch, skeleton, intrinsics):
+    pts = pose_batch(4, seed=36).copy()
+    pts[2, skeleton.root_index] = 0.0
+    frames = tuple(FramePair(None, Pose3D(p, Frame.CAMERA), t) for t, p in enumerate(pts))
+    seq = PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
+    with pytest.raises(SequenceCanonicalizationError) as excinfo:
+        canonicalize_dataset([seq], intrinsics, "3d-path", threads=1)
+    assert excinfo.value.frame_indices == (2,)
+
+
+def test_canonicalize_3d_limb_crossing_camera_plane_names_its_frame(pose_batch, skeleton, intrinsics):
+    pts = pose_batch(4, seed=37).copy()
+    # The root is in front of the camera, and so is every joint, but one
+    # joint lies behind the plane through the camera normal to the root ray.
+    pts[1] = [1.0, 0.0, 1.0]
+    pts[1, skeleton.root_index + 1] = [-1.0, 0.0, 0.5]
+    frames = tuple(FramePair(None, Pose3D(p, Frame.CAMERA), t) for t, p in enumerate(pts))
+    seq = PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
+    with pytest.raises(SequenceCanonicalizationError) as excinfo:
+        canonicalize_dataset([seq], intrinsics, "3d-path", threads=1)
+    assert excinfo.value.frame_indices == (1,)
+
+
+def test_canonicalize_2d_vanishing_w_names_its_frame(pose_batch, skeleton, intrinsics):
+    pix = batch_project(pose_batch(4, seed=38), intrinsics).copy()
+    # Root ray (1, 0, 1) and joint ray (-1, 0, 1) are orthogonal, so the
+    # rotated joint has w = 0.
+    pix[3] = [intrinsics.cx + intrinsics.fx, intrinsics.cy]
+    pix[3, skeleton.root_index + 1] = [intrinsics.cx - intrinsics.fx, intrinsics.cy]
+    frames = tuple(FramePair(Pose2D(p, Space.IMAGE), None, t) for t, p in enumerate(pix))
+    seq = PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
+    with pytest.raises(SequenceCanonicalizationError) as excinfo:
+        canonicalize_dataset([seq], intrinsics, "2d-path", threads=1)
+    assert excinfo.value.frame_indices == (3,)
+
+
+def test_save_refuses_sequences_the_header_cannot_carry(tmp_path, pose_batch, intrinsics, skeleton):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=3, seed=39)
+    other = replace(seq, subject="S2", fps=25.0)
+    path = tmp_path / "mixed.ndjson"
+    with pytest.raises(ValueError, match="fps or skeleton"):
+        save_sequences([seq, other], path)
+    assert not path.exists()
+    renamed = replace(skeleton, name="h36m17b")
+    with pytest.raises(ValueError, match="fps or skeleton"):
+        save_sequences([seq, replace(other, fps=50.0, skeleton=renamed)], path)
+    save_sequences([seq, replace(other, fps=50.0)], path)
+    assert [s.fps for s in load_sequences(path, skeleton)] == [50.0, 50.0]
