@@ -60,14 +60,25 @@ class Space(str, enum.Enum):
     SCREEN_NORMALIZED = "screen-normalized"
 
 
-def _as_readonly_array(values, last_dim: int, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != last_dim or arr.shape[0] < 1:
-        raise ValueError(f"{name} must have shape (J, {last_dim}), got {arr.shape}")
+def _check_joints(arr: np.ndarray, last_dim: int, name: str, ndim: int = 3) -> np.ndarray:
+    """Check a float64 joint array and make it read-only.
+
+    The array is (T, J, last_dim) for T poses, or (J, last_dim) for one pose
+    when ``ndim`` is 2; J must be at least 1 and every value finite. The
+    caller hands over an array it owns: the array itself is returned.
+    """
+    shape = arr.shape
+    if arr.ndim != ndim or shape[-1] != last_dim or shape[-2] < 1:
+        expected = f"(J, {last_dim})" if ndim == 2 else f"(T, J, {last_dim})"
+        raise ValueError(f"{name} must have shape {expected}, got {shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     arr.setflags(write=False)
     return arr
+
+
+def _as_readonly_array(values, last_dim: int, name: str) -> np.ndarray:
+    return _check_joints(np.array(values, dtype=np.float64), last_dim, name, ndim=2)
 
 
 def _require_frame(pose: "Pose3D", frame: Frame, op: str) -> None:
@@ -84,13 +95,37 @@ def _require_space(pose: "Pose2D", space: Space, op: str) -> None:
         )
 
 
+def _rotation_errors(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max |R^T R - I| and det R of each matrix of a finite (N, 3, 3) stack."""
+    gram = np.abs(np.swapaxes(matrices, -1, -2) @ matrices - np.eye(3)).max(axis=(-2, -1))
+    return gram, np.linalg.det(matrices)
+
+
+def _improper_rotations(matrices: np.ndarray) -> np.ndarray:
+    """Batched rotation check: a (N,) mask over a float64 (N, 3, 3) stack,
+    true where an entry is not finite, max |R^T R - I| > EPS_ROTATION or
+    |det R - 1| > EPS_ROTATION."""
+    finite = np.isfinite(matrices).all(axis=(-2, -1))
+    gram, det = _rotation_errors(np.where(finite[:, None, None], matrices, np.eye(3)))
+    return ~finite | (gram > EPS_ROTATION) | (np.abs(det - 1.0) > EPS_ROTATION)
+
+
 def _check_rotation_matrix(matrix: np.ndarray, name: str) -> None:
-    gram_error = np.abs(matrix.T @ matrix - np.eye(3)).max()
+    """The one-matrix case of the rotation check, for a finite 3x3 matrix."""
+    (gram_error,), (det,) = _rotation_errors(matrix[None])
     if gram_error > EPS_ROTATION:
         raise ValueError(f"{name} is not orthogonal (max |R^T R - I| = {gram_error:.3e})")
-    det = np.linalg.det(matrix)
     if abs(det - 1.0) > EPS_ROTATION:
         raise ValueError(f"{name} is not a proper rotation (det = {det!r})")
+
+
+def _vector_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (N, 3) array.
+
+    Bit-identical to ``np.linalg.norm`` of each row on its own (a dot
+    product per row), which ``np.linalg.norm(..., axis=-1)`` is not.
+    """
+    return np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -175,6 +210,15 @@ class Pose3D:
         object.__setattr__(self, "joints", _as_readonly_array(self.joints, 3, "joints"))
         object.__setattr__(self, "frame", Frame(self.frame))
 
+    @classmethod
+    def _of_checked(cls, joints: np.ndarray, frame: Frame) -> "Pose3D":
+        """A pose over a row of a joint array already passed through
+        ``_check_joints``; nothing is copied or checked again."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "joints", joints)
+        object.__setattr__(pose, "frame", frame)
+        return pose
+
     @property
     def n_joints(self) -> int:
         return self.joints.shape[0]
@@ -190,6 +234,15 @@ class Pose2D:
     def __post_init__(self):
         object.__setattr__(self, "joints", _as_readonly_array(self.joints, 2, "joints"))
         object.__setattr__(self, "space", Space(self.space))
+
+    @classmethod
+    def _of_checked(cls, joints: np.ndarray, space: Space) -> "Pose2D":
+        """A pose over a row of a joint array already passed through
+        ``_check_joints``; nothing is copied or checked again."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "joints", joints)
+        object.__setattr__(pose, "space", space)
+        return pose
 
     @property
     def n_joints(self) -> int:

@@ -34,8 +34,10 @@ from .camera import (
     Space,
     _check_depths,
     _check_rotation_matrix,
+    _improper_rotations,
     _require_frame,
     _require_space,
+    _vector_norms,
     batch_to_normalized_plane,
 )
 from .errors import (
@@ -75,12 +77,22 @@ class CanonicalRotation:
         src = np.array(self.source_vector, dtype=np.float64).reshape(-1)
         if src.shape != (3,) or not np.isfinite(src).all():
             raise ValueError("source_vector must be a finite 3-vector")
-        if np.linalg.norm(src) <= EPS_VEC:
-            raise DegenerateVectorError(f"source_vector norm {np.linalg.norm(src):.3e} <= {EPS_VEC}")
+        (norm,) = _vector_norms(src[None])
+        if norm <= EPS_VEC:
+            raise DegenerateVectorError(f"source_vector norm {norm:.3e} <= {EPS_VEC}")
         mat.setflags(write=False)
         src.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "source_vector", src)
+
+    @classmethod
+    def _of_checked(cls, matrix: np.ndarray, source_vector: np.ndarray) -> "CanonicalRotation":
+        """A rotation over rows of read-only arrays that passed
+        ``_first_invalid_rotation``; nothing is copied or checked again."""
+        rotation = object.__new__(cls)
+        object.__setattr__(rotation, "matrix", matrix)
+        object.__setattr__(rotation, "source_vector", source_vector)
+        return rotation
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Rotate a (..., 3) array: R @ p for each point."""
@@ -89,6 +101,25 @@ class CanonicalRotation:
     def inverse_apply(self, points: np.ndarray) -> np.ndarray:
         """Rotate a (..., 3) array back: R^T @ p for each point."""
         return np.asarray(points, dtype=np.float64) @ self.matrix
+
+
+def _first_invalid_rotation(matrices: np.ndarray, sources: np.ndarray):
+    """The CanonicalRotation checks, run once over (N, 3, 3) matrices and
+    their (N, 3) source vectors.
+
+    Returns None when every frame passes, else (position, error) for the
+    first failing frame, with the error the constructor raises for it.
+    """
+    bad = _improper_rotations(matrices)
+    bad |= ~np.isfinite(sources).all(axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad |= ~(_vector_norms(sources) > EPS_VEC)
+    for position in np.flatnonzero(bad):
+        try:
+            CanonicalRotation(matrices[position], sources[position])
+        except ValueError as exc:
+            return int(position), exc
+    return None
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,7 @@ from .camera import (
     Pose2D,
     Pose3D,
     Space,
+    _check_joints,
     batch_project,
     batch_world_to_camera,
     load_camera_json,
@@ -116,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="score predictions against ground truth (millimeters)",
         description="Score predicted 3D joints against ground truth, matched by "
         "(subject, action, camera) and frame order. Both sides are root-centered before "
-        "scoring; the result is printed in millimeters (internal math is in meters).",
+        "scoring; the result is printed in millimeters (internal math is in meters). A "
+        "sequence whose 3D is in the camera frame on one side and the canonical frame on "
+        "the other is refused, not scored.",
     )
     p.add_argument("--pred", required=True, help="predictions, NDJSON with joints_3d")
     p.add_argument("--gt", required=True, help="ground truth, NDJSON with joints_3d")
@@ -213,8 +216,9 @@ def _apply_extrinsics(sequences, extrinsics):
         if with_3d:
             world = np.stack([frames[i].pose_3d.joints for i in with_3d])
             camera = batch_world_to_camera(world, extrinsics.rotation, extrinsics.translation)
-            for i, joints in zip(with_3d, camera):
-                frames[i] = dataclasses.replace(frames[i], pose_3d=Pose3D(joints, Frame.CAMERA))
+            for i, joints in zip(with_3d, _check_joints(camera, 3, "joints")):
+                pair = frames[i]
+                frames[i] = FramePair(pair.pose_2d, Pose3D._of_checked(joints, Frame.CAMERA), pair.index)
         moved.append(dataclasses.replace(seq, frames=tuple(frames)))
     return moved
 
@@ -252,13 +256,16 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _stacked_3d(sequences, label: str) -> dict[tuple, np.ndarray]:
+def _stacked_3d(sequences, label: str) -> dict[tuple, tuple[np.ndarray, Frame]]:
+    """{key: ((T, J, 3) joints, frame tag)} of every sequence of a loaded file."""
     stacks = {}
     for seq in sequences:
         joints = seq.joints_3d()
         if joints is None:
             raise DataError(f"{label}: sequence {seq.key} has frames without 3D joints")
-        stacks[seq.key] = joints
+        # A loaded sequence carries one tag: canonical files are tagged
+        # canonical-camera, all others camera.
+        stacks[seq.key] = joints, seq.frames[0].pose_3d.frame
     return stacks
 
 
@@ -272,8 +279,13 @@ def _cmd_eval(args) -> int:
     if missing:
         raise DataError(f"prediction sequences missing from ground truth: {sorted(missing)}")
     preds, gts = [], []
-    for key, pred_joints in pred.items():
-        gt_joints = gt[key]
+    for key, (pred_joints, pred_frame) in pred.items():
+        gt_joints, gt_frame = gt[key]
+        if pred_frame is not gt_frame:
+            raise DataError(
+                f"sequence {key}: --pred 3D is in the '{pred_frame.value}' frame, --gt 3D in the "
+                f"'{gt_frame.value}' frame; poses in different frames cannot be scored"
+            )
         if pred_joints.shape != gt_joints.shape:
             raise DataError(f"sequence {key}: prediction shape {pred_joints.shape} != ground truth {gt_joints.shape}")
         preds.append(pred_joints)

@@ -19,6 +19,15 @@ Floats are written with 17 significant digits, so a load/save round trip is
 bit-exact and re-saving a loaded file reproduces it byte for byte. Records
 are grouped into sequences by (subject, action, camera) in first-appearance
 order, frames in file order.
+
+Input checks run once per array, not once per frame. Line-level checks
+(JSON, names, frame number, joint shapes, counts and finiteness, canon block
+shapes and root depth type) run as each line is read, in file order, so the
+first bad line is the one reported. The rotation checks of the canon blocks
+(orthogonality, unit determinant, finite entries, source norm above
+EPS_VEC) run once per sequence after the whole file is read, and report the
+lowest failing line. Poses and rotations are read-only views into one
+checked array per sequence and channel, on load and after canonicalization.
 """
 
 from __future__ import annotations
@@ -29,10 +38,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space
+from .camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, _check_joints, _vector_norms
 from .canonical import (
     CanonicalRecord,
     CanonicalRotation,
+    _first_invalid_rotation,
     batch_canonicalize_2d,
     batch_canonicalize_3d,
     batch_project_centered,
@@ -310,6 +320,9 @@ def _parse_joints(value, width: int, expected: int, lineno: int, key: str) -> np
 
 
 def _parse_canon(value, lineno: int, unit_scale: float):
+    """The (3, 3) rotation, (3,) source and scaled root depth of a canon
+    block. Only their shapes and types are checked here; the rotation
+    checks run once per sequence (``_check_canon_blocks``)."""
     if value is None:
         return None
     if not isinstance(value, dict):
@@ -322,10 +335,54 @@ def _parse_canon(value, lineno: int, unit_scale: float):
             if isinstance(depth, bool) or not isinstance(depth, (int, float)):
                 raise TypeError(f"root_depth must be a number or null, got {depth!r}")
             depth = float(depth) * unit_scale
-        rotation = CanonicalRotation(matrix, source)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"line {lineno}: invalid canon block: {exc}", lineno) from exc
-    return rotation, depth
+    return matrix, source, depth
+
+
+def _check_canon_blocks(groups: dict) -> dict:
+    """Stack each sequence's canon rotations and sources and check them once.
+
+    Returns {sequence key: (rotations (n, 3, 3), sources (n, 3))}, read-only,
+    over the sequence's records that carry a canon block. Raises the
+    SchemaError a per-line check would have raised first: the lowest failing
+    line of the file.
+    """
+    stacks, faults = {}, []
+    for key, rows in groups.items():
+        canon_rows = [row for row in rows if row[4] is not None]
+        if not canon_rows:
+            continue
+        rotations = np.stack([row[4][0] for row in canon_rows])
+        sources = np.stack([row[4][1] for row in canon_rows])
+        fault = _first_invalid_rotation(rotations, sources)
+        if fault is not None:
+            faults.append((canon_rows[fault[0]][0], fault[1]))
+        rotations.setflags(write=False)
+        sources.setflags(write=False)
+        stacks[key] = (rotations, sources)
+    if faults:
+        lineno, exc = min(faults, key=lambda fault: fault[0])
+        raise SchemaError(f"line {lineno}: invalid canon block: {exc}", lineno) from exc
+    return stacks
+
+
+def _views(cls, stack: np.ndarray, tag) -> list:
+    """One pose per row of a stack already passed through ``_check_joints``."""
+    return [cls._of_checked(joints, tag) for joints in stack]
+
+
+def _pose_views(cls, rows: list, width: int, tag, scale: float = 1.0) -> list:
+    """One pose per row, each a view into one checked stack of the present
+    rows multiplied by ``scale``; None where a row is None."""
+    present = [row for row in rows if row is not None]
+    if not present:
+        return rows
+    stack = np.stack(present)
+    if scale != 1.0:
+        stack *= scale
+    poses = iter(_views(cls, _check_joints(stack, width, "joints"), tag))
+    return [None if row is None else next(poses) for row in rows]
 
 
 def _read_meta(obj: dict, lineno: int, skeleton: Skeleton) -> tuple[float, float]:
@@ -351,6 +408,8 @@ def _read_meta(obj: dict, lineno: int, skeleton: Skeleton) -> tuple[float, float
 
 def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
     """Read an NDJSON pose file into sequences.
+
+    See the module docstring for where each input check runs.
 
     Args:
         path: file to read.
@@ -392,13 +451,15 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
             if joints_2d is None and joints_3d is None:
                 raise SchemaError(f"line {lineno}: record has neither joints_2d nor joints_3d", lineno)
             canon = _parse_canon(obj.get("canon"), lineno, unit_scale)
-            if joints_3d is not None:
-                joints_3d = joints_3d * unit_scale
             key = (obj["subject"], obj["action"], obj["camera"])
             groups.setdefault(key, []).append((lineno, obj["frame"], joints_2d, joints_3d, canon))
 
+    canon_stacks = _check_canon_blocks(groups)
     sequences = []
-    for (subject, action, camera_id), rows in groups.items():
+    for key in list(groups):
+        subject, action, camera_id = key
+        # Popped, so a sequence's per-line arrays are freed once its stacks exist.
+        rows = groups.pop(key)
         canon_count = sum(1 for row in rows if row[4] is not None)
         if canon_count not in (0, len(rows)):
             bad = next(lineno for lineno, _, _, _, canon in rows if canon is None)
@@ -409,20 +470,21 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
             )
         canonical = canon_count > 0
         frame_tag = Frame.CANONICAL_CAMERA if canonical else Frame.CAMERA
+        poses_2d = _pose_views(Pose2D, [row[2] for row in rows], 2, Space.IMAGE)
+        poses_3d = _pose_views(Pose3D, [row[3] for row in rows], 3, frame_tag, unit_scale)
+        if canonical:
+            rotations = map(CanonicalRotation._of_checked, *canon_stacks[key])
         frames, records = [], []
-        for lineno, frame_no, joints_2d, joints_3d, canon in rows:
-            pose_2d = Pose2D(joints_2d, Space.IMAGE) if joints_2d is not None else None
-            pose_3d = Pose3D(joints_3d, frame_tag) if joints_3d is not None else None
+        for (lineno, frame_no, _, _, canon), pose_2d, pose_3d in zip(rows, poses_2d, poses_3d):
             try:
                 frames.append(FramePair(pose_2d, pose_3d, frame_no))
                 if canonical:
-                    rotation, depth = canon
                     if pose_2d is None:
                         raise SchemaError(
                             f"line {lineno}: canonicalized record lacks joints_2d", lineno
                         )
                     records.append(
-                        CanonicalRecord(pose_3d, pose_2d, rotation, depth, skeleton.name)
+                        CanonicalRecord(pose_3d, pose_2d, next(rotations), canon[2], skeleton.name)
                     )
             except SchemaError:
                 raise
@@ -458,6 +520,19 @@ def _stack_poses(seq: PoseSequence, poses: list, what: str) -> np.ndarray:
     return np.stack([pose.joints for pose in poses])
 
 
+def _rotation_views(rotations: np.ndarray, sources: np.ndarray) -> list:
+    """One CanonicalRotation per frame of a kernel's output, checked once.
+
+    Raises the error CanonicalRotation raises for the first failing frame.
+    """
+    fault = _first_invalid_rotation(rotations, sources)
+    if fault is not None:
+        raise fault[1]
+    rotations.setflags(write=False)
+    sources.setflags(write=False)
+    return list(map(CanonicalRotation._of_checked, rotations, sources))
+
+
 def _canonicalize_sequence_3d(seq: PoseSequence, intrinsics: CameraIntrinsics) -> PoseSequence:
     # A 3D pose in any other frame counts as missing: it cannot be rotated
     # about the camera's principal axis.
@@ -467,19 +542,17 @@ def _canonicalize_sequence_3d(seq: PoseSequence, intrinsics: CameraIntrinsics) -
     ]
     points = _stack_poses(seq, camera_3d, "camera-frame 3D poses")
     root = seq.skeleton.root_index
-    roots = points[:, root]
     canonical, rotations, depths = batch_canonicalize_3d(points, root)
     pixels = batch_project_centered(canonical, intrinsics)
 
+    poses_3d = _views(Pose3D, _check_joints(canonical, 3, "joints"), Frame.CANONICAL_CAMERA)
+    poses_2d = _views(Pose2D, _check_joints(pixels, 2, "joints"), Space.IMAGE)
     frames, records = [], []
-    for i, frame in enumerate(seq.frames):
-        pose_3d = Pose3D(canonical[i], Frame.CANONICAL_CAMERA)
-        pose_2d = Pose2D(pixels[i], Space.IMAGE)
-        rotation = CanonicalRotation(rotations[i], roots[i])
+    for frame, pose_2d, pose_3d, rotation, depth in zip(
+        seq.frames, poses_2d, poses_3d, _rotation_views(rotations, points[:, root]), depths.tolist()
+    ):
         frames.append(FramePair(pose_2d, pose_3d, frame.index))
-        records.append(
-            CanonicalRecord(pose_3d, pose_2d, rotation, float(depths[i]), seq.skeleton.name)
-        )
+        records.append(CanonicalRecord(pose_3d, pose_2d, rotation, depth, seq.skeleton.name))
     return replace(seq, frames=tuple(frames), records=tuple(records))
 
 
@@ -488,15 +561,19 @@ def _canonicalize_sequence_2d(seq: PoseSequence, intrinsics: CameraIntrinsics) -
     root = seq.skeleton.root_index
     canonical, rotations, pelvis = batch_canonicalize_2d(pixels, intrinsics, root)
 
+    # The stored 3D pose (if any) is left untouched: this path exists for
+    # data whose 3D is absent or untrusted. It only gives the root depth.
+    depths = [None] * seq.n_frames
+    with_3d = [i for i, frame in enumerate(seq.frames) if frame.pose_3d is not None]
+    if with_3d:
+        roots = np.stack([seq.frames[i].pose_3d.joints[root] for i in with_3d])
+        for i, depth in zip(with_3d, _vector_norms(roots).tolist()):
+            depths[i] = depth
+    poses_2d = _views(Pose2D, _check_joints(canonical, 2, "joints"), Space.IMAGE)
     frames, records = [], []
-    for i, frame in enumerate(seq.frames):
-        pose_2d = Pose2D(canonical[i], Space.IMAGE)
-        rotation = CanonicalRotation(rotations[i], pelvis[i])
-        depth = None
-        if frame.pose_3d is not None:
-            depth = float(np.linalg.norm(frame.pose_3d.joints[root]))
-        # The stored 3D pose (if any) is left untouched: this path exists for
-        # data whose 3D is absent or untrusted.
+    for frame, pose_2d, rotation, depth in zip(
+        seq.frames, poses_2d, _rotation_views(rotations, pelvis), depths
+    ):
         frames.append(FramePair(pose_2d, frame.pose_3d, frame.index))
         records.append(CanonicalRecord(None, pose_2d, rotation, depth, seq.skeleton.name))
     return replace(seq, frames=tuple(frames), records=tuple(records))
@@ -536,8 +613,9 @@ def canonicalize_dataset(
         try:
             out.append(work(seq, intrinsics))
         except GeometryError as exc:
-            # The kernels index frames along their leading axis.
+            # The kernels index frames along their leading axis; the bare
+            # message, so the frames are listed once.
             raise SequenceCanonicalizationError(
-                f"sequence {seq.key}: {exc}", frame_indices=exc.indices or ()
+                f"sequence {seq.key}: {exc.message}", frame_indices=exc.indices or ()
             ) from exc
     return out

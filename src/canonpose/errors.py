@@ -21,9 +21,14 @@ def _with_indices(message: str, indices) -> str:
 
 
 class GeometryError(ValueError):
-    """A geometric precondition was violated."""
+    """A geometric precondition was violated.
+
+    ``message`` is the text without the position list, for callers that
+    report the positions their own way.
+    """
 
     def __init__(self, message: str, indices=None):
+        self.message = message
         # Plain ints, so a message shows "[5]", not numpy's "[np.int64(5)]".
         self.indices = tuple(int(i) for i in indices) if indices is not None else None
         super().__init__(_with_indices(message, self.indices))

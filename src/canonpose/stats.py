@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Frame, Space, batch_project
+from .camera import CameraIntrinsics, Frame, Space, _vector_norms, batch_project
 from .canonical import batch_project_centered
 from .errors import BehindCameraError
 from .jsonfmt import format_float
@@ -95,6 +95,35 @@ def write_samples_csv(summary: DistributionSummary, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _stacked(poses) -> tuple[list[int], np.ndarray | None]:
+    """Positions of the poses that are not None, and their joints stacked
+    into one (n, J, k) array (None when there are none)."""
+    at = [i for i, pose in enumerate(poses) if pose is not None]
+    return at, (np.stack([poses[i].joints for i in at]) if at else None)
+
+
+def _project_roots(seq, positions, roots: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Pixels of the 3D roots (n, 3) of the frames at ``positions``: camera
+    frame through the principal point, canonical frame through the image
+    center. A root at or behind the camera names the first such frame."""
+    out = np.empty((len(positions), 2))
+    centered = np.array([seq.frames[i].pose_3d.frame is Frame.CANONICAL_CAMERA for i in positions])
+    behind = []
+    for mask, project in ((~centered, batch_project), (centered, batch_project_centered)):
+        if mask.any():
+            try:
+                out[mask] = project(roots[mask], intrinsics)
+            except BehindCameraError as exc:
+                behind.append((int(np.flatnonzero(mask)[exc.indices[0]]), exc))
+    if behind:
+        first, exc = min(behind, key=lambda item: item[0])
+        raise BehindCameraError(
+            f"sequence {seq.key} frame {seq.frames[positions[first]].index}: "
+            "root at or behind the camera plane"
+        ) from exc
+    return out
+
+
 def pelvis_position_distribution(
     sequences, intrinsics: CameraIntrinsics | None = None
 ) -> tuple[DistributionSummary, DistributionSummary]:
@@ -112,24 +141,28 @@ def pelvis_position_distribution(
     xy, image = [], []
     for seq in sequences:
         root = seq.skeleton.root_index
-        for frame in seq.frames:
-            if frame.pose_3d is not None:
-                xy.append(frame.pose_3d.joints[root, :2])
-            if frame.pose_2d is not None and frame.pose_2d.space is Space.IMAGE:
-                image.append(frame.pose_2d.joints[root])
-            elif frame.pose_3d is not None and intrinsics is not None:
-                centered = frame.pose_3d.frame is Frame.CANONICAL_CAMERA
-                project = batch_project_centered if centered else batch_project
-                try:
-                    image.append(project(frame.pose_3d.joints[root], intrinsics))
-                except BehindCameraError as exc:
-                    raise BehindCameraError(
-                        f"sequence {seq.key} frame {frame.index}: root at or behind the camera plane"
-                    ) from exc
+        at_3d, joints_3d = _stacked([f.pose_3d for f in seq.frames])
+        at_2d, joints_2d = _stacked(
+            [f.pose_2d if f.pose_2d is not None and f.pose_2d.space is Space.IMAGE else None for f in seq.frames]
+        )
+        # Image roots in frame order, stored ones and projected ones mixed.
+        rows = np.empty((seq.n_frames, 2))
+        taken = np.zeros(seq.n_frames, dtype=bool)
+        if at_2d:
+            rows[at_2d] = joints_2d[:, root]
+            taken[at_2d] = True
+        if at_3d:
+            xy.append(joints_3d[:, root, :2])
+            unprojected = np.flatnonzero(~taken[at_3d])
+            if intrinsics is not None and unprojected.size:
+                positions = np.asarray(at_3d)[unprojected]
+                rows[positions] = _project_roots(seq, positions, joints_3d[unprojected, root], intrinsics)
+                taken[positions] = True
+        image.append(rows[taken])
     empty2 = np.zeros((0, 2))
     return (
-        DistributionSummary.from_samples(np.array(xy) if xy else empty2),
-        DistributionSummary.from_samples(np.array(image) if image else empty2),
+        DistributionSummary.from_samples(np.concatenate(xy) if xy else empty2),
+        DistributionSummary.from_samples(np.concatenate(image) if image else empty2),
     )
 
 
@@ -147,19 +180,17 @@ def body_orientation_distribution(sequences, skeleton: Skeleton | None = None) -
     degenerate = 0
     for seq in sequences:
         skel = skeleton if skeleton is not None else seq.skeleton
-        for frame in seq.frames:
-            if frame.pose_3d is None:
-                continue
-            joints = frame.pose_3d.joints
-            across = joints[skel.left_hip_index] - joints[skel.right_hip_index]
-            up = joints[skel.torso_index] - joints[skel.root_index]
-            cross = np.cross(across, up)
-            norm = np.linalg.norm(cross)
-            if norm <= EPS_ORIENTATION:
-                degenerate += 1
-            else:
-                directions.append(cross / norm)
-    samples = np.array(directions) if directions else np.zeros((0, 3))
+        _, joints = _stacked([f.pose_3d for f in seq.frames])
+        if joints is None:
+            continue
+        across = joints[:, skel.left_hip_index] - joints[:, skel.right_hip_index]
+        up = joints[:, skel.torso_index] - joints[:, skel.root_index]
+        cross = np.cross(across, up)
+        norms = _vector_norms(cross)
+        flat = norms <= EPS_ORIENTATION
+        degenerate += int(np.count_nonzero(flat))
+        directions.append(cross[~flat] / norms[~flat, None])
+    samples = np.concatenate(directions) if directions else np.zeros((0, 3))
     return DistributionSummary.from_samples(samples, n_degenerate=degenerate)
 
 
@@ -175,15 +206,17 @@ def joint_scatter_extent(sequences, mode: str) -> DistributionSummary:
     """
     if mode not in SCATTER_MODES:
         raise ValueError(f"mode must be one of {SCATTER_MODES}, got {mode!r}")
+    width = 2 if mode == "2d" else 3
     pools = []
     for seq in sequences:
-        root = seq.skeleton.root_index
-        for frame in seq.frames:
-            if mode == "2d" and frame.pose_2d is not None:
-                pools.append(frame.pose_2d.joints)
-            elif mode == "3d-root-relative" and frame.pose_3d is not None:
-                joints = frame.pose_3d.joints
-                pools.append(joints - joints[root])
-    width = 2 if mode == "2d" else 3
+        if mode == "2d":
+            _, joints = _stacked([f.pose_2d for f in seq.frames])
+        else:
+            _, joints = _stacked([f.pose_3d for f in seq.frames])
+            if joints is not None:
+                root = seq.skeleton.root_index
+                joints = joints - joints[:, root : root + 1]
+        if joints is not None:
+            pools.append(joints.reshape(-1, width))
     samples = np.concatenate(pools, axis=0) if pools else np.zeros((0, width))
     return DistributionSummary.from_samples(samples)

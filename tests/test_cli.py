@@ -272,3 +272,50 @@ def test_study_command(tmp_path, capsys):
     config.write_text(json.dumps({"verbosity": 3}))
     assert run(["study", "--config", str(config)]) == 1
     assert "unknown study fields" in capsys.readouterr().err
+
+
+def test_canonicalize_error_lists_its_frames_once(tmp_path, skeleton, camera_file, capsys):
+    data = synth_file(tmp_path, count=8)
+    seq = load_sequences(data, skeleton)[0]
+    frames = list(seq.frames)
+    joints = frames[5].pose_3d.joints.copy()
+    joints[skeleton.root_index, 2] = -1.5
+    frames[5] = dataclasses.replace(frames[5], pose_3d=Pose3D(joints, frames[5].pose_3d.frame))
+    bad = tmp_path / "behind.ndjson"
+    save_sequences([dataclasses.replace(seq, frames=tuple(frames))], bad)
+    capsys.readouterr()
+    assert run(["canonicalize", "--input", str(bad), "--camera", camera_file]) == 2
+    err = capsys.readouterr().err
+    assert "behind the camera plane" in err
+    assert "(frames [5])" in err
+    assert err.count("[5]") == 1
+
+
+def test_eval_refuses_to_score_across_frames(tmp_path, camera_file, capsys):
+    data = synth_file(tmp_path, count=6, camera=camera_file)
+    canon = tmp_path / "canon.ndjson"
+    assert run(["canonicalize", "--input", data, "--camera", camera_file, "--output", str(canon)]) == 0
+    capsys.readouterr()
+    for pred, gt in ((str(canon), data), (data, str(canon))):
+        assert run(["eval", "--pred", pred, "--gt", gt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "('synth', 'seed0', 'cam0')" in captured.err
+        assert "'canonical-camera'" in captured.err and "'camera'" in captured.err
+    # Same frame on both sides is scored as before.
+    assert run(["eval", "--pred", str(canon), "--gt", str(canon)]) == 0
+    assert capsys.readouterr().out.strip() == "mpjpe 0.000000 mm"
+
+
+def test_extrinsics_moved_joints_are_read_only(tmp_path, skeleton, camera_file, rotation_factory):
+    from canonpose.camera import CameraExtrinsics, Frame
+    from canonpose.cli import _apply_extrinsics
+
+    seqs = load_sequences(synth_file(tmp_path, count=4, camera=camera_file), skeleton)
+    moved = _apply_extrinsics(seqs, CameraExtrinsics(rotation_factory(5), [0.1, 0.2, 0.3]))
+    for frame in moved[0].frames:
+        assert frame.pose_3d.frame is Frame.CAMERA
+        for joints in (frame.pose_2d.joints, frame.pose_3d.joints):
+            assert not joints.flags.writeable
+            with pytest.raises(ValueError):
+                joints[0] = 0.0

@@ -324,3 +324,100 @@ def test_save_refuses_sequences_the_header_cannot_carry(tmp_path, pose_batch, in
         save_sequences([seq, replace(other, fps=50.0, skeleton=renamed)], path)
     save_sequences([seq, replace(other, fps=50.0)], path)
     assert [s.fps for s in load_sequences(path, skeleton)] == [50.0, 50.0]
+
+
+def _canon_record(skeleton, frame, rotation, source, subject="S1"):
+    return (
+        f'{{"subject": "{subject}", "action": "a", "camera": "c", "frame": {frame}, '
+        f'"joints_2d": {_joints(skeleton, 2)}, "joints_3d": null, '
+        f'"canon": {{"rotation": {rotation}, "source": {source}, "root_depth": null}}}}'
+    )
+
+
+IDENTITY = "[1,0,0,0,1,0,0,0,1]"
+
+
+@pytest.mark.parametrize(
+    "bad_line, rotation, source, needle",
+    [
+        (3, "[1,0,0,0,1,0,0,0,-1]", "[0,0,1]", "canonical rotation is not a proper rotation"),
+        (3, "[1,0,0,0,1,0,0,0.5,1]", "[0,0,1]", "canonical rotation is not orthogonal"),
+        (2, IDENTITY, "[0,0,0]", "source_vector norm"),
+    ],
+    ids=["improper", "not-orthogonal", "zero-source"],
+)
+def test_canon_rotation_errors_name_their_line(tmp_path, skeleton, bad_line, rotation, source, needle):
+    lines = [
+        _canon_record(skeleton, k, rotation if k + 1 == bad_line else IDENTITY,
+                      source if k + 1 == bad_line else "[0,0,1]")
+        for k in range(3)
+    ]
+    path = tmp_path / "canon.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as excinfo:
+        load_sequences(path, skeleton)
+    assert excinfo.value.line_number == bad_line
+    assert f"line {bad_line}: invalid canon block: {needle}" in str(excinfo.value)
+
+
+def test_canon_rotation_error_reports_the_lowest_line_of_the_file(tmp_path, skeleton):
+    improper = "[1,0,0,0,1,0,0,0,-1]"
+    lines = [
+        _canon_record(skeleton, 0, IDENTITY, "[0,0,1]", subject="S1"),
+        _canon_record(skeleton, 0, IDENTITY, "[0,0,1]", subject="S2"),
+        _canon_record(skeleton, 1, IDENTITY, "[0,0,1]", subject="S1"),
+        _canon_record(skeleton, 1, improper, "[0,0,1]", subject="S2"),
+        _canon_record(skeleton, 2, improper, "[0,0,1]", subject="S1"),
+    ]
+    path = tmp_path / "canon.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as excinfo:
+        load_sequences(path, skeleton)
+    assert excinfo.value.line_number == 4
+
+
+def _assert_read_only(arrays):
+    arrays = list(arrays)
+    assert arrays
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def _sequence_arrays(seq):
+    for frame in seq.frames:
+        for pose in (frame.pose_2d, frame.pose_3d):
+            if pose is not None:
+                yield pose.joints
+    for record in seq.records or ():
+        yield record.rotation.matrix
+        yield record.rotation.source_vector
+        yield record.canonical_2d.joints
+        if record.canonical_3d is not None:
+            yield record.canonical_3d.joints
+
+
+def test_loaded_and_canonicalized_arrays_are_read_only(tmp_path, pose_batch, intrinsics, skeleton):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=5, seed=45)
+    only_2d = replace(seq, frames=tuple(FramePair(f.pose_2d, None, f.index) for f in seq.frames))
+    via_3d = canonicalize_dataset([seq], intrinsics, "3d-path")
+    via_2d = canonicalize_dataset([seq], intrinsics, "2d-path")
+    produced = via_3d + via_2d + canonicalize_dataset([only_2d], intrinsics, "2d-path")
+    raw_path, canon_path = tmp_path / "raw.ndjson", tmp_path / "canon.ndjson"
+    save_sequences([seq], raw_path)
+    save_sequences(via_3d, canon_path)
+    loaded = load_sequences(raw_path, skeleton) + load_sequences(canon_path, skeleton)
+    for out in produced + loaded:
+        _assert_read_only(_sequence_arrays(out))
+
+
+def test_canonicalize_2d_root_depth_is_the_per_frame_norm(pose_batch, intrinsics, skeleton):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=30, seed=48)
+    frames = tuple(FramePair(f.pose_2d, f.pose_3d if f.index % 4 else None, f.index) for f in seq.frames)
+    out = canonicalize_dataset([replace(seq, frames=frames)], intrinsics, "2d-path")[0]
+    for frame, record in zip(frames, out.records):
+        if frame.pose_3d is None:
+            assert record.root_depth is None
+        else:
+            assert record.root_depth == float(np.linalg.norm(frame.pose_3d.joints[skeleton.root_index]))

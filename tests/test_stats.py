@@ -146,3 +146,93 @@ def test_write_samples_csv_round_trip(tmp_path):
     assert lines[0] == "x,y,z"
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert np.array_equal(parsed, samples)
+
+
+# Per-frame reference versions of the three distributions, kept here to pin
+# the batched ones bit for bit.
+def _reference_pelvis(sequences, intrinsics):
+    from canonpose.canonical import batch_project_centered
+
+    xy, image = [], []
+    for seq in sequences:
+        root = seq.skeleton.root_index
+        for frame in seq.frames:
+            if frame.pose_3d is not None:
+                xy.append(frame.pose_3d.joints[root, :2])
+            if frame.pose_2d is not None and frame.pose_2d.space is Space.IMAGE:
+                image.append(frame.pose_2d.joints[root])
+            elif frame.pose_3d is not None and intrinsics is not None:
+                centered = frame.pose_3d.frame is Frame.CANONICAL_CAMERA
+                project = batch_project_centered if centered else batch_project
+                image.append(project(frame.pose_3d.joints[root], intrinsics))
+    return np.array(xy), np.array(image)
+
+
+def _reference_orientation(sequences):
+    directions, degenerate = [], 0
+    for seq in sequences:
+        skel = seq.skeleton
+        for frame in seq.frames:
+            if frame.pose_3d is None:
+                continue
+            joints = frame.pose_3d.joints
+            across = joints[skel.left_hip_index] - joints[skel.right_hip_index]
+            up = joints[skel.torso_index] - joints[skel.root_index]
+            cross = np.cross(across, up)
+            norm = np.linalg.norm(cross)
+            if norm <= 1e-12:
+                degenerate += 1
+            else:
+                directions.append(cross / norm)
+    return np.array(directions), degenerate
+
+
+def _reference_scatter(sequences, mode):
+    pools = []
+    for seq in sequences:
+        root = seq.skeleton.root_index
+        for frame in seq.frames:
+            if mode == "2d" and frame.pose_2d is not None:
+                pools.append(frame.pose_2d.joints)
+            elif mode == "3d-root-relative" and frame.pose_3d is not None:
+                pools.append(frame.pose_3d.joints - frame.pose_3d.joints[root])
+    return np.concatenate(pools, axis=0)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_distributions_match_per_frame_reference_bit_for_bit(pose_batch, intrinsics, skeleton):
+    pts = pose_batch(40, seed=46)
+    pix = batch_project(pts, intrinsics)
+    flat = pts[7].copy()
+    flat[skeleton.torso_index] = flat[skeleton.root_index] + 2.5 * (
+        flat[skeleton.left_hip_index] - flat[skeleton.right_hip_index]
+    )
+    frames = []
+    for t in range(40):
+        kind = t % 3
+        pose_2d = Pose2D(pix[t], Space.IMAGE) if kind != 1 else None
+        pose_3d = Pose3D(flat if t == 7 else pts[t], Frame.CAMERA) if kind != 0 else None
+        frames.append(FramePair(pose_2d, pose_3d, t))
+    mixed = PoseSequence("S1", "mixed", "cam0", 50.0, tuple(frames), skeleton)
+    canonical = canonicalize_dataset([make_sequence(pose_batch, intrinsics, skeleton, n=9, seed=47)], intrinsics, "3d-path")[0]
+    bare_canonical = PoseSequence(
+        "S2", "bare", "cam0", 50.0, tuple(FramePair(None, f.pose_3d, f.index) for f in canonical.frames), skeleton
+    )
+    sequences = [mixed, canonical, bare_canonical]
+
+    xy, image = pelvis_position_distribution(sequences, intrinsics)
+    ref_xy, ref_image = _reference_pelvis(sequences, intrinsics)
+    assert _same_bits(xy.samples, ref_xy)
+    assert _same_bits(image.samples, ref_image)
+    assert _same_bits(xy.mean, ref_xy.mean(axis=0))
+
+    orientation = body_orientation_distribution(sequences)
+    ref_directions, ref_degenerate = _reference_orientation(sequences)
+    assert ref_degenerate == orientation.n_degenerate == 1
+    assert _same_bits(orientation.samples, ref_directions)
+
+    for mode in ("2d", "3d-root-relative"):
+        assert _same_bits(joint_scatter_extent(sequences, mode).samples, _reference_scatter(sequences, mode))
