@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BehindCameraError, FrameMismatchError, ParseError, SchemaError
+from .jsonfmt import json_float
 
 # Joints with Z at or below this depth (meters) are rejected by projection.
 EPS_DEPTH = 1e-6
@@ -210,15 +211,6 @@ class Pose3D:
         object.__setattr__(self, "joints", _as_readonly_array(self.joints, 3, "joints"))
         object.__setattr__(self, "frame", Frame(self.frame))
 
-    @classmethod
-    def _of_checked(cls, joints: np.ndarray, frame: Frame) -> "Pose3D":
-        """A pose over a row of a joint array already passed through
-        ``_check_joints``; nothing is copied or checked again."""
-        pose = object.__new__(cls)
-        object.__setattr__(pose, "joints", joints)
-        object.__setattr__(pose, "frame", frame)
-        return pose
-
     @property
     def n_joints(self) -> int:
         return self.joints.shape[0]
@@ -234,15 +226,6 @@ class Pose2D:
     def __post_init__(self):
         object.__setattr__(self, "joints", _as_readonly_array(self.joints, 2, "joints"))
         object.__setattr__(self, "space", Space(self.space))
-
-    @classmethod
-    def _of_checked(cls, joints: np.ndarray, space: Space) -> "Pose2D":
-        """A pose over a row of a joint array already passed through
-        ``_check_joints``; nothing is copied or checked again."""
-        pose = object.__new__(cls)
-        object.__setattr__(pose, "joints", joints)
-        object.__setattr__(pose, "space", space)
-        return pose
 
     @property
     def n_joints(self) -> int:
@@ -379,16 +362,21 @@ def load_camera_json(path) -> tuple[CameraIntrinsics, CameraExtrinsics | None]:
     if missing:
         raise SchemaError(f"{path}: camera file missing keys {missing}")
     try:
-        intrinsics = CameraIntrinsics(*(float(obj[key]) for key in required))
-    except (TypeError, ValueError) as exc:
+        intrinsics = CameraIntrinsics(*(json_float(obj[key], key) for key in required))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: invalid intrinsics: {exc}") from exc
     extrinsics = None
     if "R" in obj or "t" in obj:
         rot = obj.get("R", (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
         trans = obj.get("t", (0.0, 0.0, 0.0))
         try:
-            rot = np.asarray(rot, dtype=np.float64).reshape(3, 3)
-            extrinsics = CameraExtrinsics(rot, trans)
-        except (TypeError, ValueError) as exc:
+            rot = np.asarray(_json_floats(rot, "R"), dtype=np.float64).reshape(3, 3)
+            extrinsics = CameraExtrinsics(rot, _json_floats(trans, "t"))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{path}: invalid extrinsics: {exc}") from exc
     return intrinsics, extrinsics
+
+
+def _json_floats(value, name: str) -> list[float]:
+    """Every entry of a JSON list, nested or not, through ``json_float``."""
+    return [json_float(entry, f"{name} entry") for entry in np.asarray(value, dtype=object).ravel()]

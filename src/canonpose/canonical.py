@@ -85,15 +85,6 @@ class CanonicalRotation:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "source_vector", src)
 
-    @classmethod
-    def _of_checked(cls, matrix: np.ndarray, source_vector: np.ndarray) -> "CanonicalRotation":
-        """A rotation over rows of read-only arrays that passed
-        ``_first_invalid_rotation``; nothing is copied or checked again."""
-        rotation = object.__new__(cls)
-        object.__setattr__(rotation, "matrix", matrix)
-        object.__setattr__(rotation, "source_vector", source_vector)
-        return rotation
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Rotate a (..., 3) array: R @ p for each point."""
         return np.asarray(points, dtype=np.float64) @ self.matrix.T
@@ -103,13 +94,15 @@ class CanonicalRotation:
         return np.asarray(points, dtype=np.float64) @ self.matrix
 
 
-def _first_invalid_rotation(matrices: np.ndarray, sources: np.ndarray):
+def _check_rotations(matrices: np.ndarray, sources: np.ndarray):
     """The CanonicalRotation checks, run once over (N, 3, 3) matrices and
-    their (N, 3) source vectors.
+    their (N, 3) source vectors; both arrays are made read-only.
 
     Returns None when every frame passes, else (position, error) for the
     first failing frame, with the error the constructor raises for it.
     """
+    matrices.setflags(write=False)
+    sources.setflags(write=False)
     bad = _improper_rotations(matrices)
     bad |= ~np.isfinite(sources).all(axis=-1)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -127,8 +120,10 @@ class CanonicalRecord:
     """Everything needed to use and invert one frame's canonicalization.
 
     ``canonical_3d`` and ``root_depth`` are None for records produced from 2D
-    observations alone. When both are present the canonical root must sit at
-    (0, 0, root_depth).
+    observations alone. The 3D path writes each canonical root at exactly
+    (0, 0, root_depth), and the loader reads a canonical sequence's 3D as
+    canonical-frame only when every frame with 3D meets that rule (else as
+    camera-frame, as the 2D path leaves it); the constructor does not check it.
     """
 
     canonical_3d: Pose3D | None

@@ -20,22 +20,13 @@ import sys
 
 import numpy as np
 
-from .camera import (
-    CameraIntrinsics,
-    Frame,
-    Pose2D,
-    Pose3D,
-    Space,
-    _check_joints,
-    batch_project,
-    batch_world_to_camera,
-    load_camera_json,
-)
+from .camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, batch_project, load_camera_json
 from .dataset import (
     PAD_POLICIES,
     FramePair,
     PoseSequence,
     WindowSpec,
+    apply_extrinsics,
     canonicalize_dataset,
     load_sequences,
     serialize_sequences,
@@ -208,19 +199,7 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def _apply_extrinsics(sequences, extrinsics):
-    """Move world-frame 3D joints into the camera frame, leaving 2D alone."""
-    moved = []
-    for seq in sequences:
-        frames = list(seq.frames)
-        with_3d = [i for i, pair in enumerate(frames) if pair.pose_3d is not None]
-        if with_3d:
-            world = np.stack([frames[i].pose_3d.joints for i in with_3d])
-            camera = batch_world_to_camera(world, extrinsics.rotation, extrinsics.translation)
-            for i, joints in zip(with_3d, _check_joints(camera, 3, "joints")):
-                pair = frames[i]
-                frames[i] = FramePair(pair.pose_2d, Pose3D._of_checked(joints, Frame.CAMERA), pair.index)
-        moved.append(dataclasses.replace(seq, frames=tuple(frames)))
-    return moved
+    return apply_extrinsics(sequences, extrinsics)
 
 
 def _cmd_canonicalize(args) -> int:
@@ -263,8 +242,8 @@ def _stacked_3d(sequences, label: str) -> dict[tuple, tuple[np.ndarray, Frame]]:
         joints = seq.joints_3d()
         if joints is None:
             raise DataError(f"{label}: sequence {seq.key} has frames without 3D joints")
-        # A loaded sequence carries one tag: canonical files are tagged
-        # canonical-camera, all others camera.
+        # A loaded sequence carries one tag: canonical-camera for 3D-path
+        # output, camera for all else.
         stacks[seq.key] = joints, seq.frames[0].pose_3d.frame
     return stacks
 

@@ -26,8 +26,13 @@ shapes and root depth type) run as each line is read, in file order, so the
 first bad line is the one reported. The rotation checks of the canon blocks
 (orthogonality, unit determinant, finite entries, source norm above
 EPS_VEC) run once per sequence after the whole file is read, and report the
-lowest failing line. Poses and rotations are read-only views into one
-checked array per sequence and channel, on load and after canonicalization.
+lowest failing line. A canonical sequence's 3D loads as canonical-frame when
+every frame with 3D has its root at exactly (0, 0, root_depth), as the 3D
+path writes it, and as camera-frame otherwise, as the 2D path leaves it.
+
+Poses and rotations are read-only views into one checked array per sequence
+and channel. The views are built here and only here (``_view``); a channel
+is read back as one fresh array by ``PoseSequence._gather``.
 """
 
 from __future__ import annotations
@@ -35,20 +40,30 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, _check_joints, _vector_norms
+from .camera import (
+    CameraIntrinsics,
+    Frame,
+    Pose2D,
+    Pose3D,
+    Space,
+    _check_joints,
+    _vector_norms,
+    batch_world_to_camera,
+)
 from .canonical import (
     CanonicalRecord,
     CanonicalRotation,
-    _first_invalid_rotation,
+    _check_rotations,
     batch_canonicalize_2d,
     batch_canonicalize_3d,
     batch_project_centered,
 )
 from .errors import GeometryError, ParseError, SchemaError, SequenceCanonicalizationError
-from .jsonfmt import FLOAT_FORMAT, format_float
+from .jsonfmt import FLOAT_FORMAT, format_float, json_float
 from .skeleton import Skeleton
 
 DEFAULT_FPS = 50.0
@@ -127,15 +142,22 @@ class PoseSequence:
 
     def joints_2d(self) -> np.ndarray | None:
         """(T, J, 2) array, or None when any frame lacks a 2D pose."""
-        if any(frame.pose_2d is None for frame in self.frames):
-            return None
-        return np.stack([frame.pose_2d.joints for frame in self.frames])
+        at, joints = self._gather("pose_2d")
+        return joints if len(at) == self.n_frames else None
 
     def joints_3d(self) -> np.ndarray | None:
         """(T, J, 3) array, or None when any frame lacks a 3D pose."""
-        if any(frame.pose_3d is None for frame in self.frames):
-            return None
-        return np.stack([frame.pose_3d.joints for frame in self.frames])
+        at, joints = self._gather("pose_3d")
+        return joints if len(at) == self.n_frames else None
+
+    def _gather(self, channel: str, tag=None) -> tuple[list[int], np.ndarray | None]:
+        """Positions of the frames carrying a ``channel`` ("pose_2d" or
+        "pose_3d") pose, tagged ``tag`` if given, and those joints stacked into
+        one fresh (n, J, k) array (None when n is 0)."""
+        key = "space" if channel == "pose_2d" else "frame"
+        poses = [getattr(frame, channel) for frame in self.frames]
+        at = [i for i, pose in enumerate(poses) if pose is not None and tag in (None, getattr(pose, key))]
+        return at, (np.stack([poses[i].joints for i in at]) if at else None)
 
 
 @dataclass(frozen=True)
@@ -332,9 +354,7 @@ def _parse_canon(value, lineno: int, unit_scale: float):
         source = np.asarray(value["source"], dtype=np.float64).reshape(3)
         depth = value.get("root_depth")
         if depth is not None:
-            if isinstance(depth, bool) or not isinstance(depth, (int, float)):
-                raise TypeError(f"root_depth must be a number or null, got {depth!r}")
-            depth = float(depth) * unit_scale
+            depth = json_float(depth, "root_depth", "a number or null") * unit_scale
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"line {lineno}: invalid canon block: {exc}", lineno) from exc
     return matrix, source, depth
@@ -355,11 +375,9 @@ def _check_canon_blocks(groups: dict) -> dict:
             continue
         rotations = np.stack([row[4][0] for row in canon_rows])
         sources = np.stack([row[4][1] for row in canon_rows])
-        fault = _first_invalid_rotation(rotations, sources)
+        fault = _check_rotations(rotations, sources)
         if fault is not None:
             faults.append((canon_rows[fault[0]][0], fault[1]))
-        rotations.setflags(write=False)
-        sources.setflags(write=False)
         stacks[key] = (rotations, sources)
     if faults:
         lineno, exc = min(faults, key=lambda fault: fault[0])
@@ -367,22 +385,44 @@ def _check_canon_blocks(groups: dict) -> dict:
     return stacks
 
 
-def _views(cls, stack: np.ndarray, tag) -> list:
-    """One pose per row of a stack already passed through ``_check_joints``."""
-    return [cls._of_checked(joints, tag) for joints in stack]
+def _stack_column(rows: list, width: int, scale: float = 1.0) -> tuple[list[int], np.ndarray | None]:
+    """Positions of the loader rows (lineno, frame, joints_2d, joints_3d,
+    canon) whose joints of ``width`` are present, and those joints stacked
+    and multiplied by ``scale``."""
+    at = [i for i, row in enumerate(rows) if row[width] is not None]
+    if not at:
+        return at, None
+    stack = np.stack([rows[i][width] for i in at])
+    stack *= scale
+    return at, stack
 
 
-def _pose_views(cls, rows: list, width: int, tag, scale: float = 1.0) -> list:
-    """One pose per row, each a view into one checked stack of the present
-    rows multiplied by ``scale``; None where a row is None."""
-    present = [row for row in rows if row is not None]
-    if not present:
-        return rows
-    stack = np.stack(present)
-    if scale != 1.0:
-        stack *= scale
-    poses = iter(_views(cls, _check_joints(stack, width, "joints"), tag))
-    return [None if row is None else next(poses) for row in rows]
+def _view(cls, *fields):
+    """A Pose2D, Pose3D or CanonicalRotation holding ``fields`` as given (rows
+    of checked read-only arrays, and a tag); nothing is copied or checked."""
+    view = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(view, name, value)
+    return view
+
+
+def _poses(joints: np.ndarray | None, tag, n: int | None = None, at=None) -> list:
+    """Views of the rows of ``joints`` (len(at), J, k), checked once, at the
+    positions ``at`` of n entries (default: every row), None elsewhere."""
+    if at is None:
+        n = len(joints)
+        at = range(n)
+    out = [None] * n
+    if at:
+        cls, width = (Pose2D, 2) if isinstance(tag, Space) else (Pose3D, 3)
+        for i, row in zip(at, _check_joints(joints, width, "joints")):
+            out[i] = _view(cls, row, tag)
+    return out
+
+
+def _roots_on_axis(joints: np.ndarray | None, root: int, depths: list) -> bool:
+    """The root rule of ``CanonicalRecord``: every root at exactly (0, 0, depth)."""
+    return not depths or (None not in depths and np.array_equal(joints[:, root], [(0, 0, d) for d in depths]))
 
 
 def _read_meta(obj: dict, lineno: int, skeleton: Skeleton) -> tuple[float, float]:
@@ -395,9 +435,9 @@ def _read_meta(obj: dict, lineno: int, skeleton: Skeleton) -> tuple[float, float
             f"line {lineno}: file declares skeleton {name!r}, expected {skeleton.name!r}", lineno
         )
     try:
-        unit_scale = float(meta.get("unit_scale", 1.0))
-        fps = float(meta.get("fps", DEFAULT_FPS))
-    except (TypeError, ValueError) as exc:
+        unit_scale = json_float(meta.get("unit_scale", 1.0), "unit_scale")
+        fps = json_float(meta.get("fps", DEFAULT_FPS), "fps")
+    except (TypeError, OverflowError) as exc:
         raise SchemaError(f"line {lineno}: invalid meta numbers: {exc}", lineno) from exc
     if unit_scale <= 0 or not np.isfinite(unit_scale):
         raise SchemaError(f"line {lineno}: unit_scale must be positive", lineno)
@@ -469,38 +509,30 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
                 bad,
             )
         canonical = canon_count > 0
-        frame_tag = Frame.CANONICAL_CAMERA if canonical else Frame.CAMERA
-        poses_2d = _pose_views(Pose2D, [row[2] for row in rows], 2, Space.IMAGE)
-        poses_3d = _pose_views(Pose3D, [row[3] for row in rows], 3, frame_tag, unit_scale)
+        n = len(rows)
+        at_2d, joints_2d = _stack_column(rows, 2)
+        at_3d, joints_3d = _stack_column(rows, 3, unit_scale)
+        depths = [rows[i][4][2] for i in at_3d] if canonical else None
+        canonical_3d = canonical and _roots_on_axis(joints_3d, skeleton.root_index, depths)
+        poses_2d = _poses(joints_2d, Space.IMAGE, n, at_2d)
+        poses_3d = _poses(joints_3d, Frame.CANONICAL_CAMERA if canonical_3d else Frame.CAMERA, n, at_3d)
         if canonical:
-            rotations = map(CanonicalRotation._of_checked, *canon_stacks[key])
+            rotations = map(_view, repeat(CanonicalRotation), *canon_stacks[key])
         frames, records = [], []
         for (lineno, frame_no, _, _, canon), pose_2d, pose_3d in zip(rows, poses_2d, poses_3d):
             try:
                 frames.append(FramePair(pose_2d, pose_3d, frame_no))
                 if canonical:
                     if pose_2d is None:
-                        raise SchemaError(
-                            f"line {lineno}: canonicalized record lacks joints_2d", lineno
-                        )
-                    records.append(
-                        CanonicalRecord(pose_3d, pose_2d, next(rotations), canon[2], skeleton.name)
-                    )
+                        raise SchemaError(f"line {lineno}: canonicalized record lacks joints_2d", lineno)
+                    record_3d = pose_3d if canonical_3d else None
+                    records.append(CanonicalRecord(record_3d, pose_2d, next(rotations), canon[2], skeleton.name))
             except SchemaError:
                 raise
             except ValueError as exc:
                 raise SchemaError(f"line {lineno}: {exc}", lineno) from exc
-        sequences.append(
-            PoseSequence(
-                subject,
-                action,
-                camera_id,
-                fps,
-                tuple(frames),
-                skeleton,
-                tuple(records) if canonical else None,
-            )
-        )
+        records = tuple(records) if canonical else None
+        sequences.append(PoseSequence(subject, action, camera_id, fps, tuple(frames), skeleton, records))
     return sequences
 
 
@@ -511,72 +543,77 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
 CANONICALIZE_MODES = ("3d-path", "2d-path")
 
 
-def _stack_poses(seq: PoseSequence, poses: list, what: str) -> np.ndarray:
-    missing = [i for i, pose in enumerate(poses) if pose is None]
-    if missing:
-        raise SequenceCanonicalizationError(
-            f"sequence {seq.key} lacks {what} required by this path", frame_indices=missing
-        )
-    return np.stack([pose.joints for pose in poses])
+def _rebuild(seq: PoseSequence, poses_3d=None, poses_2d=None, canon=None) -> PoseSequence:
+    """``seq`` with new poses for each channel given (lists from ``_poses``).
 
-
-def _rotation_views(rotations: np.ndarray, sources: np.ndarray) -> list:
-    """One CanonicalRotation per frame of a kernel's output, checked once.
-
-    Raises the error CanonicalRotation raises for the first failing frame.
+    ``canon`` is (rotations (T, 3, 3), sources (T, 3), root depths) of every
+    frame: the rotations are checked once, and each record holds the frame's
+    new 2D pose and, when new 3D poses are given, its new 3D pose. Without
+    ``canon`` the records are kept.
     """
-    fault = _first_invalid_rotation(rotations, sources)
+    new_3d = [frame.pose_3d for frame in seq.frames] if poses_3d is None else poses_3d
+    new_2d = [frame.pose_2d for frame in seq.frames] if poses_2d is None else poses_2d
+    frames = tuple(map(FramePair, new_2d, new_3d, [frame.index for frame in seq.frames]))
+    if canon is None:
+        return replace(seq, frames=frames)
+    rotations, sources, depths = canon
+    fault = _check_rotations(rotations, sources)
     if fault is not None:
         raise fault[1]
-    rotations.setflags(write=False)
-    sources.setflags(write=False)
-    return list(map(CanonicalRotation._of_checked, rotations, sources))
+    views = map(_view, repeat(CanonicalRotation), rotations, sources)
+    records = map(CanonicalRecord, poses_3d or repeat(None), new_2d, views, depths, repeat(seq.skeleton.name))
+    return replace(seq, frames=frames, records=tuple(records))
+
+
+def apply_extrinsics(sequences, extrinsics) -> list[PoseSequence]:
+    """Move world-frame 3D joints into the camera frame, leaving 2D alone."""
+    moved = []
+    for seq in sequences:
+        at, world = seq._gather("pose_3d")
+        if at:
+            camera = batch_world_to_camera(world, extrinsics.rotation, extrinsics.translation)
+            seq = _rebuild(seq, poses_3d=_poses(camera, Frame.CAMERA, seq.n_frames, at))
+        moved.append(seq)
+    return moved
+
+
+def _gather_every(seq: PoseSequence, channel: str, what: str, tag=None) -> np.ndarray:
+    """``seq._gather`` of a channel the path needs in every frame."""
+    at, joints = seq._gather(channel, tag)
+    if len(at) < seq.n_frames:
+        missing = sorted(set(range(seq.n_frames)).difference(at))
+        raise SequenceCanonicalizationError(f"sequence {seq.key} lacks {what} required by this path", missing)
+    return joints
 
 
 def _canonicalize_sequence_3d(seq: PoseSequence, intrinsics: CameraIntrinsics) -> PoseSequence:
     # A 3D pose in any other frame counts as missing: it cannot be rotated
     # about the camera's principal axis.
-    camera_3d = [
-        f.pose_3d if f.pose_3d is not None and f.pose_3d.frame is Frame.CAMERA else None
-        for f in seq.frames
-    ]
-    points = _stack_poses(seq, camera_3d, "camera-frame 3D poses")
+    points = _gather_every(seq, "pose_3d", "camera-frame 3D poses", Frame.CAMERA)
     root = seq.skeleton.root_index
     canonical, rotations, depths = batch_canonicalize_3d(points, root)
     pixels = batch_project_centered(canonical, intrinsics)
-
-    poses_3d = _views(Pose3D, _check_joints(canonical, 3, "joints"), Frame.CANONICAL_CAMERA)
-    poses_2d = _views(Pose2D, _check_joints(pixels, 2, "joints"), Space.IMAGE)
-    frames, records = [], []
-    for frame, pose_2d, pose_3d, rotation, depth in zip(
-        seq.frames, poses_2d, poses_3d, _rotation_views(rotations, points[:, root]), depths.tolist()
-    ):
-        frames.append(FramePair(pose_2d, pose_3d, frame.index))
-        records.append(CanonicalRecord(pose_3d, pose_2d, rotation, depth, seq.skeleton.name))
-    return replace(seq, frames=tuple(frames), records=tuple(records))
+    return _rebuild(
+        seq,
+        poses_3d=_poses(canonical, Frame.CANONICAL_CAMERA),
+        poses_2d=_poses(pixels, Space.IMAGE),
+        canon=(rotations, points[:, root], depths.tolist()),
+    )
 
 
 def _canonicalize_sequence_2d(seq: PoseSequence, intrinsics: CameraIntrinsics) -> PoseSequence:
-    pixels = _stack_poses(seq, [f.pose_2d for f in seq.frames], "2D poses")
+    pixels = _gather_every(seq, "pose_2d", "2D poses")
     root = seq.skeleton.root_index
     canonical, rotations, pelvis = batch_canonicalize_2d(pixels, intrinsics, root)
 
     # The stored 3D pose (if any) is left untouched: this path exists for
     # data whose 3D is absent or untrusted. It only gives the root depth.
     depths = [None] * seq.n_frames
-    with_3d = [i for i, frame in enumerate(seq.frames) if frame.pose_3d is not None]
-    if with_3d:
-        roots = np.stack([seq.frames[i].pose_3d.joints[root] for i in with_3d])
-        for i, depth in zip(with_3d, _vector_norms(roots).tolist()):
+    at_3d, joints_3d = seq._gather("pose_3d")
+    if at_3d:
+        for i, depth in zip(at_3d, _vector_norms(np.ascontiguousarray(joints_3d[:, root])).tolist()):
             depths[i] = depth
-    poses_2d = _views(Pose2D, _check_joints(canonical, 2, "joints"), Space.IMAGE)
-    frames, records = [], []
-    for frame, pose_2d, rotation, depth in zip(
-        seq.frames, poses_2d, _rotation_views(rotations, pelvis), depths
-    ):
-        frames.append(FramePair(pose_2d, frame.pose_3d, frame.index))
-        records.append(CanonicalRecord(None, pose_2d, rotation, depth, seq.skeleton.name))
-    return replace(seq, frames=tuple(frames), records=tuple(records))
+    return _rebuild(seq, poses_2d=_poses(canonical, Space.IMAGE), canon=(rotations, pelvis, depths))
 
 
 def canonicalize_dataset(

@@ -1,9 +1,9 @@
-"""Deterministic JSON/CSV formatting.
+"""Deterministic JSON/CSV formatting, and the one rule for reading a number.
 
 Floats are written with 17 significant digits, enough to round-trip any
 64-bit value exactly, so re-serializing loaded data reproduces the original
 bytes. Dict keys keep insertion order; nothing here depends on hash order or
-locale.
+locale. A number read from JSON input must be a JSON number (``json_float``).
 """
 
 from __future__ import annotations
@@ -20,6 +20,14 @@ FLOAT_FORMAT = "%.17g"
 def format_float(value: float) -> str:
     """17-significant-digit decimal form of a float (round-trip exact)."""
     return FLOAT_FORMAT % float(value)
+
+
+def json_float(value, name: str, expected: str = "a number") -> float:
+    """A decoded JSON number as a float. Raises TypeError for a bool or any
+    other non-number, OverflowError for an int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be {expected}, got {value!r}")
+    return float(value)
 
 
 def dumps(obj, indent: int | None = None) -> str:

@@ -95,13 +95,6 @@ def write_samples_csv(summary: DistributionSummary, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _stacked(poses) -> tuple[list[int], np.ndarray | None]:
-    """Positions of the poses that are not None, and their joints stacked
-    into one (n, J, k) array (None when there are none)."""
-    at = [i for i, pose in enumerate(poses) if pose is not None]
-    return at, (np.stack([poses[i].joints for i in at]) if at else None)
-
-
 def _project_roots(seq, positions, roots: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Pixels of the 3D roots (n, 3) of the frames at ``positions``: camera
     frame through the principal point, canonical frame through the image
@@ -141,10 +134,8 @@ def pelvis_position_distribution(
     xy, image = [], []
     for seq in sequences:
         root = seq.skeleton.root_index
-        at_3d, joints_3d = _stacked([f.pose_3d for f in seq.frames])
-        at_2d, joints_2d = _stacked(
-            [f.pose_2d if f.pose_2d is not None and f.pose_2d.space is Space.IMAGE else None for f in seq.frames]
-        )
+        at_3d, joints_3d = seq._gather("pose_3d")
+        at_2d, joints_2d = seq._gather("pose_2d", Space.IMAGE)
         # Image roots in frame order, stored ones and projected ones mixed.
         rows = np.empty((seq.n_frames, 2))
         taken = np.zeros(seq.n_frames, dtype=bool)
@@ -180,7 +171,7 @@ def body_orientation_distribution(sequences, skeleton: Skeleton | None = None) -
     degenerate = 0
     for seq in sequences:
         skel = skeleton if skeleton is not None else seq.skeleton
-        _, joints = _stacked([f.pose_3d for f in seq.frames])
+        _, joints = seq._gather("pose_3d")
         if joints is None:
             continue
         across = joints[:, skel.left_hip_index] - joints[:, skel.right_hip_index]
@@ -209,14 +200,12 @@ def joint_scatter_extent(sequences, mode: str) -> DistributionSummary:
     width = 2 if mode == "2d" else 3
     pools = []
     for seq in sequences:
-        if mode == "2d":
-            _, joints = _stacked([f.pose_2d for f in seq.frames])
-        else:
-            _, joints = _stacked([f.pose_3d for f in seq.frames])
-            if joints is not None:
-                root = seq.skeleton.root_index
-                joints = joints - joints[:, root : root + 1]
-        if joints is not None:
-            pools.append(joints.reshape(-1, width))
+        _, joints = seq._gather("pose_2d" if mode == "2d" else "pose_3d")
+        if joints is None:
+            continue
+        if mode != "2d":
+            root = seq.skeleton.root_index
+            joints = joints - joints[:, root : root + 1]
+        pools.append(joints.reshape(-1, width))
     samples = np.concatenate(pools, axis=0) if pools else np.zeros((0, width))
     return DistributionSummary.from_samples(samples)

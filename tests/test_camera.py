@@ -217,3 +217,43 @@ def test_load_camera_json(tmp_path, rotation_factory):
     path.write_text("[1, 2]")
     with pytest.raises(SchemaError):
         load_camera_json(path)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"fy": True},
+        {"fx": "1100"},
+        {"width": 10**400},
+        {"R": [True, False, False, False, True, False, False, False, True]},
+        {"R": [1, 0, 0, 0, 1, 0, 0, 0, "1"]},
+        {"t": [0.0, 0.0, 10**400]},
+        {"t": [0.0, False, 1.0]},
+    ],
+    ids=[
+        "fy-bool",
+        "fx-string",
+        "width-int-overflowing-float",
+        "R-bools",
+        "R-string",
+        "t-int-overflowing-float",
+        "t-bool",
+    ],
+)
+def test_camera_numbers_must_be_json_numbers(tmp_path, override):
+    base = {"fx": 1100.0, "fy": 1050.0, "cx": 500.0, "cy": 510.0, "width": 1000.0, "height": 1020.0}
+    path = tmp_path / "cam.json"
+    path.write_text(json.dumps(dict(base, **override)))
+    with pytest.raises(SchemaError) as excinfo:
+        load_camera_json(path)
+    assert str(path) in str(excinfo.value)
+
+
+def test_camera_rotation_may_be_nested_rows(tmp_path, rotation_factory):
+    rotation = rotation_factory(np.random.default_rng(3))
+    base = {"fx": 1100.0, "fy": 1050.0, "cx": 500.0, "cy": 510.0, "width": 1000.0, "height": 1020.0}
+    path = tmp_path / "cam.json"
+    path.write_text(json.dumps(dict(base, R=rotation.tolist(), t=[1, 2, 3])))
+    _, extr = load_camera_json(path)
+    assert np.array_equal(extr.rotation, rotation)
+    assert np.array_equal(extr.translation, [1.0, 2.0, 3.0])

@@ -319,3 +319,29 @@ def test_extrinsics_moved_joints_are_read_only(tmp_path, skeleton, camera_file, 
             assert not joints.flags.writeable
             with pytest.raises(ValueError):
                 joints[0] = 0.0
+
+
+def test_eval_scores_a_reloaded_2d_path_output(tmp_path, camera_file, capsys):
+    data = synth_file(tmp_path, count=6, camera=camera_file)
+    canon_2d = str(tmp_path / "canon2d.ndjson")
+    assert run(["canonicalize", "--input", data, "--camera", camera_file, "--mode", "2d", "--output", canon_2d]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--pred", canon_2d, "--gt", data]) == 0
+    assert capsys.readouterr().out.strip() == "mpjpe 0.000000 mm"
+
+
+def test_numbers_too_large_for_a_float_exit_two(tmp_path, camera_file, intrinsics, capsys):
+    data = synth_file(tmp_path, count=3, camera=camera_file)
+    huge = "1" + "0" * 400
+    bad_header = tmp_path / "bad_header.ndjson"
+    bad_header.write_text(open(data).read().replace('"fps": 50', f'"fps": {huge}', 1))
+    bad_camera = tmp_path / "bad_camera.json"
+    bad_camera.write_text(json.dumps(intrinsics.to_dict()).replace("1150.0", huge, 1))
+    for argv, needle in (
+        (["stats", "--input", str(bad_header)], "line 1: invalid meta numbers"),
+        (["canonicalize", "--input", data, "--camera", str(bad_camera)], f"{bad_camera}: invalid intrinsics"),
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert needle in captured.err

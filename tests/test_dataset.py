@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -421,3 +422,97 @@ def test_canonicalize_2d_root_depth_is_the_per_frame_norm(pose_batch, intrinsics
             assert record.root_depth is None
         else:
             assert record.root_depth == float(np.linalg.norm(frame.pose_3d.joints[skeleton.root_index]))
+
+
+@pytest.mark.parametrize(
+    "meta",
+    ['{"fps": true}', '{"fps": "25"}', '{"unit_scale": "0.001"}', '{"fps": 1' + "0" * 400 + "}"],
+    ids=["fps-bool", "fps-string", "unit-scale-string", "fps-int-overflowing-float"],
+)
+def test_header_numbers_must_be_json_numbers(tmp_path, skeleton, meta):
+    record = (
+        '{"subject": "S1", "action": "a", "camera": "c", "frame": 0, '
+        f'"joints_2d": {_joints(skeleton, 2)}, "joints_3d": {_joints(skeleton, 3)}}}'
+    )
+    path = tmp_path / "header.ndjson"
+    path.write_text('{"meta": ' + meta + "}\n" + record + "\n")
+    with pytest.raises(SchemaError) as excinfo:
+        load_sequences(path, skeleton)
+    assert excinfo.value.line_number == 1
+    assert "line 1: invalid meta numbers" in str(excinfo.value)
+
+
+def _with_some_3d_dropped(seq):
+    frames = tuple(FramePair(f.pose_2d, f.pose_3d if f.index % 3 else None, f.index) for f in seq.frames)
+    return replace(seq, frames=frames)
+
+
+def test_2d_path_output_reloads_with_camera_frame_3d(tmp_path, pose_batch, intrinsics, skeleton):
+    seq = _with_some_3d_dropped(make_sequence(pose_batch, intrinsics, skeleton, n=9, seed=51))
+    via_2d = canonicalize_dataset([seq], intrinsics, "2d-path")
+    path = tmp_path / "canon2d.ndjson"
+    save_sequences(via_2d, path)
+    loaded = load_sequences(path, skeleton)[0]
+    for before, after in zip(seq.frames, loaded.frames):
+        if before.pose_3d is None:
+            assert after.pose_3d is None
+        else:
+            assert after.pose_3d.frame is Frame.CAMERA
+            assert np.array_equal(after.pose_3d.joints, before.pose_3d.joints)
+    assert [r.canonical_3d for r in loaded.records] == [None] * seq.n_frames
+    assert [r.root_depth for r in loaded.records] == [r.root_depth for r in via_2d[0].records]
+    assert serialize_sequences([loaded]) == path.read_text()
+
+
+def test_canonical_3d_needs_every_root_on_the_axis(tmp_path, pose_batch, intrinsics, skeleton):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=4, seed=52)
+    via_3d = canonicalize_dataset([seq], intrinsics, "3d-path")
+    text = serialize_sequences(via_3d)
+    path = tmp_path / "canon.ndjson"
+    path.write_text(text)
+    loaded = load_sequences(path, skeleton)[0]
+    assert all(f.pose_3d.frame is Frame.CANONICAL_CAMERA for f in loaded.frames)
+    assert all(r.canonical_3d is f.pose_3d for f, r in zip(loaded.frames, loaded.records))
+    # Move one frame's root off the axis: the whole sequence reads as camera-frame.
+    lines = text.splitlines()
+    root = skeleton.root_index
+    record = json.loads(lines[2])
+    record["joints_3d"][root][0] = 1e-3
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    moved = load_sequences(path, skeleton)[0]
+    assert all(f.pose_3d.frame is Frame.CAMERA for f in moved.frames)
+    assert all(r.canonical_3d is None for r in moved.records)
+
+
+def _assert_channels_share_one_array(seq):
+    arrays = {
+        "pose_2d": [f.pose_2d.joints for f in seq.frames if f.pose_2d is not None],
+        "pose_3d": [f.pose_3d.joints for f in seq.frames if f.pose_3d is not None],
+        "rotation": [r.rotation.matrix for r in seq.records or ()],
+        "source": [r.rotation.source_vector for r in seq.records or ()],
+    }
+    for channel, views in arrays.items():
+        bases = {id(view.base) for view in views}
+        assert views == [] or (views[0].base is not None and len(bases) == 1), channel
+
+
+def test_every_channel_views_one_shared_array(tmp_path, pose_batch, intrinsics, skeleton, rotation_factory):
+    from canonpose.camera import CameraExtrinsics
+    from canonpose.dataset import apply_extrinsics
+
+    full = make_sequence(pose_batch, intrinsics, skeleton, n=6, seed=53)
+    other = make_sequence(pose_batch, intrinsics, skeleton, n=6, seed=54, key=("S2", "b", "c"))
+    partial = _with_some_3d_dropped(other)
+    raw_path = tmp_path / "raw.ndjson"
+    save_sequences([full, partial], raw_path)
+    loaded_full, loaded_partial = loaded = load_sequences(raw_path, skeleton)
+    via_3d = canonicalize_dataset([loaded_full], intrinsics, "3d-path")
+    via_2d = canonicalize_dataset(loaded, intrinsics, "2d-path")
+    canon_3d_path, canon_2d_path = tmp_path / "canon3d.ndjson", tmp_path / "canon2d.ndjson"
+    save_sequences(via_3d, canon_3d_path)
+    save_sequences(via_2d, canon_2d_path)
+    reloaded = load_sequences(canon_3d_path, skeleton) + load_sequences(canon_2d_path, skeleton)
+    moved = apply_extrinsics(loaded, CameraExtrinsics(rotation_factory(6), [0.1, 0.2, 4.0]))
+    for seq in loaded + via_3d + via_2d + reloaded + moved:
+        _assert_channels_share_one_array(seq)
