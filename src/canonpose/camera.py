@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BehindCameraError, FrameMismatchError, ParseError, SchemaError
-from .jsonfmt import json_float
+from .jsonfmt import json_float, json_floats
 
 # Joints with Z at or below this depth (meters) are rejected by projection.
 EPS_DEPTH = 1e-6
@@ -78,8 +78,17 @@ def _check_joints(arr: np.ndarray, last_dim: int, name: str, ndim: int = 3) -> n
     return arr
 
 
+def _float_array(values) -> np.ndarray:
+    """``values`` as a float64 array of its own: a read-only float64 array
+    (such as a row of a checked per-sequence array) is kept, anything else
+    is copied."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable:
+        return values
+    return np.array(values, dtype=np.float64)
+
+
 def _as_readonly_array(values, last_dim: int, name: str) -> np.ndarray:
-    return _check_joints(np.array(values, dtype=np.float64), last_dim, name, ndim=2)
+    return _check_joints(_float_array(values), last_dim, name, ndim=2)
 
 
 def _require_frame(pose: "Pose3D", frame: Frame, op: str) -> None:
@@ -370,13 +379,9 @@ def load_camera_json(path) -> tuple[CameraIntrinsics, CameraExtrinsics | None]:
         rot = obj.get("R", (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
         trans = obj.get("t", (0.0, 0.0, 0.0))
         try:
-            rot = np.asarray(_json_floats(rot, "R"), dtype=np.float64).reshape(3, 3)
-            extrinsics = CameraExtrinsics(rot, _json_floats(trans, "t"))
+            rot = np.asarray(json_floats(rot, "R"), dtype=np.float64).reshape(3, 3)
+            extrinsics = CameraExtrinsics(rot, json_floats(trans, "t"))
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{path}: invalid extrinsics: {exc}") from exc
     return intrinsics, extrinsics
 
-
-def _json_floats(value, name: str) -> list[float]:
-    """Every entry of a JSON list, nested or not, through ``json_float``."""
-    return [json_float(entry, f"{name} entry") for entry in np.asarray(value, dtype=object).ravel()]

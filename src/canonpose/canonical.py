@@ -34,6 +34,7 @@ from .camera import (
     Space,
     _check_depths,
     _check_rotation_matrix,
+    _float_array,
     _improper_rotations,
     _require_frame,
     _require_space,
@@ -70,11 +71,11 @@ class CanonicalRotation:
     source_vector: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.float64)
+        mat = _float_array(self.matrix)
         if mat.shape != (3, 3) or not np.isfinite(mat).all():
             raise ValueError(f"rotation matrix must be finite 3x3, got shape {mat.shape}")
         _check_rotation_matrix(mat, "canonical rotation")
-        src = np.array(self.source_vector, dtype=np.float64).reshape(-1)
+        src = _float_array(self.source_vector).reshape(-1)
         if src.shape != (3,) or not np.isfinite(src).all():
             raise ValueError("source_vector must be a finite 3-vector")
         (norm,) = _vector_norms(src[None])

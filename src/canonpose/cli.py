@@ -13,18 +13,17 @@ Errors go to stderr; data goes to --output or stdout.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, batch_project, load_camera_json
+from .camera import CameraIntrinsics, Frame, batch_project, load_camera_json
 from .dataset import (
     PAD_POLICIES,
-    FramePair,
     PoseSequence,
+    _Columns,
     WindowSpec,
     apply_extrinsics,
     canonicalize_dataset,
@@ -33,7 +32,7 @@ from .dataset import (
     window,
 )
 from .errors import DataError, GeometryError, ParseError, SchemaError
-from .jsonfmt import dumps
+from .jsonfmt import dumps, json_float, json_floats, json_int
 from .lift import LiftingStudyConfig, run_study
 from .metrics import mpjpe, p_mpjpe
 from .skeleton import available_skeletons, get_skeleton
@@ -239,12 +238,10 @@ def _stacked_3d(sequences, label: str) -> dict[tuple, tuple[np.ndarray, Frame]]:
     """{key: ((T, J, 3) joints, frame tag)} of every sequence of a loaded file."""
     stacks = {}
     for seq in sequences:
-        joints = seq.joints_3d()
-        if joints is None:
+        joints, present, frame = seq._channel(3)
+        if not present.all():
             raise DataError(f"{label}: sequence {seq.key} has frames without 3D joints")
-        # A loaded sequence carries one tag: canonical-camera for 3D-path
-        # output, camera for all else.
-        stacks[seq.key] = joints, seq.frames[0].pose_3d.frame
+        stacks[seq.key] = joints, frame
     return stacks
 
 
@@ -285,9 +282,24 @@ def _box_from_config(value, where: str) -> Box3:
     if not isinstance(value, dict) or set(value) != {"low", "high"}:
         raise _UsageError(f"{where} must be an object with keys low, high")
     try:
-        return Box3(value["low"], value["high"])
-    except (ValueError, TypeError) as exc:
+        return Box3(json_floats(value["low"], f"{where} low"), json_floats(value["high"], f"{where} high"))
+    except (ValueError, TypeError, OverflowError) as exc:
         raise _UsageError(f"{where}: {exc}") from exc
+
+
+# How each numeric config field is read: counts and seeds as integers.
+_CONFIG_NUMBERS = dict.fromkeys(("limb_scale", "noise_sigma", "ridge_lambda"), json_float)
+_CONFIG_NUMBERS.update(dict.fromkeys(("n_poses", "n_train", "n_test", "seed"), json_int))
+
+
+def _read_numbers(config: dict) -> None:
+    """Read a config's numeric fields in place; a field that is not a JSON
+    number of its kind is a usage error naming it."""
+    for key in sorted(config.keys() & _CONFIG_NUMBERS.keys()):
+        try:
+            config[key] = _CONFIG_NUMBERS[key](config[key], key)
+        except (TypeError, OverflowError) as exc:
+            raise _UsageError(str(exc)) from exc
 
 
 def _cmd_synth(args) -> int:
@@ -298,6 +310,7 @@ def _cmd_synth(args) -> int:
         unknown = set(config) - {"n_poses", "limb_scale", "root_region"}
         if unknown:
             raise _UsageError(f"{args.config}: unknown generator fields {sorted(unknown)}")
+        _read_numbers(config)
         if "root_region" in config:
             config["root_region"] = _box_from_config(config["root_region"], "root_region")
         fields.update(config)
@@ -308,23 +321,11 @@ def _cmd_synth(args) -> int:
     points = generate_pose_array(synth_config, skeleton)
 
     intrinsics = load_camera_json(args.camera)[0] if args.camera else None
-    pixels = batch_project(points, intrinsics) if intrinsics is not None else None
-    frames = tuple(
-        FramePair(
-            pose_2d=Pose2D(pixels[i], Space.IMAGE) if pixels is not None else None,
-            pose_3d=Pose3D(points[i], Frame.CAMERA),
-            index=i,
-        )
-        for i in range(points.shape[0])
-    )
-    sequence = PoseSequence(
-        subject="synth",
-        action=f"seed{synth_config.seed}",
-        camera_id="cam0",
-        fps=50.0,
-        frames=frames,
-        skeleton=skeleton,
-    )
+    n = len(points)
+    present = np.ones(n, dtype=bool)
+    pixels, has_2d = (batch_project(points, intrinsics), present) if intrinsics is not None else (None, ~present)
+    columns = _Columns(np.arange(n).astype(object), pixels, has_2d, points, present)
+    sequence = PoseSequence._of("synth", f"seed{synth_config.seed}", "cam0", 50.0, skeleton, columns)
     _write_text(serialize_sequences([sequence]), args.output)
     return 0
 
@@ -350,6 +351,7 @@ def _cmd_study(args) -> int:
         unknown = set(config) - _STUDY_CONFIG_FIELDS
         if unknown:
             raise _UsageError(f"{args.config}: unknown study fields {sorted(unknown)}")
+        _read_numbers(config)
         for key in ("train_root_region", "test_root_region"):
             if key in config:
                 config[key] = _box_from_config(config[key], key)
@@ -358,8 +360,8 @@ def _cmd_study(args) -> int:
             if not isinstance(camera, dict):
                 raise _UsageError("camera must be an object with fx, fy, cx, cy, width, height")
             try:
-                config["camera"] = CameraIntrinsics(**camera)
-            except (ValueError, TypeError) as exc:
+                config["camera"] = CameraIntrinsics(**{key: json_float(v, key) for key, v in camera.items()})
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise _UsageError(f"camera: {exc}") from exc
         if "skeleton" in config:
             config["skeleton_name"] = config.pop("skeleton")
@@ -385,7 +387,8 @@ def _cmd_window(args) -> int:
     out = []
     for seq in sequences:
         for k, win in enumerate(window(seq, spec, args.pad)):
-            out.append(dataclasses.replace(win, action=f"{win.action}#w{k:04d}"))
+            name = (win.subject, f"{win.action}#w{k:04d}", win.camera_id)
+            out.append(PoseSequence._of(*name, win.fps, win.skeleton, win._columns, win._rows))
     _write_text(serialize_sequences(out), args.output)
     return 0
 

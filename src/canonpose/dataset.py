@@ -22,25 +22,33 @@ order, frames in file order.
 
 Input checks run once per array, not once per frame. Line-level checks
 (JSON, names, frame number, joint shapes, counts and finiteness, canon block
-shapes and root depth type) run as each line is read, in file order, so the
-first bad line is the one reported. The rotation checks of the canon blocks
-(orthogonality, unit determinant, finite entries, source norm above
-EPS_VEC) run once per sequence after the whole file is read, and report the
-lowest failing line. A canonical sequence's 3D loads as canonical-frame when
-every frame with 3D has its root at exactly (0, 0, root_depth), as the 3D
-path writes it, and as camera-frame otherwise, as the 2D path leaves it.
+shapes and root depth, and that every joint, rotation and source value is a
+JSON number, not a bool or a string) run as each line is read, in file
+order, so the first bad line is the one reported. The sequence checks (no
+mix of canonical and raw records, 2D in every canonical record, and the
+rotation checks of the canon blocks: orthogonality, unit determinant, finite
+entries, source norm above EPS_VEC) run once per sequence after the whole
+file is read, and report the lowest failing line. A canonical sequence's 3D
+loads as canonical-frame when every frame with 3D has its root at exactly
+(0, 0, root_depth), as the 3D path writes it, and as camera-frame otherwise,
+as the 2D path leaves it.
 
-Poses and rotations are read-only views into one checked array per sequence
-and channel. The views are built here and only here (``_view``); a channel
-is read back as one fresh array by ``PoseSequence._gather``.
+A sequence is stored as per-sequence arrays, each read-only and checked once
+where it is built: (T, J, 2) and (T, J, 3) joints with a (T,) presence mask
+each, one 2D space and one 3D frame tag, the frame numbers, and for a
+canonical sequence (T, 3, 3) rotations, (T, 3) sources and (T,) root depths
+with a null mask. Loading, canonicalization, windowing, serialization and
+the statistics read and write those arrays alone. ``PoseSequence.frames``
+and ``records`` build FramePair and CanonicalRecord objects from them on
+access, for callers that want one frame at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, replace
-from itertools import repeat
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -96,12 +104,132 @@ class FramePair:
         return pose.n_joints
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
+class _Columns:
+    """One sequence's per-row arrays, shared by every sequence cut from it.
+
+    Joints are None when no frame has the channel, else zeros in the rows
+    its mask leaves out; one tag covers each channel. ``index`` holds Python
+    ints. A canonical sequence has rotations, sources and depths (0 where
+    ``has_depth`` is false), others None. The FramePair and CanonicalRecord
+    of a row are built on first access and kept.
+    """
+
+    index: np.ndarray
+    joints_2d: np.ndarray | None
+    has_2d: np.ndarray
+    joints_3d: np.ndarray | None
+    has_3d: np.ndarray
+    space_2d: Space = Space.IMAGE
+    frame_3d: Frame = Frame.CAMERA
+    rotations: np.ndarray | None = None
+    sources: np.ndarray | None = None
+    depths: np.ndarray | None = None
+    has_depth: np.ndarray | None = None
+    _pairs: dict = field(default_factory=dict, init=False, repr=False)
+    _records: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for joints, width in ((self.joints_2d, 2), (self.joints_3d, 3)):
+            if joints is not None:
+                _check_joints(joints, width, "joints")
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def pair(self, row: int) -> FramePair:
+        if row not in self._pairs:
+            pose_2d = Pose2D(self.joints_2d[row], self.space_2d) if self.has_2d[row] else None
+            pose_3d = Pose3D(self.joints_3d[row], self.frame_3d) if self.has_3d[row] else None
+            self._pairs[row] = FramePair(pose_2d, pose_3d, self.index[row])
+        return self._pairs[row]
+
+    def record(self, row: int, skeleton_id: str) -> CanonicalRecord:
+        if row not in self._records:
+            pair = self.pair(row)
+            self._records[row] = CanonicalRecord(
+                pair.pose_3d if self.frame_3d is Frame.CANONICAL_CAMERA else None,
+                pair.pose_2d,
+                CanonicalRotation(self.rotations[row], self.sources[row]),
+                float(self.depths[row]) if self.has_depth[row] else None,
+                skeleton_id,
+            )
+        return self._records[row]
+
+
+def _dense(rows, n_joints: int, width: int, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (T,) mask of the entries of ``rows`` that are not None, and those
+    (J, width) arrays stacked and multiplied by ``scale``, zeros for None
+    (None when every entry is None)."""
+    present = np.array([row is not None for row in rows], dtype=bool)
+    if not present.any():
+        return present, None
+    blank = np.zeros((n_joints, width))
+    stack = np.stack([blank if row is None else row for row in rows])
+    stack *= scale
+    return present, stack
+
+
+def _depths(values) -> dict:
+    """``_Columns`` depths, 0 for None, and their not-None mask."""
+    return {"depths": np.array([v or 0.0 for v in values]), "has_depth": np.array([v is not None for v in values])}
+
+
+def _one_tag(tags: set, what: str, default):
+    if len(tags) > 1:
+        raise ValueError(f"frames mix {what} ({', '.join(sorted(tag.value for tag in tags))}); one per channel")
+    return tags.pop() if tags else default
+
+
+def _columns_of(frames: tuple, records, skeleton: Skeleton) -> _Columns:
+    """The arrays of the public ``PoseSequence`` constructor's arguments."""
+    poses_2d = [frame.pose_2d for frame in frames]
+    poses_3d = [frame.pose_3d for frame in frames]
+    has_2d, joints_2d = _dense([p and p.joints for p in poses_2d], skeleton.n_joints, 2)
+    has_3d, joints_3d = _dense([p and p.joints for p in poses_3d], skeleton.n_joints, 3)
+    space_2d = _one_tag({p.space for p in poses_2d if p is not None}, "2D spaces", Space.IMAGE)
+    frame_3d = _one_tag({p.frame for p in poses_3d if p is not None}, "3D frames", Frame.CAMERA)
+    index = np.array([frame.index for frame in frames], dtype=object)
+    columns = _Columns(index, joints_2d, has_2d, joints_3d, has_3d, space_2d, frame_3d)
+    if records is None:
+        return columns
+    records = tuple(records)
+    if len(records) != len(frames):
+        raise ValueError("records and frames must have equal length")
+    for position, (record, pose_2d, pose_3d) in enumerate(zip(records, poses_2d, poses_3d)):
+        given = (record.canonical_2d, record.canonical_3d, record.skeleton_id, Space.IMAGE)
+        if frame_3d is not Frame.CANONICAL_CAMERA:
+            pose_3d = None
+        if any(map(_differ, given, (pose_2d, pose_3d, skeleton.name, space_2d))):
+            raise ValueError(
+                f"record {position} is not what frame {position} gives: its frame's image-space 2D pose, "
+                "its frame's 3D pose if that is canonical-camera (else None) and the skeleton's name"
+            )
+    rotations = np.stack([record.rotation.matrix for record in records])
+    sources = np.stack([record.rotation.source_vector for record in records])
+    depths = _depths([record.root_depth for record in records])
+    return replace(columns, rotations=rotations, sources=sources, **depths)
+
+
+def _differ(value, other) -> bool:
+    """Whether two poses (by joint bytes), or any other two values, differ."""
+    if isinstance(value, (Pose2D, Pose3D)) and isinstance(other, (Pose2D, Pose3D)):
+        return value.joints.tobytes() != other.joints.tobytes()
+    return value != other
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class PoseSequence:
     """Consecutive frames sharing a subject, action, camera, and skeleton.
 
-    ``records`` is populated by canonicalization and holds one
-    CanonicalRecord per frame.
+    Stored as per-sequence arrays with one 2D space and one 3D frame tag
+    (see the module docstring); ``frames`` and ``records`` (one
+    CanonicalRecord per frame once canonicalized, else None) are built from
+    them on access. A record's ``canonical_2d`` is its frame's 2D pose and
+    its ``canonical_3d`` its frame's 3D pose when that is canonical-camera,
+    else None. The constructor converts its arguments once and raises
+    ValueError for what the arrays cannot hold: a channel whose frames mix
+    tags, or a record other than what its frame gives.
     """
 
     subject: str
@@ -110,54 +238,97 @@ class PoseSequence:
     fps: float
     frames: tuple[FramePair, ...]
     skeleton: Skeleton
-    records: tuple[CanonicalRecord, ...] | None = None
+    records: tuple[CanonicalRecord, ...] | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if not self.frames:
+    def __init__(self, subject, action, camera_id, fps, frames, skeleton, records=None):
+        frames = tuple(frames)
+        if not frames:
             raise ValueError("a sequence needs at least one frame")
-        fps = float(self.fps)
-        if not np.isfinite(fps) or fps <= 0:
-            raise ValueError(f"fps must be positive and finite, got {fps!r}")
-        object.__setattr__(self, "fps", fps)
-        expected = self.skeleton.n_joints
-        for position, frame in enumerate(self.frames):
-            if frame.n_joints != expected:
+        for position, frame in enumerate(frames):
+            if frame.n_joints != skeleton.n_joints:
                 raise ValueError(
                     f"frame {position} has {frame.n_joints} joints, skeleton "
-                    f"{self.skeleton.name!r} has {expected}"
+                    f"{skeleton.name!r} has {skeleton.n_joints}"
                 )
-        if self.records is not None:
-            object.__setattr__(self, "records", tuple(self.records))
-            if len(self.records) != len(self.frames):
-                raise ValueError("records and frames must have equal length")
+        columns = _columns_of(frames, records, skeleton)
+        vars(self).update(vars(PoseSequence._of(subject, action, camera_id, fps, skeleton, columns)))
+
+    @classmethod
+    def _of(cls, subject, action, camera_id, fps, skeleton, columns: _Columns, rows=None) -> "PoseSequence":
+        """The private constructor: a sequence over rows (start, stop, pad)
+        of ``columns``, rows start..stop-1 then the last ``pad`` more times;
+        every row once by default."""
+        fps = float(fps)
+        if not np.isfinite(fps) or fps <= 0:
+            raise ValueError(f"fps must be positive and finite, got {fps!r}")
+        seq = object.__new__(cls)
+        vars(seq).update(subject=subject, action=action, camera_id=camera_id, fps=fps, skeleton=skeleton)
+        vars(seq).update(_columns=columns, _rows=rows or (0, len(columns.index), 0))
+        return seq
+
+    # Fields, for the constructor and ``dataclasses.replace``, built on access.
+    @property
+    def frames(self) -> tuple[FramePair, ...]:
+        return tuple(map(self._columns.pair, self._positions()))
+
+    @property
+    def records(self) -> tuple[CanonicalRecord, ...] | None:
+        if self._columns.rotations is None:
+            return None
+        return tuple(self._columns.record(row, self.skeleton.name) for row in self._positions())
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        start, stop, pad = self._rows
+        return stop - start + pad
 
     @property
     def key(self) -> tuple[str, str, str]:
         return (self.subject, self.action, self.camera_id)
 
     def joints_2d(self) -> np.ndarray | None:
-        """(T, J, 2) array, or None when any frame lacks a 2D pose."""
-        at, joints = self._gather("pose_2d")
-        return joints if len(at) == self.n_frames else None
+        """(T, J, 2) read-only array, or None when any frame lacks a 2D pose."""
+        joints, present, _ = self._channel(2)
+        return joints if present.all() else None
 
     def joints_3d(self) -> np.ndarray | None:
-        """(T, J, 3) array, or None when any frame lacks a 3D pose."""
-        at, joints = self._gather("pose_3d")
-        return joints if len(at) == self.n_frames else None
+        """(T, J, 3) read-only array, or None when any frame lacks a 3D pose."""
+        joints, present, _ = self._channel(3)
+        return joints if present.all() else None
 
-    def _gather(self, channel: str, tag=None) -> tuple[list[int], np.ndarray | None]:
-        """Positions of the frames carrying a ``channel`` ("pose_2d" or
-        "pose_3d") pose, tagged ``tag`` if given, and those joints stacked into
-        one fresh (n, J, k) array (None when n is 0)."""
-        key = "space" if channel == "pose_2d" else "frame"
-        poses = [getattr(frame, channel) for frame in self.frames]
-        at = [i for i, pose in enumerate(poses) if pose is not None and tag in (None, getattr(pose, key))]
-        return at, (np.stack([poses[i].joints for i in at]) if at else None)
+    def _positions(self) -> list[int]:
+        start, stop, pad = self._rows
+        return list(range(start, stop)) + [stop - 1] * pad
+
+    def _take(self, values: np.ndarray | None) -> np.ndarray | None:
+        """This sequence's rows of a per-row array: a view unless padded."""
+        if values is None:
+            return None
+        start, stop, pad = self._rows
+        rows = values[start:stop]
+        return np.concatenate([rows, rows[-1:].repeat(pad, axis=0)]) if pad else rows
+
+    def _channel(self, width: int):
+        """(joints or None, presence mask, tag) of the 2D or 3D channel."""
+        cols = self._columns
+        if width == 2:
+            return self._take(cols.joints_2d), self._take(cols.has_2d), cols.space_2d
+        return self._take(cols.joints_3d), self._take(cols.has_3d), cols.frame_3d
+
+    def _cut(self, offset: int, length: int) -> "PoseSequence":
+        """Frames offset..offset+length-1 over the same arrays; positions past
+        the last frame repeat it."""
+        start, stop, _ = self._rows
+        first = min(start + offset, stop - 1)
+        end = min(first + length, stop)
+        return PoseSequence._of(*self.key, self.fps, self.skeleton, self._columns, (first, end, length - end + first))
+
+    def _replaced(self, **changes) -> "PoseSequence":
+        """This sequence with ``changes`` to its ``_Columns`` fields, over its
+        own rows of every other array."""
+        arrays = vars(self._columns).items()
+        rows = {name: self._take(v) for name, v in arrays if isinstance(v, np.ndarray) and name not in changes}
+        return PoseSequence._of(*self.key, self.fps, self.skeleton, replace(self._columns, **rows, **changes))
 
 
 @dataclass(frozen=True)
@@ -184,35 +355,28 @@ def window(seq: PoseSequence, spec: WindowSpec, pad_policy: str = "drop") -> lis
     entirely inside the sequence. Under ``repeat-last``, if the full windows
     do not already cover the final frame, one more window is taken at the
     next offset and padded to length by repeating the last frame; under
-    ``drop`` the remainder is discarded.
+    ``drop`` the remainder is discarded. Windows share the sequence's
+    arrays; nothing is copied.
     """
     if pad_policy not in PAD_POLICIES:
         raise ValueError(f"pad_policy must be one of {PAD_POLICIES}, got {pad_policy!r}")
     n = seq.n_frames
     length, stride = spec.length, spec.stride
     offsets = list(range(0, n - length + 1, stride)) if n >= length else []
-    slices = [(off, seq.frames[off : off + length], False) for off in offsets]
     if pad_policy == "repeat-last":
         covered = offsets[-1] + length if offsets else 0
         next_offset = len(offsets) * stride
         if covered < n and next_offset < n:
-            tail = seq.frames[next_offset:]
-            padded = tail + (tail[-1],) * (length - len(tail))
-            slices.append((next_offset, padded, True))
-    out = []
-    for off, frames, is_padded in slices:
-        records = None
-        if seq.records is not None:
-            records = seq.records[off : off + length]
-            if is_padded:
-                records = records + (records[-1],) * (length - len(records))
-        out.append(replace(seq, frames=frames, records=records))
-    return out
+            offsets.append(next_offset)
+    return [seq._cut(offset, length) for offset in offsets]
 
 
 # ---------------------------------------------------------------------------
 # NDJSON serialization.
 # ---------------------------------------------------------------------------
+
+# Line shape bits: which parts of a record line are present.
+_HAS_2D, _HAS_3D, _HAS_CANON, _HAS_DEPTH = 1, 2, 4, 8
 
 
 def _joints_template(width: int, n_joints: int) -> str:
@@ -221,52 +385,27 @@ def _joints_template(width: int, n_joints: int) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _body_template(n_joints: int, has_2d: bool, has_3d: bool, canon: str | None) -> str:
+def _body_template(n_joints: int, shape: int) -> str:
     """The part of a record line after the names, for one line shape.
 
-    ``canon`` is None (no canon block), "null" (null root depth) or "depth".
     Slots, in order: the frame index, the 2D joints, the 3D joints, the
     rotation, the source vector and the root depth, each that is present.
     """
     parts = [
         '"frame": %d',
-        '"joints_2d": ' + (_joints_template(2, n_joints) if has_2d else "null"),
-        '"joints_3d": ' + (_joints_template(3, n_joints) if has_3d else "null"),
+        '"joints_2d": ' + (_joints_template(2, n_joints) if shape & _HAS_2D else "null"),
+        '"joints_3d": ' + (_joints_template(3, n_joints) if shape & _HAS_3D else "null"),
     ]
-    if canon is not None:
+    if shape & _HAS_CANON:
         parts.append(
             '"canon": {"rotation": [%s], "source": [%s], "root_depth": %s}'
             % (
                 ", ".join([FLOAT_FORMAT] * 9),
                 ", ".join([FLOAT_FORMAT] * 3),
-                FLOAT_FORMAT if canon == "depth" else "null",
+                FLOAT_FORMAT if shape & _HAS_DEPTH else "null",
             )
         )
     return ", ".join(parts) + "}"
-
-
-def _line_shape(frame: FramePair, record: CanonicalRecord | None) -> tuple:
-    canon = None
-    if record is not None:
-        canon = "null" if record.root_depth is None else "depth"
-    return (frame.pose_2d is not None, frame.pose_3d is not None, canon)
-
-
-def _shape_values(frames, records, shape) -> np.ndarray:
-    """(n, K) array of one shape's float slots, in template order."""
-    has_2d, has_3d, canon = shape
-    n = len(frames)
-    columns = []
-    if has_2d:
-        columns.append(np.stack([f.pose_2d.joints for f in frames]).reshape(n, -1))
-    if has_3d:
-        columns.append(np.stack([f.pose_3d.joints for f in frames]).reshape(n, -1))
-    if canon is not None:
-        columns.append(np.stack([r.rotation.matrix for r in records]).reshape(n, 9))
-        columns.append(np.stack([r.rotation.source_vector for r in records]))
-        if canon == "depth":
-            columns.append(np.array([[r.root_depth] for r in records], dtype=np.float64))
-    return np.concatenate(columns, axis=1)
 
 
 def _sequence_lines(seq: PoseSequence) -> list[str]:
@@ -274,18 +413,25 @@ def _sequence_lines(seq: PoseSequence) -> list[str]:
     prefix = '{"subject": %s, "action": %s, "camera": %s, ' % tuple(
         json.dumps(name).replace("%", "%%") for name in seq.key
     )
-    records = seq.records if seq.records is not None else (None,) * seq.n_frames
-    shapes = [_line_shape(frame, record) for frame, record in zip(seq.frames, records)]
-    lines: list = [None] * seq.n_frames
-    # Nearly every sequence has one shape, so this gathers the whole sequence
-    # into one array and converts it with one tolist().
-    for shape in dict.fromkeys(shapes):
-        positions = [i for i, s in enumerate(shapes) if s == shape]
-        template = prefix + _body_template(seq.skeleton.n_joints, *shape)
-        frames = [seq.frames[i] for i in positions]
-        values = _shape_values(frames, [records[i] for i in positions], shape).tolist()
-        for i, frame, row in zip(positions, frames, values):
-            lines[i] = template % (frame.index, *row)
+    cols, n = seq._columns, seq.n_frames
+    shapes = seq._take(cols.has_2d) * _HAS_2D + seq._take(cols.has_3d) * _HAS_3D
+    slots = [(_HAS_2D, cols.joints_2d), (_HAS_3D, cols.joints_3d)]
+    if cols.rotations is not None:
+        shapes += _HAS_CANON + seq._take(cols.has_depth) * _HAS_DEPTH
+        slots += [(_HAS_CANON, cols.rotations), (_HAS_CANON, cols.sources), (_HAS_DEPTH, cols.depths)]
+    # (n, K) float slots in template order; a line shape skips the slots it lacks.
+    slots = [(bit, seq._take(values).reshape(n, -1)) for bit, values in slots if values is not None]
+    index = seq._take(cols.index)
+    kinds = np.unique(shapes).tolist()
+    lines: list = [None] * n
+    for shape in kinds:
+        at = np.flatnonzero(shapes == shape)
+        # Nearly every sequence has one shape: it is converted whole, with one tolist().
+        rows = at if len(kinds) > 1 else slice(None)
+        values = np.concatenate([arr[rows] for bit, arr in slots if shape & bit], axis=1).tolist()
+        template = prefix + _body_template(seq.skeleton.n_joints, shape)
+        for i, frame_no, row in zip(at.tolist(), index[rows].tolist(), values):
+            lines[i] = template % (frame_no, *row)
     return lines
 
 
@@ -323,12 +469,21 @@ def save_sequences(sequences, path) -> None:
         fh.write(text)
 
 
+def _json_numbers(value, arr: np.ndarray) -> bool:
+    """Whether every entry of the decoded JSON list ``value``, whose float64
+    form is ``arr``, is a JSON number: ``np.asarray`` also takes a bool or a
+    numeric string."""
+    for _ in range(arr.ndim - 1):
+        value = chain.from_iterable(value)
+    return set(map(type, value)) <= {int, float}
+
+
 def _parse_joints(value, width: int, expected: int, lineno: int, key: str) -> np.ndarray | None:
     if value is None:
         return None
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"line {lineno}: {key} is not numeric: {exc}", lineno) from exc
     if arr.ndim != 2 or arr.shape[1] != width:
         raise SchemaError(f"line {lineno}: {key} must be a list of {width}-vectors, got shape {arr.shape}", lineno)
@@ -336,6 +491,8 @@ def _parse_joints(value, width: int, expected: int, lineno: int, key: str) -> np
         raise SchemaError(
             f"line {lineno}: {key} has {arr.shape[0]} joints, expected {expected}", lineno
         )
+    if not _json_numbers(value, arr):
+        raise SchemaError(f"line {lineno}: {key} holds a value that is not a JSON number", lineno)
     if not np.isfinite(arr).all():
         raise SchemaError(f"line {lineno}: {key} contains non-finite values", lineno)
     return arr
@@ -343,86 +500,64 @@ def _parse_joints(value, width: int, expected: int, lineno: int, key: str) -> np
 
 def _parse_canon(value, lineno: int, unit_scale: float):
     """The (3, 3) rotation, (3,) source and scaled root depth of a canon
-    block. Only their shapes and types are checked here; the rotation
-    checks run once per sequence (``_check_canon_blocks``)."""
+    block. Only their shapes, types and the depth's sign are checked here;
+    the rotation checks run once per sequence (``_loaded``)."""
     if value is None:
         return None
     if not isinstance(value, dict):
         raise SchemaError(f"line {lineno}: canon must be an object", lineno)
     try:
-        matrix = np.asarray(value["rotation"], dtype=np.float64).reshape(3, 3)
-        source = np.asarray(value["source"], dtype=np.float64).reshape(3)
+        parts = []
+        for key, shape in (("rotation", (3, 3)), ("source", (3,))):
+            arr = np.asarray(value[key], dtype=np.float64)
+            parts.append(arr.reshape(shape))
+            if not _json_numbers(value[key], arr):
+                raise TypeError(f"{key} holds a value that is not a JSON number")
         depth = value.get("root_depth")
         if depth is not None:
             depth = json_float(depth, "root_depth", "a number or null") * unit_scale
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"line {lineno}: invalid canon block: {exc}", lineno) from exc
-    return matrix, source, depth
+    if depth is not None and not (np.isfinite(depth) and depth > 0):
+        raise SchemaError(f"line {lineno}: root_depth must be positive and finite, got {depth!r}", lineno)
+    return (*parts, depth)
 
 
-def _check_canon_blocks(groups: dict) -> dict:
-    """Stack each sequence's canon rotations and sources and check them once.
-
-    Returns {sequence key: (rotations (n, 3, 3), sources (n, 3))}, read-only,
-    over the sequence's records that carry a canon block. Raises the
-    SchemaError a per-line check would have raised first: the lowest failing
-    line of the file.
-    """
-    stacks, faults = {}, []
-    for key, rows in groups.items():
-        canon_rows = [row for row in rows if row[4] is not None]
-        if not canon_rows:
-            continue
-        rotations = np.stack([row[4][0] for row in canon_rows])
-        sources = np.stack([row[4][1] for row in canon_rows])
-        fault = _check_rotations(rotations, sources)
-        if fault is not None:
-            faults.append((canon_rows[fault[0]][0], fault[1]))
-        stacks[key] = (rotations, sources)
-    if faults:
-        lineno, exc = min(faults, key=lambda fault: fault[0])
-        raise SchemaError(f"line {lineno}: invalid canon block: {exc}", lineno) from exc
-    return stacks
-
-
-def _stack_column(rows: list, width: int, scale: float = 1.0) -> tuple[list[int], np.ndarray | None]:
-    """Positions of the loader rows (lineno, frame, joints_2d, joints_3d,
-    canon) whose joints of ``width`` are present, and those joints stacked
-    and multiplied by ``scale``."""
-    at = [i for i, row in enumerate(rows) if row[width] is not None]
-    if not at:
-        return at, None
-    stack = np.stack([rows[i][width] for i in at])
-    stack *= scale
-    return at, stack
-
-
-def _view(cls, *fields):
-    """A Pose2D, Pose3D or CanonicalRotation holding ``fields`` as given (rows
-    of checked read-only arrays, and a tag); nothing is copied or checked."""
-    view = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
-        object.__setattr__(view, name, value)
-    return view
-
-
-def _poses(joints: np.ndarray | None, tag, n: int | None = None, at=None) -> list:
-    """Views of the rows of ``joints`` (len(at), J, k), checked once, at the
-    positions ``at`` of n entries (default: every row), None elsewhere."""
-    if at is None:
-        n = len(joints)
-        at = range(n)
-    out = [None] * n
-    if at:
-        cls, width = (Pose2D, 2) if isinstance(tag, Space) else (Pose3D, 3)
-        for i, row in zip(at, _check_joints(joints, width, "joints")):
-            out[i] = _view(cls, row, tag)
-    return out
-
-
-def _roots_on_axis(joints: np.ndarray | None, root: int, depths: list) -> bool:
+def _roots_on_axis(joints_3d: np.ndarray | None, has_3d: np.ndarray, root: int, depths, has_depth) -> bool:
     """The root rule of ``CanonicalRecord``: every root at exactly (0, 0, depth)."""
-    return not depths or (None not in depths and np.array_equal(joints[:, root], [(0, 0, d) for d in depths]))
+    if joints_3d is None:
+        return True
+    if not has_depth[has_3d].all():
+        return False
+    roots = joints_3d[has_3d, root]
+    return not roots[:, :2].any() and np.array_equal(roots[:, 2], depths[has_3d])
+
+
+def _loaded(key, rows: list, skeleton: Skeleton, unit_scale: float) -> _Columns:
+    """The arrays of one sequence's loader rows (lineno, frame, joints_2d,
+    joints_3d, canon); a fault raises SchemaError naming its line."""
+    linenos, frame_nos, rows_2d, rows_3d, canons = zip(*rows)
+    has_2d, joints_2d = _dense(rows_2d, skeleton.n_joints, 2)
+    has_3d, joints_3d = _dense(rows_3d, skeleton.n_joints, 3, unit_scale)
+    columns = _Columns(np.array(frame_nos, dtype=object), joints_2d, has_2d, joints_3d, has_3d)
+    if all(canon is None for canon in canons):
+        return columns
+    if None in canons:
+        bad = linenos[canons.index(None)]
+        raise SchemaError(f"line {bad}: sequence ({', '.join(key)}) mixes canonicalized and raw frames", bad)
+    if not has_2d.all():
+        bad = linenos[int(np.argmin(has_2d))]
+        raise SchemaError(f"line {bad}: canonicalized record lacks joints_2d", bad)
+    rotations = np.stack([canon[0] for canon in canons])
+    sources = np.stack([canon[1] for canon in canons])
+    fault = _check_rotations(rotations, sources)
+    if fault is not None:
+        bad = linenos[fault[0]]
+        raise SchemaError(f"line {bad}: invalid canon block: {fault[1]}", bad) from fault[1]
+    depths = _depths([depth for _, _, depth in canons])
+    canonical = _roots_on_axis(joints_3d, has_3d, skeleton.root_index, **depths)
+    frame_3d = Frame.CANONICAL_CAMERA if canonical else Frame.CAMERA
+    return replace(columns, frame_3d=frame_3d, rotations=rotations, sources=sources, **depths)
 
 
 def _read_meta(obj: dict, lineno: int, skeleton: Skeleton) -> tuple[float, float]:
@@ -494,45 +629,19 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
             key = (obj["subject"], obj["action"], obj["camera"])
             groups.setdefault(key, []).append((lineno, obj["frame"], joints_2d, joints_3d, canon))
 
-    canon_stacks = _check_canon_blocks(groups)
-    sequences = []
+    # The per-sequence checks run once each, and the lowest failing line of
+    # the file is the one reported.
+    sequences, faults = [], []
     for key in list(groups):
-        subject, action, camera_id = key
-        # Popped, so a sequence's per-line arrays are freed once its stacks exist.
-        rows = groups.pop(key)
-        canon_count = sum(1 for row in rows if row[4] is not None)
-        if canon_count not in (0, len(rows)):
-            bad = next(lineno for lineno, _, _, _, canon in rows if canon is None)
-            raise SchemaError(
-                f"line {bad}: sequence ({subject}, {action}, {camera_id}) mixes "
-                "canonicalized and raw frames",
-                bad,
-            )
-        canonical = canon_count > 0
-        n = len(rows)
-        at_2d, joints_2d = _stack_column(rows, 2)
-        at_3d, joints_3d = _stack_column(rows, 3, unit_scale)
-        depths = [rows[i][4][2] for i in at_3d] if canonical else None
-        canonical_3d = canonical and _roots_on_axis(joints_3d, skeleton.root_index, depths)
-        poses_2d = _poses(joints_2d, Space.IMAGE, n, at_2d)
-        poses_3d = _poses(joints_3d, Frame.CANONICAL_CAMERA if canonical_3d else Frame.CAMERA, n, at_3d)
-        if canonical:
-            rotations = map(_view, repeat(CanonicalRotation), *canon_stacks[key])
-        frames, records = [], []
-        for (lineno, frame_no, _, _, canon), pose_2d, pose_3d in zip(rows, poses_2d, poses_3d):
-            try:
-                frames.append(FramePair(pose_2d, pose_3d, frame_no))
-                if canonical:
-                    if pose_2d is None:
-                        raise SchemaError(f"line {lineno}: canonicalized record lacks joints_2d", lineno)
-                    record_3d = pose_3d if canonical_3d else None
-                    records.append(CanonicalRecord(record_3d, pose_2d, next(rotations), canon[2], skeleton.name))
-            except SchemaError:
-                raise
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: {exc}", lineno) from exc
-        records = tuple(records) if canonical else None
-        sequences.append(PoseSequence(subject, action, camera_id, fps, tuple(frames), skeleton, records))
+        try:
+            # Popped, so a sequence's per-line arrays are freed once its arrays exist.
+            columns = _loaded(key, groups.pop(key), skeleton, unit_scale)
+        except SchemaError as exc:
+            faults.append(exc)
+            continue
+        sequences.append(PoseSequence._of(*key, fps, skeleton, columns))
+    if faults:
+        raise min(faults, key=lambda exc: exc.line_number)
     return sequences
 
 
@@ -543,77 +652,74 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
 CANONICALIZE_MODES = ("3d-path", "2d-path")
 
 
-def _rebuild(seq: PoseSequence, poses_3d=None, poses_2d=None, canon=None) -> PoseSequence:
-    """``seq`` with new poses for each channel given (lists from ``_poses``).
-
-    ``canon`` is (rotations (T, 3, 3), sources (T, 3), root depths) of every
-    frame: the rotations are checked once, and each record holds the frame's
-    new 2D pose and, when new 3D poses are given, its new 3D pose. Without
-    ``canon`` the records are kept.
-    """
-    new_3d = [frame.pose_3d for frame in seq.frames] if poses_3d is None else poses_3d
-    new_2d = [frame.pose_2d for frame in seq.frames] if poses_2d is None else poses_2d
-    frames = tuple(map(FramePair, new_2d, new_3d, [frame.index for frame in seq.frames]))
-    if canon is None:
-        return replace(seq, frames=frames)
-    rotations, sources, depths = canon
-    fault = _check_rotations(rotations, sources)
-    if fault is not None:
-        raise fault[1]
-    views = map(_view, repeat(CanonicalRotation), rotations, sources)
-    records = map(CanonicalRecord, poses_3d or repeat(None), new_2d, views, depths, repeat(seq.skeleton.name))
-    return replace(seq, frames=frames, records=tuple(records))
-
-
 def apply_extrinsics(sequences, extrinsics) -> list[PoseSequence]:
     """Move world-frame 3D joints into the camera frame, leaving 2D alone."""
     moved = []
     for seq in sequences:
-        at, world = seq._gather("pose_3d")
-        if at:
-            camera = batch_world_to_camera(world, extrinsics.rotation, extrinsics.translation)
-            seq = _rebuild(seq, poses_3d=_poses(camera, Frame.CAMERA, seq.n_frames, at))
+        world, present, _ = seq._channel(3)
+        if world is not None:
+            camera = np.zeros_like(world)
+            camera[present] = batch_world_to_camera(world[present], extrinsics.rotation, extrinsics.translation)
+            seq = seq._replaced(joints_3d=camera, has_3d=present, frame_3d=Frame.CAMERA)
         moved.append(seq)
     return moved
 
 
-def _gather_every(seq: PoseSequence, channel: str, what: str, tag=None) -> np.ndarray:
-    """``seq._gather`` of a channel the path needs in every frame."""
-    at, joints = seq._gather(channel, tag)
-    if len(at) < seq.n_frames:
-        missing = sorted(set(range(seq.n_frames)).difference(at))
+def _required(seq: PoseSequence, width: int, what: str, tag=None) -> np.ndarray:
+    """The (T, J, width) joints of a channel the path needs in every frame,
+    tagged ``tag`` if given."""
+    joints, present, channel_tag = seq._channel(width)
+    if tag is not None and channel_tag is not tag:
+        present = np.zeros_like(present)
+    if not present.all():
+        missing = np.flatnonzero(~present).tolist()
         raise SequenceCanonicalizationError(f"sequence {seq.key} lacks {what} required by this path", missing)
     return joints
+
+
+def _canonical(seq: PoseSequence, pixels, rotations, sources, depths, has_depth, **changes) -> PoseSequence:
+    """``seq`` with canonical 2D ``pixels`` and the given canon blocks, whose
+    rotations are checked here, once."""
+    fault = _check_rotations(rotations, sources)
+    if fault is not None:
+        raise fault[1]
+    every = np.ones(seq.n_frames, dtype=bool)
+    return seq._replaced(
+        joints_2d=pixels, has_2d=every, space_2d=Space.IMAGE,
+        rotations=rotations, sources=sources, depths=depths, has_depth=has_depth, **changes,
+    )
 
 
 def _canonicalize_sequence_3d(seq: PoseSequence, intrinsics: CameraIntrinsics) -> PoseSequence:
     # A 3D pose in any other frame counts as missing: it cannot be rotated
     # about the camera's principal axis.
-    points = _gather_every(seq, "pose_3d", "camera-frame 3D poses", Frame.CAMERA)
+    points = _required(seq, 3, "camera-frame 3D poses", Frame.CAMERA)
     root = seq.skeleton.root_index
     canonical, rotations, depths = batch_canonicalize_3d(points, root)
     pixels = batch_project_centered(canonical, intrinsics)
-    return _rebuild(
-        seq,
-        poses_3d=_poses(canonical, Frame.CANONICAL_CAMERA),
-        poses_2d=_poses(pixels, Space.IMAGE),
-        canon=(rotations, points[:, root], depths.tolist()),
+    every = np.ones(seq.n_frames, dtype=bool)
+    return _canonical(
+        seq, pixels, rotations, points[:, root], depths, every,
+        joints_3d=canonical, has_3d=every, frame_3d=Frame.CANONICAL_CAMERA,
     )
 
 
 def _canonicalize_sequence_2d(seq: PoseSequence, intrinsics: CameraIntrinsics) -> PoseSequence:
-    pixels = _gather_every(seq, "pose_2d", "2D poses")
+    pixels = _required(seq, 2, "2D poses")
     root = seq.skeleton.root_index
     canonical, rotations, pelvis = batch_canonicalize_2d(pixels, intrinsics, root)
 
     # The stored 3D pose (if any) is left untouched: this path exists for
     # data whose 3D is absent or untrusted. It only gives the root depth.
-    depths = [None] * seq.n_frames
-    at_3d, joints_3d = seq._gather("pose_3d")
-    if at_3d:
-        for i, depth in zip(at_3d, _vector_norms(np.ascontiguousarray(joints_3d[:, root])).tolist()):
-            depths[i] = depth
-    return _rebuild(seq, poses_2d=_poses(canonical, Space.IMAGE), canon=(rotations, pelvis, depths))
+    joints_3d, has_3d, _ = seq._channel(3)
+    depths = np.zeros(seq.n_frames)
+    if joints_3d is not None:
+        depths[has_3d] = _vector_norms(joints_3d[has_3d, root])
+    centered = has_3d & (depths <= 0)
+    if centered.any():
+        at = np.flatnonzero(centered).tolist()
+        raise SequenceCanonicalizationError(f"sequence {seq.key}: 3D root at the camera center, no root depth", at)
+    return _canonical(seq, canonical, rotations, pelvis, depths, has_3d)
 
 
 def canonicalize_dataset(
@@ -645,7 +751,7 @@ def canonicalize_dataset(
     work = _canonicalize_sequence_3d if mode == "3d-path" else _canonicalize_sequence_2d
     out = []
     for seq in sequences:
-        if seq.records is not None:
+        if seq._columns.rotations is not None:
             raise SequenceCanonicalizationError(f"sequence {seq.key} is already canonical")
         try:
             out.append(work(seq, intrinsics))

@@ -3,7 +3,8 @@
 Floats are written with 17 significant digits, enough to round-trip any
 64-bit value exactly, so re-serializing loaded data reproduces the original
 bytes. Dict keys keep insertion order; nothing here depends on hash order or
-locale. A number read from JSON input must be a JSON number (``json_float``).
+locale. A number read from JSON input must be a JSON number (``json_float``,
+``json_int``, ``json_floats``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,25 @@ def json_float(value, name: str, expected: str = "a number") -> float:
     other non-number, OverflowError for an int too large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be {expected}, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise OverflowError(f"{name} is too large for a float") from None
+
+
+def json_int(value, name: str) -> int:
+    """A decoded JSON integer as an int; an integral float counts. Raises
+    TypeError for a bool, a non-integral float or any other non-number."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def json_floats(value, name: str) -> list[float]:
+    """Every entry of a JSON list, nested or not, through ``json_float``."""
+    return [json_float(entry, f"{name} entry") for entry in np.asarray(value, dtype=object).ravel()]
 
 
 def dumps(obj, indent: int | None = None) -> str:

@@ -95,28 +95,6 @@ def write_samples_csv(summary: DistributionSummary, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _project_roots(seq, positions, roots: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Pixels of the 3D roots (n, 3) of the frames at ``positions``: camera
-    frame through the principal point, canonical frame through the image
-    center. A root at or behind the camera names the first such frame."""
-    out = np.empty((len(positions), 2))
-    centered = np.array([seq.frames[i].pose_3d.frame is Frame.CANONICAL_CAMERA for i in positions])
-    behind = []
-    for mask, project in ((~centered, batch_project), (centered, batch_project_centered)):
-        if mask.any():
-            try:
-                out[mask] = project(roots[mask], intrinsics)
-            except BehindCameraError as exc:
-                behind.append((int(np.flatnonzero(mask)[exc.indices[0]]), exc))
-    if behind:
-        first, exc = min(behind, key=lambda item: item[0])
-        raise BehindCameraError(
-            f"sequence {seq.key} frame {seq.frames[positions[first]].index}: "
-            "root at or behind the camera plane"
-        ) from exc
-    return out
-
-
 def pelvis_position_distribution(
     sequences, intrinsics: CameraIntrinsics | None = None
 ) -> tuple[DistributionSummary, DistributionSummary]:
@@ -129,26 +107,32 @@ def pelvis_position_distribution(
 
     Raises:
         BehindCameraError: a root to be projected is at or behind the camera
-            plane.
+            plane; the error names its frame.
     """
     xy, image = [], []
     for seq in sequences:
         root = seq.skeleton.root_index
-        at_3d, joints_3d = seq._gather("pose_3d")
-        at_2d, joints_2d = seq._gather("pose_2d", Space.IMAGE)
+        joints_3d, has_3d, frame = seq._channel(3)
+        joints_2d, has_2d, space = seq._channel(2)
         # Image roots in frame order, stored ones and projected ones mixed.
         rows = np.empty((seq.n_frames, 2))
-        taken = np.zeros(seq.n_frames, dtype=bool)
-        if at_2d:
-            rows[at_2d] = joints_2d[:, root]
-            taken[at_2d] = True
-        if at_3d:
-            xy.append(joints_3d[:, root, :2])
-            unprojected = np.flatnonzero(~taken[at_3d])
-            if intrinsics is not None and unprojected.size:
-                positions = np.asarray(at_3d)[unprojected]
-                rows[positions] = _project_roots(seq, positions, joints_3d[unprojected, root], intrinsics)
-                taken[positions] = True
+        taken = has_2d & (space is Space.IMAGE)
+        if taken.any():
+            rows[taken] = joints_2d[taken, root]
+        if has_3d.any():
+            xy.append(joints_3d[has_3d, root, :2])
+            unprojected = has_3d & ~taken
+            if intrinsics is not None and unprojected.any():
+                at = np.flatnonzero(unprojected)
+                project = batch_project_centered if frame is Frame.CANONICAL_CAMERA else batch_project
+                try:
+                    rows[at] = project(joints_3d[at, root], intrinsics)
+                except BehindCameraError as exc:
+                    frame_no = seq._take(seq._columns.index)[at[exc.indices[0]]]
+                    raise BehindCameraError(
+                        f"sequence {seq.key} frame {frame_no}: root at or behind the camera plane"
+                    ) from exc
+                taken |= unprojected
         image.append(rows[taken])
     empty2 = np.zeros((0, 2))
     return (
@@ -171,9 +155,10 @@ def body_orientation_distribution(sequences, skeleton: Skeleton | None = None) -
     degenerate = 0
     for seq in sequences:
         skel = skeleton if skeleton is not None else seq.skeleton
-        _, joints = seq._gather("pose_3d")
-        if joints is None:
+        joints, present, _ = seq._channel(3)
+        if not present.any():
             continue
+        joints = joints[present]
         across = joints[:, skel.left_hip_index] - joints[:, skel.right_hip_index]
         up = joints[:, skel.torso_index] - joints[:, skel.root_index]
         cross = np.cross(across, up)
@@ -200,9 +185,10 @@ def joint_scatter_extent(sequences, mode: str) -> DistributionSummary:
     width = 2 if mode == "2d" else 3
     pools = []
     for seq in sequences:
-        _, joints = seq._gather("pose_2d" if mode == "2d" else "pose_3d")
-        if joints is None:
+        joints, present, _ = seq._channel(width)
+        if not present.any():
             continue
+        joints = joints[present]
         if mode != "2d":
             root = seq.skeleton.root_index
             joints = joints - joints[:, root : root + 1]

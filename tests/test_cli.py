@@ -345,3 +345,26 @@ def test_numbers_too_large_for_a_float_exit_two(tmp_path, camera_file, intrinsic
         captured = capsys.readouterr()
         assert captured.out == ""
         assert needle in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("study", {"n_train": 2.5}, "n_train"),
+        ("study", {"n_test": True}, "n_test"),
+        ("study", {"noise_sigma": "0.001"}, "noise_sigma"),
+        ("synth", {"n_poses": 2.7}, "n_poses"),
+        ("synth", {"limb_scale": True}, "limb_scale"),
+        ("synth", {"root_region": {"low": [True, 0, 3], "high": [1, 1, 5]}}, "root_region"),
+    ],
+    ids=["study-n_train-float", "study-n_test-bool", "study-noise-string", "synth-n_poses-float",
+         "synth-limb_scale-bool", "synth-root_region-bool"],
+)
+def test_config_numbers_must_be_json_numbers(tmp_path, capsys, command, config, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert run([command, "--config", str(path), "--output", str(out)]) == 1
+    assert f"error: {field}" in capsys.readouterr().err
+    assert not out.exists()

@@ -516,3 +516,134 @@ def test_every_channel_views_one_shared_array(tmp_path, pose_batch, intrinsics, 
     moved = apply_extrinsics(loaded, CameraExtrinsics(rotation_factory(6), [0.1, 0.2, 4.0]))
     for seq in loaded + via_3d + via_2d + reloaded + moved:
         _assert_channels_share_one_array(seq)
+
+
+def _number_record(skeleton, frame, canon):
+    record = {
+        "subject": "S1", "action": "a", "camera": "c", "frame": frame,
+        "joints_2d": [[1.0, 2.0]] * skeleton.n_joints,
+        "joints_3d": None if canon else [[0.1, 0.2, 3.0]] * skeleton.n_joints,
+    }
+    if canon:
+        record["canon"] = {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "source": [0, 0, 1], "root_depth": None}
+    return record
+
+
+@pytest.mark.parametrize(
+    "canon, where, value",
+    [
+        (False, ("joints_2d", 0), [True, "2"]),
+        (False, ("joints_3d", 4), [0.1, False, 3.0]),
+        (True, ("canon", "rotation"), ["1", 0, 0, 0, 1, 0, 0, 0, 1]),
+        (True, ("canon", "source"), [False, 0, True]),
+        (False, ("joints_3d", 2), [10**400, 0.0, 3.0]),
+    ],
+    ids=["joints_2d-bool-and-string", "joints_3d-bool", "rotation-string", "source-bools", "int-overflowing-float"],
+)
+def test_record_values_must_be_json_numbers(tmp_path, skeleton, canon, where, value):
+    from canonpose.cli import run
+
+    records = [_number_record(skeleton, frame, canon) for frame in range(4)]
+    records[1][where[0]] = dict(records[1][where[0]]) if canon and where[0] == "canon" else list(records[1][where[0]])
+    records[1][where[0]][where[1]] = value
+    # A second bad line after the first: the first is the one reported.
+    records[2][where[0]] = records[1][where[0]]
+    path = tmp_path / "values.ndjson"
+    path.write_text('{"meta": {"fps": 50}}\n' + "\n".join(json.dumps(r) for r in records) + "\n")
+    with pytest.raises(SchemaError) as excinfo:
+        load_sequences(path, skeleton)
+    assert excinfo.value.line_number == 3
+    assert str(excinfo.value).startswith("line 3: ")
+    assert where[1 if canon else 0] in str(excinfo.value)
+    assert run(["stats", "--input", str(path)]) == 2
+
+
+def _per_frame_objects():
+    import gc
+
+    from canonpose.canonical import CanonicalRecord, CanonicalRotation
+
+    kinds = (FramePair, CanonicalRecord, CanonicalRotation, Pose2D, Pose3D)
+    gc.collect()
+    return [obj for obj in gc.get_objects() if isinstance(obj, kinds)]
+
+
+def test_cli_data_path_builds_no_per_frame_object(tmp_path, pose_batch, intrinsics, skeleton, rotation_factory):
+    from canonpose.camera import CameraExtrinsics
+    from canonpose.dataset import apply_extrinsics
+    from canonpose.stats import body_orientation_distribution, joint_scatter_extent, pelvis_position_distribution
+
+    path = tmp_path / "raw.ndjson"
+    save_sequences([make_sequence(pose_batch, intrinsics, skeleton, n=11, seed=56)], path)
+    # Held, so that no object alive before the run can free its id for reuse.
+    before = _per_frame_objects()
+    known = {id(obj) for obj in before}
+
+    loaded = load_sequences(path, skeleton)
+    moved = apply_extrinsics(loaded, CameraExtrinsics(rotation_factory(8), [0.1, 0.2, 0.3]))
+    via_3d = canonicalize_dataset(moved, intrinsics, "3d-path")
+    via_2d = canonicalize_dataset(loaded, intrinsics, "2d-path")
+    windows = [win for seq in via_3d + via_2d for win in window(seq, WindowSpec(4, 3), "repeat-last")]
+    text = serialize_sequences(windows + via_3d + via_2d)
+    everything = loaded + via_3d + via_2d + windows
+    results = (
+        pelvis_position_distribution(everything, intrinsics),
+        body_orientation_distribution(everything),
+        joint_scatter_extent(everything, "2d"),
+        joint_scatter_extent(everything, "3d-root-relative"),
+    )
+    new = [type(obj).__name__ for obj in _per_frame_objects() if id(obj) not in known]
+    assert new == []
+    assert text and results and len(windows) == 8
+
+
+def test_constructor_refuses_mixed_3d_frames(pose_batch, intrinsics, skeleton):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=4, seed=57)
+    frames = list(seq.frames)
+    frames[2] = FramePair(frames[2].pose_2d, Pose3D(frames[2].pose_3d.joints, Frame.GLOBAL), 2)
+    with pytest.raises(ValueError, match=r"mix 3D frames \(camera, global\)"):
+        PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
+
+
+def test_constructor_refuses_mixed_2d_spaces(pose_batch, intrinsics, skeleton):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=4, seed=58)
+    frames = list(seq.frames)
+    frames[0] = FramePair(Pose2D(frames[0].pose_2d.joints, Space.SCREEN_NORMALIZED), frames[0].pose_3d, 0)
+    with pytest.raises(ValueError, match=r"mix 2D spaces \(image, screen-normalized\)"):
+        PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
+
+
+def test_constructor_refuses_a_record_its_frame_does_not_give(pose_batch, intrinsics, skeleton):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=4, seed=59)
+    canonical = canonicalize_dataset([seq], intrinsics, "3d-path")[0]
+    kept = PoseSequence("S1", "walk", "cam0", 50.0, canonical.frames, skeleton, canonical.records)
+    assert serialize_sequences([kept]) == serialize_sequences([canonical])
+    # The raw frames' 2D poses are not the records' canonical_2d.
+    with pytest.raises(ValueError, match="record 0 is not what frame 0 gives"):
+        PoseSequence("S1", "walk", "cam0", 50.0, seq.frames, skeleton, canonical.records)
+
+
+def test_canonicalize_2d_refuses_a_3d_root_at_the_camera_center(pose_batch, intrinsics, skeleton):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=4, seed=60)
+    frames = list(seq.frames)
+    joints = frames[1].pose_3d.joints.copy()
+    joints[skeleton.root_index] = 0.0
+    frames[1] = FramePair(frames[1].pose_2d, Pose3D(joints, Frame.CAMERA), 1)
+    at_center = PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
+    with pytest.raises(SequenceCanonicalizationError) as excinfo:
+        canonicalize_dataset([at_center], intrinsics, "2d-path")
+    assert excinfo.value.frame_indices == (1,)
+
+
+def test_padded_windows_canonicalize_like_their_frames(pose_batch, intrinsics, skeleton):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=10, seed=61)
+    windows = window(seq, WindowSpec(4, 4), "repeat-last")
+    assert [f.index for f in windows[-1].frames] == [8, 9, 9, 9]
+    for mode in ("3d-path", "2d-path"):
+        cuts = window(canonicalize_dataset([seq], intrinsics, mode)[0], WindowSpec(4, 4), "repeat-last")
+        for win, cut in zip(canonicalize_dataset(windows, intrinsics, mode), cuts):
+            assert [f.index for f in win.frames] == [f.index for f in cut.frames]
+            assert np.abs(win.joints_2d() - cut.joints_2d()).max() < 1e-9
+            for mine, theirs in zip(win.records, cut.records):
+                assert np.abs(mine.rotation.matrix - theirs.rotation.matrix).max() < 1e-12
+                assert mine.root_depth == pytest.approx(theirs.root_depth, abs=1e-12)
