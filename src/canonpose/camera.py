@@ -120,13 +120,24 @@ def _improper_rotations(matrices: np.ndarray) -> np.ndarray:
     return ~finite | (gram > EPS_ROTATION) | (np.abs(det - 1.0) > EPS_ROTATION)
 
 
-def _check_rotation_matrix(matrix: np.ndarray, name: str) -> None:
-    """The one-matrix case of the rotation check, for a finite 3x3 matrix."""
-    (gram_error,), (det,) = _rotation_errors(matrix[None])
+def _rigid(rotation, vector, rotation_name: str, vector_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The one-matrix rotation check: ``rotation`` and ``vector`` as read-only
+    float64 arrays, or ValueError unless they are a finite proper 3x3 rotation
+    and a finite 3-vector."""
+    rot = _float_array(rotation)
+    if rot.shape != (3, 3) or not np.isfinite(rot).all():
+        raise ValueError(f"{rotation_name} must be a finite 3x3 matrix, got shape {rot.shape}")
+    (gram_error,), (det,) = _rotation_errors(rot[None])
     if gram_error > EPS_ROTATION:
-        raise ValueError(f"{name} is not orthogonal (max |R^T R - I| = {gram_error:.3e})")
+        raise ValueError(f"{rotation_name} is not orthogonal (max |R^T R - I| = {gram_error:.3e})")
     if abs(det - 1.0) > EPS_ROTATION:
-        raise ValueError(f"{name} is not a proper rotation (det = {det!r})")
+        raise ValueError(f"{rotation_name} is not a proper rotation (det = {det!r})")
+    vec = _float_array(vector).reshape(-1)
+    if vec.shape != (3,) or not np.isfinite(vec).all():
+        raise ValueError(f"{vector_name} must be a finite 3-vector")
+    rot.setflags(write=False)
+    vec.setflags(write=False)
+    return rot, vec
 
 
 def _vector_norms(vectors: np.ndarray) -> np.ndarray:
@@ -194,17 +205,7 @@ class CameraExtrinsics:
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = np.array(self.rotation, dtype=np.float64)
-        if rot.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {rot.shape}")
-        if not np.isfinite(rot).all():
-            raise ValueError("rotation contains non-finite values")
-        _check_rotation_matrix(rot, "extrinsic rotation")
-        trans = np.array(self.translation, dtype=np.float64).reshape(-1)
-        if trans.shape != (3,) or not np.isfinite(trans).all():
-            raise ValueError("translation must be a finite 3-vector")
-        rot.setflags(write=False)
-        trans.setflags(write=False)
+        rot, trans = _rigid(self.rotation, self.translation, "extrinsic rotation", "translation")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", trans)
 
@@ -265,19 +266,25 @@ def _check_depths(z: np.ndarray, what: str) -> None:
         )
 
 
+def _pinhole(points: np.ndarray, intrinsics: CameraIntrinsics, cx: float, cy: float, what: str) -> np.ndarray:
+    """(fx X / Z + cx, fy Y / Z + cy) of a (..., 3) array, the one pinhole
+    projection; BehindCameraError naming ``what`` when any Z <= EPS_DEPTH."""
+    pts = np.asarray(points, dtype=np.float64)
+    z = pts[..., 2]
+    _check_depths(z, what)
+    out = np.empty(pts.shape[:-1] + (2,), dtype=np.float64)
+    out[..., 0] = intrinsics.fx * pts[..., 0] / z + cx
+    out[..., 1] = intrinsics.fy * pts[..., 1] / z + cy
+    return out
+
+
 def batch_project(points: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Pinhole projection of a (..., 3) array to (..., 2) pixel coordinates.
 
     Raises BehindCameraError when any Z <= EPS_DEPTH; the error indexes the
     leading axis of ``points``.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    z = pts[..., 2]
-    _check_depths(z, "point(s)")
-    out = np.empty(pts.shape[:-1] + (2,), dtype=np.float64)
-    out[..., 0] = intrinsics.fx * pts[..., 0] / z + intrinsics.cx
-    out[..., 1] = intrinsics.fy * pts[..., 1] / z + intrinsics.cy
-    return out
+    return _pinhole(points, intrinsics, intrinsics.cx, intrinsics.cy, "point(s)")
 
 
 def batch_to_normalized_plane(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:

@@ -33,17 +33,16 @@ from .camera import (
     Pose3D,
     Space,
     _check_depths,
-    _check_rotation_matrix,
-    _float_array,
     _improper_rotations,
+    _pinhole,
     _require_frame,
     _require_space,
+    _rigid,
     _vector_norms,
     batch_to_normalized_plane,
 )
 from .errors import (
     AntiparallelError,
-    BehindCameraError,
     DegenerateHomogeneousError,
     DegenerateVectorError,
 )
@@ -71,18 +70,10 @@ class CanonicalRotation:
     source_vector: np.ndarray
 
     def __post_init__(self):
-        mat = _float_array(self.matrix)
-        if mat.shape != (3, 3) or not np.isfinite(mat).all():
-            raise ValueError(f"rotation matrix must be finite 3x3, got shape {mat.shape}")
-        _check_rotation_matrix(mat, "canonical rotation")
-        src = _float_array(self.source_vector).reshape(-1)
-        if src.shape != (3,) or not np.isfinite(src).all():
-            raise ValueError("source_vector must be a finite 3-vector")
+        mat, src = _rigid(self.matrix, self.source_vector, "canonical rotation", "source_vector")
         (norm,) = _vector_norms(src[None])
         if norm <= EPS_VEC:
             raise DegenerateVectorError(f"source_vector norm {norm:.3e} <= {EPS_VEC}")
-        mat.setflags(write=False)
-        src.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "source_vector", src)
 
@@ -233,12 +224,7 @@ def batch_canonicalize_3d(points: np.ndarray, root_index: int) -> tuple[np.ndarr
     """
     pts = np.asarray(points, dtype=np.float64)
     roots = pts[:, root_index]
-    behind = roots[:, 2] <= EPS_DEPTH
-    if behind.any():
-        raise BehindCameraError(
-            f"{int(behind.sum())} root joint(s) at or behind the camera plane",
-            indices=np.nonzero(behind)[0],
-        )
+    _check_depths(roots[:, 2], "root joint(s)")
     rotations = batch_rodrigues_align(roots, PRINCIPAL_AXIS)
     canonical = batch_rotate(rotations, pts)
     depths = np.linalg.norm(roots, axis=-1)
@@ -255,13 +241,7 @@ def batch_project_centered(points: np.ndarray, intrinsics: CameraIntrinsics) -> 
     Raises BehindCameraError when any Z <= EPS_DEPTH; the error indexes the
     leading axis of ``points``.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    z = pts[..., 2]
-    _check_depths(z, "canonical joint(s)")
-    out = np.empty(pts.shape[:-1] + (2,), dtype=np.float64)
-    out[..., 0] = intrinsics.fx * pts[..., 0] / z + intrinsics.width / 2.0
-    out[..., 1] = intrinsics.fy * pts[..., 1] / z + intrinsics.height / 2.0
-    return out
+    return _pinhole(points, intrinsics, intrinsics.width / 2.0, intrinsics.height / 2.0, "canonical joint(s)")
 
 
 def batch_canonicalize_2d(
@@ -449,7 +429,4 @@ def residual_offset(root, intrinsics: CameraIntrinsics) -> np.ndarray:
     Returns:
         The 2-vector (fx X / Z, fy Y / Z).
     """
-    vec = np.asarray(root, dtype=np.float64).reshape(3)
-    if vec[2] <= EPS_DEPTH:
-        raise BehindCameraError(f"root depth {vec[2]!r} is at or behind the camera plane")
-    return np.array([intrinsics.fx * vec[0] / vec[2], intrinsics.fy * vec[1] / vec[2]])
+    return _pinhole(np.asarray(root, dtype=np.float64).reshape(3), intrinsics, 0.0, 0.0, "root")

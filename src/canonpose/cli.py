@@ -226,7 +226,7 @@ def _cmd_stats(args) -> int:
         "joint_scatter_2d_px": joint_scatter_extent(sequences, "2d"),
         "joint_scatter_3d_root_relative_m": joint_scatter_extent(sequences, "3d-root-relative"),
     }
-    _write_text(dumps({k: v.to_dict() for k, v in summaries.items()}, indent=2) + "\n", args.output)
+    _write_text(dumps({k: v.to_dict() for k, v in summaries.items()}) + "\n", args.output)
     if args.csv:
         os.makedirs(args.csv, exist_ok=True)
         for name, summary in summaries.items():

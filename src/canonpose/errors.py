@@ -6,18 +6,19 @@ do not care about the distinction can catch the built-in type.
 
 Errors raised by batch operations carry an ``indices`` attribute listing every
 offending position along the leading (frame or joint) axis, so a whole
-sequence can be diagnosed from a single failure.
+sequence can be diagnosed from a single failure. Every ``DataError`` carries
+a ``line_number``: the 1-based input line at fault, or None when no single
+line is (a camera file, a whole sequence).
 """
 
 from __future__ import annotations
 
 
-def _with_indices(message: str, indices) -> str:
+def _with_indices(message: str, indices, label: str = "at positions") -> str:
     if indices is None:
         return message
-    shown = list(indices[:20])
     tail = ", ..." if len(indices) > 20 else ""
-    return f"{message} (at positions {shown}{tail})"
+    return f"{message} ({label} {list(indices[:20])}{tail})"
 
 
 class GeometryError(ValueError):
@@ -71,21 +72,17 @@ class SingularMatrixError(GeometryError):
 class DataError(ValueError):
     """A data file or record could not be ingested."""
 
+    def __init__(self, message: str, line_number: int | None = None):
+        super().__init__(message)
+        self.line_number = line_number
+
 
 class ParseError(DataError):
     """A line was not valid JSON."""
 
-    def __init__(self, message: str, line_number: int | None = None):
-        super().__init__(message)
-        self.line_number = line_number
-
 
 class SchemaError(DataError):
     """A record parsed as JSON but violated the pose-record schema."""
-
-    def __init__(self, message: str, line_number: int | None = None):
-        super().__init__(message)
-        self.line_number = line_number
 
 
 class SequenceCanonicalizationError(DataError):
@@ -95,7 +92,5 @@ class SequenceCanonicalizationError(DataError):
 
     def __init__(self, message: str, frame_indices=()):
         indices = tuple(int(i) for i in frame_indices)
-        shown = list(indices[:20])
-        tail = ", ..." if len(indices) > 20 else ""
-        super().__init__(f"{message} (frames {shown}{tail})" if indices else message)
+        super().__init__(_with_indices(message, indices or None, "frames"))
         self.frame_indices = indices

@@ -49,58 +49,32 @@ def json_floats(value, name: str) -> list[float]:
     return [json_float(entry, f"{name} entry") for entry in np.asarray(value, dtype=object).ravel()]
 
 
-def dumps(obj, indent: int | None = None) -> str:
-    """Serialize nested dicts/lists/scalars with deterministic float text."""
-    return "".join(_emit(obj, indent, 0))
+def dumps(obj) -> str:
+    """Serialize nested dicts/lists/scalars with deterministic float text,
+    indented by two spaces per level."""
+    return _json_text(obj, "\n")
 
 
-def _emit(obj, indent, depth):
+def _json_text(obj, newline: str) -> str:
+    """``obj`` as JSON text; ``newline`` starts each of its lines (a line
+    break plus the indent of its level)."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    inner = newline + "  "
     if isinstance(obj, dict):
-        yield from _emit_container(
-            obj.items(), indent, depth, "{}", lambda item, d: _emit_pair(item, indent, d)
-        )
+        items = [f"{json.dumps(str(key))}: {_json_text(value, inner)}" for key, value in obj.items()]
+        brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        yield from _emit_container(obj, indent, depth, "[]", lambda item, d: _emit(item, indent, d))
-    elif isinstance(obj, str):
-        yield json.dumps(obj)
-    elif isinstance(obj, bool) or obj is None:
-        yield json.dumps(obj)
+        items = [_json_text(item, inner) for item in obj]
+        brackets = "[]"
+    elif isinstance(obj, (str, bool)) or obj is None:
+        return json.dumps(obj)
     elif isinstance(obj, (int, np.integer)):
-        yield str(int(obj))
+        return str(int(obj))
     elif isinstance(obj, (float, np.floating)):
-        yield format_float(obj)
-    elif isinstance(obj, np.ndarray):
-        yield from _emit(obj.tolist(), indent, depth)
+        return format_float(obj)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _emit_pair(item, indent, depth):
-    key, value = item
-    yield json.dumps(str(key))
-    yield ": "
-    yield from _emit(value, indent, depth)
-
-
-def _emit_container(items, indent, depth, brackets, emit_item):
-    items = list(items)
     if not items:
-        yield brackets
-        return
-    open_b, close_b = brackets
-    if indent is None:
-        yield open_b
-        for i, item in enumerate(items):
-            if i:
-                yield ", "
-            yield from emit_item(item, depth)
-        yield close_b
-    else:
-        pad = " " * (indent * (depth + 1))
-        yield open_b + "\n"
-        for i, item in enumerate(items):
-            if i:
-                yield ",\n"
-            yield pad
-            yield from emit_item(item, depth + 1)
-        yield "\n" + " " * (indent * depth) + close_b
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]

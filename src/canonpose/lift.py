@@ -176,7 +176,8 @@ class LiftingStudyConfig:
 
     The principal point is deliberately off-center so nothing silently
     relies on cx = W/2. Train and test regions are not required to be
-    disjoint — the sanity control evaluates on the training region.
+    disjoint — the sanity control evaluates on the training region. Each
+    pose draw is checked as the SynthConfig that generates it.
     """
 
     train_root_region: Box3 = DEFAULT_TRAIN_REGION
@@ -191,19 +192,23 @@ class LiftingStudyConfig:
     skeleton_name: str = "h36m17"
 
     def __post_init__(self):
-        for name, region in (("train", self.train_root_region), ("test", self.test_root_region)):
-            if region.low[2] <= 0.5:
-                raise ValueError(f"{name}_root_region must keep roots at Z > 0.5 m")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError("n_train and n_test must be >= 1")
+        for draw in ("train", "test"):
+            self._draw(draw)
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
         if not (np.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
             raise ValueError(f"ridge_lambda must be >= 0, got {self.ridge_lambda!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
         object.__setattr__(self, "seed", int(self.seed))
         get_skeleton(self.skeleton_name)
+
+    def _draw(self, draw: str) -> SynthConfig:
+        """The generator config of the "train" or "test" pose draw; a
+        ValueError it raises names the draw."""
+        region, n_poses = (self.train_root_region, self.n_train) if draw == "train" else (self.test_root_region, self.n_test)
+        try:
+            return SynthConfig(seed=self.seed, n_poses=n_poses, limb_scale=self.limb_scale, root_region=region)
+        except ValueError as exc:
+            raise ValueError(f"{draw}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -262,7 +267,7 @@ class StudyReport:
         }
 
     def to_json(self) -> str:
-        return dumps(self.to_dict(), indent=2) + "\n"
+        return dumps(self.to_dict()) + "\n"
 
 
 def _per_frame_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -283,12 +288,8 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     root = skeleton.root_index
     n_joints = skeleton.n_joints
 
-    def poses_for(region: Box3, n: int, stream: int) -> np.ndarray:
-        synth = SynthConfig(seed=config.seed, n_poses=n, limb_scale=config.limb_scale, root_region=region)
-        return generate_pose_array(synth, skeleton, stream=stream)
-
-    train = poses_for(config.train_root_region, config.n_train, _STREAM_TRAIN)
-    test = poses_for(config.test_root_region, config.n_test, _STREAM_TEST)
+    train = generate_pose_array(config._draw("train"), skeleton, stream=_STREAM_TRAIN)
+    test = generate_pose_array(config._draw("test"), skeleton, stream=_STREAM_TEST)
     noise_train = config.noise_sigma * pose_rng(config.seed, _NOISE_TRAIN_INDEX).standard_normal(
         (config.n_train, n_joints, 2)
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Pose3D, _check_rotation_matrix
+from .camera import Pose3D, _rigid
 from .errors import DegenerateShapeError, DimensionMismatchError
 
 
@@ -30,15 +30,7 @@ class SimilarityTransform:
         scale = float(self.scale)
         if not np.isfinite(scale) or scale <= 0:
             raise ValueError(f"scale must be positive and finite, got {scale!r}")
-        rot = np.array(self.rotation, dtype=np.float64)
-        if rot.shape != (3, 3) or not np.isfinite(rot).all():
-            raise ValueError("rotation must be a finite 3x3 matrix")
-        _check_rotation_matrix(rot, "similarity rotation")
-        trans = np.array(self.translation, dtype=np.float64).reshape(-1)
-        if trans.shape != (3,) or not np.isfinite(trans).all():
-            raise ValueError("translation must be a finite 3-vector")
-        rot.setflags(write=False)
-        trans.setflags(write=False)
+        rot, trans = _rigid(self.rotation, self.translation, "similarity rotation", "translation")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", trans)
@@ -65,6 +57,15 @@ def _as_frames(poses, name: str) -> np.ndarray:
     return arr
 
 
+def _as_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    """``pred`` and ``gt`` as (T, J, 3) arrays of one shape."""
+    p = _as_frames(pred, "pred")
+    g = _as_frames(gt, "gt")
+    if p.shape != g.shape:
+        raise DimensionMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
+    return p, g
+
+
 def mpjpe(pred, gt) -> float:
     """Mean per-joint position error in meters.
 
@@ -76,10 +77,7 @@ def mpjpe(pred, gt) -> float:
         pred, gt: Pose3D, sequence of Pose3D, or array of shape (J, 3) or
             (T, J, 3); shapes must match.
     """
-    p = _as_frames(pred, "pred")
-    g = _as_frames(gt, "gt")
-    if p.shape != g.shape:
-        raise DimensionMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
+    p, g = _as_pair(pred, gt)
     return float(np.mean(np.linalg.norm(p - g, axis=-1)))
 
 
@@ -141,12 +139,9 @@ def procrustes_align(pred, gt) -> tuple:
         (aligned pred, SimilarityTransform). The aligned pose is returned as
         a Pose3D when ``pred`` was one (same frame tag), else as an array.
     """
-    p = _as_frames(pred, "pred")
-    g = _as_frames(gt, "gt")
-    if p.shape[0] != 1 or g.shape[0] != 1:
+    p, g = _as_pair(pred, gt)
+    if p.shape[0] != 1:
         raise DimensionMismatchError("procrustes_align takes single poses; use p_mpjpe for sequences")
-    if p.shape != g.shape:
-        raise DimensionMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
     aligned, scales, rotations, translations = _batch_similarity_align(p, g)
     transform = SimilarityTransform(scales[0], rotations[0], translations[0])
     if isinstance(pred, Pose3D):
@@ -160,9 +155,6 @@ def p_mpjpe(pred, gt) -> float:
     Never exceeds ``mpjpe`` on the same input: the identity transform is
     always an alignment candidate.
     """
-    p = _as_frames(pred, "pred")
-    g = _as_frames(gt, "gt")
-    if p.shape != g.shape:
-        raise DimensionMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
+    p, g = _as_pair(pred, gt)
     aligned, _, _, _ = _batch_similarity_align(p, g)
     return float(np.mean(np.linalg.norm(aligned - g, axis=-1)))

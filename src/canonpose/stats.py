@@ -73,24 +73,20 @@ class DistributionSummary:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
-    def to_dict(self, include_samples: bool = False) -> dict:
+    def to_dict(self) -> dict:
         out: dict = {"count": self.n_samples, "degenerate_count": self.n_degenerate}
         if self.bounds is not None:
             out["bounds"] = self.bounds.tolist()
             out["mean"] = self.mean.tolist()
             out["histograms"] = [h.to_dict() for h in self.histograms]
-        if include_samples:
-            out["samples"] = self.samples.tolist()
         return out
 
 
 def write_samples_csv(summary: DistributionSummary, path) -> None:
-    """Dump raw samples as CSV with an x,y[,z] header (17-digit floats)."""
-    width = summary.samples.shape[1] if summary.samples.size else 2
-    header = ",".join("xyz"[:width])
-    lines = [header]
-    for row in summary.samples:
-        lines.append(",".join(format_float(v) for v in row))
+    """Dump raw samples as CSV with an x,y[,z] header (17-digit floats); the
+    header has one column per sample axis even when there are no samples."""
+    lines = [",".join("xyz"[: summary.samples.shape[1]])]
+    lines += [",".join(format_float(v) for v in row) for row in summary.samples]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

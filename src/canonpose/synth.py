@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import (
-    EPS_DEPTH,
     CameraIntrinsics,
     Frame,
     Pose3D,
+    _check_depths,
     batch_project,
     batch_screen_normalize,
 )
@@ -393,8 +393,7 @@ def many_to_one_demo(
     if np.abs(base[root]).max() > 1e-12:
         raise ValueError("base pose must be root-relative (root at the origin)")
     offsets = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    if (offsets[:, 2] <= EPS_DEPTH).any():
-        raise ValueError("all positions must have Z > EPS_DEPTH")
+    _check_depths(offsets[:, 2], "position(s)")
 
     placed = base[None] + offsets[:, None, :]
     conventional = batch_screen_normalize(batch_project(placed, intrinsics), intrinsics)

@@ -23,8 +23,9 @@ from canonpose.camera import (
     to_normalized_plane,
     world_to_camera,
 )
-from canonpose.canonical import batch_project_centered
+from canonpose.canonical import CanonicalRotation, batch_project_centered
 from canonpose.errors import BehindCameraError, FrameMismatchError, ParseError, SchemaError
+from canonpose.metrics import SimilarityTransform
 
 finite_coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -257,3 +258,34 @@ def test_camera_rotation_may_be_nested_rows(tmp_path, rotation_factory):
     _, extr = load_camera_json(path)
     assert np.array_equal(extr.rotation, rotation)
     assert np.array_equal(extr.translation, [1.0, 2.0, 3.0])
+
+
+_NAN_ROTATION = np.eye(3)
+_NAN_ROTATION[1, 1] = np.nan
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rotation, vector: CameraExtrinsics(rotation, vector),
+        lambda rotation, vector: CanonicalRotation(rotation, vector),
+        lambda rotation, vector: SimilarityTransform(1.0, rotation, vector),
+    ],
+    ids=["extrinsics", "canonical-rotation", "similarity"],
+)
+@pytest.mark.parametrize(
+    "rotation, vector",
+    [
+        (np.eye(3)[:, :2], [0.0, 0.0, 1.0]),
+        (_NAN_ROTATION, [0.0, 0.0, 1.0]),
+        (np.diag([1.0, 1.0, -1.0]), [0.0, 0.0, 1.0]),
+        (np.eye(3), [0.0, 1.0]),
+    ],
+    ids=["wrong-shape", "nan-entry", "reflection", "2-vector"],
+)
+def test_rotation_carriers_reject_bad_rotations_and_vectors(build, rotation, vector):
+    with pytest.raises(ValueError):
+        build(rotation, vector)
+    good = build(np.eye(3), [0.0, 0.0, 1.0])
+    arrays_held = [value for value in vars(good).values() if isinstance(value, np.ndarray)]
+    assert len(arrays_held) == 2 and not any(array.flags.writeable for array in arrays_held)

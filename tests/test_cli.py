@@ -368,3 +368,33 @@ def test_config_numbers_must_be_json_numbers(tmp_path, capsys, command, config, 
     assert run([command, "--config", str(path), "--output", str(out)]) == 1
     assert f"error: {field}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("limb_scale", [-1, 0])
+def test_study_config_rejects_a_bad_limb_scale_as_a_usage_error(tmp_path, capsys, limb_scale):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"limb_scale": limb_scale}))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["study", "--config", str(path), "--output", str(out)]) == 1
+    assert "error: train: limb_scale must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stats_csv_headers_keep_their_width_without_samples(tmp_path, camera_file):
+    records = [json.loads(line) for line in open(synth_file(tmp_path, count=3, camera=camera_file))]
+    for record in records:
+        if "meta" not in record:
+            record["joints_3d"] = None
+    only_2d = tmp_path / "only_2d.ndjson"
+    only_2d.write_text("".join(json.dumps(record) + "\n" for record in records))
+    csv_dir = tmp_path / "csv"
+    argv = ["stats", "--input", str(only_2d), "--output", str(tmp_path / "stats.json"), "--csv", str(csv_dir)]
+    assert run(argv) == 0
+    for name, header in (
+        ("pelvis_xy_m", "x,y"),
+        ("body_orientation", "x,y,z"),
+        ("joint_scatter_3d_root_relative_m", "x,y,z"),
+    ):
+        assert (csv_dir / f"{name}.csv").read_text() == header + "\n"
+    assert (csv_dir / "joint_scatter_2d_px.csv").read_text().startswith("x,y\n")
