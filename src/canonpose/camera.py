@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -153,8 +153,9 @@ def _vector_norms(vectors: np.ndarray) -> np.ndarray:
 class CameraIntrinsics:
     """Pinhole intrinsics plus image size, all in pixels.
 
-    The principal point must lie strictly inside the image and both focal
-    lengths must be positive.
+    Each field must be a number (``jsonfmt.json_float``). The principal
+    point must lie strictly inside the image and both focal lengths must be
+    positive.
     """
 
     fx: float
@@ -165,11 +166,11 @@ class CameraIntrinsics:
     height: float
 
     def __post_init__(self):
-        for field in ("fx", "fy", "cx", "cy", "width", "height"):
-            value = float(getattr(self, field))
+        for field in fields(self):
+            value = json_float(getattr(self, field.name), field.name)
             if not np.isfinite(value):
-                raise ValueError(f"intrinsics field {field} is not finite")
-            object.__setattr__(self, field, value)
+                raise ValueError(f"intrinsics field {field.name} is not finite")
+            object.__setattr__(self, field.name, value)
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if self.width <= 0 or self.height <= 0:
@@ -187,14 +188,7 @@ class CameraIntrinsics:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-        }
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +372,7 @@ def load_camera_json(path) -> tuple[CameraIntrinsics, CameraExtrinsics | None]:
     if missing:
         raise SchemaError(f"{path}: camera file missing keys {missing}")
     try:
-        intrinsics = CameraIntrinsics(*(json_float(obj[key], key) for key in required))
+        intrinsics = CameraIntrinsics(*(obj[key] for key in required))
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: invalid intrinsics: {exc}") from exc
     extrinsics = None

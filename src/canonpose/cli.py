@@ -13,13 +13,14 @@ Errors go to stderr; data goes to --output or stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Frame, batch_project, load_camera_json
+from .camera import Frame, batch_project, load_camera_json
 from .dataset import (
     PAD_POLICIES,
     PoseSequence,
@@ -31,9 +32,9 @@ from .dataset import (
     serialize_sequences,
     window,
 )
-from .errors import DataError, GeometryError, ParseError, SchemaError
-from .jsonfmt import dumps, json_float, json_floats, json_int
-from .lift import LiftingStudyConfig, run_study
+from .errors import DataError
+from .jsonfmt import dumps
+from .lift import _CONFIG_KEYS, LiftingStudyConfig, run_study
 from .metrics import mpjpe, p_mpjpe
 from .skeleton import available_skeletons, get_skeleton
 from .stats import (
@@ -42,7 +43,7 @@ from .stats import (
     pelvis_position_distribution,
     write_samples_csv,
 )
-from .synth import DEFAULT_ROOT_REGION, Box3, SynthConfig, generate_pose_array
+from .synth import SynthConfig, generate_pose_array
 
 
 class _UsageError(Exception):
@@ -125,13 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
         "byte-identical output.",
     )
     p.add_argument("--output", help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
-    p.add_argument("--count", type=int, default=100, help="number of poses (default: 100)")
+    p.add_argument("--seed", type=int, default=None, help="generator seed, overrides the config seed (default: 0)")
+    p.add_argument("--count", type=int, default=100, help="number of poses; a config n_poses wins (default: 100)")
     p.add_argument("--camera", help="camera JSON; adds projected joints_2d to each frame")
     _add_skeleton(p)
     p.add_argument(
         "--config",
-        help="JSON file overriding generator fields: n_poses, limb_scale, root_region {low, high}",
+        help="JSON file overriding generator fields: seed, n_poses, limb_scale, root_region {low, high}",
     )
     p.set_defaults(handler=_cmd_synth)
 
@@ -218,7 +219,7 @@ def _cmd_stats(args) -> int:
     intrinsics = load_camera_json(args.camera)[0] if args.camera else None
     sequences = load_sequences(args.input, skeleton)
     xy, image = pelvis_position_distribution(sequences, intrinsics)
-    orientation = body_orientation_distribution(sequences, skeleton)
+    orientation = body_orientation_distribution(sequences)
     summaries = {
         "pelvis_xy_m": xy,
         "pelvis_image_px": image,
@@ -278,46 +279,41 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _box_from_config(value, where: str) -> Box3:
-    if not isinstance(value, dict) or set(value) != {"low", "high"}:
-        raise _UsageError(f"{where} must be an object with keys low, high")
+def _config(cls, args, **under):
+    """A ``cls`` from ``under``, then the ``--config`` object, then ``--seed``,
+    each overriding the one before. The file's keys are the class's fields
+    (``_CONFIG_KEYS`` renames some); a field whose default is a box or a
+    camera is read from an object with exactly that class's fields."""
+    keys = {_CONFIG_KEYS.get(field.name, field.name): field for field in dataclasses.fields(cls)}
+    config = _read_config_json(args.config) if args.config else {}
+    unknown = set(config) - set(keys)
+    if unknown:
+        raise _UsageError(f"{args.config}: unknown {args.subcommand} fields {sorted(unknown)}")
+    values = dict(under)
+    for key, value in config.items():
+        field = keys[key]
+        if dataclasses.is_dataclass(field.default):
+            names = [inner.name for inner in dataclasses.fields(field.default)]
+            if not isinstance(value, dict) or set(value) != set(names):
+                raise _UsageError(f"{key} must be an object with keys {', '.join(names)}")
+            value = _build(type(field.default), value, f"{key}: ")
+        values[field.name] = value
+    if args.seed is not None:
+        values["seed"] = args.seed
+    return _build(cls, values)
+
+
+def _build(cls, values: dict, where: str = ""):
+    """``cls(**values)``; a bad value is a usage error, prefixed by ``where``."""
     try:
-        return Box3(json_floats(value["low"], f"{where} low"), json_floats(value["high"], f"{where} high"))
+        return cls(**values)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise _UsageError(f"{where}: {exc}") from exc
-
-
-# How each numeric config field is read: counts and seeds as integers.
-_CONFIG_NUMBERS = dict.fromkeys(("limb_scale", "noise_sigma", "ridge_lambda"), json_float)
-_CONFIG_NUMBERS.update(dict.fromkeys(("n_poses", "n_train", "n_test", "seed"), json_int))
-
-
-def _read_numbers(config: dict) -> None:
-    """Read a config's numeric fields in place; a field that is not a JSON
-    number of its kind is a usage error naming it."""
-    for key in sorted(config.keys() & _CONFIG_NUMBERS.keys()):
-        try:
-            config[key] = _CONFIG_NUMBERS[key](config[key], key)
-        except (TypeError, OverflowError) as exc:
-            raise _UsageError(str(exc)) from exc
+        raise _UsageError(f"{where}{exc}") from exc
 
 
 def _cmd_synth(args) -> int:
     skeleton = _get_skeleton(args.skeleton)
-    fields = {"seed": args.seed, "n_poses": args.count, "limb_scale": 1.0, "root_region": DEFAULT_ROOT_REGION}
-    if args.config:
-        config = _read_config_json(args.config)
-        unknown = set(config) - {"n_poses", "limb_scale", "root_region"}
-        if unknown:
-            raise _UsageError(f"{args.config}: unknown generator fields {sorted(unknown)}")
-        _read_numbers(config)
-        if "root_region" in config:
-            config["root_region"] = _box_from_config(config["root_region"], "root_region")
-        fields.update(config)
-    try:
-        synth_config = SynthConfig(**fields)
-    except (ValueError, TypeError) as exc:
-        raise _UsageError(str(exc)) from exc
+    synth_config = _config(SynthConfig, args, seed=0, n_poses=args.count)
     points = generate_pose_array(synth_config, skeleton)
 
     intrinsics = load_camera_json(args.camera)[0] if args.camera else None
@@ -330,49 +326,8 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-_STUDY_CONFIG_FIELDS = {
-    "train_root_region",
-    "test_root_region",
-    "noise_sigma",
-    "n_train",
-    "n_test",
-    "seed",
-    "ridge_lambda",
-    "camera",
-    "limb_scale",
-    "skeleton",
-}
-
-
 def _cmd_study(args) -> int:
-    fields: dict = {}
-    if args.config:
-        config = _read_config_json(args.config)
-        unknown = set(config) - _STUDY_CONFIG_FIELDS
-        if unknown:
-            raise _UsageError(f"{args.config}: unknown study fields {sorted(unknown)}")
-        _read_numbers(config)
-        for key in ("train_root_region", "test_root_region"):
-            if key in config:
-                config[key] = _box_from_config(config[key], key)
-        if "camera" in config:
-            camera = config.pop("camera")
-            if not isinstance(camera, dict):
-                raise _UsageError("camera must be an object with fx, fy, cx, cy, width, height")
-            try:
-                config["camera"] = CameraIntrinsics(**{key: json_float(v, key) for key, v in camera.items()})
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise _UsageError(f"camera: {exc}") from exc
-        if "skeleton" in config:
-            config["skeleton_name"] = config.pop("skeleton")
-        fields.update(config)
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    try:
-        study_config = LiftingStudyConfig(**fields)
-    except (ValueError, TypeError) as exc:
-        raise _UsageError(str(exc)) from exc
-    report = run_study(study_config)
+    report = run_study(_config(LiftingStudyConfig, args))
     _write_text(report.to_json(), args.output)
     return 0
 
@@ -407,7 +362,7 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, SchemaError, DataError, GeometryError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,10 @@
 Floats are written with 17 significant digits, enough to round-trip any
 64-bit value exactly, so re-serializing loaded data reproduces the original
 bytes. Dict keys keep insertion order; nothing here depends on hash order or
-locale. A number read from JSON input must be a JSON number (``json_float``,
-``json_int``, ``json_floats``).
+locale. A number read from JSON input must be a JSON number or a numpy
+scalar, never a bool or a string (``json_float``, ``json_int``,
+``json_floats``); the config dataclasses read their own fields through these,
+so the Python API and the command line share one set of rules.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ def format_float(value: float) -> str:
 
 
 def json_float(value, name: str, expected: str = "a number") -> float:
-    """A decoded JSON number as a float. Raises TypeError for a bool or any
-    other non-number, OverflowError for an int too large for a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON number or numpy scalar as a float. Raises TypeError for a bool
+    or any other non-number, OverflowError for an int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise TypeError(f"{name} must be {expected}, got {value!r}")
     try:
         return float(value)
@@ -35,13 +37,13 @@ def json_float(value, name: str, expected: str = "a number") -> float:
 
 
 def json_int(value, name: str) -> int:
-    """A decoded JSON integer as an int; an integral float counts. Raises
-    TypeError for a bool, a non-integral float or any other non-number."""
-    if isinstance(value, float) and value.is_integer():
+    """A JSON integer or numpy scalar as an int; an integral float counts.
+    Raises TypeError for a bool, a non-integral float or any non-number."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def json_floats(value, name: str) -> list[float]:

@@ -16,14 +16,14 @@ prediction back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, batch_project, batch_screen_normalize
 from .canonical import batch_back_transform, batch_canonicalize_2d, batch_canonicalize_3d, batch_project_centered
 from .errors import DimensionMismatchError, FrameMismatchError, SingularMatrixError
-from .jsonfmt import dumps
+from .jsonfmt import dumps, json_float, json_int
 from .metrics import mpjpe, p_mpjpe
 from .skeleton import get_skeleton
 from .synth import Box3, SynthConfig, generate_pose_array, pose_rng
@@ -61,14 +61,21 @@ class LinearLifter:
             raise ValueError("weights must be finite")
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-        if not (np.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
-            raise ValueError(f"ridge_lambda must be >= 0, got {self.ridge_lambda!r}")
+        object.__setattr__(self, "ridge_lambda", _ridge_lambda(self.ridge_lambda))
         if self.mapping_kind not in MAPPING_KINDS:
             raise ValueError(f"mapping_kind must be one of {MAPPING_KINDS}, got {self.mapping_kind!r}")
 
     @property
     def n_joints(self) -> int:
         return self.weights.shape[1] // 3
+
+
+def _ridge_lambda(value) -> float:
+    """``value`` as a ridge penalty: a finite number >= 0."""
+    value = json_float(value, "ridge_lambda")
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"ridge_lambda must be >= 0, got {value!r}")
+    return value
 
 
 def _fit_arrays(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
@@ -135,8 +142,8 @@ def fit(pairs, ridge_lambda: float, mapping_kind: str = "conventional") -> Linea
         ys[i] = pose3d.joints.ravel()
     if len(pairs) < 2 * n_joints + 1:
         raise DimensionMismatchError(f"need at least {2 * n_joints + 1} pairs for {n_joints} joints, got {len(pairs)}")
-    lifter = LinearLifter(_fit_arrays(xs, ys, float(ridge_lambda)), float(ridge_lambda), mapping_kind)
-    return lifter
+    ridge_lambda = _ridge_lambda(ridge_lambda)
+    return LinearLifter(_fit_arrays(xs, ys, ridge_lambda), ridge_lambda, mapping_kind)
 
 
 def _predict_arrays(lifter: LinearLifter, x: np.ndarray) -> np.ndarray:
@@ -176,8 +183,9 @@ class LiftingStudyConfig:
 
     The principal point is deliberately off-center so nothing silently
     relies on cx = W/2. Train and test regions are not required to be
-    disjoint — the sanity control evaluates on the training region. Each
-    pose draw is checked as the SynthConfig that generates it.
+    disjoint — the sanity control evaluates on the training region. Counts
+    and the seed are read through ``json_int``, other numbers ``json_float``;
+    each pose draw is checked as the SynthConfig that generates it.
     """
 
     train_root_region: Box3 = DEFAULT_TRAIN_REGION
@@ -192,13 +200,15 @@ class LiftingStudyConfig:
     skeleton_name: str = "h36m17"
 
     def __post_init__(self):
+        for name in ("n_train", "n_test", "seed"):
+            object.__setattr__(self, name, json_int(getattr(self, name), name))
+        for name in ("noise_sigma", "limb_scale"):
+            object.__setattr__(self, name, json_float(getattr(self, name), name))
+        object.__setattr__(self, "ridge_lambda", _ridge_lambda(self.ridge_lambda))
         for draw in ("train", "test"):
             self._draw(draw)
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
-        if not (np.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
-            raise ValueError(f"ridge_lambda must be >= 0, got {self.ridge_lambda!r}")
-        object.__setattr__(self, "seed", int(self.seed))
         get_skeleton(self.skeleton_name)
 
     def _draw(self, draw: str) -> SynthConfig:
@@ -211,18 +221,19 @@ class LiftingStudyConfig:
             raise ValueError(f"{draw}: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "train_root_region": self.train_root_region.to_dict(),
-            "test_root_region": self.test_root_region.to_dict(),
-            "noise_sigma": self.noise_sigma,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "seed": self.seed,
-            "ridge_lambda": self.ridge_lambda,
-            "camera": self.camera.to_dict(),
-            "limb_scale": self.limb_scale,
-            "skeleton": self.skeleton_name,
-        }
+        """The config in plain JSON types, keyed as ``study --config`` reads it."""
+        return _plain(self)
+
+
+# Config keys that differ from their field names, in ``--config`` and ``to_dict``.
+_CONFIG_KEYS = {"skeleton_name": "skeleton"}
+
+
+def _plain(value):
+    """A config value in plain JSON types: a dataclass as an object, an array as a list."""
+    if is_dataclass(value):
+        return {_CONFIG_KEYS.get(f.name, f.name): _plain(getattr(value, f.name)) for f in fields(value)}
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 @dataclass(frozen=True, eq=False)

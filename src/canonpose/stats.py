@@ -16,7 +16,6 @@ from .camera import CameraIntrinsics, Frame, Space, _vector_norms, batch_project
 from .canonical import batch_project_centered
 from .errors import BehindCameraError
 from .jsonfmt import format_float
-from .skeleton import Skeleton
 
 HIST_BINS = 64
 # Cross products below this norm give no usable orientation direction.
@@ -137,20 +136,18 @@ def pelvis_position_distribution(
     )
 
 
-def body_orientation_distribution(sequences, skeleton: Skeleton | None = None) -> DistributionSummary:
-    """Unit body-facing directions: cross(left hip - right hip, torso - pelvis).
+def body_orientation_distribution(sequences) -> DistributionSummary:
+    """Unit body-facing directions: cross(left hip - right hip, torso - pelvis),
+    with the joints of each sequence's own skeleton.
 
     Frames whose cross product is shorter than EPS_ORIENTATION (hips parallel
     to the spine) yield no direction and are tallied in ``n_degenerate``.
-
-    Args:
-        sequences: input sequences, 3D poses required.
-        skeleton: overrides each sequence's own skeleton when given.
+    Frames without 3D joints are skipped.
     """
     directions = []
     degenerate = 0
     for seq in sequences:
-        skel = skeleton if skeleton is not None else seq.skeleton
+        skel = seq.skeleton
         joints, present, _ = seq._channel(3)
         if not present.any():
             continue

@@ -36,6 +36,7 @@ from .canonical import (
     batch_project_centered,
     residual_offset,
 )
+from .jsonfmt import json_float, json_floats, json_int
 from .skeleton import H36M17, Skeleton
 
 # Streams with the same seed never overlap: each pose index selects a
@@ -52,14 +53,14 @@ def pose_rng(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class Box3:
-    """Axis-aligned box in camera space, meters."""
+    """Axis-aligned box in camera space, meters; bounds are read through ``json_floats``."""
 
     low: np.ndarray
     high: np.ndarray
 
     def __post_init__(self):
-        low = np.array(self.low, dtype=np.float64).reshape(3)
-        high = np.array(self.high, dtype=np.float64).reshape(3)
+        low = np.array(json_floats(self.low, "low")).reshape(3)
+        high = np.array(json_floats(self.high, "high")).reshape(3)
         if not (np.isfinite(low).all() and np.isfinite(high).all()):
             raise ValueError("box bounds must be finite")
         if (low > high).any():
@@ -73,9 +74,6 @@ class Box3:
         pts = np.asarray(points, dtype=np.float64)
         return ((pts >= self.low) & (pts <= self.high)).all(axis=-1)
 
-    def to_dict(self) -> dict:
-        return {"low": self.low.tolist(), "high": self.high.tolist()}
-
 
 DEFAULT_ROOT_REGION = Box3((-0.5, -0.5, 3.0), (0.5, 0.5, 5.0))
 # Roots closer than this to the camera make limbs liable to cross the camera
@@ -86,7 +84,8 @@ MIN_ROOT_DEPTH = 0.5
 @dataclass(frozen=True, eq=False)
 class SynthConfig:
     """Generator configuration; the generator is camera-free (it produces 3D
-    poses)."""
+    poses). The seed and the count are integers (``jsonfmt.json_int``), the
+    limb scale a number (``json_float``)."""
 
     seed: int
     n_poses: int
@@ -94,14 +93,13 @@ class SynthConfig:
     root_region: Box3 = DEFAULT_ROOT_REGION
 
     def __post_init__(self):
-        seed = int(self.seed)
-        if not 0 <= seed < 2**64:
+        object.__setattr__(self, "seed", json_int(self.seed, "seed"))
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "n_poses", int(self.n_poses))
+        object.__setattr__(self, "n_poses", json_int(self.n_poses, "n_poses"))
         if self.n_poses < 1:
             raise ValueError(f"n_poses must be >= 1, got {self.n_poses}")
-        object.__setattr__(self, "limb_scale", float(self.limb_scale))
+        object.__setattr__(self, "limb_scale", json_float(self.limb_scale, "limb_scale"))
         if not (np.isfinite(self.limb_scale) and self.limb_scale > 0):
             raise ValueError(f"limb_scale must be positive, got {self.limb_scale!r}")
         if self.root_region.low[2] <= MIN_ROOT_DEPTH:
@@ -109,14 +107,6 @@ class SynthConfig:
                 f"root_region must lie entirely at Z > {MIN_ROOT_DEPTH} m, "
                 f"got low Z = {self.root_region.low[2]}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_poses": self.n_poses,
-            "limb_scale": self.limb_scale,
-            "root_region": self.root_region.to_dict(),
-        }
 
 
 # Rest template for the default skeleton: per-edge unit direction (camera
@@ -261,6 +251,11 @@ def random_intrinsics(rng: np.random.Generator) -> CameraIntrinsics:
 CONSISTENCY_THRESHOLD = 1e-9
 
 
+def _root_index(skeleton: Skeleton | None, n_joints: int) -> int:
+    """The skeleton's root, else H36M17's for 17 joints, else joint 0."""
+    return (skeleton or H36M17).root_index if skeleton or n_joints == H36M17.n_joints else 0
+
+
 @dataclass(frozen=True, eq=False)
 class ConsistencyReport:
     """Per-pose discrepancy between the 3D and 2D canonicalization paths."""
@@ -326,7 +321,7 @@ def consistency_oracle(
         if not poses:
             return ConsistencyReport(np.zeros(0), ())
         points = np.stack([pose.joints for pose in poses])
-    root = (skeleton or H36M17).root_index if skeleton or points.shape[1] == H36M17.n_joints else 0
+    root = _root_index(skeleton, points.shape[1])
     k2 = intrinsics_2d_path if intrinsics_2d_path is not None else intrinsics
 
     def both_paths(pts: np.ndarray) -> np.ndarray:
@@ -389,7 +384,7 @@ def many_to_one_demo(
     """
     base = base_pose_root_relative.joints if isinstance(base_pose_root_relative, Pose3D) else base_pose_root_relative
     base = np.asarray(base, dtype=np.float64)
-    root = (skeleton or H36M17).root_index if skeleton or base.shape[0] == H36M17.n_joints else 0
+    root = _root_index(skeleton, base.shape[0])
     if np.abs(base[root]).max() > 1e-12:
         raise ValueError("base pose must be root-relative (root at the origin)")
     offsets = np.asarray(positions, dtype=np.float64).reshape(-1, 3)

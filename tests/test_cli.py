@@ -398,3 +398,39 @@ def test_stats_csv_headers_keep_their_width_without_samples(tmp_path, camera_fil
     ):
         assert (csv_dir / f"{name}.csv").read_text() == header + "\n"
     assert (csv_dir / "joint_scatter_2d_px.csv").read_text().startswith("x,y\n")
+
+
+def test_study_report_config_block_is_a_valid_config(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_train": 600, "n_test": 200}))
+    first = tmp_path / "first.json"
+    assert run(["study", "--config", str(config), "--output", str(first)]) == 0
+    block = json.loads(first.read_text())["config"]
+    assert {"camera", "skeleton", "train_root_region"} <= set(block)
+
+    config.write_text(json.dumps(block))
+    again = tmp_path / "again.json"
+    assert run(["study", "--config", str(config), "--output", str(again)]) == 0
+    assert again.read_text() == first.read_text()  # the config block included, byte for byte
+
+    capsys.readouterr()
+    for change, needle in (
+        ({"camera": dict(block["camera"], fx=True)}, "error: camera: fx must be a number, got True"),
+        ({"skeleton": "nope"}, "error: unknown skeleton 'nope'"),
+    ):
+        config.write_text(json.dumps(dict(block, **change)))
+        out = tmp_path / "bad.json"
+        assert run(["study", "--config", str(config), "--output", str(out)]) == 1
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_synth_config_seed_sits_under_the_seed_flag(tmp_path):
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({"seed": 3}))
+    from_file = tmp_path / "file.ndjson"
+    assert run(["synth", "--count", "5", "--config", str(config), "--output", str(from_file)]) == 0
+    assert from_file.read_text() == open(synth_file(tmp_path, count=5, seed=3)).read()
+    flagged = tmp_path / "flag.ndjson"
+    assert run(["synth", "--count", "5", "--config", str(config), "--seed", "4", "--output", str(flagged)]) == 0
+    assert flagged.read_text() == open(synth_file(tmp_path, count=5, seed=4)).read()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from canonpose.camera import Frame, Pose2D, Pose3D, Space
+from canonpose.camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space
 from canonpose.errors import (
     DimensionMismatchError,
     FrameMismatchError,
@@ -14,7 +14,7 @@ from canonpose.lift import (
     predict,
     run_study,
 )
-from canonpose.synth import Box3
+from canonpose.synth import Box3, SynthConfig
 
 
 def _planted_pairs(rng, n=60, n_joints=4, noise=0.0):
@@ -160,3 +160,20 @@ def test_study_config_validation():
         _tiny_config(train_root_region=Box3((0, 0, 0.1), (1, 1, 1)))
     d = _tiny_config().to_dict()
     assert d["n_train"] == 600 and d["skeleton"] == "h36m17"
+
+
+def test_config_dataclasses_read_numbers_as_the_command_line_does():
+    camera = dict(fx=1100.0, fy=1100.0, cx=510.0, cy=505.0, width=1000.0, height=1000.0)
+    for build in (
+        lambda: LiftingStudyConfig(n_train=600.5),
+        lambda: SynthConfig(seed=0, n_poses=2.7),
+        lambda: SynthConfig(seed=0, n_poses=1, limb_scale=True),
+        lambda: CameraIntrinsics(**dict(camera, fx="1100")),
+        lambda: Box3((True, 0, 3), (1, 1, 5)),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    config = SynthConfig(seed=np.int64(3), n_poses=np.int64(2))
+    assert (config.seed, config.n_poses) == (3, 2) and type(config.n_poses) is int
+    intrinsics = CameraIntrinsics(**{key: np.float32(value) for key, value in camera.items()})
+    assert intrinsics.to_dict() == camera and type(intrinsics.fx) is float

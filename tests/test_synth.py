@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from canonpose import skeleton as skeleton_module
 from canonpose.camera import CameraIntrinsics, Frame
+from canonpose.skeleton import Skeleton, get_skeleton, register_skeleton
 from canonpose.synth import (
     DEFAULT_ROOT_REGION,
     Box3,
@@ -177,3 +179,25 @@ def test_many_to_one_demo_validation(skeleton, intrinsics):
     base = pts - pts[skeleton.root_index]
     with pytest.raises(ValueError, match="Z"):
         many_to_one_demo(base, [[0.0, 0.0, -1.0]], intrinsics, skeleton)
+
+
+def test_other_skeletons_grow_from_the_golden_spiral_template(monkeypatch):
+    monkeypatch.setattr(skeleton_module, "_REGISTRY", dict(skeleton_module._REGISTRY))  # undone after the test
+    chain = Skeleton(
+        name="chain4",
+        joint_names=("root", "left_hip", "right_hip", "torso"),
+        root_index=0,
+        left_hip_index=1,
+        right_hip_index=2,
+        torso_index=3,
+        edges=((0, 1), (1, 2), (2, 3)),
+    )
+    register_skeleton(chain)
+    skeleton = get_skeleton("chain4")
+    config = SynthConfig(seed=5, n_poses=200, limb_scale=1.5)
+    pts = generate_pose_array(config, skeleton)
+    assert pts.shape == (200, 4, 3) and np.isfinite(pts).all()
+    np.testing.assert_array_equal(pts, generate_pose_array(config, skeleton))
+    bones = np.stack([np.linalg.norm(pts[:, c] - pts[:, p], axis=-1) for p, c in skeleton.edges])
+    nominal = 0.3 * config.limb_scale
+    assert bones.min() >= nominal * 0.9 - 1e-12 and bones.max() <= nominal * 1.1 + 1e-12
