@@ -26,7 +26,7 @@ from .errors import DimensionMismatchError, FrameMismatchError, SingularMatrixEr
 from .jsonfmt import dumps, json_float, json_int
 from .metrics import mpjpe, p_mpjpe
 from .skeleton import get_skeleton
-from .synth import Box3, SynthConfig, generate_pose_array, pose_rng
+from .synth import Box3, SynthConfig, _check_type, generate_pose_array, pose_rng
 
 MAPPING_KINDS = ("conventional", "canonical")
 
@@ -185,7 +185,9 @@ class LiftingStudyConfig:
     relies on cx = W/2. Train and test regions are not required to be
     disjoint — the sanity control evaluates on the training region. Counts
     and the seed are read through ``json_int``, other numbers ``json_float``;
-    each pose draw is checked as the SynthConfig that generates it.
+    the regions, camera and skeleton name must be a ``Box3``, a
+    ``CameraIntrinsics`` and a ``str``. Each pose draw is checked as the
+    SynthConfig that generates it.
     """
 
     train_root_region: Box3 = DEFAULT_TRAIN_REGION
@@ -200,6 +202,13 @@ class LiftingStudyConfig:
     skeleton_name: str = "h36m17"
 
     def __post_init__(self):
+        for name, kind in (
+            ("train_root_region", Box3),
+            ("test_root_region", Box3),
+            ("camera", CameraIntrinsics),
+            ("skeleton_name", str),
+        ):
+            _check_type(getattr(self, name), kind, _CONFIG_KEYS.get(name, name))
         for name in ("n_train", "n_test", "seed"):
             object.__setattr__(self, name, json_int(getattr(self, name), name))
         for name in ("noise_sigma", "limb_scale"):

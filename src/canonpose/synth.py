@@ -8,7 +8,12 @@ on purpose; the consumers test geometry, not biomechanics.
 
 Randomness is counter-based: every pose is drawn from its own Philox stream
 keyed by (seed, stream offset + pose index), so generation order, batching,
-and thread count cannot change the output.
+and thread count cannot change the output. Each pose's stream is read in one
+fixed order, which is the generator's output contract: 6 + E uniforms in
+[0, 1) (root x, y, z, yaw, lean azimuth, lean angle, then E bone-length
+jitters), E x 3 standard normals (swing axes), then E uniforms (swing
+angles), for a skeleton with E edges. A uniform on [low, high) is
+``low + (high - low) * u``, the arithmetic of ``Generator.uniform``.
 
 The oracles (`consistency_oracle`, `many_to_one_demo`) exercise the public
 camera/canonical operations against each other; the only math re-derived
@@ -75,6 +80,12 @@ class Box3:
         return ((pts >= self.low) & (pts <= self.high)).all(axis=-1)
 
 
+def _check_type(value, kind: type, name: str) -> None:
+    """Raise a TypeError naming ``name`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 DEFAULT_ROOT_REGION = Box3((-0.5, -0.5, 3.0), (0.5, 0.5, 5.0))
 # Roots closer than this to the camera make limbs liable to cross the camera
 # plane; generation refuses such regions outright.
@@ -85,7 +96,7 @@ MIN_ROOT_DEPTH = 0.5
 class SynthConfig:
     """Generator configuration; the generator is camera-free (it produces 3D
     poses). The seed and the count are integers (``jsonfmt.json_int``), the
-    limb scale a number (``json_float``)."""
+    limb scale a number (``json_float``), the root region a ``Box3``."""
 
     seed: int
     n_poses: int
@@ -102,6 +113,7 @@ class SynthConfig:
         object.__setattr__(self, "limb_scale", json_float(self.limb_scale, "limb_scale"))
         if not (np.isfinite(self.limb_scale) and self.limb_scale > 0):
             raise ValueError(f"limb_scale must be positive, got {self.limb_scale!r}")
+        _check_type(self.root_region, Box3, "root_region")
         if self.root_region.low[2] <= MIN_ROOT_DEPTH:
             raise ValueError(
                 f"root_region must lie entirely at Z > {MIN_ROOT_DEPTH} m, "
@@ -169,6 +181,11 @@ def _rotate_about_axes(vectors: np.ndarray, axes: np.ndarray, angles: np.ndarray
     return vectors * cos + np.cross(axes, vectors) * sin + axes * dot * (1.0 - cos)
 
 
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Uniforms in [low, high) from ``random()`` draws, as ``Generator.uniform`` computes them."""
+    return low + (high - low) * u
+
+
 def generate_pose_array(config: SynthConfig, skeleton: Skeleton, stream: int = 0) -> np.ndarray:
     """Generate (n_poses, J, 3) camera-frame joints.
 
@@ -179,24 +196,33 @@ def generate_pose_array(config: SynthConfig, skeleton: Skeleton, stream: int = 0
     rest_dirs, rest_lens = _rest_template(skeleton)
     n, e = config.n_poses, len(edges)
 
-    roots = np.empty((n, 3))
-    yaws = np.empty(n)
-    lean_azimuths = np.empty(n)
-    lean_angles = np.empty(n)
-    jitters = np.empty((n, e))
+    # Three draws per pose, in the order the module docstring fixes. One
+    # Philox is re-keyed to (seed, base + i) with counter 0 and an empty
+    # buffer per pose: the state a fresh ``pose_rng(seed, base + i)`` starts in.
+    heads = np.empty((n, 6 + e))
     axes = np.empty((n, e, 3))
-    angles = np.empty((n, e))
+    swings = np.empty((n, e))
     base = stream * STREAM_SPAN
-    low, span = config.root_region.low, config.root_region.high - config.root_region.low
+    key = [config.seed, base]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    rng = np.random.Generator(bits)
     for i in range(n):
-        rng = pose_rng(config.seed, base + i)
-        roots[i] = low + rng.uniform(size=3) * span
-        yaws[i] = rng.uniform(0.0, 2.0 * np.pi)
-        lean_azimuths[i] = rng.uniform(0.0, 2.0 * np.pi)
-        lean_angles[i] = rng.uniform(0.0, MAX_BODY_TILT)
-        jitters[i] = rng.uniform(-BONE_LENGTH_JITTER, BONE_LENGTH_JITTER, size=e)
-        axes[i] = rng.standard_normal(size=(e, 3))
-        angles[i] = rng.uniform(0.0, MAX_BONE_SWING, size=e)
+        key[1] = base + i
+        bits.state = state
+        rng.random(out=heads[i])
+        rng.standard_normal(out=axes[i])
+        rng.random(out=swings[i])
+
+    # A root's unit uniform is the draw itself: ``uniform()`` is 0 + 1 * u == u.
+    low, span = config.root_region.low, config.root_region.high - config.root_region.low
+    roots = low + heads[:, :3] * span
+    yaws = _uniform(heads[:, 3], 0.0, 2.0 * np.pi)
+    lean_azimuths = _uniform(heads[:, 4], 0.0, 2.0 * np.pi)
+    lean_angles = _uniform(heads[:, 5], 0.0, MAX_BODY_TILT)
+    jitters = _uniform(heads[:, 6:], -BONE_LENGTH_JITTER, BONE_LENGTH_JITTER)
+    angles = _uniform(swings, 0.0, MAX_BONE_SWING)
 
     norms = np.linalg.norm(axes, axis=-1, keepdims=True)
     axes = np.where(norms > 1e-12, axes / np.where(norms > 0, norms, 1.0), [0.0, 0.0, 1.0])

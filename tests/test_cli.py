@@ -434,3 +434,14 @@ def test_synth_config_seed_sits_under_the_seed_flag(tmp_path):
     flagged = tmp_path / "flag.ndjson"
     assert run(["synth", "--count", "5", "--config", str(config), "--seed", "4", "--output", str(flagged)]) == 0
     assert flagged.read_text() == open(synth_file(tmp_path, count=5, seed=4)).read()
+
+
+@pytest.mark.parametrize("skeleton", [[1], 5, None])
+def test_study_config_skeleton_must_be_a_name(tmp_path, capsys, skeleton):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"skeleton": skeleton}))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["study", "--config", str(path), "--output", str(out)]) == 1
+    assert f"error: skeleton must be a str, got {skeleton!r}" in capsys.readouterr().err
+    assert not out.exists()

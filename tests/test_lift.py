@@ -177,3 +177,19 @@ def test_config_dataclasses_read_numbers_as_the_command_line_does():
     assert (config.seed, config.n_poses) == (3, 2) and type(config.n_poses) is int
     intrinsics = CameraIntrinsics(**{key: np.float32(value) for key, value in camera.items()})
     assert intrinsics.to_dict() == camera and type(intrinsics.fx) is float
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: LiftingStudyConfig(n_train=600, n_test=200, camera={"fx": 1}), "camera"),
+        (lambda: LiftingStudyConfig(train_root_region="x"), "train_root_region"),
+        (lambda: LiftingStudyConfig(test_root_region=((0.8, 0.5, 3), (1.8, 1.1, 5))), "test_root_region"),
+        (lambda: LiftingStudyConfig(skeleton_name=["h36m17"]), "skeleton"),
+        (lambda: SynthConfig(seed=0, n_poses=1, root_region=((0, 0, 3), (1, 1, 4))), "root_region"),
+    ],
+    ids=["study-camera", "study-train-region", "study-test-region", "study-skeleton", "synth-root-region"],
+)
+def test_config_object_fields_are_type_checked_at_construction(build, field):
+    with pytest.raises(TypeError, match=f"^{field} must be a "):
+        build()
