@@ -13,6 +13,7 @@ Errors go to stderr; data goes to --output or stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -29,8 +30,9 @@ from .dataset import (
     apply_extrinsics,
     canonicalize_dataset,
     load_sequences,
-    serialize_sequences,
+    serialize_sequences,  # noqa: F401 -- perfbench/spans.py wraps this name
     window,
+    write_sequences,
 )
 from .errors import DataError
 from .jsonfmt import dumps
@@ -107,10 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
         "eval",
         help="score predictions against ground truth (millimeters)",
         description="Score predicted 3D joints against ground truth, matched by "
-        "(subject, action, camera) and frame order. Both sides are root-centered before "
+        "(subject, action, camera) and frame number. Both sides are root-centered before "
         "scoring; the result is printed in millimeters (internal math is in meters). A "
-        "sequence whose 3D is in the camera frame on one side and the canonical frame on "
-        "the other is refused, not scored.",
+        "sequence is refused, not scored, when its frame numbers differ between the sides "
+        "(same numbers, same order) or when its 3D is in the camera frame on one side and "
+        "the canonical frame on the other.",
     )
     p.add_argument("--pred", required=True, help="predictions, NDJSON with joints_3d")
     p.add_argument("--gt", required=True, help="ground truth, NDJSON with joints_3d")
@@ -190,12 +193,22 @@ def _read_config_json(path: str) -> dict:
     return config
 
 
-def _write_text(text: str, path: str | None) -> None:
+def _output(path: str | None):
+    """The text handle data goes to: ``path`` opened for writing, or stdout.
+    Commands open it only after every check on their data has passed."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _write_text(text: str, path: str | None) -> None:
+    with _output(path) as handle:
+        handle.write(text)
+
+
+def _write_sequences(sequences, path: str | None) -> None:
+    with _output(path) as handle:
+        write_sequences(sequences, handle)
 
 
 def _apply_extrinsics(sequences, extrinsics):
@@ -210,7 +223,7 @@ def _cmd_canonicalize(args) -> int:
         sequences = _apply_extrinsics(sequences, extrinsics)
     mode = "3d-path" if args.mode == "3d" else "2d-path"
     result = canonicalize_dataset(sequences, intrinsics, mode)
-    _write_text(serialize_sequences(result), args.output)
+    _write_sequences(result, args.output)
     return 0
 
 
@@ -235,14 +248,15 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _stacked_3d(sequences, label: str) -> dict[tuple, tuple[np.ndarray, Frame]]:
-    """{key: ((T, J, 3) joints, frame tag)} of every sequence of a loaded file."""
+def _stacked_3d(sequences, label: str) -> dict[tuple, tuple[np.ndarray, Frame, list[int]]]:
+    """{key: ((T, J, 3) joints, frame tag, frame numbers)} of every sequence
+    of a loaded file."""
     stacks = {}
     for seq in sequences:
         joints, present, frame = seq._channel(3)
         if not present.all():
             raise DataError(f"{label}: sequence {seq.key} has frames without 3D joints")
-        stacks[seq.key] = joints, frame
+        stacks[seq.key] = joints, frame, seq._take(seq._columns.index).tolist()
     return stacks
 
 
@@ -256,8 +270,8 @@ def _cmd_eval(args) -> int:
     if missing:
         raise DataError(f"prediction sequences missing from ground truth: {sorted(missing)}")
     preds, gts = [], []
-    for key, (pred_joints, pred_frame) in pred.items():
-        gt_joints, gt_frame = gt[key]
+    for key, (pred_joints, pred_frame, pred_index) in pred.items():
+        gt_joints, gt_frame, gt_index = gt[key]
         if pred_frame is not gt_frame:
             raise DataError(
                 f"sequence {key}: --pred 3D is in the '{pred_frame.value}' frame, --gt 3D in the "
@@ -265,6 +279,12 @@ def _cmd_eval(args) -> int:
             )
         if pred_joints.shape != gt_joints.shape:
             raise DataError(f"sequence {key}: prediction shape {pred_joints.shape} != ground truth {gt_joints.shape}")
+        if pred_index != gt_index:
+            at = next(i for i, (p, g) in enumerate(zip(pred_index, gt_index)) if p != g)
+            raise DataError(
+                f"sequence {key}: at position {at} --pred has frame {pred_index[at]}, --gt frame "
+                f"{gt_index[at]}; frames are matched by number"
+            )
         preds.append(pred_joints)
         gts.append(gt_joints)
     pred_arr = np.concatenate(preds)
@@ -322,7 +342,7 @@ def _cmd_synth(args) -> int:
     pixels, has_2d = (batch_project(points, intrinsics), present) if intrinsics is not None else (None, ~present)
     columns = _Columns(np.arange(n).astype(object), pixels, has_2d, points, present)
     sequence = PoseSequence._of("synth", f"seed{synth_config.seed}", "cam0", 50.0, skeleton, columns)
-    _write_text(serialize_sequences([sequence]), args.output)
+    _write_sequences([sequence], args.output)
     return 0
 
 
@@ -344,7 +364,7 @@ def _cmd_window(args) -> int:
         for k, win in enumerate(window(seq, spec, args.pad)):
             name = (win.subject, f"{win.action}#w{k:04d}", win.camera_id)
             out.append(PoseSequence._of(*name, win.fps, win.skeleton, win._columns, win._rows))
-    _write_text(serialize_sequences(out), args.output)
+    _write_sequences(out, args.output)
     return 0
 
 

@@ -20,6 +20,14 @@ bit-exact and re-saving a loaded file reproduces it byte for byte. Records
 are grouped into sequences by (subject, action, camera) in first-appearance
 order, frames in file order.
 
+Text is written in blocks of at most ``_BLOCK_ROWS`` lines, never whole. A
+row's body (from ``"frame"`` to the newline) is formatted once while
+consecutive sequences share its arrays, as the windows of one sequence do.
+Loading, canonicalization and windowing return complete lists, so every
+check on the data has run before an output is opened, and a refused input
+leaves an existing file as it was; formatting checked arrays cannot fail.
+An I/O error during the write leaves a partial file.
+
 Input checks run once per array, not once per frame. Line-level checks
 (JSON, names, frame number, joint shapes, counts and finiteness, canon block
 shapes and root depth, and that every joint, rotation and source value is a
@@ -386,7 +394,8 @@ def _joints_template(width: int, n_joints: int) -> str:
 
 @functools.lru_cache(maxsize=64)
 def _body_template(n_joints: int, shape: int) -> str:
-    """The part of a record line after the names, for one line shape.
+    """The part of a record line after the names, up to its newline, for one
+    line shape.
 
     Slots, in order: the frame index, the 2D joints, the 3D joints, the
     rotation, the source vector and the root depth, each that is present.
@@ -405,51 +414,97 @@ def _body_template(n_joints: int, shape: int) -> str:
                 FLOAT_FORMAT if shape & _HAS_DEPTH else "null",
             )
         )
-    return ", ".join(parts) + "}"
+    return ", ".join(parts) + "}\n"
 
 
-def _sequence_lines(seq: PoseSequence) -> list[str]:
-    # Names are baked into the line template, so a "%" in one must be doubled.
-    prefix = '{"subject": %s, "action": %s, "camera": %s, ' % tuple(
-        json.dumps(name).replace("%", "%%") for name in seq.key
-    )
-    cols, n = seq._columns, seq.n_frames
-    shapes = seq._take(cols.has_2d) * _HAS_2D + seq._take(cols.has_3d) * _HAS_3D
+def _bodies(cols: _Columns, n_joints: int, lo: int, hi: int) -> list[str]:
+    """The line bodies (from ``"frame"`` to the newline) of rows lo..hi-1 of ``cols``."""
+    shapes = cols.has_2d[lo:hi] * _HAS_2D + cols.has_3d[lo:hi] * _HAS_3D
     slots = [(_HAS_2D, cols.joints_2d), (_HAS_3D, cols.joints_3d)]
     if cols.rotations is not None:
-        shapes += _HAS_CANON + seq._take(cols.has_depth) * _HAS_DEPTH
+        shapes += _HAS_CANON + cols.has_depth[lo:hi] * _HAS_DEPTH
         slots += [(_HAS_CANON, cols.rotations), (_HAS_CANON, cols.sources), (_HAS_DEPTH, cols.depths)]
-    # (n, K) float slots in template order; a line shape skips the slots it lacks.
-    slots = [(bit, seq._take(values).reshape(n, -1)) for bit, values in slots if values is not None]
-    index = seq._take(cols.index)
+    # (rows, K) float slots in template order; a line shape skips the slots it lacks.
+    slots = [(bit, values[lo:hi].reshape(hi - lo, -1)) for bit, values in slots if values is not None]
+    index = cols.index[lo:hi]
     kinds = np.unique(shapes).tolist()
-    lines: list = [None] * n
+    bodies: list = [None] * (hi - lo)
     for shape in kinds:
         at = np.flatnonzero(shapes == shape)
-        # Nearly every sequence has one shape: it is converted whole, with one tolist().
+        # Nearly every block has one shape: it is converted whole, with one tolist().
         rows = at if len(kinds) > 1 else slice(None)
         values = np.concatenate([arr[rows] for bit, arr in slots if shape & bit], axis=1).tolist()
-        template = prefix + _body_template(seq.skeleton.n_joints, shape)
+        template = _body_template(n_joints, shape)
         for i, frame_no, row in zip(at.tolist(), index[rows].tolist(), values):
-            lines[i] = template % (frame_no, *row)
-    return lines
+            bodies[i] = template % (frame_no, *row)
+    return bodies
+
+
+# Rows of a source rendered at once, and most lines in one block of text.
+_BLOCK_ROWS = 2048
+
+
+def _line_runs(seq: PoseSequence, bodies: dict, keep: int):
+    """Runs of ``seq``'s lines, each a flat list of (name prefix, body) pieces.
+
+    ``bodies`` maps a block number of ``seq``'s source rows to those rows'
+    bodies; a missing block is rendered and added. Blocks that end at or
+    before both the current row and ``keep`` are dropped first.
+    """
+    prefix = '{"subject": %s, "action": %s, "camera": %s, ' % tuple(map(json.dumps, seq.key))
+    cols, (start, stop, pad) = seq._columns, seq._rows
+    row = start
+    while row < stop:
+        for done in [block for block in bodies if (block + 1) * _BLOCK_ROWS <= min(row, keep)]:
+            del bodies[done]
+        block = row // _BLOCK_ROWS
+        base = block * _BLOCK_ROWS
+        if block not in bodies:
+            bodies[block] = _bodies(cols, seq.skeleton.n_joints, base, min(base + _BLOCK_ROWS, len(cols.index)))
+        end = min(stop, base + _BLOCK_ROWS)
+        run = [prefix] * (2 * (end - row))
+        run[1::2] = bodies[block][row - base : end - base]
+        yield run
+        row = end
+    yield [prefix, bodies[(stop - 1) // _BLOCK_ROWS][(stop - 1) % _BLOCK_ROWS]] * pad
+
+
+def _text_blocks(sequences: list):
+    """The NDJSON text of ``sequences``: the header, then blocks of at most
+    ``_BLOCK_ROWS`` lines. Only the current source's rendered bodies are
+    held, and of those only the blocks that the rest of the current
+    sequence, or the next one if it shares the source, still needs.
+    """
+    if sequences and len({(seq.fps, seq.skeleton.name) for seq in sequences}) == 1:
+        yield '{"meta": {"skeleton": %s, "unit_scale": 1, "fps": %s}}\n' % (
+            json.dumps(sequences[0].skeleton.name), format_float(sequences[0].fps)
+        )
+    pieces: list[str] = []
+    source, bodies = None, {}
+    for seq, after in zip(sequences, [*sequences[1:], None]):
+        if seq._columns is not source:
+            source, bodies = seq._columns, {}
+        keep = after._rows[0] if after is not None and after._columns is source else seq._rows[1]
+        for run in _line_runs(seq, bodies, keep):
+            pieces += run
+            while len(pieces) >= 2 * _BLOCK_ROWS:
+                yield "".join(pieces[: 2 * _BLOCK_ROWS])
+                del pieces[: 2 * _BLOCK_ROWS]
+    if pieces:
+        yield "".join(pieces)
 
 
 def serialize_sequences(sequences) -> str:
     """Render sequences as NDJSON text (deterministic, 17-digit floats)."""
-    sequences = list(sequences)
-    lines = []
-    if sequences:
-        fps_values = {seq.fps for seq in sequences}
-        names = {seq.skeleton.name for seq in sequences}
-        if len(fps_values) == 1 and len(names) == 1:
-            lines.append(
-                '{"meta": {"skeleton": %s, "unit_scale": 1, "fps": %s}}'
-                % (json.dumps(next(iter(names))), format_float(next(iter(fps_values))))
-            )
-    for seq in sequences:
-        lines.extend(_sequence_lines(seq))
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(_text_blocks(list(sequences)))
+
+
+def write_sequences(sequences, handle) -> None:
+    """Write sequences as NDJSON text to the open text ``handle``, one block
+    of lines at a time, so the whole text is never held at once. The bytes
+    are those of ``serialize_sequences``."""
+    for block in _text_blocks(list(sequences)):
+        handle.write(block)
 
 
 def save_sequences(sequences, path) -> None:
@@ -464,9 +519,8 @@ def save_sequences(sequences, path) -> None:
     sequences = list(sequences)
     if len({(seq.fps, seq.skeleton.name) for seq in sequences}) > 1:
         raise ValueError("sequences differ in fps or skeleton; save each kind to its own file")
-    text = serialize_sequences(sequences)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        write_sequences(sequences, fh)
 
 
 def _json_numbers(value, arr: np.ndarray) -> bool:

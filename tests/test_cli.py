@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,3 +446,22 @@ def test_study_config_skeleton_must_be_a_name(tmp_path, capsys, skeleton):
     assert run(["study", "--config", str(path), "--output", str(out)]) == 1
     assert f"error: skeleton must be a str, got {skeleton!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_matches_frames_by_number(tmp_path, capsys):
+    gt = synth_file(tmp_path, "gt.ndjson", count=3)
+    header, *records = Path(gt).read_text().splitlines()
+    # Frames 2, 1, 0 in that order, and frames 100-102: both were scored by
+    # position before.
+    reversed_records = [json.loads(line) for line in records[::-1]]
+    shifted_records = [dict(json.loads(line), frame=100 + t) for t, line in enumerate(records)]
+    for name, lines, first in (("reversed", reversed_records, (0, 2, 0)), ("shifted", shifted_records, (0, 100, 0))):
+        pred = tmp_path / f"{name}.ndjson"
+        pred.write_text("\n".join([header, *map(json.dumps, lines)]) + "\n")
+        assert run(["eval", "--pred", str(pred), "--gt", gt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sequence ('synth', 'seed0', 'cam0')" in captured.err
+        assert "at position %d --pred has frame %d, --gt frame %d" % first in captured.err
+    # The same frame numbers in the same order are scored.
+    assert run(["eval", "--pred", gt, "--gt", gt]) == 0
