@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BehindCameraError, FrameMismatchError, ParseError, SchemaError
-from .jsonfmt import json_float, json_floats
+from .jsonfmt import json_array, json_float
 
 # Joints with Z at or below this depth (meters) are rejected by projection.
 EPS_DEPTH = 1e-6
@@ -380,8 +380,7 @@ def load_camera_json(path) -> tuple[CameraIntrinsics, CameraExtrinsics | None]:
         rot = obj.get("R", (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
         trans = obj.get("t", (0.0, 0.0, 0.0))
         try:
-            rot = np.asarray(json_floats(rot, "R"), dtype=np.float64).reshape(3, 3)
-            extrinsics = CameraExtrinsics(rot, json_floats(trans, "t"))
+            extrinsics = CameraExtrinsics(json_array(rot, "R").reshape(3, 3), json_array(trans, "t"))
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{path}: invalid extrinsics: {exc}") from exc
     return intrinsics, extrinsics

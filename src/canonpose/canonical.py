@@ -88,13 +88,11 @@ class CanonicalRotation:
 
 def _check_rotations(matrices: np.ndarray, sources: np.ndarray):
     """The CanonicalRotation checks, run once over (N, 3, 3) matrices and
-    their (N, 3) source vectors; both arrays are made read-only.
+    their (N, 3) source vectors.
 
     Returns None when every frame passes, else (position, error) for the
     first failing frame, with the error the constructor raises for it.
     """
-    matrices.setflags(write=False)
-    sources.setflags(write=False)
     bad = _improper_rotations(matrices)
     bad |= ~np.isfinite(sources).all(axis=-1)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -105,6 +103,14 @@ def _check_rotations(matrices: np.ndarray, sources: np.ndarray):
         except ValueError as exc:
             return int(position), exc
     return None
+
+
+def _root_depth(value) -> float:
+    """``value`` as a root depth: a positive, finite float, else ValueError."""
+    depth = float(value)
+    if not np.isfinite(depth) or depth <= 0:
+        raise ValueError(f"root_depth must be positive and finite, got {depth!r}")
+    return depth
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,10 +137,7 @@ class CanonicalRecord:
             if self.root_depth is None:
                 raise ValueError("root_depth is required when canonical_3d is present")
         if self.root_depth is not None:
-            depth = float(self.root_depth)
-            if not np.isfinite(depth) or depth <= 0:
-                raise ValueError(f"root_depth must be positive and finite, got {depth!r}")
-            object.__setattr__(self, "root_depth", depth)
+            object.__setattr__(self, "root_depth", _root_depth(self.root_depth))
         if self.canonical_2d.space is not Space.IMAGE:
             raise ValueError("canonical_2d must be in image space")
 

@@ -17,12 +17,14 @@ import contextlib
 import dataclasses
 import json
 import os
+import signal
 import sys
 
 import numpy as np
 
 from .camera import Frame, batch_project, load_camera_json
 from .dataset import (
+    DEFAULT_FPS,
     PAD_POLICIES,
     PoseSequence,
     _Columns,
@@ -176,10 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _get_skeleton(name: str):
-    try:
-        return get_skeleton(name)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return _build(get_skeleton, {"name": name})
 
 
 def _read_config_json(path: str) -> dict:
@@ -240,9 +239,11 @@ def _cmd_stats(args) -> int:
         "joint_scatter_2d_px": joint_scatter_extent(sequences, "2d"),
         "joint_scatter_3d_root_relative_m": joint_scatter_extent(sequences, "3d-root-relative"),
     }
-    _write_text(dumps({k: v.to_dict() for k, v in summaries.items()}) + "\n", args.output)
+    # The CSV directory is made first, so a run refused for it writes nothing.
     if args.csv:
         os.makedirs(args.csv, exist_ok=True)
+    _write_text(dumps({k: v.to_dict() for k, v in summaries.items()}) + "\n", args.output)
+    if args.csv:
         for name, summary in summaries.items():
             write_samples_csv(summary, os.path.join(args.csv, f"{name}.csv"))
     return 0
@@ -323,10 +324,10 @@ def _config(cls, args, **under):
     return _build(cls, values)
 
 
-def _build(cls, values: dict, where: str = ""):
-    """``cls(**values)``; a bad value is a usage error, prefixed by ``where``."""
+def _build(make, values: dict, where: str = ""):
+    """``make(**values)``; a bad value is a usage error, prefixed by ``where``."""
     try:
-        return cls(**values)
+        return make(**values)
     except (ValueError, TypeError, OverflowError) as exc:
         raise _UsageError(f"{where}{exc}") from exc
 
@@ -341,7 +342,7 @@ def _cmd_synth(args) -> int:
     present = np.ones(n, dtype=bool)
     pixels, has_2d = (batch_project(points, intrinsics), present) if intrinsics is not None else (None, ~present)
     columns = _Columns(np.arange(n).astype(object), pixels, has_2d, points, present)
-    sequence = PoseSequence._of("synth", f"seed{synth_config.seed}", "cam0", 50.0, skeleton, columns)
+    sequence = PoseSequence._of("synth", f"seed{synth_config.seed}", "cam0", DEFAULT_FPS, skeleton, columns)
     _write_sequences([sequence], args.output)
     return 0
 
@@ -354,10 +355,7 @@ def _cmd_study(args) -> int:
 
 def _cmd_window(args) -> int:
     skeleton = _get_skeleton(args.skeleton)
-    try:
-        spec = WindowSpec(length=args.window_length, stride=args.window_stride)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    spec = _build(WindowSpec, {"length": args.window_length, "stride": args.window_stride})
     sequences = load_sequences(args.input, skeleton)
     out = []
     for seq in sequences:
@@ -369,25 +367,21 @@ def _cmd_window(args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _UsageError) else 2
 
 
 def main() -> None:
+    # A closed pipe downstream ends the process quietly, as it does ``cat``,
+    # instead of surfacing as an OSError; run() itself leaves signals alone.
+    if hasattr(signal, "SIGPIPE"):  # POSIX only
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

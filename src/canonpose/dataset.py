@@ -56,7 +56,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
@@ -74,12 +73,13 @@ from .canonical import (
     CanonicalRecord,
     CanonicalRotation,
     _check_rotations,
+    _root_depth,
     batch_canonicalize_2d,
     batch_canonicalize_3d,
     batch_project_centered,
 )
 from .errors import GeometryError, ParseError, SchemaError, SequenceCanonicalizationError
-from .jsonfmt import FLOAT_FORMAT, format_float, json_float
+from .jsonfmt import FLOAT_FORMAT, format_float, json_float, json_numbers
 from .skeleton import Skeleton
 
 DEFAULT_FPS = 50.0
@@ -523,15 +523,6 @@ def save_sequences(sequences, path) -> None:
         write_sequences(sequences, fh)
 
 
-def _json_numbers(value, arr: np.ndarray) -> bool:
-    """Whether every entry of the decoded JSON list ``value``, whose float64
-    form is ``arr``, is a JSON number: ``np.asarray`` also takes a bool or a
-    numeric string."""
-    for _ in range(arr.ndim - 1):
-        value = chain.from_iterable(value)
-    return set(map(type, value)) <= {int, float}
-
-
 def _parse_joints(value, width: int, expected: int, lineno: int, key: str) -> np.ndarray | None:
     if value is None:
         return None
@@ -545,7 +536,7 @@ def _parse_joints(value, width: int, expected: int, lineno: int, key: str) -> np
         raise SchemaError(
             f"line {lineno}: {key} has {arr.shape[0]} joints, expected {expected}", lineno
         )
-    if not _json_numbers(value, arr):
+    if not json_numbers(value, arr):
         raise SchemaError(f"line {lineno}: {key} holds a value that is not a JSON number", lineno)
     if not np.isfinite(arr).all():
         raise SchemaError(f"line {lineno}: {key} contains non-finite values", lineno)
@@ -565,16 +556,17 @@ def _parse_canon(value, lineno: int, unit_scale: float):
         for key, shape in (("rotation", (3, 3)), ("source", (3,))):
             arr = np.asarray(value[key], dtype=np.float64)
             parts.append(arr.reshape(shape))
-            if not _json_numbers(value[key], arr):
+            if not json_numbers(value[key], arr):
                 raise TypeError(f"{key} holds a value that is not a JSON number")
         depth = value.get("root_depth")
         if depth is not None:
             depth = json_float(depth, "root_depth", "a number or null") * unit_scale
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"line {lineno}: invalid canon block: {exc}", lineno) from exc
-    if depth is not None and not (np.isfinite(depth) and depth > 0):
-        raise SchemaError(f"line {lineno}: root_depth must be positive and finite, got {depth!r}", lineno)
-    return (*parts, depth)
+    try:
+        return (*parts, depth if depth is None else _root_depth(depth))
+    except ValueError as exc:
+        raise SchemaError(f"line {lineno}: {exc}", lineno) from exc
 
 
 def _roots_on_axis(joints_3d: np.ndarray | None, has_3d: np.ndarray, root: int, depths, has_depth) -> bool:

@@ -4,20 +4,25 @@ Floats are written with 17 significant digits, enough to round-trip any
 64-bit value exactly, so re-serializing loaded data reproduces the original
 bytes. Dict keys keep insertion order; nothing here depends on hash order or
 locale. A number read from JSON input must be a JSON number or a numpy
-scalar, never a bool or a string (``json_float``, ``json_int``,
-``json_floats``); the config dataclasses read their own fields through these,
-so the Python API and the command line share one set of rules.
+scalar, never a bool or a string (``json_float``, ``json_int``); its one
+array form, ``json_numbers``, scans a decoded list's entry types in one pass
+(the loader's joint lists and canon blocks, and ``json_array``). The config
+dataclasses read their own fields through these, so the Python API and the
+command line share one set of rules.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
 # The one float spec: 17 significant digits. Row templates in ``dataset`` are
 # built from it, so both emitters write the same text for the same value.
 FLOAT_FORMAT = "%.17g"
+# Types a number read from JSON may have; bool, an int subclass, is refused apart.
+_NUMBERS = (int, float, np.integer, np.floating)
 
 
 def format_float(value: float) -> str:
@@ -28,7 +33,7 @@ def format_float(value: float) -> str:
 def json_float(value, name: str, expected: str = "a number") -> float:
     """A JSON number or numpy scalar as a float. Raises TypeError for a bool
     or any other non-number, OverflowError for an int too large for a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS):
         raise TypeError(f"{name} must be {expected}, got {value!r}")
     try:
         return float(value)
@@ -46,9 +51,29 @@ def json_int(value, name: str) -> int:
     return int(value)
 
 
-def json_floats(value, name: str) -> list[float]:
-    """Every entry of a JSON list, nested or not, through ``json_float``."""
-    return [json_float(entry, f"{name} entry") for entry in np.asarray(value, dtype=object).ravel()]
+def json_numbers(value, arr: np.ndarray) -> bool:
+    """Whether every entry of ``value``, a list nested ``arr.ndim`` deep or an
+    array, whose float64 form is ``arr``, is a JSON number or numpy scalar:
+    ``np.asarray`` also takes a bool, a numeric string or None."""
+    for _ in range(arr.ndim - 1):
+        value = chain.from_iterable(value)
+    kinds = set(map(type, value if arr.ndim else [value]))
+    return kinds <= {int, float} or all(kind is not bool and issubclass(kind, _NUMBERS) for kind in kinds)
+
+
+def json_array(value, name: str) -> np.ndarray:
+    """A list of JSON numbers, nested or not, or an array, as a new float64
+    array. Raises TypeError unless ``json_numbers`` holds, OverflowError for
+    an int too large for a float."""
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except ValueError as exc:  # a non-numeric string, or a ragged list
+        raise TypeError(f"{name} must hold numbers: {exc}") from None
+    except OverflowError:
+        raise OverflowError(f"{name} holds an int too large for a float") from None
+    if not json_numbers(value, arr):
+        raise TypeError(f"{name} holds a value that is not a JSON number: {value!r}")
+    return arr
 
 
 def dumps(obj) -> str:

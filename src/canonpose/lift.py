@@ -61,7 +61,7 @@ class LinearLifter:
             raise ValueError("weights must be finite")
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "ridge_lambda", _ridge_lambda(self.ridge_lambda))
+        object.__setattr__(self, "ridge_lambda", _nonnegative(self.ridge_lambda, "ridge_lambda"))
         if self.mapping_kind not in MAPPING_KINDS:
             raise ValueError(f"mapping_kind must be one of {MAPPING_KINDS}, got {self.mapping_kind!r}")
 
@@ -70,11 +70,11 @@ class LinearLifter:
         return self.weights.shape[1] // 3
 
 
-def _ridge_lambda(value) -> float:
-    """``value`` as a ridge penalty: a finite number >= 0."""
-    value = json_float(value, "ridge_lambda")
+def _nonnegative(value, name: str) -> float:
+    """``value`` as a finite number >= 0, read through ``json_float``."""
+    value = json_float(value, name)
     if not (np.isfinite(value) and value >= 0):
-        raise ValueError(f"ridge_lambda must be >= 0, got {value!r}")
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 
 
@@ -142,7 +142,7 @@ def fit(pairs, ridge_lambda: float, mapping_kind: str = "conventional") -> Linea
         ys[i] = pose3d.joints.ravel()
     if len(pairs) < 2 * n_joints + 1:
         raise DimensionMismatchError(f"need at least {2 * n_joints + 1} pairs for {n_joints} joints, got {len(pairs)}")
-    ridge_lambda = _ridge_lambda(ridge_lambda)
+    ridge_lambda = _nonnegative(ridge_lambda, "ridge_lambda")
     return LinearLifter(_fit_arrays(xs, ys, ridge_lambda), ridge_lambda, mapping_kind)
 
 
@@ -211,13 +211,11 @@ class LiftingStudyConfig:
             _check_type(getattr(self, name), kind, _CONFIG_KEYS.get(name, name))
         for name in ("n_train", "n_test", "seed"):
             object.__setattr__(self, name, json_int(getattr(self, name), name))
-        for name in ("noise_sigma", "limb_scale"):
-            object.__setattr__(self, name, json_float(getattr(self, name), name))
-        object.__setattr__(self, "ridge_lambda", _ridge_lambda(self.ridge_lambda))
+        object.__setattr__(self, "limb_scale", json_float(self.limb_scale, "limb_scale"))
+        for name in ("noise_sigma", "ridge_lambda"):
+            object.__setattr__(self, name, _nonnegative(getattr(self, name), name))
         for draw in ("train", "test"):
             self._draw(draw)
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
         get_skeleton(self.skeleton_name)
 
     def _draw(self, draw: str) -> SynthConfig:
@@ -239,9 +237,11 @@ _CONFIG_KEYS = {"skeleton_name": "skeleton"}
 
 
 def _plain(value):
-    """A config value in plain JSON types: a dataclass as an object, an array as a list."""
+    """A value in plain JSON types: a dataclass as an object without its None
+    fields, an array as a list."""
     if is_dataclass(value):
-        return {_CONFIG_KEYS.get(f.name, f.name): _plain(getattr(value, f.name)) for f in fields(value)}
+        named = ((_CONFIG_KEYS.get(f.name, f.name), getattr(value, f.name)) for f in fields(value))
+        return {key: _plain(item) for key, item in named if item is not None}
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
@@ -256,15 +256,7 @@ class ArmResult:
     test_mpjpe_before_back_transform_mm: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "train_mpjpe_mm": self.train_mpjpe_mm,
-            "train_mpjpe_std_mm": self.train_mpjpe_std_mm,
-            "test_mpjpe_mm": self.test_mpjpe_mm,
-            "test_pmpjpe_mm": self.test_pmpjpe_mm,
-        }
-        if self.test_mpjpe_before_back_transform_mm is not None:
-            out["test_mpjpe_before_back_transform_mm"] = self.test_mpjpe_before_back_transform_mm
-        return out
+        return _plain(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,12 +271,7 @@ class StudyReport:
         return self.canonical.test_mpjpe_mm / self.conventional.test_mpjpe_mm
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "conventional": self.conventional.to_dict(),
-            "canonical": self.canonical.to_dict(),
-            "mpjpe_ratio_canonical_over_conventional": self.mpjpe_ratio,
-        }
+        return dict(_plain(self), mpjpe_ratio_canonical_over_conventional=self.mpjpe_ratio)
 
     def to_json(self) -> str:
         return dumps(self.to_dict()) + "\n"

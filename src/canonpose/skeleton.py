@@ -43,9 +43,6 @@ class Skeleton:
                 raise ValueError(f"joint index {index} out of range [0, {n})")
         if len(set(marked)) != 4:
             raise ValueError("root, hip, and torso indices must be distinct")
-        self._check_tree(n)
-
-    def _check_tree(self, n: int) -> None:
         if len(self.edges) != n - 1:
             raise ValueError(f"a tree over {n} joints needs {n - 1} edges, got {len(self.edges)}")
         children = [child for _, child in self.edges]
@@ -56,21 +53,15 @@ class Skeleton:
         for parent, child in self.edges:
             if not (0 <= parent < n and 0 <= child < n):
                 raise ValueError(f"edge ({parent}, {child}) out of range [0, {n})")
-        # Every joint must be reachable from the root through parent->child
-        # links; that plus the n-1 edge count rules out cycles.
-        by_parent: dict[int, list[int]] = {}
-        for parent, child in self.edges:
-            by_parent.setdefault(parent, []).append(child)
-        seen = {self.root_index}
-        stack = [self.root_index]
-        while stack:
-            for child in by_parent.get(stack.pop(), ()):
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        if len(seen) != n:
-            missing = sorted(set(range(n)) - seen)
+        # Breadth first from the root, ``ordered`` being its own queue. With one
+        # parent per joint no edge comes twice, so reaching n - 1 means a tree.
+        ordered = [edge for edge in self.edges if edge[0] == self.root_index]
+        for _, child in ordered:
+            ordered += [edge for edge in self.edges if edge[0] == child]
+        if len(ordered) != n - 1:
+            missing = sorted(set(range(n)) - {self.root_index, *(child for _, child in ordered)})
             raise ValueError(f"joints {missing} are not reachable from the root")
+        object.__setattr__(self, "_topological_edges", tuple(ordered))
 
     @property
     def n_joints(self) -> int:
@@ -78,18 +69,9 @@ class Skeleton:
 
     @property
     def topological_edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges ordered so every parent appears before its children."""
-        by_parent: dict[int, list[tuple[int, int]]] = {}
-        for parent, child in self.edges:
-            by_parent.setdefault(parent, []).append((parent, child))
-        ordered = []
-        stack = [self.root_index]
-        while stack:
-            node = stack.pop(0)
-            for edge in by_parent.get(node, ()):
-                ordered.append(edge)
-                stack.append(edge[1])
-        return tuple(ordered)
+        """Edges ordered so every parent appears before its children: breadth
+        first from the root, each joint's edges in ``edges`` order."""
+        return self._topological_edges
 
 
 H36M17 = Skeleton(

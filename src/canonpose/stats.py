@@ -50,8 +50,6 @@ class DistributionSummary:
     @classmethod
     def from_samples(cls, samples, n_degenerate: int = 0) -> "DistributionSummary":
         arr = np.asarray(samples, dtype=np.float64)
-        if arr.ndim != 2:
-            arr = arr.reshape(0, 2) if arr.size == 0 else np.atleast_2d(arr)
         if arr.shape[0] == 0:
             return cls(arr, None, None, (), n_degenerate)
         bounds = np.stack([arr.min(axis=0), arr.max(axis=0)], axis=1)

@@ -41,7 +41,7 @@ from .canonical import (
     batch_project_centered,
     residual_offset,
 )
-from .jsonfmt import json_float, json_floats, json_int
+from .jsonfmt import json_array, json_float, json_int
 from .skeleton import H36M17, Skeleton
 
 # Streams with the same seed never overlap: each pose index selects a
@@ -58,14 +58,14 @@ def pose_rng(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class Box3:
-    """Axis-aligned box in camera space, meters; bounds are read through ``json_floats``."""
+    """Axis-aligned box in camera space, meters; bounds are read through ``json_array``."""
 
     low: np.ndarray
     high: np.ndarray
 
     def __post_init__(self):
-        low = np.array(json_floats(self.low, "low")).reshape(3)
-        high = np.array(json_floats(self.high, "high")).reshape(3)
+        low = json_array(self.low, "low").reshape(3)
+        high = json_array(self.high, "high").reshape(3)
         if not (np.isfinite(low).all() and np.isfinite(high).all()):
             raise ValueError("box bounds must be finite")
         if (low > high).any():
@@ -385,16 +385,6 @@ class ManyToOneReport:
     conventional_root_dispersion: float
     canonical_root_max_abs: float
     residual_max_error: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_positions": self.n_positions,
-            "conventional_dispersion": self.conventional_dispersion,
-            "canonical_dispersion": self.canonical_dispersion,
-            "conventional_root_dispersion": self.conventional_root_dispersion,
-            "canonical_root_max_abs": self.canonical_root_max_abs,
-            "residual_max_error_px": self.residual_max_error,
-        }
 
 
 def many_to_one_demo(

@@ -1,13 +1,17 @@
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from canonpose.camera import Pose3D
+from canonpose.camera import Frame, Pose3D
 from canonpose.cli import run
-from canonpose.dataset import load_sequences, save_sequences
+from canonpose.dataset import FramePair, PoseSequence, load_sequences, save_sequences
 
 
 @pytest.fixture
@@ -465,3 +469,94 @@ def test_eval_matches_frames_by_number(tmp_path, capsys):
         assert "at position %d --pred has frame %d, --gt frame %d" % first in captured.err
     # The same frame numbers in the same order are scored.
     assert run(["eval", "--pred", gt, "--gt", gt]) == 0
+
+
+def test_stats_refused_for_its_csv_directory_writes_nothing(tmp_path, camera_file, capsys):
+    data = synth_file(tmp_path, count=4, camera=camera_file)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, so no directory can be made under it\n")
+    report = tmp_path / "stats.json"
+    argv = ["stats", "--input", data, "--camera", camera_file, "--output", str(report), "--csv", str(blocker / "csv")]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    report.write_text("an earlier report\n")
+    assert run(argv) == 2
+    assert report.read_text() == "an earlier report\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="POSIX signal")
+def test_a_closed_pipe_ends_the_command_quietly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "canonpose.cli", "synth", "--count", "3000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert proc.returncode == -signal.SIGPIPE
+    assert stderr == b""
+
+
+def test_eval_refusals_exit_two(tmp_path, camera_file, capsys):
+    gt = synth_file(tmp_path, "gt.ndjson", count=4, camera=camera_file)
+    header, first, *rest = Path(gt).read_text().splitlines()
+    no_3d = tmp_path / "no3d.ndjson"
+    no_3d.write_text("\n".join([header, json.dumps(dict(json.loads(first), joints_3d=None)), *rest]) + "\n")
+    empty = tmp_path / "empty.ndjson"
+    empty.write_text(header + "\n")
+    short = synth_file(tmp_path, "short.ndjson", count=3, camera=camera_file)
+    for pred, needle in (
+        (str(no_3d), "error: --pred: sequence ('synth', 'seed0', 'cam0') has frames without 3D joints"),
+        (str(empty), "error: --pred holds no sequences"),
+        (short, "prediction shape (3, 17, 3) != ground truth (4, 17, 3)"),
+    ):
+        capsys.readouterr()
+        assert run(["eval", "--pred", pred, "--gt", gt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert needle in captured.err
+
+
+def test_canonicalize_3d_refuses_global_frame_3d_listing_every_frame(
+    tmp_path, skeleton, pose_batch, camera_file, monkeypatch, capsys
+):
+    # The loader reads 3D as camera-frame, so a global-frame sequence is handed in directly.
+    points = pose_batch(3, seed=62)
+    frames = tuple(FramePair(None, Pose3D(points[t], Frame.GLOBAL), t) for t in range(3))
+    sequence = PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
+    monkeypatch.setattr("canonpose.cli.load_sequences", lambda path, skel: [sequence])
+    out = tmp_path / "canon.ndjson"
+    capsys.readouterr()
+    assert run(["canonicalize", "--input", "unread.ndjson", "--camera", camera_file, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "lacks camera-frame 3D poses required by this path (frames [0, 1, 2])" in err
+    assert not out.exists()
+
+
+def test_usage_refusals_exit_one(tmp_path, capsys):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    out = tmp_path / "out.ndjson"
+    for argv, needle in (
+        (["synth", "--skeleton", "nope"], "error: unknown skeleton 'nope' (known: h36m17)"),
+        (["synth", "--config", str(bad_json)], f"error: {bad_json}: invalid JSON"),
+        (["study", "--config", str(not_object)], f"error: {not_object}: config must be a JSON object"),
+    ):
+        capsys.readouterr()
+        assert run(argv + ["--output", str(out)]) == 1
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_synth_config_takes_an_integral_float_count(tmp_path):
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({"n_poses": 5.0}))
+    out = tmp_path / "five.ndjson"
+    assert run(["synth", "--config", str(config), "--output", str(out)]) == 0
+    assert out.read_text() == open(synth_file(tmp_path, count=5)).read()

@@ -647,3 +647,65 @@ def test_padded_windows_canonicalize_like_their_frames(pose_batch, intrinsics, s
             for mine, theirs in zip(win.records, cut.records):
                 assert np.abs(mine.rotation.matrix - theirs.rotation.matrix).max() < 1e-12
                 assert mine.root_depth == pytest.approx(theirs.root_depth, abs=1e-12)
+
+
+def _record_line(skeleton, canon=None):
+    record = (
+        '{"subject": "S1", "action": "a", "camera": "c", "frame": 0, '
+        f'"joints_2d": {_joints(skeleton, 2)}, "joints_3d": null'
+    )
+    return record + (f', "canon": {canon}}}' if canon is not None else "}")
+
+
+_IDENTITY_CANON = '{"rotation": [1,0,0,0,1,0,0,0,1], "source": [0,0,1], "root_depth": %s}'
+
+
+@pytest.mark.parametrize(
+    "header, canon, message",
+    [
+        ('{"meta": {}}', "[1, 2]", "line 2: canon must be an object"),
+        ('{"meta": {}}', _IDENTITY_CANON % "0", "line 2: root_depth must be positive and finite, got 0.0"),
+        ('{"meta": {}}', _IDENTITY_CANON % "-2.5", "line 2: root_depth must be positive and finite, got -2.5"),
+        ('{"meta": {"unit_scale": 0.25}}', _IDENTITY_CANON % "-4", "line 2: root_depth must be positive and finite, got -1.0"),
+        ('{"meta": {"fps": 0}}', None, "line 1: fps must be positive"),
+        ('{"meta": [50]}', None, "line 1: meta must be an object"),
+    ],
+    ids=["canon-not-object", "root-depth-zero", "root-depth-negative", "root-depth-scaled", "fps-zero",
+         "meta-not-object"],
+)
+def test_loader_refusals_name_their_line(tmp_path, skeleton, header, canon, message):
+    path = tmp_path / "refused.ndjson"
+    path.write_text(header + "\n" + _record_line(skeleton, canon) + "\n")
+    with pytest.raises(SchemaError) as excinfo:
+        load_sequences(path, skeleton)
+    assert str(excinfo.value) == message
+    assert excinfo.value.line_number == int(message.split()[1].rstrip(":"))
+
+
+def test_canonical_file_with_null_root_depths_reloads_as_camera_frame(tmp_path, pose_batch, intrinsics, skeleton):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=4, seed=53)
+    text = serialize_sequences(canonicalize_dataset([seq], intrinsics, "3d-path"))
+    records = [json.loads(line) for line in text.splitlines()[1:]]
+    for record in records:
+        record["canon"]["root_depth"] = None
+    path = tmp_path / "null_depth.ndjson"
+    path.write_text(text.splitlines()[0] + "\n" + "".join(json.dumps(record) + "\n" for record in records))
+    loaded = load_sequences(path, skeleton)[0]
+    assert all(f.pose_3d.frame is Frame.CAMERA for f in loaded.frames)
+    assert [(r.canonical_3d, r.root_depth) for r in loaded.records] == [(None, None)] * 4
+    for frame, record in zip(loaded.frames, records):
+        assert frame.pose_3d.joints.tolist() == record["joints_3d"]
+
+
+def test_2d_path_output_of_a_2d_only_file_resaves_byte_for_byte(tmp_path, pose_batch, intrinsics, skeleton):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=5, seed=54)
+    only_2d = replace(seq, frames=tuple(FramePair(f.pose_2d, None, f.index) for f in seq.frames))
+    path = tmp_path / "canon2d.ndjson"
+    save_sequences(canonicalize_dataset([only_2d], intrinsics, "2d-path"), path)
+    text = path.read_text()
+    assert '"joints_3d": null' in text and '"root_depth": null' in text
+    loaded = load_sequences(path, skeleton)
+    assert serialize_sequences(loaded) == text
+    resaved = tmp_path / "resaved.ndjson"
+    save_sequences(loaded, resaved)
+    assert resaved.read_bytes() == path.read_bytes()

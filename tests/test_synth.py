@@ -201,3 +201,33 @@ def test_other_skeletons_grow_from_the_golden_spiral_template(monkeypatch):
     bones = np.stack([np.linalg.norm(pts[:, c] - pts[:, p], axis=-1) for p, c in skeleton.edges])
     nominal = 0.3 * config.limb_scale
     assert bones.min() >= nominal * 0.9 - 1e-12 and bones.max() <= nominal * 1.1 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "low",
+    [(-1, 0, 3), [np.float32(-1), np.int64(0), 3.0], np.array([-1.0, 0.0, 3.0]), np.array([[-1, 0, 3]])],
+    ids=["ints", "numpy-scalars", "array", "nested-array"],
+)
+def test_box_bounds_take_json_numbers_and_numpy_values(low):
+    box = Box3(low, (1, 1, 5))
+    assert box.low.tolist() == [-1.0, 0.0, 3.0] and not box.low.flags.writeable
+    if isinstance(low, np.ndarray):
+        assert low.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "low, error",
+    [
+        ((True, 0, 3), TypeError),
+        (("1", 0, 3), TypeError),
+        (("a", 0, 3), TypeError),
+        ((None, 0, 3), TypeError),
+        ([[0, 0], [3]], TypeError),
+        (np.array([True, False, True]), TypeError),
+        ((10**400, 0, 3), OverflowError),
+    ],
+    ids=["bool", "numeric-string", "string", "null", "ragged", "bool-array", "int-overflowing-float"],
+)
+def test_box_bounds_refuse_what_is_not_a_json_number(low, error):
+    with pytest.raises(error, match="^low "):
+        Box3(low, (1, 1, 5))
