@@ -6,7 +6,7 @@ File format (NDJSON, one JSON object per line):
     {"subject": str, "action": str, "camera": str, "frame": int,
      "joints_2d": [[u, v], ...] | null, "joints_3d": [[x, y, z], ...] | null}
 
-An optional header may appear as the first line:
+A file has at most one header, before every record:
 
     {"meta": {"skeleton": str, "unit_scale": number, "fps": number}}
 
@@ -31,15 +31,18 @@ An I/O error during the write leaves a partial file.
 Input checks run once per array, not once per frame. Line-level checks
 (JSON, names, frame number, joint shapes, counts and finiteness, canon block
 shapes and root depth, and that every joint, rotation and source value is a
-JSON number, not a bool or a string) run as each line is read, in file
-order, so the first bad line is the one reported. The sequence checks (no
-mix of canonical and raw records, 2D in every canonical record, and the
-rotation checks of the canon blocks: orthogonality, unit determinant, finite
-entries, source norm above EPS_VEC) run once per sequence after the whole
-file is read, and report the lowest failing line. A canonical sequence's 3D
-loads as canonical-frame when every frame with 3D has its root at exactly
-(0, 0, root_depth), as the 3D path writes it, and as camera-frame otherwise,
-as the 2D path leaves it.
+JSON number, not a bool or a string) run once per block of up to
+``_LOAD_ROWS`` record lines, over flat lists of its values. A block that
+fails one is checked again line by line, as is a waiting block before a
+fault found while decoding (bad JSON, a non-object, a misplaced header), so
+the first bad line of the file is reported, with the same text. The
+sequence checks (no mix of canonical and raw records, 2D in every canonical
+record, and the rotation checks of the canon blocks: orthogonality, unit
+determinant, finite entries, source norm above EPS_VEC) run once per
+sequence after the whole file is read, and report the lowest failing line.
+A canonical sequence's 3D loads as canonical-frame when every frame with 3D
+has its root at exactly (0, 0, root_depth), as the 3D path writes it, and as
+camera-frame otherwise, as the 2D path leaves it.
 
 A sequence is stored as per-sequence arrays, each read-only and checked once
 where it is built: (T, J, 2) and (T, J, 3) joints with a (T,) presence mask
@@ -165,22 +168,16 @@ class _Columns:
         return self._records[row]
 
 
-def _dense(rows, n_joints: int, width: int, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray | None]:
-    """The (T,) mask of the entries of ``rows`` that are not None, and those
-    (J, width) arrays stacked and multiplied by ``scale``, zeros for None
-    (None when every entry is None)."""
-    present = np.array([row is not None for row in rows], dtype=bool)
-    if not present.any():
-        return present, None
-    blank = np.zeros((n_joints, width))
-    stack = np.stack([blank if row is None else row for row in rows])
-    stack *= scale
-    return present, stack
-
-
-def _depths(values) -> dict:
-    """``_Columns`` depths, 0 for None, and their not-None mask."""
-    return {"depths": np.array([v or 0.0 for v in values]), "has_depth": np.array([v is not None for v in values])}
+def _spread(mask: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray | None:
+    """``values`` as one row of ``shape`` for each entry ``mask`` sets, zeros
+    for the rest; None when it sets none."""
+    if not mask.any():
+        return None
+    if mask.all():
+        return values.reshape(-1, *shape)
+    rows = np.zeros((len(mask), *shape))
+    rows[mask] = values.reshape(-1, *shape)
+    return rows
 
 
 def _one_tag(tags: set, what: str, default):
@@ -193,8 +190,9 @@ def _columns_of(frames: tuple, records, skeleton: Skeleton) -> _Columns:
     """The arrays of the public ``PoseSequence`` constructor's arguments."""
     poses_2d = [frame.pose_2d for frame in frames]
     poses_3d = [frame.pose_3d for frame in frames]
-    has_2d, joints_2d = _dense([p and p.joints for p in poses_2d], skeleton.n_joints, 2)
-    has_3d, joints_3d = _dense([p and p.joints for p in poses_3d], skeleton.n_joints, 3)
+    has_2d, has_3d = (np.array([pose is not None for pose in poses], dtype=bool) for poses in (poses_2d, poses_3d))
+    joints_2d = _spread(has_2d, np.array([p.joints for p in poses_2d if p is not None]), (skeleton.n_joints, 2))
+    joints_3d = _spread(has_3d, np.array([p.joints for p in poses_3d if p is not None]), (skeleton.n_joints, 3))
     space_2d = _one_tag({p.space for p in poses_2d if p is not None}, "2D spaces", Space.IMAGE)
     frame_3d = _one_tag({p.frame for p in poses_3d if p is not None}, "3D frames", Frame.CAMERA)
     index = np.array([frame.index for frame in frames], dtype=object)
@@ -215,8 +213,9 @@ def _columns_of(frames: tuple, records, skeleton: Skeleton) -> _Columns:
             )
     rotations = np.stack([record.rotation.matrix for record in records])
     sources = np.stack([record.rotation.source_vector for record in records])
-    depths = _depths([record.root_depth for record in records])
-    return replace(columns, rotations=rotations, sources=sources, **depths)
+    has_depth = np.array([record.root_depth is not None for record in records])
+    depths = np.array([record.root_depth or 0.0 for record in records])
+    return replace(columns, rotations=rotations, sources=sources, depths=depths, has_depth=has_depth)
 
 
 def _differ(value, other) -> bool:
@@ -569,41 +568,151 @@ def _parse_canon(value, lineno: int, unit_scale: float):
         raise SchemaError(f"line {lineno}: {exc}", lineno) from exc
 
 
-def _roots_on_axis(joints_3d: np.ndarray | None, has_3d: np.ndarray, root: int, depths, has_depth) -> bool:
-    """The root rule of ``CanonicalRecord``: every root at exactly (0, 0, depth)."""
-    if joints_3d is None:
-        return True
-    if not has_depth[has_3d].all():
-        return False
-    roots = joints_3d[has_3d, root]
-    return not roots[:, :2].any() and np.array_equal(roots[:, 2], depths[has_3d])
+# Record lines checked at once; a block's values wait as Python floats until then.
+_LOAD_ROWS = 128
 
 
-def _loaded(key, rows: list, skeleton: Skeleton, unit_scale: float) -> _Columns:
-    """The arrays of one sequence's loader rows (lineno, frame, joints_2d,
-    joints_3d, canon); a fault raises SchemaError naming its line."""
-    linenos, frame_nos, rows_2d, rows_3d, canons = zip(*rows)
-    has_2d, joints_2d = _dense(rows_2d, skeleton.n_joints, 2)
-    has_3d, joints_3d = _dense(rows_3d, skeleton.n_joints, 3, unit_scale)
-    columns = _Columns(np.array(frame_nos, dtype=object), joints_2d, has_2d, joints_3d, has_3d)
-    if all(canon is None for canon in canons):
+class _Block:
+    """Record lines read but not yet checked: numbers and texts and, for the
+    lines in the usual form (``add``), keys, frames, presence flags and values."""
+
+    def __init__(self, n_joints: int, unit_scale: float):
+        self.n_joints, self.unit_scale = n_joints, unit_scale
+        self.lines, self.keys, self.frames, self.has = [], [], [], []
+        self.flat = ([], [], [], [], [])  # 2D joints, 3D joints, rotations, sources, root depths
+
+    def add(self, lineno: int, text: str, obj: dict) -> None:
+        """Keep a decoded record line, and its values when it has the usual
+        form: string names, an int frame, each channel null or ``n_joints``
+        joints of width 2 (3D: 3) and not both null, and canon null or an
+        object with a 9-entry rotation and a 3-entry source list. Whether the
+        values are numbers is left to ``arrays``."""
+        self.lines.append((lineno, text))
+        key = subject, action, camera = obj.get("subject"), obj.get("action"), obj.get("camera")
+        joints_2d, joints_3d, canon = obj.get("joints_2d"), obj.get("joints_3d"), obj.get("canon")
+        rotation, source = (canon.get("rotation"), canon.get("source")) if type(canon) is dict else (None, None)
+        n = self.n_joints
+        try:
+            usual = (
+                type(subject) is str and type(action) is str and type(camera) is str
+                and type(obj.get("frame")) is int and (joints_2d is not None or joints_3d is not None)
+                and (joints_2d is None or type(joints_2d) is list and len(joints_2d) == n
+                     and set(map(len, joints_2d)) == {2})
+                and (joints_3d is None or type(joints_3d) is list and len(joints_3d) == n
+                     and set(map(len, joints_3d)) == {3})
+                and (canon is None or type(rotation) is list and len(rotation) == 9
+                     and type(source) is list and len(source) == 3)
+            )
+        except TypeError:  # a joint without a length (one with a length that is not a list fails in ``arrays``)
+            usual = False
+        if not usual:
+            return
+        depth = None if canon is None else canon.get("root_depth")
+        self.keys.append(key)
+        self.frames.append(obj["frame"])
+        self.has.append((joints_2d is not None, joints_3d is not None, canon is not None, depth is not None))
+        values_2d, values_3d, rotations, sources, depths = self.flat
+        for values, joints in ((values_2d, joints_2d), (values_3d, joints_3d)):
+            for joint in joints or ():
+                values += joint
+        if canon is not None:
+            rotations += rotation
+            sources += source
+            depths.append(0.0 if depth is None else depth)
+
+    def check(self) -> dict:
+        """Run the line checks over the kept lines, raising SchemaError for
+        the first that fails; else keep them again in the usual form and
+        return their ``arrays``."""
+        lines = self.lines
+        self.__init__(self.n_joints, self.unit_scale)
+        for lineno, text in lines:
+            obj = json.loads(text)
+            for key in ("subject", "action", "camera"):
+                if not isinstance(obj.get(key), str):
+                    raise SchemaError(f"line {lineno}: missing or non-string {key!r}", lineno)
+            if not isinstance(obj.get("frame"), int) or isinstance(obj.get("frame"), bool):
+                raise SchemaError(f"line {lineno}: missing or non-integer 'frame'", lineno)
+            for key, width in (("joints_2d", 2), ("joints_3d", 3)):
+                joints = _parse_joints(obj.get(key), width, self.n_joints, lineno, key)
+                obj[key] = None if joints is None else joints.tolist()
+            if obj["joints_2d"] is None and obj["joints_3d"] is None:
+                raise SchemaError(f"line {lineno}: record has neither joints_2d nor joints_3d", lineno)
+            canon = _parse_canon(obj.get("canon"), lineno, self.unit_scale)
+            if canon is not None:
+                obj["canon"].update(rotation=canon[0].ravel().tolist(), source=canon[1].tolist())
+            self.add(lineno, text, obj)
+        return self.arrays()
+
+    def arrays(self) -> dict | None:
+        """The block's rows, one per line (see ``_loaded``), or None unless
+        each line has the usual form, each value is a finite JSON number and
+        each scaled root depth is positive: then the line checks pass too."""
+        if len(self.keys) < len(self.lines) or not all(set(map(type, flat)) <= {int, float} for flat in self.flat):
+            return None
+        try:
+            joints_2d, joints_3d, rotations, sources, depths = (np.array(flat, np.float64) for flat in self.flat)
+        except OverflowError:  # an int too large for a float
+            return None
+        has_2d, has_3d, has_canon, has_depth = np.array(self.has, dtype=bool).reshape(-1, 4).T
+        with np.errstate(over="ignore"):
+            depths *= self.unit_scale
+        finite = all(np.isfinite(values).all() for values in (joints_2d, joints_3d, depths))
+        if not finite or not (depths[has_depth[has_canon]] > 0).all():
+            return None
+        return dict(
+            lineno=np.array([lineno for lineno, _ in self.lines]), frame=np.array(self.frames, dtype=object),
+            has_2d=has_2d, joints_2d=_spread(has_2d, joints_2d, (self.n_joints, 2)),
+            has_3d=has_3d, joints_3d=_spread(has_3d, joints_3d, (self.n_joints, 3)),
+            has_canon=has_canon, rotation=_spread(has_canon, rotations, (3, 3)),
+            source=_spread(has_canon, sources, (3,)), depth=_spread(has_canon, depths, ()), has_depth=has_depth,
+        )
+
+    def flush(self, groups: dict) -> None:
+        """Check the block, add each sequence's rows to its pieces in ``groups`` and empty it."""
+        arrays = self.arrays() or self.check()
+        keys = list(dict.fromkeys(self.keys))
+        for key in keys:
+            at = [row for row, other in enumerate(self.keys) if other == key] if len(keys) > 1 else slice(None)
+            groups.setdefault(key, []).append({name: v if v is None else v[at] for name, v in arrays.items()})
+        self.__init__(self.n_joints, self.unit_scale)
+
+
+def _loaded(key, pieces: list, skeleton: Skeleton, unit_scale: float) -> _Columns:
+    """The arrays of one sequence from its pieces, the ``_Block.arrays`` of
+    its lines in each block; a fault raises SchemaError naming its line."""
+
+    def joined(name):  # a piece without the channel gives zeros
+        parts = [piece[name] for piece in pieces]
+        shape = next((part.shape[1:] for part in parts if part is not None), None)
+        return None if shape is None else np.concatenate(
+            [np.zeros((len(piece["frame"]), *shape)) if part is None else part for piece, part in zip(pieces, parts)])
+
+    linenos, has_2d, has_3d, has_canon = map(joined, ("lineno", "has_2d", "has_3d", "has_canon"))
+    joints_2d = joined("joints_2d") if has_2d.any() else None
+    joints_3d = joined("joints_3d") if has_3d.any() else None
+    if joints_3d is not None:
+        joints_3d *= unit_scale
+    columns = _Columns(joined("frame"), joints_2d, has_2d, joints_3d, has_3d)
+    if not has_canon.any():
         return columns
-    if None in canons:
-        bad = linenos[canons.index(None)]
+    if not has_canon.all():
+        bad = int(linenos[np.argmin(has_canon)])
         raise SchemaError(f"line {bad}: sequence ({', '.join(key)}) mixes canonicalized and raw frames", bad)
     if not has_2d.all():
-        bad = linenos[int(np.argmin(has_2d))]
+        bad = int(linenos[np.argmin(has_2d)])
         raise SchemaError(f"line {bad}: canonicalized record lacks joints_2d", bad)
-    rotations = np.stack([canon[0] for canon in canons])
-    sources = np.stack([canon[1] for canon in canons])
+    rotations, sources = joined("rotation"), joined("source")
     fault = _check_rotations(rotations, sources)
     if fault is not None:
-        bad = linenos[fault[0]]
+        bad = int(linenos[fault[0]])
         raise SchemaError(f"line {bad}: invalid canon block: {fault[1]}", bad) from fault[1]
-    depths = _depths([depth for _, _, depth in canons])
-    canonical = _roots_on_axis(joints_3d, has_3d, skeleton.root_index, **depths)
+    depths, has_depth = joined("depth"), joined("has_depth")
+    # The root rule of ``CanonicalRecord``: every root at exactly (0, 0, depth).
+    roots = joints_3d[has_3d, skeleton.root_index] if joints_3d is not None else np.zeros((0, 3))
+    canonical = has_depth[has_3d].all() and not roots[:, :2].any() and np.array_equal(roots[:, 2], depths[has_3d])
     frame_3d = Frame.CANONICAL_CAMERA if canonical else Frame.CAMERA
-    return replace(columns, frame_3d=frame_3d, rotations=rotations, sources=sources, **depths)
+    return replace(columns, frame_3d=frame_3d, rotations=rotations, sources=sources, depths=depths, has_depth=has_depth)
 
 
 def _read_meta(obj: dict, lineno: int, skeleton: Skeleton) -> tuple[float, float]:
@@ -643,8 +752,9 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
         order, frames in file order. 3D joints are multiplied by the header's
         ``unit_scale``.
     """
-    unit_scale, fps = 1.0, DEFAULT_FPS
+    unit_scale, fps, header = 1.0, DEFAULT_FPS, None
     groups: dict[tuple[str, str, str], list] = {}
+    block = _Block(skeleton.n_joints, unit_scale)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -652,35 +762,33 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON: {exc.msg}", lineno) from exc
-            if not isinstance(obj, dict):
-                raise SchemaError(f"line {lineno}: record must be a JSON object", lineno)
-            if "meta" in obj:
-                if groups:
-                    raise SchemaError(f"line {lineno}: header must precede all records", lineno)
-                unit_scale, fps = _read_meta(obj, lineno, skeleton)
-                continue
-            for key in ("subject", "action", "camera"):
-                if not isinstance(obj.get(key), str):
-                    raise SchemaError(f"line {lineno}: missing or non-string {key!r}", lineno)
-            if not isinstance(obj.get("frame"), int) or isinstance(obj.get("frame"), bool):
-                raise SchemaError(f"line {lineno}: missing or non-integer 'frame'", lineno)
-            expected = skeleton.n_joints
-            joints_2d = _parse_joints(obj.get("joints_2d"), 2, expected, lineno, "joints_2d")
-            joints_3d = _parse_joints(obj.get("joints_3d"), 3, expected, lineno, "joints_3d")
-            if joints_2d is None and joints_3d is None:
-                raise SchemaError(f"line {lineno}: record has neither joints_2d nor joints_3d", lineno)
-            canon = _parse_canon(obj.get("canon"), lineno, unit_scale)
-            key = (obj["subject"], obj["action"], obj["camera"])
-            groups.setdefault(key, []).append((lineno, obj["frame"], joints_2d, joints_3d, canon))
+                if not isinstance(obj, dict):
+                    raise SchemaError(f"line {lineno}: record must be a JSON object", lineno)
+                if "meta" in obj:
+                    if groups or block.lines:
+                        raise SchemaError(f"line {lineno}: header must precede all records", lineno)
+                    if header is not None:
+                        raise SchemaError(f"line {lineno}: a second header; the first is line {header}", lineno)
+                    unit_scale, fps = _read_meta(obj, lineno, skeleton)
+                    header, block.unit_scale = lineno, unit_scale
+                    continue
+            except ValueError as exc:
+                # A lower bad line still waiting in the block is reported first.
+                block.check()
+                if isinstance(exc, json.JSONDecodeError):
+                    raise ParseError(f"{path}: line {lineno}: invalid JSON: {exc.msg}", lineno) from exc
+                raise
+            block.add(lineno, line, obj)
+            if len(block.lines) == _LOAD_ROWS:
+                block.flush(groups)
+    block.flush(groups)
 
     # The per-sequence checks run once each, and the lowest failing line of
     # the file is the one reported.
     sequences, faults = [], []
     for key in list(groups):
         try:
-            # Popped, so a sequence's per-line arrays are freed once its arrays exist.
+            # Popped, so a sequence's pieces are freed once its arrays exist.
             columns = _loaded(key, groups.pop(key), skeleton, unit_scale)
         except SchemaError as exc:
             faults.append(exc)

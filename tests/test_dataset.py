@@ -709,3 +709,18 @@ def test_2d_path_output_of_a_2d_only_file_resaves_byte_for_byte(tmp_path, pose_b
     resaved = tmp_path / "resaved.ndjson"
     save_sequences(loaded, resaved)
     assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_a_second_header_is_refused(tmp_path, skeleton):
+    from canonpose.cli import run
+
+    # Read in turn, the second header would reset unit_scale to 1 and the
+    # millimetre 3D below would load 1000 times too large.
+    path = tmp_path / "two_headers.ndjson"
+    record = _record_line(skeleton).replace('"joints_3d": null', f'"joints_3d": {_joints(skeleton, 3, 1500)}')
+    path.write_text('{"meta": {"unit_scale": 0.001}}\n{"meta": {"fps": 25}}\n' + record + "\n")
+    with pytest.raises(SchemaError) as excinfo:
+        load_sequences(path, skeleton)
+    assert str(excinfo.value) == "line 2: a second header; the first is line 1"
+    assert excinfo.value.line_number == 2
+    assert run(["stats", "--input", str(path)]) == 2
