@@ -16,13 +16,15 @@ an extra ``canon`` key per record holding the rotation, its source vector,
 and the root depth, so predictions can be back-transformed later.
 
 Floats are written with 17 significant digits, so a load/save round trip is
-bit-exact and re-saving a loaded file reproduces it byte for byte. Records
+bit-exact and re-saving a loaded file reproduces it byte for byte; -0.0,
+written ``-0``, loads as -0.0, though a frame number ``-0`` is 0. Records
 are grouped into sequences by (subject, action, camera) in first-appearance
 order, frames in file order.
 
-Text is written in blocks of at most ``_BLOCK_ROWS`` lines, never whole. A
-row's body (from ``"frame"`` to the newline) is formatted once while
-consecutive sequences share its arrays, as the windows of one sequence do.
+Text is written in blocks of at most ``_BLOCK_ROWS`` (256) lines, never
+whole, and a source's rows are rendered 256 at a time. A row's body (from
+``"frame"`` to the newline) is formatted once while consecutive sequences
+share its arrays, as the windows of one sequence do.
 Loading, canonicalization and windowing return complete lists, so every
 check on the data has run before an output is opened, and a refused input
 leaves an existing file as it was; formatting checked arrays cannot fail.
@@ -31,11 +33,12 @@ An I/O error during the write leaves a partial file.
 Input checks run once per array, not once per frame. Line-level checks
 (JSON, names, frame number, joint shapes, counts and finiteness, canon block
 shapes and root depth, and that every joint, rotation and source value is a
-JSON number, not a bool or a string) run once per block of up to
-``_LOAD_ROWS`` record lines, over flat lists of its values. A block that
-fails one is checked again line by line, as is a waiting block before a
-fault found while decoding (bad JSON, a non-object, a misplaced header), so
-the first bad line of the file is reported, with the same text. The
+JSON number, not a bool or a string, and that 3D values stay finite once
+scaled by ``unit_scale``) run once per block of up to ``_LOAD_ROWS`` (128)
+record lines, over flat lists of its values. A block that fails one is
+checked again line by line, as is a waiting block before a fault found while
+decoding (bad JSON, a non-object, a misplaced header), so the first bad line
+of the file is reported, with the same text. The
 sequence checks (no mix of canonical and raw records, 2D in every canonical
 record, and the rotation checks of the canon blocks: orthogonality, unit
 determinant, finite entries, source norm above EPS_VEC) run once per
@@ -440,7 +443,7 @@ def _bodies(cols: _Columns, n_joints: int, lo: int, hi: int) -> list[str]:
 
 
 # Rows of a source rendered at once, and most lines in one block of text.
-_BLOCK_ROWS = 2048
+_BLOCK_ROWS = 256
 
 
 def _line_runs(seq: PoseSequence, bodies: dict, keep: int):
@@ -522,7 +525,9 @@ def save_sequences(sequences, path) -> None:
         write_sequences(sequences, fh)
 
 
-def _parse_joints(value, width: int, expected: int, lineno: int, key: str) -> np.ndarray | None:
+def _parse_joints(value, width: int, expected: int, lineno: int, key: str, scale: float = 1.0) -> np.ndarray | None:
+    """A record's joints, unscaled; a fault, or a value that ``scale`` takes
+    past the float range, raises SchemaError naming the line."""
     if value is None:
         return None
     try:
@@ -539,6 +544,9 @@ def _parse_joints(value, width: int, expected: int, lineno: int, key: str) -> np
         raise SchemaError(f"line {lineno}: {key} holds a value that is not a JSON number", lineno)
     if not np.isfinite(arr).all():
         raise SchemaError(f"line {lineno}: {key} contains non-finite values", lineno)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(arr * scale).all():
+            raise SchemaError(f"line {lineno}: {key} is not finite once scaled by unit_scale {scale!r}", lineno)
     return arr
 
 
@@ -570,6 +578,19 @@ def _parse_canon(value, lineno: int, unit_scale: float):
 
 # Record lines checked at once; a block's values wait as Python floats until then.
 _LOAD_ROWS = 128
+
+# The writer writes -0.0 as ``-0``, which JSON reads as the integer 0; this
+# decoder reads it back as this float, a record's frame then set to 0.
+_MINUS_ZERO = -0.0
+_DECODER = json.JSONDecoder(parse_int=lambda text: _MINUS_ZERO if text == "-0" else int(text))
+
+
+def _decode(text: str):
+    """A line's JSON value, each ``-0`` number read as -0.0 except a record's frame."""
+    obj = _DECODER.decode(text)
+    if type(obj) is dict and obj.get("frame") is _MINUS_ZERO:
+        obj["frame"] = 0
+    return obj
 
 
 class _Block:
@@ -627,14 +648,14 @@ class _Block:
         lines = self.lines
         self.__init__(self.n_joints, self.unit_scale)
         for lineno, text in lines:
-            obj = json.loads(text)
+            obj = _decode(text)
             for key in ("subject", "action", "camera"):
                 if not isinstance(obj.get(key), str):
                     raise SchemaError(f"line {lineno}: missing or non-string {key!r}", lineno)
             if not isinstance(obj.get("frame"), int) or isinstance(obj.get("frame"), bool):
                 raise SchemaError(f"line {lineno}: missing or non-integer 'frame'", lineno)
-            for key, width in (("joints_2d", 2), ("joints_3d", 3)):
-                joints = _parse_joints(obj.get(key), width, self.n_joints, lineno, key)
+            for key, width, scale in (("joints_2d", 2, 1.0), ("joints_3d", 3, self.unit_scale)):
+                joints = _parse_joints(obj.get(key), width, self.n_joints, lineno, key, scale)
                 obj[key] = None if joints is None else joints.tolist()
             if obj["joints_2d"] is None and obj["joints_3d"] is None:
                 raise SchemaError(f"line {lineno}: record has neither joints_2d nor joints_3d", lineno)
@@ -646,8 +667,9 @@ class _Block:
 
     def arrays(self) -> dict | None:
         """The block's rows, one per line (see ``_loaded``), or None unless
-        each line has the usual form, each value is a finite JSON number and
-        each scaled root depth is positive: then the line checks pass too."""
+        each line has the usual form, each value is a finite JSON number, each
+        scaled 3D value is finite and each scaled root depth is positive: then
+        the line checks pass too."""
         if len(self.keys) < len(self.lines) or not all(set(map(type, flat)) <= {int, float} for flat in self.flat):
             return None
         try:
@@ -656,6 +678,7 @@ class _Block:
             return None
         has_2d, has_3d, has_canon, has_depth = np.array(self.has, dtype=bool).reshape(-1, 4).T
         with np.errstate(over="ignore"):
+            joints_3d *= self.unit_scale
             depths *= self.unit_scale
         finite = all(np.isfinite(values).all() for values in (joints_2d, joints_3d, depths))
         if not finite or not (depths[has_depth[has_canon]] > 0).all():
@@ -678,7 +701,7 @@ class _Block:
         self.__init__(self.n_joints, self.unit_scale)
 
 
-def _loaded(key, pieces: list, skeleton: Skeleton, unit_scale: float) -> _Columns:
+def _loaded(key, pieces: list, skeleton: Skeleton) -> _Columns:
     """The arrays of one sequence from its pieces, the ``_Block.arrays`` of
     its lines in each block; a fault raises SchemaError naming its line."""
 
@@ -691,8 +714,6 @@ def _loaded(key, pieces: list, skeleton: Skeleton, unit_scale: float) -> _Column
     linenos, has_2d, has_3d, has_canon = map(joined, ("lineno", "has_2d", "has_3d", "has_canon"))
     joints_2d = joined("joints_2d") if has_2d.any() else None
     joints_3d = joined("joints_3d") if has_3d.any() else None
-    if joints_3d is not None:
-        joints_3d *= unit_scale
     columns = _Columns(joined("frame"), joints_2d, has_2d, joints_3d, has_3d)
     if not has_canon.any():
         return columns
@@ -761,7 +782,7 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode(line)
                 if not isinstance(obj, dict):
                     raise SchemaError(f"line {lineno}: record must be a JSON object", lineno)
                 if "meta" in obj:
@@ -789,7 +810,7 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
     for key in list(groups):
         try:
             # Popped, so a sequence's pieces are freed once its arrays exist.
-            columns = _loaded(key, groups.pop(key), skeleton, unit_scale)
+            columns = _loaded(key, groups.pop(key), skeleton)
         except SchemaError as exc:
             faults.append(exc)
             continue

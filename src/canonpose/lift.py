@@ -277,6 +277,10 @@ class StudyReport:
         return dumps(self.to_dict()) + "\n"
 
 
+# Training frames scored at once; their errors fill one (n,) array.
+_ERROR_ROWS = 1024
+
+
 def _per_frame_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return np.linalg.norm(pred - gt, axis=-1).mean(axis=-1)
 
@@ -317,12 +321,16 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     anchors = np.zeros((config.n_train, 1, 3))
     anchors[:, 0, 2] = depths
     y_canon = (canon_train - anchors).reshape(config.n_train, -1)
+    del train, canon_train, noise_train, anchors
 
     lifter_conv = LinearLifter(_fit_arrays(x_conv, y_conv, config.ridge_lambda), config.ridge_lambda, "conventional")
     lifter_canon = LinearLifter(_fit_arrays(x_canon, y_canon, config.ridge_lambda), config.ridge_lambda, "canonical")
 
     def train_stats(lifter: LinearLifter, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-        errors = _per_frame_errors(_predict_arrays(lifter, x), y.reshape(-1, n_joints, 3))
+        pred, gt = _predict_arrays(lifter, x), y.reshape(-1, n_joints, 3)
+        errors = np.empty(len(x))
+        for lo in range(0, len(x), _ERROR_ROWS):
+            errors[lo : lo + _ERROR_ROWS] = _per_frame_errors(pred[lo : lo + _ERROR_ROWS], gt[lo : lo + _ERROR_ROWS])
         return float(errors.mean()), float(errors.std())
 
     conv_train_mean, conv_train_std = train_stats(lifter_conv, x_conv, y_conv)

@@ -81,34 +81,46 @@ def mpjpe(pred, gt) -> float:
     return float(np.mean(np.linalg.norm(p - g, axis=-1)))
 
 
-def _batch_similarity_align(pred: np.ndarray, gt: np.ndarray):
-    """Per-frame least-squares similarity alignment of pred onto gt.
+# Frames ``p_mpjpe`` aligns at once; their errors fill one (T, J) array.
+_ALIGN_ROWS = 256
 
-    Args:
-        pred, gt: (T, J, 3) with J >= 3.
 
-    Returns:
-        (aligned pred (T, J, 3), scales (T,), rotations (T, 3, 3),
-        translations (T, 3)).
-    """
-    t, j = pred.shape[0], pred.shape[1]
+def _check_alignable(pred: np.ndarray, gt: np.ndarray, blocks: list) -> None:
+    """Raise unless (T, J, 3) ``pred`` and ``gt`` have J >= 3 and no frame
+    whose centered joints are collinear (rank < 2), which has no unique
+    alignment. Frames are checked by the ``blocks`` of rows, every pred frame
+    before any gt frame."""
+    j = pred.shape[1]
     if j < 3:
         raise DimensionMismatchError(f"similarity alignment needs at least 3 joints, got {j}")
-    mu_p = pred.mean(axis=1)
-    mu_g = gt.mean(axis=1)
-    p0 = pred - mu_p[:, None]
-    g0 = gt - mu_g[:, None]
-
-    # Collinear (rank < 2) clouds have no unique alignment.
-    for name, centered in (("pred", p0), ("gt", g0)):
-        sv = np.linalg.svd(centered, compute_uv=False)
-        tol = max(j, 3) * np.finfo(np.float64).eps * sv[:, 0]
-        degenerate = (sv[:, 1] <= tol) | (sv[:, 0] == 0.0)
+    for name, poses in (("pred", pred), ("gt", gt)):
+        degenerate = []
+        for rows in blocks:
+            sv = np.linalg.svd(poses[rows] - poses[rows].mean(axis=1, keepdims=True), compute_uv=False)
+            tol = max(j, 3) * np.finfo(np.float64).eps * sv[:, 0]
+            degenerate.append((sv[:, 1] <= tol) | (sv[:, 0] == 0.0))
+        degenerate = np.concatenate(degenerate)
         if degenerate.any():
             raise DegenerateShapeError(
                 f"{name} joints are collinear in {int(degenerate.sum())} frame(s)",
                 indices=np.nonzero(degenerate)[0],
             )
+
+
+def _batch_similarity_align(pred: np.ndarray, gt: np.ndarray):
+    """Per-frame least-squares similarity alignment of pred onto gt.
+
+    Args:
+        pred, gt: (T, J, 3), checked by ``_check_alignable``.
+
+    Returns:
+        (aligned pred (T, J, 3), scales (T,), rotations (T, 3, 3),
+        translations (T, 3)).
+    """
+    mu_p = pred.mean(axis=1)
+    mu_g = gt.mean(axis=1)
+    p0 = pred - mu_p[:, None]
+    g0 = gt - mu_g[:, None]
 
     cov = np.einsum("tji,tjk->tik", p0, g0)
     u, s, vt = np.linalg.svd(cov)
@@ -142,6 +154,7 @@ def procrustes_align(pred, gt) -> tuple:
     p, g = _as_pair(pred, gt)
     if p.shape[0] != 1:
         raise DimensionMismatchError("procrustes_align takes single poses; use p_mpjpe for sequences")
+    _check_alignable(p, g, [slice(None)])
     aligned, scales, rotations, translations = _batch_similarity_align(p, g)
     transform = SimilarityTransform(scales[0], rotations[0], translations[0])
     if isinstance(pred, Pose3D):
@@ -153,8 +166,14 @@ def p_mpjpe(pred, gt) -> float:
     """MPJPE after per-frame Procrustes alignment, in meters.
 
     Never exceeds ``mpjpe`` on the same input: the identity transform is
-    always an alignment candidate.
+    always an alignment candidate. Frames are aligned ``_ALIGN_ROWS`` at a
+    time, so its memory does not grow with whole-batch temporaries.
     """
     p, g = _as_pair(pred, gt)
-    aligned, _, _, _ = _batch_similarity_align(p, g)
-    return float(np.mean(np.linalg.norm(aligned - g, axis=-1)))
+    # At least one block, so an empty input ends as one empty batch does.
+    blocks = [slice(lo, lo + _ALIGN_ROWS) for lo in range(0, len(p) or 1, _ALIGN_ROWS)]
+    _check_alignable(p, g, blocks)
+    errors = np.empty(p.shape[:2])
+    for rows in blocks:
+        errors[rows] = np.linalg.norm(_batch_similarity_align(p[rows], g[rows])[0] - g[rows], axis=-1)
+    return float(np.mean(errors))

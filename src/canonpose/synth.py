@@ -186,35 +186,50 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * u
 
 
+# Poses drawn and built at once; the (n_poses, J, 3) output is the one array
+# that grows with the count.
+_POSE_ROWS = 256
+
+
 def generate_pose_array(config: SynthConfig, skeleton: Skeleton, stream: int = 0) -> np.ndarray:
     """Generate (n_poses, J, 3) camera-frame joints.
 
     ``stream`` offsets the per-pose Philox indices by stream * STREAM_SPAN,
     giving independent draws for the same seed (train vs test sets).
     """
-    edges = skeleton.topological_edges
-    rest_dirs, rest_lens = _rest_template(skeleton)
-    n, e = config.n_poses, len(edges)
+    rest = _rest_template(skeleton)
+    n, e = config.n_poses, len(skeleton.topological_edges)
+    joints = np.zeros((n, skeleton.n_joints, 3))
 
     # Three draws per pose, in the order the module docstring fixes. One
     # Philox is re-keyed to (seed, base + i) with counter 0 and an empty
     # buffer per pose: the state a fresh ``pose_rng(seed, base + i)`` starts in.
-    heads = np.empty((n, 6 + e))
-    axes = np.empty((n, e, 3))
-    swings = np.empty((n, e))
+    heads = np.empty((_POSE_ROWS, 6 + e))
+    axes = np.empty((_POSE_ROWS, e, 3))
+    swings = np.empty((_POSE_ROWS, e))
     base = stream * STREAM_SPAN
     key = [config.seed, base]
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
     rng = np.random.Generator(bits)
-    for i in range(n):
-        key[1] = base + i
-        bits.state = state
-        rng.random(out=heads[i])
-        rng.standard_normal(out=axes[i])
-        rng.random(out=swings[i])
+    for lo in range(0, n, _POSE_ROWS):
+        m = min(_POSE_ROWS, n - lo)
+        for i in range(m):
+            key[1] = base + lo + i
+            bits.state = state
+            rng.random(out=heads[i])
+            rng.standard_normal(out=axes[i])
+            rng.random(out=swings[i])
+        _build_poses(joints[lo : lo + m], heads[:m], axes[:m], swings[:m], config, skeleton, rest)
+    return joints
 
+
+def _build_poses(out, heads, axes, swings, config: SynthConfig, skeleton: Skeleton, rest) -> None:
+    """Write into (m, J, 3) ``out`` the poses of m poses' draws."""
+    edges = skeleton.topological_edges
+    rest_dirs, rest_lens = rest
+    m, e = len(out), len(edges)
     # A root's unit uniform is the draw itself: ``uniform()`` is 0 + 1 * u == u.
     low, span = config.root_region.low, config.root_region.high - config.root_region.low
     roots = low + heads[:, :3] * span
@@ -228,7 +243,7 @@ def generate_pose_array(config: SynthConfig, skeleton: Skeleton, stream: int = 0
     axes = np.where(norms > 1e-12, axes / np.where(norms > 0, norms, 1.0), [0.0, 0.0, 1.0])
 
     lengths = rest_lens * config.limb_scale * (1.0 + jitters)
-    directions = _rotate_about_axes(np.broadcast_to(rest_dirs, (n, e, 3)), axes, angles)
+    directions = _rotate_about_axes(np.broadcast_to(rest_dirs, (m, e, 3)), axes, angles)
     bones = lengths[..., None] * directions
 
     # Whole-body orientation: yaw about the vertical, then lean about a
@@ -240,15 +255,13 @@ def generate_pose_array(config: SynthConfig, skeleton: Skeleton, stream: int = 0
     yawed[..., 2] = -sin_y[:, None] * bones[..., 0] + cos_y[:, None] * bones[..., 2]
 
     lean_axes = np.stack(
-        [np.cos(lean_azimuths), np.zeros(n), np.sin(lean_azimuths)], axis=-1
+        [np.cos(lean_azimuths), np.zeros(m), np.sin(lean_azimuths)], axis=-1
     )
     leaned = _rotate_about_axes(yawed, lean_axes[:, None, :], lean_angles[:, None])
 
-    joints = np.zeros((n, skeleton.n_joints, 3))
-    joints[:, skeleton.root_index] = roots
+    out[:, skeleton.root_index] = roots
     for i, (parent, child) in enumerate(edges):
-        joints[:, child] = joints[:, parent] + leaned[:, i]
-    return joints
+        out[:, child] = out[:, parent] + leaned[:, i]
 
 
 def generate_poses(config: SynthConfig, skeleton: Skeleton) -> list[Pose3D]:

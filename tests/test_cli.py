@@ -560,3 +560,17 @@ def test_synth_config_takes_an_integral_float_count(tmp_path):
     out = tmp_path / "five.ndjson"
     assert run(["synth", "--config", str(config), "--output", str(out)]) == 0
     assert out.read_text() == open(synth_file(tmp_path, count=5)).read()
+
+
+def test_a_unit_scale_that_overflows_3d_names_the_line(tmp_path):
+    # Under -W error::RuntimeWarning a numpy overflow warning would be a traceback.
+    path = tmp_path / "huge.ndjson"
+    record = {"subject": "S1", "action": "walk", "camera": "cam0", "frame": 0, "joints_2d": None,
+              "joints_3d": [[1e10, 0.5, 3.0]] * 17}
+    path.write_text(json.dumps({"meta": {"unit_scale": 1e300}}) + "\n" + json.dumps(record) + "\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "canonpose.cli", "stats", "--input", str(path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: line 2: ") and "Traceback" not in proc.stderr

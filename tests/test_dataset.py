@@ -724,3 +724,20 @@ def test_a_second_header_is_refused(tmp_path, skeleton):
     assert str(excinfo.value) == "line 2: a second header; the first is line 1"
     assert excinfo.value.line_number == 2
     assert run(["stats", "--input", str(path)]) == 2
+
+
+def test_minus_zero_loads_as_minus_zero_and_a_minus_zero_frame_as_frame_zero(tmp_path, skeleton):
+    # The writer's text for -0.0 is "-0": in a value it reads back as -0.0, as
+    # a frame number as the integer 0; a "-0.0" frame is still not an integer.
+    line = '{"subject": "S1", "action": "a", "camera": "c", "frame": -0, "joints_2d": %s, "joints_3d": %s}'
+    path = tmp_path / "zeros.ndjson"
+    path.write_text(line % (_joints(skeleton, 2, "-0"), _joints(skeleton, 3, "-0")) + "\n")
+    (seq,) = load_sequences(path, skeleton)
+    assert [(type(i), i) for i in seq._columns.index.tolist()] == [(int, 0)]
+    for joints in (seq.joints_2d(), seq.joints_3d()):
+        assert not joints.any() and np.signbit(joints).all()
+    assert serialize_sequences([seq]).splitlines()[1] == line.replace("-0,", "0,", 1) % (
+        _joints(skeleton, 2, "-0"), _joints(skeleton, 3, "-0"))
+    path.write_text(line.replace("-0,", "-0.0,", 1) % (_joints(skeleton, 2), _joints(skeleton, 3)) + "\n")
+    with pytest.raises(SchemaError, match="line 1: missing or non-integer 'frame'"):
+        load_sequences(path, skeleton)

@@ -17,6 +17,7 @@ from canonpose.synth import (
     MAX_BODY_TILT,
     MAX_BONE_SWING,
     STREAM_SPAN,
+    _POSE_ROWS,
     Box3,
     SynthConfig,
     _rest_template,
@@ -117,3 +118,10 @@ def test_generator_builds_one_philox_per_call(monkeypatch):
     monkeypatch.setattr(np.random, "Philox", counting)
     generate_pose_array(SynthConfig(seed=3, n_poses=50), H36M17, stream=1)
     assert len(built) == 1
+
+
+def test_generator_blocks_match_per_pose_reference():
+    # Two full blocks and a ragged one of 3 poses.
+    config = SynthConfig(seed=11, n_poses=2 * _POSE_ROWS + 3)
+    got = generate_pose_array(config, H36M17, stream=1)
+    assert got.tobytes() == reference_generate(config, H36M17, stream=1).tobytes()

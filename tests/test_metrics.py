@@ -3,7 +3,7 @@ import pytest
 
 from canonpose.camera import Frame, Pose3D
 from canonpose.errors import DegenerateShapeError, DimensionMismatchError
-from canonpose.metrics import SimilarityTransform, mpjpe, p_mpjpe, procrustes_align
+from canonpose.metrics import _ALIGN_ROWS, SimilarityTransform, mpjpe, p_mpjpe, procrustes_align
 
 
 def _random_similarity(rng):
@@ -113,3 +113,73 @@ def test_similarity_transform_validation():
         SimilarityTransform(1.0, -np.eye(3), np.zeros(3))
     transform = SimilarityTransform(2.0, np.eye(3), np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(transform.apply(np.ones((2, 3))), [[3.0, 2.0, 2.0]] * 2)
+
+
+# ---------------------------------------------------------------------------
+# Blocks: p_mpjpe aligns _ALIGN_ROWS frames at a time, with the result and
+# the refusals of one batch.
+# ---------------------------------------------------------------------------
+
+
+def reference_p_mpjpe(pred, gt):
+    """``p_mpjpe`` as one batch, every frame checked and aligned at once."""
+    pred, gt = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
+    j = pred.shape[1]
+    if j < 3:
+        raise DimensionMismatchError(f"similarity alignment needs at least 3 joints, got {j}")
+    mu_p, mu_g = pred.mean(axis=1), gt.mean(axis=1)
+    p0, g0 = pred - mu_p[:, None], gt - mu_g[:, None]
+    for name, centered in (("pred", p0), ("gt", g0)):
+        sv = np.linalg.svd(centered, compute_uv=False)
+        tol = max(j, 3) * np.finfo(np.float64).eps * sv[:, 0]
+        degenerate = (sv[:, 1] <= tol) | (sv[:, 0] == 0.0)
+        if degenerate.any():
+            raise DegenerateShapeError(
+                f"{name} joints are collinear in {int(degenerate.sum())} frame(s)", indices=np.nonzero(degenerate)[0]
+            )
+    cov = np.einsum("tji,tjk->tik", p0, g0)
+    u, s, vt = np.linalg.svd(cov)
+    sign = np.sign(np.linalg.det(u @ vt))
+    vt_fixed = vt.copy()
+    vt_fixed[:, 2, :] *= sign[:, None]
+    rotations = np.matmul(vt_fixed.transpose(0, 2, 1), u.transpose(0, 2, 1))
+    scales = (s[:, 0] + s[:, 1] + sign * s[:, 2]) / np.einsum("tji,tji->t", p0, p0)
+    aligned = scales[:, None, None] * np.einsum("tij,tkj->tki", rotations, p0) + mu_g[:, None]
+    return float(np.mean(np.linalg.norm(aligned - gt, axis=-1)))
+
+
+def _blocked_pair(seed):
+    """Three full blocks of frames and a ragged tail of 17."""
+    rng = np.random.default_rng(seed)
+    gt = rng.normal(size=(3 * _ALIGN_ROWS + 17, 17, 3))
+    return gt + rng.normal(scale=0.05, size=gt.shape), gt
+
+
+def test_p_mpjpe_in_blocks_is_bit_equal_to_one_batch():
+    pred, gt = _blocked_pair(21)
+    assert p_mpjpe(pred, gt).hex() == reference_p_mpjpe(pred, gt).hex()
+    unrelated = np.random.default_rng(22).normal(size=gt.shape)
+    assert p_mpjpe(unrelated, gt).hex() == reference_p_mpjpe(unrelated, gt).hex()
+
+
+def test_collinear_frames_in_two_blocks_are_refused_as_one_batch_refuses_them():
+    pred, gt = _blocked_pair(23)
+    clean_pred = pred.copy()
+    line = np.outer(np.linspace(-0.5, 0.5, 17), [0.2, 0.9, -0.4])
+    pred[[5, _ALIGN_ROWS + 7]] = line
+    gt[[3, 2 * _ALIGN_ROWS + 1]] = line
+    # Both sides collinear, gt in an earlier block: pred is still reported first.
+    for p, g, name, indices in (
+        (pred, gt, "pred", (5, _ALIGN_ROWS + 7)),
+        (clean_pred, gt, "gt", (3, 2 * _ALIGN_ROWS + 1)),
+    ):
+        with pytest.raises(DegenerateShapeError) as got:
+            p_mpjpe(p, g)
+        with pytest.raises(DegenerateShapeError) as want:
+            reference_p_mpjpe(p, g)
+        assert (str(got.value), got.value.indices) == (str(want.value), want.value.indices)
+        assert got.value.message == f"{name} joints are collinear in 2 frame(s)"
+        assert got.value.indices == indices
+    # Fewer than 3 joints is refused before any frame is checked.
+    with pytest.raises(DimensionMismatchError, match="at least 3 joints, got 2"):
+        p_mpjpe(np.zeros((2 * _ALIGN_ROWS, 2, 3)), np.zeros((2 * _ALIGN_ROWS, 2, 3)))

@@ -242,8 +242,7 @@ def _assert_agree(path, rows=None):
 NAMES = ("S1", 'say "hi"', "line\u2028separator", "Jos\u00e9", "\u6b69\u304f", "back\\slash")
 FRAMES = st.one_of(st.integers(-5, 5), st.integers(2**64 - 2, 2**70))
 # No -0.0, and no subnormal that ``unit_scale`` could take to -0.0: the
-# writer's "-0" reads back as the integer 0, a known fault that
-# ``test_negative_zero_survives_a_round_trip`` shows.
+# reference reads the writer's "-0" as the integer 0, the loader as -0.0.
 FLOATS = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False).map(lambda v: v + 0.0)
 VALUES = st.one_of(FLOATS, st.integers(-1000, 1000))
 ROTATIONS = (
@@ -324,7 +323,6 @@ def test_loader_matches_reference_and_round_trips(tmp_path_factory, generated, r
                     assert np.array_equal(win._channel(3)[0], cols.joints_3d[rows_taken])
 
 
-@pytest.mark.xfail(strict=True, reason="the writer writes -0.0 as -0, which JSON reads as the integer 0")
 def test_negative_zero_survives_a_round_trip(tmp_path):
     record = _base_records(1, canonical=False)[0]
     record["joints_3d"][1][0] = -0.0

@@ -3,7 +3,9 @@ file, no output on failure, and one body render per source row."""
 
 import itertools
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 from test_serializer import _skeleton, reference_serialize
 
@@ -185,3 +187,34 @@ def test_canonicalize_renders_each_row_once(tmp_path, synth_3000, monkeypatch):
     assert run(["canonicalize", "--input", data, "--camera", camera_file, "--output", str(out)]) == 0
     assert len(renders) == 3000
     assert out.read_bytes().count(b"\n") == 3001
+
+
+def test_the_writer_peak_does_not_grow_with_the_rows():
+    """A sequence of 16 blocks of rows, and then its windows, are written
+    within about the traced peak of one of 4 blocks. (A sequence listed
+    before its own windows keeps every body for them, by design.)"""
+
+    class Discard:
+        def write(self, text):
+            pass
+
+    skeleton = _skeleton(5, "writer5")
+
+    def peak(n):
+        rng = np.random.default_rng(n)
+        every = np.ones(n, dtype=bool)
+        columns = dataset._Columns(
+            np.array(range(n), dtype=object), rng.normal(size=(n, 5, 2)), every, rng.normal(size=(n, 5, 3)), every
+        )
+        seq = PoseSequence._of("S1", "walk", "cam0", 50.0, skeleton, columns)
+        windows = window(seq, WindowSpec(300, 200), "repeat-last")
+        tracemalloc.start()
+        try:
+            write_sequences([seq], Discard())
+            write_sequences(windows, Discard())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(4 * _BLOCK_ROWS), peak(16 * _BLOCK_ROWS)
+    assert large <= 1.5 * small, (small, large)
