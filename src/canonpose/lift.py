@@ -17,16 +17,17 @@ prediction back.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
+from functools import partial
 
 import numpy as np
 
 from .camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, batch_project, batch_screen_normalize
 from .canonical import batch_back_transform, batch_canonicalize_2d, batch_canonicalize_3d, batch_project_centered
-from .errors import DimensionMismatchError, FrameMismatchError, SingularMatrixError
+from .errors import BehindCameraError, DimensionMismatchError, FrameMismatchError, SingularMatrixError
 from .jsonfmt import dumps, json_float, json_int
 from .metrics import mpjpe, p_mpjpe
 from .skeleton import get_skeleton
-from .synth import Box3, SynthConfig, _check_type, generate_pose_array, pose_rng
+from .synth import Box3, SynthConfig, _check_type, _pose_blocks, generate_pose_array, pose_rng
 
 MAPPING_KINDS = ("conventional", "canonical")
 
@@ -89,7 +90,9 @@ def _fit_arrays(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std = np.where(std > 0, std, 1.0)
-    design = np.concatenate([(x - mean) / std, np.ones((x.shape[0], 1))], axis=1)
+    design = np.ones((x.shape[0], x.shape[1] + 1))
+    np.subtract(x, mean, out=design[:, :-1])
+    design[:, :-1] /= std
 
     gram = design.T @ design + ridge_lambda * np.eye(design.shape[1])
     try:
@@ -148,7 +151,8 @@ def fit(pairs, ridge_lambda: float, mapping_kind: str = "conventional") -> Linea
 
 def _predict_arrays(lifter: LinearLifter, x: np.ndarray) -> np.ndarray:
     """(n, 2J) flattened inputs -> (n, J, 3) predictions."""
-    flat = x @ lifter.weights[:-1] + lifter.weights[-1]
+    flat = x @ lifter.weights[:-1]
+    flat += lifter.weights[-1]
     return flat.reshape(x.shape[0], lifter.n_joints, 3)
 
 
@@ -293,48 +297,76 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     arm's test path mirrors deployment: canonicalize observed pixels (no 3D
     available), lift, rotate back into the camera frame, then score against
     the root-relative ground truth.
+
+    Training poses and noise are drawn a block at a time into both arms'
+    inputs and targets: those four (n_train, 2J or 3J) arrays and one fit's
+    (n_train, 2J + 1) design are all that grows with ``n_train``. A refusal
+    names every bad pose of the first depth check that fails, as one batch.
     """
     skeleton = get_skeleton(config.skeleton_name)
     intr = config.camera
     root = skeleton.root_index
     n_joints = skeleton.n_joints
 
-    train = generate_pose_array(config._draw("train"), skeleton, stream=_STREAM_TRAIN)
-    test = generate_pose_array(config._draw("test"), skeleton, stream=_STREAM_TEST)
-    noise_train = config.noise_sigma * pose_rng(config.seed, _NOISE_TRAIN_INDEX).standard_normal(
-        (config.n_train, n_joints, 2)
-    )
-    noise_test = config.noise_sigma * pose_rng(config.seed, _NOISE_TEST_INDEX).standard_normal(
-        (config.n_test, n_joints, 2)
-    )
-
     def flatten2(pixels: np.ndarray) -> np.ndarray:
         return batch_screen_normalize(pixels, intr).reshape(pixels.shape[0], -1)
 
-    # Conventional arm: noisy pixels as observed, targets root-relative.
-    x_conv = flatten2(batch_project(train, intr) + noise_train)
-    y_conv = (train - train[:, root : root + 1]).reshape(config.n_train, -1)
+    project = partial(batch_project, intrinsics=intr)
+    canonicalize = partial(batch_canonicalize_3d, root_index=root)
+    project_centered = partial(batch_project_centered, intrinsics=intr)
+    # The (positions, inputs) each depth check refused, checks in the order they run.
+    refused = {project: [], canonicalize: [], project_centered: []}
 
-    # Canonical arm: same noise magnitude applied to the canonical pixels.
-    canon_train, _, depths = batch_canonicalize_3d(train, root)
-    x_canon = flatten2(batch_project_centered(canon_train, intr) + noise_train)
-    anchors = np.zeros((config.n_train, 1, 3))
-    anchors[:, 0, 2] = depths
-    y_canon = (canon_train - anchors).reshape(config.n_train, -1)
-    del train, canon_train, noise_train, anchors
+    def checked(check, inputs: np.ndarray, lo: int):
+        try:
+            return check(inputs)
+        except BehindCameraError as exc:
+            refused[check].append((lo + np.array(exc.indices), inputs[list(exc.indices)]))
+
+    x_conv, x_canon, y_conv, y_canon = (np.empty((config.n_train, k * n_joints)) for k in (2, 2, 3, 3))
+    noise_rng = pose_rng(config.seed, _NOISE_TRAIN_INDEX)
+    for lo, train in _pose_blocks(config._draw("train"), skeleton, stream=_STREAM_TRAIN):
+        rows, m = slice(lo, lo + len(train)), len(train)
+        noise = config.noise_sigma * noise_rng.standard_normal((m, n_joints, 2))
+        pixels = checked(project, train, lo)
+        canon = checked(canonicalize, train, lo)
+        centered = None if canon is None else checked(project_centered, canon[0], lo)
+        if any(refused.values()):
+            continue
+        # Conventional arm: noisy pixels as observed, targets root-relative.
+        x_conv[rows] = flatten2(pixels + noise)
+        y_conv[rows] = (train - train[:, root : root + 1]).reshape(m, -1)
+        # Canonical arm: same noise magnitude applied to the canonical pixels.
+        canon_train, _, depths = canon
+        x_canon[rows] = flatten2(centered + noise)
+        canon_train[..., 2] -= depths[:, None]
+        y_canon[rows] = canon_train.reshape(m, -1)
+    for check, found in refused.items():
+        if found:
+            positions, inputs = map(np.concatenate, zip(*found))
+            try:
+                check(inputs)
+            except BehindCameraError as exc:  # the whole set's count and text; its positions mapped back
+                raise BehindCameraError(exc.message, positions[list(exc.indices)]) from None
 
     lifter_conv = LinearLifter(_fit_arrays(x_conv, y_conv, config.ridge_lambda), config.ridge_lambda, "conventional")
     lifter_canon = LinearLifter(_fit_arrays(x_canon, y_canon, config.ridge_lambda), config.ridge_lambda, "canonical")
 
     def train_stats(lifter: LinearLifter, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-        pred, gt = _predict_arrays(lifter, x), y.reshape(-1, n_joints, 3)
         errors = np.empty(len(x))
         for lo in range(0, len(x), _ERROR_ROWS):
-            errors[lo : lo + _ERROR_ROWS] = _per_frame_errors(pred[lo : lo + _ERROR_ROWS], gt[lo : lo + _ERROR_ROWS])
+            rows = slice(lo, lo + _ERROR_ROWS)
+            errors[rows] = _per_frame_errors(_predict_arrays(lifter, x[rows]), y[rows].reshape(-1, n_joints, 3))
         return float(errors.mean()), float(errors.std())
 
     conv_train_mean, conv_train_std = train_stats(lifter_conv, x_conv, y_conv)
     canon_train_mean, canon_train_std = train_stats(lifter_canon, x_canon, y_canon)
+    del x_conv, y_conv, x_canon, y_canon
+
+    test = generate_pose_array(config._draw("test"), skeleton, stream=_STREAM_TEST)
+    noise_test = config.noise_sigma * pose_rng(config.seed, _NOISE_TEST_INDEX).standard_normal(
+        (config.n_test, n_joints, 2)
+    )
 
     # Shared test observations: the detector sees the same noisy pixels no
     # matter which lifter runs behind it.

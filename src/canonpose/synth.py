@@ -197,9 +197,16 @@ def generate_pose_array(config: SynthConfig, skeleton: Skeleton, stream: int = 0
     ``stream`` offsets the per-pose Philox indices by stream * STREAM_SPAN,
     giving independent draws for the same seed (train vs test sets).
     """
+    joints = np.empty((config.n_poses, skeleton.n_joints, 3))
+    for lo, poses in _pose_blocks(config, skeleton, stream):
+        joints[lo : lo + len(poses)] = poses
+    return joints
+
+
+def _pose_blocks(config: SynthConfig, skeleton: Skeleton, stream: int):
+    """``generate_pose_array``'s poses as (first index, (m, J, 3) block), _POSE_ROWS at a time."""
     rest = _rest_template(skeleton)
     n, e = config.n_poses, len(skeleton.topological_edges)
-    joints = np.zeros((n, skeleton.n_joints, 3))
 
     # Three draws per pose, in the order the module docstring fixes. One
     # Philox is re-keyed to (seed, base + i) with counter 0 and an empty
@@ -221,8 +228,9 @@ def generate_pose_array(config: SynthConfig, skeleton: Skeleton, stream: int = 0
             rng.random(out=heads[i])
             rng.standard_normal(out=axes[i])
             rng.random(out=swings[i])
-        _build_poses(joints[lo : lo + m], heads[:m], axes[:m], swings[:m], config, skeleton, rest)
-    return joints
+        poses = np.zeros((m, skeleton.n_joints, 3))
+        _build_poses(poses, heads[:m], axes[:m], swings[:m], config, skeleton, rest)
+        yield lo, poses
 
 
 def _build_poses(out, heads, axes, swings, config: SynthConfig, skeleton: Skeleton, rest) -> None:

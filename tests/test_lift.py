@@ -1,20 +1,29 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from canonpose.camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space
+from canonpose import lift
+from canonpose.camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, batch_project, batch_screen_normalize
+from canonpose.canonical import batch_back_transform, batch_canonicalize_2d, batch_canonicalize_3d, batch_project_centered
 from canonpose.errors import (
+    BehindCameraError,
     DimensionMismatchError,
     FrameMismatchError,
     SingularMatrixError,
 )
 from canonpose.lift import (
+    ArmResult,
     LiftingStudyConfig,
     LinearLifter,
+    StudyReport,
     fit,
     predict,
     run_study,
 )
-from canonpose.synth import Box3, SynthConfig
+from canonpose.metrics import mpjpe, p_mpjpe
+from canonpose.skeleton import get_skeleton
+from canonpose.synth import Box3, SynthConfig, generate_pose_array, pose_rng
 
 
 def _planted_pairs(rng, n=60, n_joints=4, noise=0.0):
@@ -193,3 +202,136 @@ def test_config_dataclasses_read_numbers_as_the_command_line_does():
 def test_config_object_fields_are_type_checked_at_construction(build, field):
     with pytest.raises(TypeError, match=f"^{field} must be a "):
         build()
+
+
+# ---------------------------------------------------------------------------
+# The study built in blocks against the whole-batch study.
+# ---------------------------------------------------------------------------
+
+
+def reference_fit_arrays(x, y, ridge_lambda):
+    """``lift._fit_arrays`` as a whole-batch design: standardized inputs and a
+    column of ones concatenated into a new array."""
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    design = np.concatenate([(x - mean) / std, np.ones((x.shape[0], 1))], axis=1)
+    gram = design.T @ design + ridge_lambda * np.eye(design.shape[1])
+    chol = np.linalg.cholesky(gram)
+    solution = np.linalg.solve(chol.T, np.linalg.solve(chol, design.T @ y))
+    weights = np.empty((x.shape[1] + 1, y.shape[1]))
+    weights[:-1] = solution[:-1] / std[:, None]
+    weights[-1] = solution[-1] - (mean / std) @ solution[:-1]
+    return weights
+
+
+def reference_predict_arrays(lifter, x):
+    flat = x @ lifter.weights[:-1] + lifter.weights[-1]
+    return flat.reshape(x.shape[0], lifter.n_joints, 3)
+
+
+def reference_run_study(config):
+    """``run_study`` on whole-set arrays: every training pose, its noise, both
+    arms' pixels and the canonical poses at once."""
+    skeleton = get_skeleton(config.skeleton_name)
+    intr = config.camera
+    root = skeleton.root_index
+    n_joints = skeleton.n_joints
+
+    train = generate_pose_array(config._draw("train"), skeleton, stream=lift._STREAM_TRAIN)
+    test = generate_pose_array(config._draw("test"), skeleton, stream=lift._STREAM_TEST)
+    noise_train = config.noise_sigma * pose_rng(config.seed, lift._NOISE_TRAIN_INDEX).standard_normal(
+        (config.n_train, n_joints, 2)
+    )
+    noise_test = config.noise_sigma * pose_rng(config.seed, lift._NOISE_TEST_INDEX).standard_normal(
+        (config.n_test, n_joints, 2)
+    )
+
+    def flatten2(pixels):
+        return batch_screen_normalize(pixels, intr).reshape(pixels.shape[0], -1)
+
+    x_conv = flatten2(batch_project(train, intr) + noise_train)
+    y_conv = (train - train[:, root : root + 1]).reshape(config.n_train, -1)
+    canon_train, _, depths = batch_canonicalize_3d(train, root)
+    x_canon = flatten2(batch_project_centered(canon_train, intr) + noise_train)
+    anchors = np.zeros((config.n_train, 1, 3))
+    anchors[:, 0, 2] = depths
+    y_canon = (canon_train - anchors).reshape(config.n_train, -1)
+
+    lam = config.ridge_lambda
+    lifter_conv = LinearLifter(reference_fit_arrays(x_conv, y_conv, lam), lam, "conventional")
+    lifter_canon = LinearLifter(reference_fit_arrays(x_canon, y_canon, lam), lam, "canonical")
+
+    def train_stats(lifter, x, y):
+        errors = np.linalg.norm(reference_predict_arrays(lifter, x) - y.reshape(-1, n_joints, 3), axis=-1).mean(axis=-1)
+        return float(errors.mean()), float(errors.std())
+
+    conv_train_mean, conv_train_std = train_stats(lifter_conv, x_conv, y_conv)
+    canon_train_mean, canon_train_std = train_stats(lifter_canon, x_canon, y_canon)
+
+    observed = batch_project(test, intr) + noise_test
+    gt_rel = test - test[:, root : root + 1]
+    pred_conv = reference_predict_arrays(lifter_conv, flatten2(observed))
+    canon_pix, rotations, _ = batch_canonicalize_2d(observed, intr, root)
+    pred_canon = reference_predict_arrays(lifter_canon, flatten2(canon_pix))
+    pred_back = batch_back_transform(pred_canon, rotations, np.zeros(config.n_test))
+
+    mm = 1000.0
+    conventional = ArmResult(
+        train_mpjpe_mm=conv_train_mean * mm,
+        train_mpjpe_std_mm=conv_train_std * mm,
+        test_mpjpe_mm=mpjpe(pred_conv, gt_rel) * mm,
+        test_pmpjpe_mm=p_mpjpe(pred_conv, gt_rel) * mm,
+    )
+    canonical = ArmResult(
+        train_mpjpe_mm=canon_train_mean * mm,
+        train_mpjpe_std_mm=canon_train_std * mm,
+        test_mpjpe_mm=mpjpe(pred_back, gt_rel) * mm,
+        test_pmpjpe_mm=p_mpjpe(pred_back, gt_rel) * mm,
+        test_mpjpe_before_back_transform_mm=mpjpe(pred_canon, gt_rel) * mm,
+    )
+    return StudyReport(config=config, conventional=conventional, canonical=canonical)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(n_train=3 * 256 + 37, n_test=2 * 256 + 5, seed=4, noise_sigma=3.5, ridge_lambda=0.02, limb_scale=1.15),
+        dict(n_train=100, n_test=1, seed=3),
+    ],
+    ids=["ragged-blocks", "under-one-block"],
+)
+def test_study_in_blocks_writes_the_whole_batch_report(overrides):
+    config = LiftingStudyConfig(**overrides)
+    assert run_study(config).to_json() == reference_run_study(config).to_json()
+
+
+def test_study_refuses_training_poses_as_one_batch():
+    # Roots 0.51-0.6 m from the camera put hundreds of joints, in poses of
+    # most of the 2000-pose set's blocks, behind the camera plane.
+    config = LiftingStudyConfig(
+        train_root_region=Box3((-0.15, -0.15, 0.51), (0.15, 0.15, 0.6)), n_train=2000, n_test=50
+    )
+    with pytest.raises(BehindCameraError) as expected:
+        reference_run_study(config)
+    with pytest.raises(BehindCameraError) as got:
+        run_study(config)
+    assert str(got.value) == str(expected.value)
+    assert got.value.indices == expected.value.indices
+    assert max(got.value.indices) >= 7 * 256
+
+
+def test_study_memory_grows_only_by_its_fit_arrays():
+    # Both arms' inputs and targets and one fit's design: (2 + 3 + 2 + 3 + 2)
+    # * 17 + 1 numbers, 1,640 bytes per h36m17 training pose.
+    def peak(n_train):
+        config = LiftingStudyConfig(n_train=n_train, n_test=500, seed=9)
+        tracemalloc.start()
+        try:
+            run_study(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(4096), peak(16384)
+    assert (large - small) / (16384 - 4096) <= 2000, (small, large)
