@@ -106,9 +106,11 @@ def _require_space(pose: "Pose2D", space: Space, op: str) -> None:
 
 
 def _rotation_errors(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """max |R^T R - I| and det R of each matrix of a finite (N, 3, 3) stack."""
-    gram = np.abs(np.swapaxes(matrices, -1, -2) @ matrices - np.eye(3)).max(axis=(-2, -1))
-    return gram, np.linalg.det(matrices)
+    """max |R^T R - I| and det R of each matrix of a finite (N, 3, 3) stack;
+    entries too large to multiply give inf, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.abs(np.swapaxes(matrices, -1, -2) @ matrices - np.eye(3)).max(axis=(-2, -1))
+        return gram, np.linalg.det(matrices)
 
 
 def _improper_rotations(matrices: np.ndarray) -> np.ndarray:

@@ -239,13 +239,12 @@ def _cmd_stats(args) -> int:
         "joint_scatter_2d_px": joint_scatter_extent(sequences, "2d"),
         "joint_scatter_3d_root_relative_m": joint_scatter_extent(sequences, "3d-root-relative"),
     }
-    # The CSV directory is made first, so a run refused for it writes nothing.
+    # The CSVs are written first, so a run refused for one leaves the report as it was.
     if args.csv:
         os.makedirs(args.csv, exist_ok=True)
-    _write_text(dumps({k: v.to_dict() for k, v in summaries.items()}) + "\n", args.output)
-    if args.csv:
         for name, summary in summaries.items():
             write_samples_csv(summary, os.path.join(args.csv, f"{name}.csv"))
+    _write_text(dumps({k: v.to_dict() for k, v in summaries.items()}) + "\n", args.output)
     return 0
 
 

@@ -38,11 +38,15 @@ scaled by ``unit_scale``) run once per block of up to ``_LOAD_ROWS`` (128)
 record lines, over flat lists of its values. A block that fails one is
 checked again line by line, as is a waiting block before a fault found while
 decoding (bad JSON, a non-object, a misplaced header), so the first bad line
-of the file is reported, with the same text. The
-sequence checks (no mix of canonical and raw records, 2D in every canonical
-record, and the rotation checks of the canon blocks: orthogonality, unit
-determinant, finite entries, source norm above EPS_VEC) run once per
-sequence after the whole file is read, and report the lowest failing line.
+of the file is reported, with the same text. Lines are decoded by orjson; a
+line orjson refuses (``NaN``, a number past the float range, a lone
+surrogate, bad JSON) or one that holds an integer ``-0`` is decoded by the
+stdlib ``json``, and the line-by-line re-check always decodes with the
+stdlib, so every error text is the stdlib's. The sequence checks (no mix
+of canonical and raw records, 2D in every canonical record, and the
+rotation checks of the canon blocks: orthogonality, unit determinant,
+finite entries, source norm above EPS_VEC) run once per sequence after the
+whole file is read, and report the lowest failing line.
 A canonical sequence's 3D loads as canonical-frame when every frame with 3D
 has its root at exactly (0, 0, root_depth), as the 3D path writes it, and as
 camera-frame otherwise, as the 2D path leaves it.
@@ -61,9 +65,11 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import orjson
 
 from .camera import (
     CameraIntrinsics,
@@ -593,6 +599,22 @@ def _decode(text: str):
     return obj
 
 
+# An integer ``-0``: not followed by a fraction, an exponent or a digit.
+_INTEGER_MINUS_ZERO = re.compile(r"-0(?![.eE\d])")
+
+
+def _decode_fast(text: str):
+    """A line's JSON value, decoded by orjson. A line orjson refuses, or one
+    that holds an integer ``-0`` (orjson reads it as 0), is left to
+    ``_decode``, so every error is the stdlib's."""
+    if _INTEGER_MINUS_ZERO.search(text) is None:
+        try:
+            return orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass
+    return _decode(text)
+
+
 class _Block:
     """Record lines read but not yet checked: numbers and texts and, for the
     lines in the usual form (``add``), keys, frames, presence flags and values."""
@@ -782,7 +804,11 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
             if not line:
                 continue
             try:
-                obj = _decode(line)
+                # orjson reads an integer outside [-2**63, 2**64) as a float. A
+                # value rounds to the same float64 either way; a frame fails
+                # ``_Block.add``'s int test, and ``_Block.check``, which decodes
+                # with ``_decode`` alone, decodes its block again.
+                obj = _decode_fast(line)
                 if not isinstance(obj, dict):
                     raise SchemaError(f"line {lineno}: record must be a JSON object", lineno)
                 if "meta" in obj:

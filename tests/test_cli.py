@@ -487,6 +487,19 @@ def test_stats_refused_for_its_csv_directory_writes_nothing(tmp_path, camera_fil
     assert report.read_text() == "an earlier report\n"
 
 
+def test_stats_refused_for_a_csv_file_leaves_the_report_alone(tmp_path, camera_file, capsys):
+    data = synth_file(tmp_path, count=4, camera=camera_file)
+    csv_dir = tmp_path / "csv"
+    (csv_dir / "pelvis_xy_m.csv").mkdir(parents=True)  # a directory where the first CSV goes
+    report = tmp_path / "stats.json"
+    report.write_text('{"x":1}')
+    argv = ["stats", "--input", data, "--camera", camera_file, "--output", str(report), "--csv", str(csv_dir)]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert report.read_text() == '{"x":1}'
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="POSIX signal")
 def test_a_closed_pipe_ends_the_command_quietly():
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -16,6 +16,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -225,6 +226,13 @@ def _assert_agree(path, rows=None):
     """Both loaders give the same sequences or the same error; the block
     loader's outcome is returned."""
     loaded, reference = _outcome(load_sequences, path, rows), _outcome(reference_load, path)
+    _assert_same_outcome(loaded, reference)
+    return loaded
+
+
+def _assert_same_outcome(loaded, reference):
+    """The block loader's outcome is the reference's: the same sequences or
+    the same error."""
     if isinstance(reference, Exception):
         assert isinstance(loaded, Exception), f"accepted what the reference refuses: {reference}"
         assert (type(loaded), str(loaded)) == (type(reference), str(reference))
@@ -232,7 +240,6 @@ def _assert_agree(path, rows=None):
     else:
         assert not isinstance(loaded, Exception), f"refused what the reference accepts: {loaded}"
         _assert_same_arrays(loaded, reference)
-    return loaded
 
 
 # ---------------------------------------------------------------------------
@@ -485,3 +492,70 @@ def test_an_int_too_large_for_a_float_is_not_numeric(tmp_path):
         load_sequences(_write(tmp_path, lines), TINY)
     assert excinfo.value.line_number == 6
     assert str(excinfo.value).startswith("line 6: joints_3d is not numeric: ")
+
+
+# ---------------------------------------------------------------------------
+# Number tokens: the loader decodes lines with orjson, the reference with json.
+# ---------------------------------------------------------------------------
+
+TOKENS = (
+    str(2**53), str(-(2**53)), str(2**63 - 1), str(-(2**63) - 1), str(2**64 - 1), str(2**64), str(10**308),
+    "1e308", "1e309", "1e400", str(10**400),
+    "-0", "-0.0", "-0e0",
+    "5e-324", "2.2250738585072011e-308",
+    "%.17g" % (2 / 3), "%.17g" % -math.pi, "%.17g" % (1 / 3e10), "1E5", "-2.5E-3",
+)
+# Where a token is written: a path into the first record, or into the header.
+# The rotation entry is a 0 of the identity, so the -0 tokens keep it a rotation.
+PLACES = (
+    ("joints_2d", 1, 0), ("joints_3d", 1, 0), ("canon", "rotation", 1), ("canon", "source", 0),
+    ("canon", "root_depth"), ("frame",), ("meta", "fps"), ("meta", "unit_scale"),
+)
+
+
+def _token_file(tmp_path, place, token):
+    """A canonical file with ``token`` as the text of the number at ``place``."""
+    header = {"meta": {"skeleton": TINY.name, "unit_scale": 1, "fps": 50}}
+    records = json.loads(json.dumps(_base_records(4, canonical=True)))  # ROTATIONS and SOURCES stay as they are
+    _put(header if place[0] == "meta" else records[0], place, "@token@")
+    text = "\n".join(map(json.dumps, [header, *records])).replace('"@token@"', token) + "\n"
+    path = tmp_path / f"{'.'.join(map(str, place))}-{len(list(tmp_path.iterdir()))}.ndjson"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("token", TOKENS, ids=lambda token: f"10**{len(token) - 1}" if len(token) > 25 else token)
+def test_each_number_token_loads_as_the_stdlib_decoder_reads_it(tmp_path, token):
+    """At every number position, the same arrays, bit for bit, or the same
+    error class, line and message as the loader gives with every line decoded
+    by ``_decode``, and as the reference gives."""
+    for place in PLACES:
+        path = _token_file(tmp_path, place, token)
+        loaded = _outcome(load_sequences, path)
+        with mock.patch.object(dataset, "_decode_fast", dataset._decode):
+            stdlib = _outcome(load_sequences, path)
+        # The reference reads the writer's ``-0`` as the integer 0, the loader
+        # as -0.0, or as frame 0: the reference is given that value's text.
+        expected = {"-0": "0" if place == ("frame",) else "-0.0"}.get(token, token)
+        reference = _outcome(reference_load, _token_file(tmp_path, place, expected))
+        try:
+            _assert_same_outcome(loaded, stdlib)
+            if isinstance(loaded, SchemaError) and "once scaled by unit_scale" in str(loaded):
+                # The reference checks 3D values unscaled, so it refuses the
+                # same line for the root depth that the scale takes to inf.
+                assert (type(reference), reference.line_number) == (type(loaded), loaded.line_number)
+                assert "root_depth must be positive and finite, got inf" in str(reference)
+            else:
+                _assert_same_outcome(loaded, reference)
+        except AssertionError as exc:
+            raise AssertionError(f"{token} at {place}: {exc}") from exc
+
+
+def test_a_line_only_the_stdlib_decoder_accepts_loads(tmp_path):
+    records = _base_records(4, canonical=False)
+    records[1]["subject"] = "S\ud800"
+    lines = [json.dumps(record) for record in records]
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(lines[1])
+    loaded = _assert_agree(_write(tmp_path, lines))
+    assert ("S\ud800", "walk", "c") in [seq.key for seq in loaded]
