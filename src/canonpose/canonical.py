@@ -71,7 +71,8 @@ class CanonicalRotation:
 
     def __post_init__(self):
         mat, src = _rigid(self.matrix, self.source_vector, "canonical rotation", "source_vector")
-        (norm,) = _vector_norms(src[None])
+        with np.errstate(invalid="ignore", over="ignore"):  # an overflowing norm is inf and passes
+            (norm,) = _vector_norms(src[None])
         if norm <= EPS_VEC:
             raise DegenerateVectorError(f"source_vector norm {norm:.3e} <= {EPS_VEC}")
         object.__setattr__(self, "matrix", mat)

@@ -302,6 +302,17 @@ class PoseSequence:
     def key(self) -> tuple[str, str, str]:
         return (self.subject, self.action, self.camera_id)
 
+    def __repr__(self) -> str:
+        # Not the dataclass repr: ``frames`` and ``records`` build every frame.
+        cols = self._columns
+        space = None if cols.joints_2d is None else cols.space_2d.value
+        frame = None if cols.joints_3d is None else cols.frame_3d.value
+        return (
+            f"PoseSequence(key={self.key!r}, fps={self.fps!r}, n_frames={self.n_frames}, "
+            f"skeleton={self.skeleton.name!r}, space_2d={space!r}, frame_3d={frame!r}, "
+            f"canonical={cols.rotations is not None})"
+        )
+
     def joints_2d(self) -> np.ndarray | None:
         """(T, J, 2) read-only array, or None when any frame lacks a 2D pose."""
         joints, present, _ = self._channel(2)

@@ -6,6 +6,15 @@ Euclidean joint distance with no internal re-centering or alignment;
 ``p_mpjpe`` first finds, per frame, the similarity transform (scale, proper
 rotation, translation) minimizing the summed squared joint distance, then
 averages the remaining distances.
+
+A frame whose centered joints are collinear has no unique alignment and is
+refused. The rule is the singular values': sigma2 <= J * eps * sigma1, or
+sigma1 == 0. A cheap screen runs first. For a frame's 3x3 Gram matrix of
+centered joints, with eigenvalues l1 >= l2 >= l3 >= 0, trace t and e2 the sum
+of its principal 2x2 minors, e2 <= 3 * l1 * l2 and l1 <= t. So a frame with
+e2 > 1e-6 * t**2 has sigma2 / sigma1 >= 5.7e-4, eleven orders of magnitude
+above the tolerance, and passes without an SVD. Every other frame, including
+zero, non-finite, overflowing and tiny ones, goes to the SVD.
 """
 
 from __future__ import annotations
@@ -83,22 +92,47 @@ def mpjpe(pred, gt) -> float:
 
 # Frames ``p_mpjpe`` aligns at once; their errors fill one (T, J) array.
 _ALIGN_ROWS = 256
+# The rank screen in front of the collinearity SVD (module docstring).
+_RANK_SCREEN = 1e-6
+# Below this trace the screen's products may underflow, so its bound is not
+# proven there; such frames go to the SVD.
+_SCREEN_MIN_TRACE = 1e-150
+
+
+def _surely_full_rank(centered: np.ndarray) -> np.ndarray:
+    """Mask of the (m, J, 3) centered frames the rank screen passes: those
+    whose 3x3 Gram matrix has e2 > _RANK_SCREEN * t**2, for trace t and e2
+    the sum of its principal 2x2 minors. Zero, tiny, non-finite and
+    overflowing frames fail it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = centered.transpose(0, 2, 1) @ centered
+        xx, yy, zz = gram[:, 0, 0], gram[:, 1, 1], gram[:, 2, 2]
+        xy, xz, yz = gram[:, 0, 1], gram[:, 0, 2], gram[:, 1, 2]
+        t = xx + yy + zz
+        e2 = (xx * yy - xy * xy) + (xx * zz - xz * xz) + (yy * zz - yz * yz)
+        return (e2 > _RANK_SCREEN * t * t) & (t > _SCREEN_MIN_TRACE)
 
 
 def _check_alignable(pred: np.ndarray, gt: np.ndarray, blocks: list) -> None:
     """Raise unless (T, J, 3) ``pred`` and ``gt`` have J >= 3 and no frame
     whose centered joints are collinear (rank < 2), which has no unique
     alignment. Frames are checked by the ``blocks`` of rows, every pred frame
-    before any gt frame."""
+    before any gt frame; the singular values decide every frame the rank
+    screen does not pass."""
     j = pred.shape[1]
     if j < 3:
         raise DimensionMismatchError(f"similarity alignment needs at least 3 joints, got {j}")
     for name, poses in (("pred", pred), ("gt", gt)):
         degenerate = []
         for rows in blocks:
-            sv = np.linalg.svd(poses[rows] - poses[rows].mean(axis=1, keepdims=True), compute_uv=False)
-            tol = max(j, 3) * np.finfo(np.float64).eps * sv[:, 0]
-            degenerate.append((sv[:, 1] <= tol) | (sv[:, 0] == 0.0))
+            centered = poses[rows] - poses[rows].mean(axis=1, keepdims=True)
+            suspect = ~_surely_full_rank(centered)
+            flags = np.zeros(len(centered), dtype=bool)
+            if suspect.any():
+                sv = np.linalg.svd(centered[suspect], compute_uv=False)
+                tol = max(j, 3) * np.finfo(np.float64).eps * sv[:, 0]
+                flags[suspect] = (sv[:, 1] <= tol) | (sv[:, 0] == 0.0)
+            degenerate.append(flags)
         degenerate = np.concatenate(degenerate)
         if degenerate.any():
             raise DegenerateShapeError(

@@ -173,12 +173,22 @@ def _rest_template(skeleton: Skeleton) -> tuple[np.ndarray, np.ndarray]:
     return directions, lengths
 
 
-def _rotate_about_axes(vectors: np.ndarray, axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rotate (..., 3) vectors by per-row angles about per-row unit axes."""
-    cos = np.cos(angles)[..., None]
-    sin = np.sin(angles)[..., None]
-    dot = np.sum(axes * vectors, axis=-1, keepdims=True)
-    return vectors * cos + np.cross(axes, vectors) * sin + axes * dot * (1.0 - cos)
+def _rotate_planes(vectors, axes, angles) -> tuple:
+    """Rotate vectors by per-row angles about per-row unit axes, each given
+    as its x, y, z planes: Rodrigues' formula, one expression per component.
+
+    Each sum runs in the order ``np.sum`` and ``np.cross`` use on a last axis
+    of length 3, so the planes hold the bits of the (..., 3) form."""
+    vx, vy, vz = vectors
+    ax, ay, az = axes
+    cos, sin = np.cos(angles), np.sin(angles)
+    dot = (ax * vx + ay * vy) + az * vz
+    versine = 1.0 - cos
+    return (
+        (vx * cos + (ay * vz - az * vy) * sin) + ax * dot * versine,
+        (vy * cos + (az * vx - ax * vz) * sin) + ay * dot * versine,
+        (vz * cos + (ax * vy - ay * vx) * sin) + az * dot * versine,
+    )
 
 
 def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -228,16 +238,17 @@ def _pose_blocks(config: SynthConfig, skeleton: Skeleton, stream: int):
             rng.random(out=heads[i])
             rng.standard_normal(out=axes[i])
             rng.random(out=swings[i])
-        poses = np.zeros((m, skeleton.n_joints, 3))
-        _build_poses(poses, heads[:m], axes[:m], swings[:m], config, skeleton, rest)
-        yield lo, poses
+        yield lo, _build_poses(heads[:m], axes[:m], swings[:m], config, skeleton, rest)
 
 
-def _build_poses(out, heads, axes, swings, config: SynthConfig, skeleton: Skeleton, rest) -> None:
-    """Write into (m, J, 3) ``out`` the poses of m poses' draws."""
+def _build_poses(heads, axes, swings, config: SynthConfig, skeleton: Skeleton, rest) -> np.ndarray:
+    """The (m, J, 3) poses of m poses' draws.
+
+    Vectors are held as x, y, z planes of shape (m, E): numpy pays a fixed
+    cost per inner loop, which a last axis of length 3 pays per element."""
     edges = skeleton.topological_edges
     rest_dirs, rest_lens = rest
-    m, e = len(out), len(edges)
+    m = len(heads)
     # A root's unit uniform is the draw itself: ``uniform()`` is 0 + 1 * u == u.
     low, span = config.root_region.low, config.root_region.high - config.root_region.low
     roots = low + heads[:, :3] * span
@@ -247,29 +258,27 @@ def _build_poses(out, heads, axes, swings, config: SynthConfig, skeleton: Skelet
     jitters = _uniform(heads[:, 6:], -BONE_LENGTH_JITTER, BONE_LENGTH_JITTER)
     angles = _uniform(swings, 0.0, MAX_BONE_SWING)
 
-    norms = np.linalg.norm(axes, axis=-1, keepdims=True)
-    axes = np.where(norms > 1e-12, axes / np.where(norms > 0, norms, 1.0), [0.0, 0.0, 1.0])
+    ax, ay, az = np.moveaxis(axes, -1, 0)
+    norms = np.sqrt((ax * ax + ay * ay) + az * az)
+    unit = norms > 1e-12
+    norms = np.where(norms > 0, norms, 1.0)
+    axes = np.where(unit, ax / norms, 0.0), np.where(unit, ay / norms, 0.0), np.where(unit, az / norms, 1.0)
 
     lengths = rest_lens * config.limb_scale * (1.0 + jitters)
-    directions = _rotate_about_axes(np.broadcast_to(rest_dirs, (m, e, 3)), axes, angles)
-    bones = lengths[..., None] * directions
+    bx, by, bz = (lengths * d for d in _rotate_planes(rest_dirs.T, axes, angles))
 
     # Whole-body orientation: yaw about the vertical, then lean about a
     # random horizontal axis (y is down in the camera frame).
-    cos_y, sin_y = np.cos(yaws), np.sin(yaws)
-    yawed = np.empty_like(bones)
-    yawed[..., 0] = cos_y[:, None] * bones[..., 0] + sin_y[:, None] * bones[..., 2]
-    yawed[..., 1] = bones[..., 1]
-    yawed[..., 2] = -sin_y[:, None] * bones[..., 0] + cos_y[:, None] * bones[..., 2]
+    cos_y, sin_y = np.cos(yaws)[:, None], np.sin(yaws)[:, None]
+    yawed = cos_y * bx + sin_y * bz, by, -sin_y * bx + cos_y * bz
+    lean_axes = np.cos(lean_azimuths)[:, None], np.zeros((m, 1)), np.sin(lean_azimuths)[:, None]
+    leaned = np.stack(_rotate_planes(yawed, lean_axes, lean_angles[:, None]))
 
-    lean_axes = np.stack(
-        [np.cos(lean_azimuths), np.zeros(m), np.sin(lean_azimuths)], axis=-1
-    )
-    leaned = _rotate_about_axes(yawed, lean_axes[:, None, :], lean_angles[:, None])
-
-    out[:, skeleton.root_index] = roots
+    planes = np.empty((3, m, skeleton.n_joints))
+    planes[:, :, skeleton.root_index] = roots.T
     for i, (parent, child) in enumerate(edges):
-        out[:, child] = out[:, parent] + leaned[:, i]
+        planes[:, :, child] = planes[:, :, parent] + leaned[:, :, i]
+    return np.ascontiguousarray(planes.transpose(1, 2, 0))
 
 
 def generate_poses(config: SynthConfig, skeleton: Skeleton) -> list[Pose3D]:

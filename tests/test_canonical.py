@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -227,6 +229,13 @@ def test_canonical_rotation_validation():
     rotation = rodrigues_align((1.0, 2.0, 3.0), PRINCIPAL_AXIS)
     pts = np.arange(12, dtype=np.float64).reshape(4, 3)
     assert np.allclose(rotation.inverse_apply(rotation.apply(pts)), pts, atol=1e-12)
+
+
+def test_a_source_whose_norm_overflows_is_accepted_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rotation = CanonicalRotation(np.eye(3), [1e308, 0.0, 1.0])
+    assert rotation.source_vector[0] == 1e308
 
 
 def test_canonical_record_validation(intrinsics):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -377,6 +378,16 @@ def test_canon_rotation_error_reports_the_lowest_line_of_the_file(tmp_path, skel
     assert excinfo.value.line_number == 4
 
 
+def test_a_source_whose_norm_overflows_builds_its_record_without_a_warning(tmp_path, skeleton):
+    path = tmp_path / "canon.ndjson"
+    path.write_text(_canon_record(skeleton, 0, IDENTITY, "[1e308,0,1]") + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (seq,) = load_sequences(path, skeleton)
+        (record,) = seq.records
+    assert record.rotation.source_vector.tolist() == [1e308, 0.0, 1.0]
+
+
 def _assert_read_only(arrays):
     arrays = list(arrays)
     assert arrays
@@ -741,3 +752,20 @@ def test_minus_zero_loads_as_minus_zero_and_a_minus_zero_frame_as_frame_zero(tmp
     path.write_text(line.replace("-0,", "-0.0,", 1) % (_joints(skeleton, 2), _joints(skeleton, 3)) + "\n")
     with pytest.raises(SchemaError, match="line 1: missing or non-integer 'frame'"):
         load_sequences(path, skeleton)
+
+
+def test_repr_of_a_loaded_sequence_builds_no_frame(tmp_path, pose_batch, intrinsics, skeleton):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=1100, seed=24)
+    path = tmp_path / "canon.ndjson"
+    save_sequences(canonicalize_dataset([seq], intrinsics, "3d-path", threads=1), path)
+    (loaded,) = load_sequences(path, skeleton)
+    text = repr(loaded)
+    assert len(text) < 300
+    assert text == (
+        "PoseSequence(key=('S1', 'walk', 'cam0'), fps=50.0, n_frames=1100, skeleton='h36m17', "
+        "space_2d='image', frame_3d='canonical-camera', canonical=True)"
+    )
+    assert str([loaded]) == f"[{text}]"
+    assert not loaded._columns._pairs and not loaded._columns._records
+    only_2d = replace(seq, frames=tuple(FramePair(f.pose_2d, None, f.index) for f in seq.frames))
+    assert repr(only_2d).endswith("space_2d='image', frame_3d=None, canonical=False)")

@@ -1,8 +1,9 @@
 """Golden test: ``generate_pose_array`` against a per-pose reference generator.
 
 The reference below is the straightforward form of the generator: a fresh
-``pose_rng(seed, index)`` for every pose and one ``uniform`` or
-``standard_normal`` call per quantity. The per-pose draw order it fixes (6 + E
+``pose_rng(seed, index)`` for every pose, one ``uniform`` or
+``standard_normal`` call per quantity, and every vector an (..., 3) array
+rotated by ``np.cross`` and ``np.sum``. The per-pose draw order it fixes (6 + E
 uniforms, E x 3 standard normals, E uniforms) is the generator's output
 contract; the production generator must reproduce it bit for bit on every pose.
 """
@@ -20,8 +21,8 @@ from canonpose.synth import (
     _POSE_ROWS,
     Box3,
     SynthConfig,
+    _build_poses,
     _rest_template,
-    _rotate_about_axes,
     generate_pose_array,
     pose_rng,
 )
@@ -29,11 +30,16 @@ from canonpose.synth import (
 TOP_SEED = 2**64 - 1
 
 
-def reference_generate(config, skeleton, stream=0):
-    edges = skeleton.topological_edges
-    rest_dirs, rest_lens = _rest_template(skeleton)
-    n, e = config.n_poses, len(edges)
+def _rotate_about_axes(vectors: np.ndarray, axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Rotate (..., 3) vectors by per-row angles about per-row unit axes."""
+    cos = np.cos(angles)[..., None]
+    sin = np.sin(angles)[..., None]
+    dot = np.sum(axes * vectors, axis=-1, keepdims=True)
+    return vectors * cos + np.cross(axes, vectors) * sin + axes * dot * (1.0 - cos)
 
+
+def reference_generate(config, skeleton, stream=0):
+    n, e = config.n_poses, len(skeleton.topological_edges)
     roots = np.empty((n, 3))
     yaws = np.empty(n)
     lean_azimuths = np.empty(n)
@@ -52,7 +58,14 @@ def reference_generate(config, skeleton, stream=0):
         jitters[i] = rng.uniform(-BONE_LENGTH_JITTER, BONE_LENGTH_JITTER, size=e)
         axes[i] = rng.standard_normal(size=(e, 3))
         angles[i] = rng.uniform(0.0, MAX_BONE_SWING, size=e)
+    return reference_build(config, skeleton, roots, yaws, lean_azimuths, lean_angles, jitters, axes, angles)
 
+
+def reference_build(config, skeleton, roots, yaws, lean_azimuths, lean_angles, jitters, axes, angles):
+    """The (n, J, 3) poses of n poses' drawn quantities."""
+    edges = skeleton.topological_edges
+    rest_dirs, rest_lens = _rest_template(skeleton)
+    n, e = len(roots), len(edges)
     norms = np.linalg.norm(axes, axis=-1, keepdims=True)
     axes = np.where(norms > 1e-12, axes / np.where(norms > 0, norms, 1.0), [0.0, 0.0, 1.0])
     lengths = rest_lens * config.limb_scale * (1.0 + jitters)
@@ -125,3 +138,34 @@ def test_generator_blocks_match_per_pose_reference():
     config = SynthConfig(seed=11, n_poses=2 * _POSE_ROWS + 3)
     got = generate_pose_array(config, H36M17, stream=1)
     assert got.tobytes() == reference_generate(config, H36M17, stream=1).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, _POSE_ROWS - 1, _POSE_ROWS, _POSE_ROWS + 1])
+def test_build_poses_matches_reference_bit_for_bit(m):
+    config = SynthConfig(seed=0, n_poses=m, limb_scale=1.1, root_region=Box3((-2, 0.5, 6), (-1, 1.5, 9)))
+    e = len(H36M17.topological_edges)
+    rng = np.random.default_rng(m)
+    heads, axes, swings = rng.random((m, 6 + e)), rng.standard_normal((m, e, 3)), rng.random((m, e))
+    # Swing axes with norm 0 and 1e-13 fall back to +z; one of 2e-12 is scaled.
+    axes[0, 0] = 0.0
+    axes[-1, 1] = [6e-14, 0.0, -8e-14]
+    axes[-1, 2] = [0.0, 2e-12, 0.0]
+    got = _build_poses(heads, axes, swings, config, H36M17, _rest_template(H36M17))
+
+    def uniform(u, low, high):  # ``Generator.uniform``'s arithmetic
+        return low + (high - low) * u
+
+    low, high = config.root_region.low, config.root_region.high
+    want = reference_build(
+        config,
+        H36M17,
+        uniform(heads[:, :3], low, high),
+        uniform(heads[:, 3], 0.0, 2.0 * np.pi),
+        uniform(heads[:, 4], 0.0, 2.0 * np.pi),
+        uniform(heads[:, 5], 0.0, MAX_BODY_TILT),
+        uniform(heads[:, 6:], -BONE_LENGTH_JITTER, BONE_LENGTH_JITTER),
+        axes,
+        uniform(swings, 0.0, MAX_BONE_SWING),
+    )
+    assert got.shape == (m, H36M17.n_joints, 3)
+    assert got.tobytes() == want.tobytes()

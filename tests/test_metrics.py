@@ -3,7 +3,7 @@ import pytest
 
 from canonpose.camera import Frame, Pose3D
 from canonpose.errors import DegenerateShapeError, DimensionMismatchError
-from canonpose.metrics import _ALIGN_ROWS, SimilarityTransform, mpjpe, p_mpjpe, procrustes_align
+from canonpose.metrics import _ALIGN_ROWS, SimilarityTransform, _surely_full_rank, mpjpe, p_mpjpe, procrustes_align
 
 
 def _random_similarity(rng):
@@ -183,3 +183,102 @@ def test_collinear_frames_in_two_blocks_are_refused_as_one_batch_refuses_them():
     # Fewer than 3 joints is refused before any frame is checked.
     with pytest.raises(DimensionMismatchError, match="at least 3 joints, got 2"):
         p_mpjpe(np.zeros((2 * _ALIGN_ROWS, 2, 3)), np.zeros((2 * _ALIGN_ROWS, 2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# The rank screen: frames it passes skip the collinearity SVD, every other
+# frame is decided by the SVD, so results and refusals stay those of the SVD
+# alone.
+# ---------------------------------------------------------------------------
+
+
+def _line(j=17, scale=1.0, offset=0.0):
+    """A frame of j joints on one line, with the middle joint moved off it by
+    ``offset`` times the line's length."""
+    frame = np.outer(np.linspace(-0.5, 0.5, j), [0.2, 0.9, -0.4]) + [0.1, -0.3, 4.0]
+    frame[j // 2] += offset * np.array([0.9, -0.2, 0.0])
+    return frame * scale
+
+
+_SCREEN_CASES = {
+    **{f"collinear-offset-{offset:g}": _line(offset=offset) for offset in (0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1.0)},
+    "three-joints": np.array([[0.0, 0.0, 3.0], [0.4, 0.1, 3.2], [-0.2, 0.5, 3.1]]),
+    "three-joints-collinear": _line(j=3),
+    "all-zero": np.zeros((17, 3)),
+    "nan": np.where(np.arange(17)[:, None] == 4, np.nan, _line(offset=1.0)),
+    "scale-1e200": _line(offset=1.0, scale=1e200),
+    # Gram products in the subnormal range, then all of them underflowed.
+    "scale-1e-80": _line(offset=1.0, scale=1e-80),
+    "scale-1e-80-collinear": _line(scale=1e-80),
+    "scale-1e-160": _line(offset=1.0, scale=1e-160),
+}
+
+
+def _outcome(metric, pred, gt):
+    """``metric``'s value bits, or its refusal as (class, message, indices)."""
+    try:
+        return metric(pred, gt).hex()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "indices", None)
+
+
+def _procrustes_error(pred, gt) -> float:
+    """The mean joint error after ``procrustes_align``."""
+    aligned, _ = procrustes_align(pred, gt)
+    return float(np.mean(np.linalg.norm(aligned - gt, axis=-1)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(_SCREEN_CASES))
+def test_rank_screen_keeps_the_svd_outcome(case):
+    frame = _SCREEN_CASES[case]
+    j = len(frame)
+    rng = np.random.default_rng(31)
+    other = rng.normal(size=(j, 3)) + [0.0, 0.0, 4.0]
+    # One frame either side, then the frame among ordinary ones.
+    pairs = [(frame[None], other[None]), (other[None], frame[None])]
+    batch = rng.normal(size=(40, j, 3))
+    for position in (0, 17, 39):
+        with_frame = batch.copy()
+        with_frame[position] = frame
+        pairs += [(with_frame, batch + 0.01), (batch + 0.01, with_frame)]
+    for pred, gt in pairs:
+        assert _outcome(p_mpjpe, pred, gt) == _outcome(reference_p_mpjpe, pred, gt)
+    got = _outcome(_procrustes_error, frame, other)
+    if case == "scale-1e200":
+        # It passes the check, but its squared norm overflows and the fitted
+        # scale is 0, which SimilarityTransform refuses.
+        assert got[:2] == (ValueError, "scale must be positive and finite, got 0.0")
+    else:
+        assert got == _outcome(reference_p_mpjpe, frame[None], other[None])
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_block_mixes_screened_and_svd_checked_frames():
+    rng = np.random.default_rng(32)
+    pred = rng.normal(size=(_ALIGN_ROWS + 9, 17, 3))
+    gt = pred + rng.normal(scale=0.05, size=pred.shape)
+    # Near-collinear frames the SVD must decide: the first three pass it.
+    for position, offset in ((3, 1e-6), (100, 1e-9), (101, 1e-12), (_ALIGN_ROWS + 2, 0.0)):
+        pred[position] = _line(offset=offset)
+    first = pred[:_ALIGN_ROWS]
+    screened = _surely_full_rank(first - first.mean(axis=1, keepdims=True))
+    assert screened.sum() == _ALIGN_ROWS - 3 and not screened[[3, 100, 101]].any()
+    assert _outcome(p_mpjpe, first, gt[:_ALIGN_ROWS]) == _outcome(reference_p_mpjpe, first, gt[:_ALIGN_ROWS])
+    got = _outcome(p_mpjpe, pred, gt)
+    assert got == _outcome(reference_p_mpjpe, pred, gt)
+    assert got[2] == (_ALIGN_ROWS + 2,)
+    # Two more collinear frames in the first block: one refusal names all three.
+    pred[[5, 7]] = _line(offset=1e-15), _line()
+    got = _outcome(p_mpjpe, pred, gt)
+    assert got == _outcome(reference_p_mpjpe, pred, gt)
+    assert got[1].startswith("pred joints are collinear in 3 frame(s)")
+
+
+def test_rank_screen_passes_ordinary_frames_and_no_doubtful_one():
+    rng = np.random.default_rng(33)
+    poses = rng.normal(size=(50, 17, 3))
+    assert _surely_full_rank(poses - poses.mean(axis=1, keepdims=True)).all()
+    doubtful = [frame for case, frame in _SCREEN_CASES.items() if len(frame) == 17 and case != "collinear-offset-1"]
+    doubtful = np.stack(doubtful + [_line(offset=1e-4)])
+    assert not _surely_full_rank(doubtful - doubtful.mean(axis=1, keepdims=True)).any()
