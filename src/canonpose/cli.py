@@ -5,8 +5,9 @@ window. All dataset I/O is NDJSON (one record per frame); reports are JSON.
 Units at this boundary are millimeters for metrics and pixels for 2D; all
 internal math runs in meters.
 
-Exit codes: 0 success, 1 validation error (bad flags or configuration),
-2 data error (unreadable or inconsistent input files, geometry failures).
+Exit codes: 0 success, 1 validation error (bad flags or configuration, or
+a count too large to allocate), 2 data error (unreadable or inconsistent
+input files, geometry failures).
 Errors go to stderr; data goes to --output or stdout.
 """
 
@@ -185,7 +186,7 @@ def _read_config_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _UsageError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise _UsageError(f"{path}: config must be a JSON object")
@@ -371,9 +372,9 @@ def run(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (_UsageError, ValueError, OSError) as exc:
+    except (_UsageError, MemoryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, _UsageError) else 2
+        return 2 if isinstance(exc, (ValueError, OSError)) else 1
 
 
 def main() -> None:

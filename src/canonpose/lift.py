@@ -27,7 +27,7 @@ from .errors import BehindCameraError, DimensionMismatchError, FrameMismatchErro
 from .jsonfmt import dumps, json_float, json_int
 from .metrics import mpjpe, p_mpjpe
 from .skeleton import get_skeleton
-from .synth import Box3, SynthConfig, _check_type, _pose_blocks, generate_pose_array, pose_rng
+from .synth import Box3, SynthConfig, _check_type, _empty, _pose_blocks, _too_large, generate_pose_array, pose_rng
 
 MAPPING_KINDS = ("conventional", "canonical")
 
@@ -281,8 +281,8 @@ class StudyReport:
         return dumps(self.to_dict()) + "\n"
 
 
-# Training frames scored at once; their errors fill one (n,) array.
-_ERROR_ROWS = 1024
+# Training poses projected or scored at once after the first pass.
+_TRAIN_ROWS = 1024
 
 
 def _per_frame_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -298,18 +298,34 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     available), lift, rotate back into the camera frame, then score against
     the root-relative ground truth.
 
-    Training poses and noise are drawn a block at a time into both arms'
-    inputs and targets: those four (n_train, 2J or 3J) arrays and one fit's
-    (n_train, 2J + 1) design are all that grows with ``n_train``. A refusal
-    names every bad pose of the first depth check that fails, as one batch.
+    The arms are trained one after the other. The first pass draws the
+    training poses and noise a block at a time, runs the three depth checks,
+    keeps the poses and fills the canonical arm's inputs and targets; that
+    arm is fit, scored and freed. The second pass reads the training noise
+    stream again from its start, builds the conventional inputs from the
+    kept poses, and turns the kept poses into their root-relative targets in
+    place. What grows with ``n_train`` is at most the kept poses, the
+    canonical inputs and targets and one fit's design: 10J + 1 numbers per
+    pose. A refusal names every bad pose of the first depth check that
+    fails, as one batch.
     """
     skeleton = get_skeleton(config.skeleton_name)
     intr = config.camera
     root = skeleton.root_index
     n_joints = skeleton.n_joints
+    lam = config.ridge_lambda
 
     def flatten2(pixels: np.ndarray) -> np.ndarray:
         return batch_screen_normalize(pixels, intr).reshape(pixels.shape[0], -1)
+
+    def fit_and_score(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[LinearLifter, float, float]:
+        """The lifter fit to (x, y) and its mean and spread of training error."""
+        lifter = LinearLifter(_fit_arrays(x, y, lam), lam, kind)
+        errors = np.empty(len(x))
+        for lo in range(0, len(x), _TRAIN_ROWS):
+            rows = slice(lo, lo + _TRAIN_ROWS)
+            errors[rows] = _per_frame_errors(_predict_arrays(lifter, x[rows]), y[rows].reshape(-1, n_joints, 3))
+        return lifter, float(errors.mean()), float(errors.std())
 
     project = partial(batch_project, intrinsics=intr)
     canonicalize = partial(batch_canonicalize_3d, root_index=root)
@@ -323,20 +339,21 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
         except BehindCameraError as exc:
             refused[check].append((lo + np.array(exc.indices), inputs[list(exc.indices)]))
 
-    x_conv, x_canon, y_conv, y_canon = (np.empty((config.n_train, k * n_joints)) for k in (2, 2, 3, 3))
+    # First pass: check every pose, keep it, and fill the canonical arm.
+    n_train = config.n_train
+    poses = _empty((n_train, n_joints, 3), "n_train")
+    x_canon, y_canon = (_empty((n_train, k * n_joints), "n_train") for k in (2, 3))
     noise_rng = pose_rng(config.seed, _NOISE_TRAIN_INDEX)
     for lo, train in _pose_blocks(config._draw("train"), skeleton, stream=_STREAM_TRAIN):
         rows, m = slice(lo, lo + len(train)), len(train)
         noise = config.noise_sigma * noise_rng.standard_normal((m, n_joints, 2))
-        pixels = checked(project, train, lo)
+        checked(project, train, lo)
         canon = checked(canonicalize, train, lo)
         centered = None if canon is None else checked(project_centered, canon[0], lo)
         if any(refused.values()):
             continue
-        # Conventional arm: noisy pixels as observed, targets root-relative.
-        x_conv[rows] = flatten2(pixels + noise)
-        y_conv[rows] = (train - train[:, root : root + 1]).reshape(m, -1)
-        # Canonical arm: same noise magnitude applied to the canonical pixels.
+        poses[rows] = train
+        # Canonical arm: noisy canonical pixels, targets relative to the canonical root.
         canon_train, _, depths = canon
         x_canon[rows] = flatten2(centered + noise)
         canon_train[..., 2] -= depths[:, None]
@@ -348,51 +365,57 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
                 check(inputs)
             except BehindCameraError as exc:  # the whole set's count and text; its positions mapped back
                 raise BehindCameraError(exc.message, positions[list(exc.indices)]) from None
+    lifter_canon, canon_train_mean, canon_train_std = fit_and_score(x_canon, y_canon, "canonical")
+    del x_canon, y_canon
 
-    lifter_conv = LinearLifter(_fit_arrays(x_conv, y_conv, config.ridge_lambda), config.ridge_lambda, "conventional")
-    lifter_canon = LinearLifter(_fit_arrays(x_canon, y_canon, config.ridge_lambda), config.ridge_lambda, "canonical")
+    # Second pass: the same noise on the projected kept poses; the poses become their targets.
+    x_conv = _empty((n_train, 2 * n_joints), "n_train")
+    noise_rng = pose_rng(config.seed, _NOISE_TRAIN_INDEX)
+    for lo in range(0, n_train, _TRAIN_ROWS):
+        block = poses[lo : lo + _TRAIN_ROWS]
+        noise = config.noise_sigma * noise_rng.standard_normal((len(block), n_joints, 2))
+        x_conv[lo : lo + len(block)] = flatten2(batch_project(block, intr) + noise)
+        block -= block[:, root : root + 1].copy()
+    lifter_conv, conv_train_mean, conv_train_std = fit_and_score(x_conv, poses.reshape(n_train, -1), "conventional")
+    del x_conv, poses
 
-    def train_stats(lifter: LinearLifter, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-        errors = np.empty(len(x))
-        for lo in range(0, len(x), _ERROR_ROWS):
-            rows = slice(lo, lo + _ERROR_ROWS)
-            errors[rows] = _per_frame_errors(_predict_arrays(lifter, x[rows]), y[rows].reshape(-1, n_joints, 3))
-        return float(errors.mean()), float(errors.std())
-
-    conv_train_mean, conv_train_std = train_stats(lifter_conv, x_conv, y_conv)
-    canon_train_mean, canon_train_std = train_stats(lifter_canon, x_canon, y_canon)
-    del x_conv, y_conv, x_canon, y_canon
-
-    test = generate_pose_array(config._draw("test"), skeleton, stream=_STREAM_TEST)
-    noise_test = config.noise_sigma * pose_rng(config.seed, _NOISE_TEST_INDEX).standard_normal(
+    # Each test array is freed once it is scored. The detector sees the same
+    # noisy pixels no matter which lifter runs behind it.
+    try:
+        test = generate_pose_array(config._draw("test"), skeleton, stream=_STREAM_TEST)
+    except MemoryError:
+        raise _too_large("n_test", config.n_test) from None
+    observed = batch_project(test, intr)
+    observed += config.noise_sigma * pose_rng(config.seed, _NOISE_TEST_INDEX).standard_normal(
         (config.n_test, n_joints, 2)
     )
-
-    # Shared test observations: the detector sees the same noisy pixels no
-    # matter which lifter runs behind it.
-    observed = batch_project(test, intr) + noise_test
     gt_rel = test - test[:, root : root + 1]
-
-    pred_conv = _predict_arrays(lifter_conv, flatten2(observed))
-
-    canon_pix, rotations, _ = batch_canonicalize_2d(observed, intr, root)
-    pred_canon = _predict_arrays(lifter_canon, flatten2(canon_pix))
-    # Root depth is irrelevant to the back-rotated relative pose; zero keeps
-    # the test path honest about not knowing it.
-    pred_back = batch_back_transform(pred_canon, rotations, np.zeros(config.n_test))
+    del test
 
     mm = 1000.0
+    pred_conv = _predict_arrays(lifter_conv, flatten2(observed))
     conventional = ArmResult(
         train_mpjpe_mm=conv_train_mean * mm,
         train_mpjpe_std_mm=conv_train_std * mm,
         test_mpjpe_mm=mpjpe(pred_conv, gt_rel) * mm,
         test_pmpjpe_mm=p_mpjpe(pred_conv, gt_rel) * mm,
     )
+    del pred_conv
+
+    canon_pix, rotations, _ = batch_canonicalize_2d(observed, intr, root)
+    del observed
+    pred_canon = _predict_arrays(lifter_canon, flatten2(canon_pix))
+    del canon_pix
+    before_back_transform = mpjpe(pred_canon, gt_rel) * mm
+    # Root depth is irrelevant to the back-rotated relative pose; zero keeps
+    # the test path honest about not knowing it.
+    pred_back = batch_back_transform(pred_canon, rotations, np.zeros(config.n_test))
+    del pred_canon, rotations
     canonical = ArmResult(
         train_mpjpe_mm=canon_train_mean * mm,
         train_mpjpe_std_mm=canon_train_std * mm,
         test_mpjpe_mm=mpjpe(pred_back, gt_rel) * mm,
         test_pmpjpe_mm=p_mpjpe(pred_back, gt_rel) * mm,
-        test_mpjpe_before_back_transform_mm=mpjpe(pred_canon, gt_rel) * mm,
+        test_mpjpe_before_back_transform_mm=before_back_transform,
     )
     return StudyReport(config=config, conventional=conventional, canonical=canonical)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Pose3D, _rigid
-from .errors import DegenerateShapeError, DimensionMismatchError
+from .errors import DegenerateShapeError, DimensionMismatchError, GeometryError
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +164,9 @@ def _batch_similarity_align(pred: np.ndarray, gt: np.ndarray):
     rotations = np.matmul(vt_fixed.transpose(0, 2, 1), u.transpose(0, 2, 1))
 
     var_p = np.einsum("tji,tji->t", p0, p0)
-    scales = (s[:, 0] + s[:, 1] + sign * s[:, 2]) / var_p
+    # A var_p that underflows to 0 gives an infinite scale, which callers refuse.
+    with np.errstate(divide="ignore"):
+        scales = (s[:, 0] + s[:, 1] + sign * s[:, 2]) / var_p
     translations = mu_g - scales[:, None] * np.einsum("tij,tj->ti", rotations, mu_p)
     aligned = scales[:, None, None] * np.einsum("tij,tkj->tki", rotations, p0) + mu_g[:, None]
     return aligned, scales, rotations, translations
@@ -201,13 +203,24 @@ def p_mpjpe(pred, gt) -> float:
 
     Never exceeds ``mpjpe`` on the same input: the identity transform is
     always an alignment candidate. Frames are aligned ``_ALIGN_ROWS`` at a
-    time, so its memory does not grow with whole-batch temporaries.
+    time, so its memory does not grow with whole-batch temporaries. A frame
+    whose fitted scale is not positive and finite (a pred frame whose squared
+    norm overflows or underflows, say) is refused, as ``procrustes_align``
+    refuses it; one refusal names every such frame.
     """
     p, g = _as_pair(pred, gt)
     # At least one block, so an empty input ends as one empty batch does.
     blocks = [slice(lo, lo + _ALIGN_ROWS) for lo in range(0, len(p) or 1, _ALIGN_ROWS)]
     _check_alignable(p, g, blocks)
     errors = np.empty(p.shape[:2])
+    unscaled = np.zeros(len(p), dtype=bool)
     for rows in blocks:
-        errors[rows] = np.linalg.norm(_batch_similarity_align(p[rows], g[rows])[0] - g[rows], axis=-1)
+        aligned, scales = _batch_similarity_align(p[rows], g[rows])[:2]
+        errors[rows] = np.linalg.norm(aligned - g[rows], axis=-1)
+        unscaled[rows] = ~(np.isfinite(scales) & (scales > 0))
+    if unscaled.any():
+        raise GeometryError(
+            f"the fitted alignment scale is not positive and finite in {int(unscaled.sum())} frame(s)",
+            indices=np.nonzero(unscaled)[0],
+        )
     return float(np.mean(errors))

@@ -207,10 +207,24 @@ def generate_pose_array(config: SynthConfig, skeleton: Skeleton, stream: int = 0
     ``stream`` offsets the per-pose Philox indices by stream * STREAM_SPAN,
     giving independent draws for the same seed (train vs test sets).
     """
-    joints = np.empty((config.n_poses, skeleton.n_joints, 3))
+    joints = _empty((config.n_poses, skeleton.n_joints, 3), "n_poses")
     for lo, poses in _pose_blocks(config, skeleton, stream):
         joints[lo : lo + len(poses)] = poses
     return joints
+
+
+def _too_large(name: str, count: int) -> MemoryError:
+    """The error for a count ``name`` whose arrays cannot be allocated."""
+    return MemoryError(f"{name} {count} needs more memory than can be allocated")
+
+
+def _empty(shape: tuple, name: str) -> np.ndarray:
+    """``np.empty(shape)``; a size that cannot be allocated is a MemoryError
+    naming ``name``, the count that sets ``shape[0]``."""
+    try:
+        return np.empty(shape)
+    except MemoryError:
+        raise _too_large(name, shape[0]) from None
 
 
 def _pose_blocks(config: SynthConfig, skeleton: Skeleton, stream: int):

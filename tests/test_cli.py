@@ -587,3 +587,66 @@ def test_a_unit_scale_that_overflows_3d_names_the_line(tmp_path):
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: line 2: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["synth", "study"])
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        (b'{"seed": 1, "\xff": 2}', "'utf-8' codec can't decode byte 0xff in position 13"),
+        (b"[" * 5000 + b"]" * 5000, "maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf-8", "nested-5000-deep"],
+)
+def test_unreadable_config_files_exit_one_naming_the_file(tmp_path, capsys, command, payload, reason):
+    config = tmp_path / "config.json"
+    config.write_bytes(payload)
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n")
+    capsys.readouterr()
+    assert run([command, "--config", str(config), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: invalid JSON: {reason}") and err.count("\n") == 1, err
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config, needle",
+    [
+        (["synth", "--count", str(10**14)], None, "n_poses 100000000000000"),
+        (["synth"], {"n_poses": 10**14}, "n_poses 100000000000000"),
+        (["study"], {"n_train": 10**14}, "n_train 100000000000000"),
+        (["study"], {"n_train": 100, "n_test": 10**14}, "n_test 100000000000000"),
+    ],
+    ids=["synth-count", "synth-n_poses", "study-n_train", "study-n_test"],
+)
+def test_a_count_that_cannot_be_allocated_exits_one_naming_it(tmp_path, capsys, argv, config, needle):
+    # 10**14 poses of 17 joints need about 4e16 bytes, more than a 64-bit
+    # address space holds, so the allocation fails at once without touching memory.
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n")
+    capsys.readouterr()
+    assert run(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {needle} needs more memory than can be allocated\n"
+    assert out.read_text() == "kept\n"
+
+
+def test_eval_pmpjpe_refuses_a_frame_whose_fitted_scale_is_zero(tmp_path, capsys):
+    # Its squared norm overflows, so the least-squares scale comes out 0.
+    gt = synth_file(tmp_path, "gt.ndjson", count=5, seed=1)
+    lines = Path(gt).read_text().splitlines()
+    record = json.loads(lines[3])
+    record["joints_3d"] = [[value * 1e160 for value in joint] for joint in record["joints_3d"]]
+    lines[3] = json.dumps(record)
+    pred = tmp_path / "pred.ndjson"
+    pred.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["eval", "--pred", str(pred), "--gt", gt, "--metric", "pmpjpe"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the fitted alignment scale is not positive and finite in 1 frame(s) (at positions [2])\n"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from canonpose.camera import Frame, Pose3D
-from canonpose.errors import DegenerateShapeError, DimensionMismatchError
+from canonpose.errors import DegenerateShapeError, DimensionMismatchError, GeometryError
 from canonpose.metrics import _ALIGN_ROWS, SimilarityTransform, _surely_full_rank, mpjpe, p_mpjpe, procrustes_align
 
 
@@ -143,7 +143,14 @@ def reference_p_mpjpe(pred, gt):
     vt_fixed = vt.copy()
     vt_fixed[:, 2, :] *= sign[:, None]
     rotations = np.matmul(vt_fixed.transpose(0, 2, 1), u.transpose(0, 2, 1))
-    scales = (s[:, 0] + s[:, 1] + sign * s[:, 2]) / np.einsum("tji,tji->t", p0, p0)
+    with np.errstate(divide="ignore"):
+        scales = (s[:, 0] + s[:, 1] + sign * s[:, 2]) / np.einsum("tji,tji->t", p0, p0)
+    unscaled = ~(np.isfinite(scales) & (scales > 0))
+    if unscaled.any():
+        raise GeometryError(
+            f"the fitted alignment scale is not positive and finite in {int(unscaled.sum())} frame(s)",
+            indices=np.nonzero(unscaled)[0],
+        )
     aligned = scales[:, None, None] * np.einsum("tij,tkj->tki", rotations, p0) + mu_g[:, None]
     return float(np.mean(np.linalg.norm(aligned - gt, axis=-1)))
 
@@ -206,12 +213,20 @@ _SCREEN_CASES = {
     "three-joints-collinear": _line(j=3),
     "all-zero": np.zeros((17, 3)),
     "nan": np.where(np.arange(17)[:, None] == 4, np.nan, _line(offset=1.0)),
+    # A pred frame's squared norm overflows and its fitted scale is 0, or
+    # underflows and its fitted scale is infinite: either is refused.
+    "scale-1e160": _line(offset=1.0, scale=1e160),
     "scale-1e200": _line(offset=1.0, scale=1e200),
+    "scale-1e-170": _line(offset=1.0, scale=1e-170),
     # Gram products in the subnormal range, then all of them underflowed.
     "scale-1e-80": _line(offset=1.0, scale=1e-80),
     "scale-1e-80-collinear": _line(scale=1e-80),
     "scale-1e-160": _line(offset=1.0, scale=1e-160),
 }
+
+
+# The cases whose fitted scale, as pred, is not positive and finite.
+_UNSCALED = {"scale-1e160": 0.0, "scale-1e200": 0.0, "scale-1e-170": float("inf")}
 
 
 def _outcome(metric, pred, gt):
@@ -245,10 +260,17 @@ def test_rank_screen_keeps_the_svd_outcome(case):
     for pred, gt in pairs:
         assert _outcome(p_mpjpe, pred, gt) == _outcome(reference_p_mpjpe, pred, gt)
     got = _outcome(_procrustes_error, frame, other)
-    if case == "scale-1e200":
-        # It passes the check, but its squared norm overflows and the fitted
-        # scale is 0, which SimilarityTransform refuses.
-        assert got[:2] == (ValueError, "scale must be positive and finite, got 0.0")
+    if case in _UNSCALED:
+        # It passes the collinearity check, but SimilarityTransform refuses
+        # its fitted scale, and p_mpjpe refuses the frame wherever it sits.
+        assert got[:2] == (ValueError, f"scale must be positive and finite, got {_UNSCALED[case]}")
+        for pred, gt in pairs[0::2]:
+            position = int(np.nonzero((pred == frame).all(axis=(1, 2)))[0][0])
+            assert _outcome(p_mpjpe, pred, gt) == (
+                GeometryError,
+                f"the fitted alignment scale is not positive and finite in 1 frame(s) (at positions [{position}])",
+                (position,),
+            )
     else:
         assert got == _outcome(reference_p_mpjpe, frame[None], other[None])
 
