@@ -365,7 +365,7 @@ def load_camera_json(path) -> tuple[CameraIntrinsics, CameraExtrinsics | None]:
         text = fh.read()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid camera JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: camera file must hold a JSON object")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import json
 import os
 import signal
@@ -382,6 +383,9 @@ def main() -> None:
     # instead of surfacing as an OSError; run() itself leaves signals alone.
     if hasattr(signal, "SIGPIPE"):  # POSIX only
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # Every object alive here, numpy's and canonpose's import-time objects
+    # included, lives until exit; frozen, it is skipped by shutdown's collections.
+    gc.freeze()
     sys.exit(run(sys.argv[1:]))
 
 

@@ -40,9 +40,11 @@ checked again line by line, as is a waiting block before a fault found while
 decoding (bad JSON, a non-object, a misplaced header), so the first bad line
 of the file is reported, with the same text. Lines are decoded by orjson; a
 line orjson refuses (``NaN``, a number past the float range, a lone
-surrogate, bad JSON) or one that holds an integer ``-0`` is decoded by the
-stdlib ``json``, and the line-by-line re-check always decodes with the
-stdlib, so every error text is the stdlib's. The sequence checks (no mix
+surrogate, bad JSON), one that holds an integer ``-0`` or one longer than
+``_ORJSON_MAX_LINE`` is decoded by the stdlib ``json``, and the line-by-line
+re-check always decodes with the stdlib, so every error text is the
+stdlib's. A line nested deeper than the stdlib's recursion limit is refused
+as invalid JSON, naming its line. The sequence checks (no mix
 of canonical and raw records, 2D in every canonical record, and the
 rotation checks of the canon blocks: orthogonality, unit determinant,
 finite entries, source norm above EPS_VEC) run once per sequence after the
@@ -613,12 +615,18 @@ def _decode(text: str):
 # An integer ``-0``: not followed by a fraction, an exponent or a digit.
 _INTEGER_MINUS_ZERO = re.compile(r"-0(?![.eE\d])")
 
+# orjson 3.8.3 decodes a line nested 130,000 deep but kills the process at
+# 160,000 (default 8 MiB stack), so it is given no line long enough to nest
+# past 16,384. An h36m17 canonical record line is about 2.2 KB.
+_ORJSON_MAX_LINE = 32 * 1024
+
 
 def _decode_fast(text: str):
-    """A line's JSON value, decoded by orjson. A line orjson refuses, or one
-    that holds an integer ``-0`` (orjson reads it as 0), is left to
-    ``_decode``, so every error is the stdlib's."""
-    if _INTEGER_MINUS_ZERO.search(text) is None:
+    """A line's JSON value, decoded by orjson. A line orjson refuses, one
+    that holds an integer ``-0`` (orjson reads it as 0) or one longer than
+    ``_ORJSON_MAX_LINE`` is left to ``_decode``, so every error is the
+    stdlib's, and a line nested too deeply raises RecursionError."""
+    if len(text) <= _ORJSON_MAX_LINE and _INTEGER_MINUS_ZERO.search(text) is None:
         try:
             return orjson.loads(text)
         except orjson.JSONDecodeError:
@@ -626,12 +634,19 @@ def _decode_fast(text: str):
     return _decode(text)
 
 
-class _Block:
-    """Record lines read but not yet checked: numbers and texts and, for the
-    lines in the usual form (``add``), keys, frames, presence flags and values."""
+def _invalid_json(path, lineno: int, exc: Exception) -> ParseError:
+    """The refusal of a line the decoder rejects or nests too deeply to read."""
+    reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+    return ParseError(f"{path}: line {lineno}: invalid JSON: {reason}", lineno)
 
-    def __init__(self, n_joints: int, unit_scale: float):
-        self.n_joints, self.unit_scale = n_joints, unit_scale
+
+class _Block:
+    """Record lines of the file at ``path`` read but not yet checked: numbers
+    and texts and, for the lines in the usual form (``add``), keys, frames,
+    presence flags and values."""
+
+    def __init__(self, path, n_joints: int, unit_scale: float):
+        self.path, self.n_joints, self.unit_scale = path, n_joints, unit_scale
         self.lines, self.keys, self.frames, self.has = [], [], [], []
         self.flat = ([], [], [], [], [])  # 2D joints, 3D joints, rotations, sources, root depths
 
@@ -679,9 +694,12 @@ class _Block:
         the first that fails; else keep them again in the usual form and
         return their ``arrays``."""
         lines = self.lines
-        self.__init__(self.n_joints, self.unit_scale)
+        self.__init__(self.path, self.n_joints, self.unit_scale)
         for lineno, text in lines:
-            obj = _decode(text)
+            try:
+                obj = _decode(text)
+            except RecursionError as exc:  # orjson read a line nested deeper than the stdlib reads
+                raise _invalid_json(self.path, lineno, exc) from exc
             for key in ("subject", "action", "camera"):
                 if not isinstance(obj.get(key), str):
                     raise SchemaError(f"line {lineno}: missing or non-string {key!r}", lineno)
@@ -731,7 +749,7 @@ class _Block:
         for key in keys:
             at = [row for row, other in enumerate(self.keys) if other == key] if len(keys) > 1 else slice(None)
             groups.setdefault(key, []).append({name: v if v is None else v[at] for name, v in arrays.items()})
-        self.__init__(self.n_joints, self.unit_scale)
+        self.__init__(self.path, self.n_joints, self.unit_scale)
 
 
 def _loaded(key, pieces: list, skeleton: Skeleton) -> _Columns:
@@ -808,7 +826,7 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
     """
     unit_scale, fps, header = 1.0, DEFAULT_FPS, None
     groups: dict[tuple[str, str, str], list] = {}
-    block = _Block(skeleton.n_joints, unit_scale)
+    block = _Block(path, skeleton.n_joints, unit_scale)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -830,11 +848,11 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
                     unit_scale, fps = _read_meta(obj, lineno, skeleton)
                     header, block.unit_scale = lineno, unit_scale
                     continue
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 # A lower bad line still waiting in the block is reported first.
                 block.check()
-                if isinstance(exc, json.JSONDecodeError):
-                    raise ParseError(f"{path}: line {lineno}: invalid JSON: {exc.msg}", lineno) from exc
+                if isinstance(exc, (json.JSONDecodeError, RecursionError)):
+                    raise _invalid_json(path, lineno, exc) from exc
                 raise
             block.add(lineno, line, obj)
             if len(block.lines) == _LOAD_ROWS:

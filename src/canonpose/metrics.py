@@ -82,12 +82,23 @@ def mpjpe(pred, gt) -> float:
     corresponding joints. Inputs are expected root-relative; no re-centering
     is applied here.
 
+    A frame with a joint distance that is not finite (one whose square
+    overflows, say) is refused; one refusal names every such frame.
+
     Args:
         pred, gt: Pose3D, sequence of Pose3D, or array of shape (J, 3) or
             (T, J, 3); shapes must match.
     """
     p, g = _as_pair(pred, gt)
-    return float(np.mean(np.linalg.norm(p - g, axis=-1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = np.linalg.norm(p - g, axis=-1)
+    nonfinite = ~np.isfinite(errors).all(axis=-1)
+    if nonfinite.any():
+        raise GeometryError(
+            f"the joint distance is not finite in {int(nonfinite.sum())} frame(s)",
+            indices=np.nonzero(nonfinite)[0],
+        )
+    return float(np.mean(errors))
 
 
 # Frames ``p_mpjpe`` aligns at once; their errors fill one (T, J) array.

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import signal
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from canonpose import cli
 from canonpose.camera import Frame, Pose3D
 from canonpose.cli import run
 from canonpose.dataset import FramePair, PoseSequence, load_sequences, save_sequences
@@ -19,6 +21,15 @@ def camera_file(tmp_path, intrinsics):
     path = tmp_path / "camera.json"
     path.write_text(json.dumps(intrinsics.to_dict()))
     return str(path)
+
+
+def run_module(*args, warnings=()):
+    """``python -m canonpose.cli`` with ``args`` in a child process, its
+    ``warnings`` filters given as -W options."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, *(f"-W{spec}" for spec in warnings), "-m", "canonpose.cli", *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
 
 
 def synth_file(tmp_path, name="poses.ndjson", count=10, seed=0, camera=None):
@@ -581,10 +592,7 @@ def test_a_unit_scale_that_overflows_3d_names_the_line(tmp_path):
     record = {"subject": "S1", "action": "walk", "camera": "cam0", "frame": 0, "joints_2d": None,
               "joints_3d": [[1e10, 0.5, 3.0]] * 17}
     path.write_text(json.dumps({"meta": {"unit_scale": 1e300}}) + "\n" + json.dumps(record) + "\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "canonpose.cli", "stats", "--input", str(path)]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    proc = run_module("stats", "--input", str(path), warnings=["error::RuntimeWarning"])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: line 2: ") and "Traceback" not in proc.stderr
 
@@ -650,3 +658,88 @@ def test_eval_pmpjpe_refuses_a_frame_whose_fitted_scale_is_zero(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the fitted alignment scale is not positive and finite in 1 frame(s) (at positions [2])\n"
+
+
+def test_main_freezes_the_objects_alive_before_it_runs(monkeypatch):
+    calls = []
+
+    def stub(argv):
+        calls.append((argv, gc.get_freeze_count()))
+        return 2
+
+    before = gc.get_freeze_count()
+    monkeypatch.setattr(cli, "run", stub)
+    monkeypatch.setattr(cli.signal, "signal", lambda *args: None)  # the test runner keeps its SIGPIPE action
+    monkeypatch.setattr(sys, "argv", ["canonpose", "stats", "--input", "poses.ndjson"])
+    try:
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main()
+    finally:
+        gc.unfreeze()
+    assert excinfo.value.code == 2
+    [(argv, frozen)] = calls
+    assert argv == ["stats", "--input", "poses.ndjson"]
+    assert frozen > before
+
+
+def test_the_module_entry_point_prints_and_exits_as_run_does(tmp_path, capsys):
+    pred = synth_file(tmp_path, "pred.ndjson", count=6, seed=2)
+    header, *records = Path(pred).read_text().splitlines()
+    moved = []
+    for line in records:
+        record = json.loads(line)
+        record["joints_3d"][4][1] += 0.0125
+        moved.append(json.dumps(record))
+    gt = tmp_path / "gt.ndjson"
+    gt.write_text("\n".join([header, *moved]) + "\n")
+    capsys.readouterr()
+    assert run(["eval", "--pred", pred, "--gt", str(gt)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("mpjpe 0.73") and printed.endswith(" mm\n")
+    proc = run_module("eval", "--pred", pred, "--gt", str(gt))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, printed, "")
+    for argv, code in (
+        (["eval", "--pred", pred], 1),
+        (["eval", "--pred", str(tmp_path / "absent.ndjson"), "--gt", str(gt)], 2),
+    ):
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+_NESTED_5000 = "[" * 5000 + "]" * 5000
+_TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["record-line-nested-200000-deep", "joints_2d-nested-5000-deep", "camera-nested-5000-deep", "mpjpe-overflow"],
+)
+def test_input_that_crashed_or_traced_back_exits_two_in_one_line(tmp_path, camera_file, case):
+    # Each case runs in a child process: the 200,000-deep line once killed
+    # the process that read it. Under -W error a numpy warning is a traceback.
+    data = synth_file(tmp_path, count=5, seed=1, camera=camera_file)
+    lines = Path(data).read_text().splitlines()
+    record = json.loads(lines[3])
+    bad = tmp_path / "bad.ndjson"
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n")
+    argv, error = ["stats", "--input", str(bad), "--output", str(out)], f"error: {bad}: line 4: invalid JSON: {_TOO_DEEP}"
+    if case == "record-line-nested-200000-deep":
+        lines[3] = "[" * 200_000 + "]" * 200_000
+    elif case == "joints_2d-nested-5000-deep":
+        lines[3] = json.dumps(dict(record, joints_2d="@")).replace('"@"', _NESTED_5000)
+    elif case == "camera-nested-5000-deep":
+        camera = tmp_path / "nested.json"
+        camera.write_text(_NESTED_5000)
+        argv = ["canonicalize", "--input", data, "--camera", str(camera), "--output", str(out)]
+        error = f"error: {camera}: invalid camera JSON: {_TOO_DEEP}"
+    else:
+        lines[3] = json.dumps(dict(record, joints_3d=[[v * 1e160 for v in joint] for joint in record["joints_3d"]]))
+        argv = ["eval", "--pred", data, "--gt", str(bad), "--metric", "mpjpe"]
+        error = "error: the joint distance is not finite in 1 frame(s) (at positions [2])"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = run_module(*argv, warnings=["error::RuntimeWarning", "error::DeprecationWarning"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(error) and proc.stderr.count("\n") == 1, proc.stderr
+    assert out.read_text() == "kept\n"

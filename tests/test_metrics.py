@@ -45,6 +45,22 @@ def test_mpjpe_accepts_pose_lists(pose_batch):
         mpjpe(pts, pts[:, :5])
 
 
+@pytest.mark.filterwarnings("error")
+def test_mpjpe_refuses_frames_whose_distance_is_not_finite():
+    rng = np.random.default_rng(4)
+    pred = rng.normal(size=(6, 17, 3))
+    gt = rng.normal(size=(6, 17, 3))
+    assert mpjpe(pred, gt) == float(np.mean(np.linalg.norm(pred - gt, axis=-1)))
+    # A square that overflows, an inf joint and a nan joint.
+    gt[1] *= 1e160
+    pred[3, 5, 0] = np.inf
+    gt[4, 0, 2] = np.nan
+    with pytest.raises(GeometryError) as excinfo:
+        mpjpe(pred, gt)
+    assert str(excinfo.value) == "the joint distance is not finite in 3 frame(s) (at positions [1, 3, 4])"
+    assert excinfo.value.indices == (1, 3, 4)
+
+
 def test_p_mpjpe_recovers_similarity(pose_batch):
     rng = np.random.default_rng(2)
     gt = pose_batch(20, seed=12)

@@ -559,3 +559,29 @@ def test_a_line_only_the_stdlib_decoder_accepts_loads(tmp_path):
         orjson.loads(lines[1])
     loaded = _assert_agree(_write(tmp_path, lines))
     assert ("S\ud800", "walk", "c") in [seq.key for seq in loaded]
+
+
+def test_a_line_past_the_orjson_bound_is_decoded_by_the_stdlib(tmp_path):
+    lines = [json.dumps(record) for record in _base_records(6, canonical=True)]
+    lines[2] = lines[2].replace(", ", "," + " " * dataset._ORJSON_MAX_LINE, 1)
+    lengths, loads = [], orjson.loads
+    with mock.patch.object(orjson, "loads", lambda text: lengths.append(len(text)) or loads(text)):
+        _assert_agree(_write(tmp_path, lines))
+    assert len(lengths) == 6 and max(lengths) <= dataset._ORJSON_MAX_LINE < len(lines[2])
+
+
+@pytest.mark.parametrize("depth", [5000, 20_000], ids=["orjson-reads-it", "past-the-orjson-bound"])
+def test_a_line_nested_too_deeply_is_invalid_json_after_a_lower_bad_line(tmp_path, depth):
+    records = _base_records(6, canonical=False)
+    records[3]["joints_2d"] = "@"
+    lines = [json.dumps(record) for record in records]
+    lines[3] = lines[3].replace('"@"', "[" * depth + "]" * depth)  # line 5
+    path = _write(tmp_path, lines)
+    with pytest.raises(ParseError) as excinfo:
+        load_sequences(path, TINY)
+    assert excinfo.value.line_number == 5
+    assert str(excinfo.value).startswith(f"{path}: line 5: invalid JSON: maximum recursion depth exceeded")
+    lines[1] = lines[1].replace("[0.5, -1, ", "[true, -1, ", 1)  # line 3
+    with pytest.raises(SchemaError) as excinfo:
+        load_sequences(_write(tmp_path, lines), TINY)
+    assert str(excinfo.value) == "line 3: joints_3d holds a value that is not a JSON number"
