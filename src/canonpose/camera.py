@@ -361,11 +361,10 @@ def load_camera_json(path) -> tuple[CameraIntrinsics, CameraExtrinsics | None]:
     Returns:
         (intrinsics, extrinsics or None).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid camera JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: camera file must hold a JSON object")

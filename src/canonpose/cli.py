@@ -38,7 +38,7 @@ from .dataset import (
     window,
     write_sequences,
 )
-from .errors import DataError
+from .errors import DataError, _with_indices
 from .jsonfmt import dumps
 from .lift import _CONFIG_KEYS, LiftingStudyConfig, run_study
 from .metrics import mpjpe, p_mpjpe
@@ -289,13 +289,19 @@ def _cmd_eval(args) -> int:
             )
         preds.append(pred_joints)
         gts.append(gt_joints)
-    pred_arr = np.concatenate(preds)
-    gt_arr = np.concatenate(gts)
     # Scores are over root-relative poses; absolute placement is not the
     # lifter's job and is removed from both sides identically.
     root = skeleton.root_index
-    pred_arr = pred_arr - pred_arr[:, root : root + 1]
-    gt_arr = gt_arr - gt_arr[:, root : root + 1]
+    centered = []
+    for label, stacks in (("--pred", preds), ("--gt", gts)):
+        joints = np.concatenate(stacks)
+        with np.errstate(over="ignore"):
+            joints -= joints[:, root : root + 1].copy()
+        bad = np.nonzero(~np.isfinite(joints).all(axis=(1, 2)))[0].tolist()
+        if bad:
+            raise DataError(_with_indices(f"{label}: root-centered joints are not finite in {len(bad)} frame(s)", bad))
+        centered.append(joints)
+    pred_arr, gt_arr = centered
     metric = mpjpe if args.metric == "mpjpe" else p_mpjpe
     print(f"{args.metric} {metric(pred_arr, gt_arr) * 1000.0:.6f} mm")
     return 0

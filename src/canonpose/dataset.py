@@ -44,11 +44,12 @@ surrogate, bad JSON), one that holds an integer ``-0`` or one longer than
 ``_ORJSON_MAX_LINE`` is decoded by the stdlib ``json``, and the line-by-line
 re-check always decodes with the stdlib, so every error text is the
 stdlib's. A line nested deeper than the stdlib's recursion limit is refused
-as invalid JSON, naming its line. The sequence checks (no mix
-of canonical and raw records, 2D in every canonical record, and the
-rotation checks of the canon blocks: orthogonality, unit determinant,
-finite entries, source norm above EPS_VEC) run once per sequence after the
-whole file is read, and report the lowest failing line.
+as invalid JSON, naming its line, and so is one that is not UTF-8: each
+line, ended by a newline byte, is decoded when it is reached. The sequence
+checks (no mix of canonical and raw records, 2D in every canonical record,
+and the rotation checks of the canon blocks: orthogonality, unit
+determinant, finite entries, source norm above EPS_VEC) run once per
+sequence after the whole file is read, and report the lowest failing line.
 A canonical sequence's 3D loads as canonical-frame when every frame with 3D
 has its root at exactly (0, 0, root_depth), as the 3D path writes it, and as
 camera-frame otherwise, as the 2D path leaves it.
@@ -791,6 +792,11 @@ def _read_meta(obj: dict, lineno: int, skeleton: Skeleton) -> tuple[float, float
     meta = obj["meta"]
     if not isinstance(meta, dict):
         raise SchemaError(f"line {lineno}: meta must be an object", lineno)
+    for key in ("skeleton", "unit_scale", "fps"):
+        try:
+            repr(meta.get(key))
+        except RecursionError:  # too deep to quote in the refusals below
+            raise SchemaError(f"line {lineno}: meta {key} is nested too deeply", lineno) from None
     name = meta.get("skeleton", skeleton.name)
     if name != skeleton.name:
         raise SchemaError(
@@ -827,12 +833,12 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
     unit_scale, fps, header = 1.0, DEFAULT_FPS, None
     groups: dict[tuple[str, str, str], list] = {}
     block = _Block(path, skeleton.n_joints, unit_scale)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 # orjson reads an integer outside [-2**63, 2**64) as a float. A
                 # value rounds to the same float64 either way; a frame fails
                 # ``_Block.add``'s int test, and ``_Block.check``, which decodes
@@ -851,6 +857,8 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
             except (ValueError, RecursionError) as exc:
                 # A lower bad line still waiting in the block is reported first.
                 block.check()
+                if isinstance(exc, UnicodeDecodeError):
+                    raise ParseError(f"{path}: line {lineno}: invalid UTF-8: {exc}", lineno) from exc
                 if isinstance(exc, (json.JSONDecodeError, RecursionError)):
                     raise _invalid_json(path, lineno, exc) from exc
                 raise

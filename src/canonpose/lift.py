@@ -17,17 +17,16 @@ prediction back.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
-from functools import partial
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, batch_project, batch_screen_normalize
+from .camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, _check_depths, batch_project, batch_screen_normalize
 from .canonical import batch_back_transform, batch_canonicalize_2d, batch_canonicalize_3d, batch_project_centered
 from .errors import BehindCameraError, DimensionMismatchError, FrameMismatchError, SingularMatrixError
 from .jsonfmt import dumps, json_float, json_int
 from .metrics import mpjpe, p_mpjpe
 from .skeleton import get_skeleton
-from .synth import Box3, SynthConfig, _check_type, _empty, _pose_blocks, _too_large, generate_pose_array, pose_rng
+from .synth import Box3, SynthConfig, _check_type, _empty, _too_large, generate_pose_array, pose_rng
 
 MAPPING_KINDS = ("conventional", "canonical")
 
@@ -281,7 +280,9 @@ class StudyReport:
         return dumps(self.to_dict()) + "\n"
 
 
-# Training poses projected or scored at once after the first pass.
+# Training poses canonicalized at once in the first pass, and projected or
+# scored at once after it.
+_CANON_ROWS = 256
 _TRAIN_ROWS = 1024
 
 
@@ -298,16 +299,17 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     available), lift, rotate back into the camera frame, then score against
     the root-relative ground truth.
 
-    The arms are trained one after the other. The first pass draws the
-    training poses and noise a block at a time, runs the three depth checks,
-    keeps the poses and fills the canonical arm's inputs and targets; that
-    arm is fit, scored and freed. The second pass reads the training noise
+    The arms are trained one after the other. The first pass draws and keeps
+    the training poses with ``generate_pose_array``, refuses any joint at or
+    behind the camera plane in one check over them, and fills the canonical
+    arm's inputs and targets a block of poses and noise at a time; that arm
+    is fit, scored and freed. The second pass reads the training noise
     stream again from its start, builds the conventional inputs from the
     kept poses, and turns the kept poses into their root-relative targets in
     place. What grows with ``n_train`` is at most the kept poses, the
     canonical inputs and targets and one fit's design: 10J + 1 numbers per
     pose. A refusal names every bad pose of the first depth check that
-    fails, as one batch.
+    fails, camera frame then canonical, as one batch.
     """
     skeleton = get_skeleton(config.skeleton_name)
     intr = config.camera
@@ -327,44 +329,33 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
             errors[rows] = _per_frame_errors(_predict_arrays(lifter, x[rows]), y[rows].reshape(-1, n_joints, 3))
         return lifter, float(errors.mean()), float(errors.std())
 
-    project = partial(batch_project, intrinsics=intr)
-    canonicalize = partial(batch_canonicalize_3d, root_index=root)
-    project_centered = partial(batch_project_centered, intrinsics=intr)
-    # The (positions, inputs) each depth check refused, checks in the order they run.
-    refused = {project: [], canonicalize: [], project_centered: []}
-
-    def checked(check, inputs: np.ndarray, lo: int):
-        try:
-            return check(inputs)
-        except BehindCameraError as exc:
-            refused[check].append((lo + np.array(exc.indices), inputs[list(exc.indices)]))
-
-    # First pass: check every pose, keep it, and fill the canonical arm.
+    # First pass: keep every pose, check their depths at once, fill the canonical arm.
     n_train = config.n_train
-    poses = _empty((n_train, n_joints, 3), "n_train")
+    try:
+        poses = generate_pose_array(config._draw("train"), skeleton, stream=_STREAM_TRAIN)
+    except MemoryError:
+        raise _too_large("n_train", n_train) from None
+    _check_depths(poses[..., 2], "point(s)")
     x_canon, y_canon = (_empty((n_train, k * n_joints), "n_train") for k in (2, 3))
     noise_rng = pose_rng(config.seed, _NOISE_TRAIN_INDEX)
-    for lo, train in _pose_blocks(config._draw("train"), skeleton, stream=_STREAM_TRAIN):
-        rows, m = slice(lo, lo + len(train)), len(train)
-        noise = config.noise_sigma * noise_rng.standard_normal((m, n_joints, 2))
-        checked(project, train, lo)
-        canon = checked(canonicalize, train, lo)
-        centered = None if canon is None else checked(project_centered, canon[0], lo)
-        if any(refused.values()):
-            continue
-        poses[rows] = train
+    refused = []  # (positions, canonical poses) of each centered projection that failed
+    for lo in range(0, n_train, _CANON_ROWS):
+        rows = slice(lo, lo + _CANON_ROWS)
         # Canonical arm: noisy canonical pixels, targets relative to the canonical root.
-        canon_train, _, depths = canon
-        x_canon[rows] = flatten2(centered + noise)
-        canon_train[..., 2] -= depths[:, None]
-        y_canon[rows] = canon_train.reshape(m, -1)
-    for check, found in refused.items():
-        if found:
-            positions, inputs = map(np.concatenate, zip(*found))
-            try:
-                check(inputs)
-            except BehindCameraError as exc:  # the whole set's count and text; its positions mapped back
-                raise BehindCameraError(exc.message, positions[list(exc.indices)]) from None
+        canon, _, depths = batch_canonicalize_3d(poses[rows], root)
+        noise = config.noise_sigma * noise_rng.standard_normal((len(canon), n_joints, 2))
+        try:
+            x_canon[rows] = flatten2(batch_project_centered(canon, intr) + noise)
+        except BehindCameraError as exc:
+            refused.append((lo + np.array(exc.indices), canon[list(exc.indices)]))
+        canon[..., 2] -= depths[:, None]
+        y_canon[rows] = canon.reshape(len(canon), -1)
+    if refused:
+        positions, canon = map(np.concatenate, zip(*refused))
+        try:
+            batch_project_centered(canon, intr)
+        except BehindCameraError as exc:  # the whole set's count and text; its positions mapped back
+            raise BehindCameraError(exc.message, positions[list(exc.indices)]) from None
     lifter_canon, canon_train_mean, canon_train_std = fit_and_score(x_canon, y_canon, "canonical")
     del x_canon, y_canon
 

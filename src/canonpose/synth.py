@@ -202,39 +202,19 @@ _POSE_ROWS = 256
 
 
 def generate_pose_array(config: SynthConfig, skeleton: Skeleton, stream: int = 0) -> np.ndarray:
-    """Generate (n_poses, J, 3) camera-frame joints.
+    """Generate (n_poses, J, 3) camera-frame joints, _POSE_ROWS at a time.
 
     ``stream`` offsets the per-pose Philox indices by stream * STREAM_SPAN,
     giving independent draws for the same seed (train vs test sets).
     """
     joints = _empty((config.n_poses, skeleton.n_joints, 3), "n_poses")
-    for lo, poses in _pose_blocks(config, skeleton, stream):
-        joints[lo : lo + len(poses)] = poses
-    return joints
-
-
-def _too_large(name: str, count: int) -> MemoryError:
-    """The error for a count ``name`` whose arrays cannot be allocated."""
-    return MemoryError(f"{name} {count} needs more memory than can be allocated")
-
-
-def _empty(shape: tuple, name: str) -> np.ndarray:
-    """``np.empty(shape)``; a size that cannot be allocated is a MemoryError
-    naming ``name``, the count that sets ``shape[0]``."""
-    try:
-        return np.empty(shape)
-    except MemoryError:
-        raise _too_large(name, shape[0]) from None
-
-
-def _pose_blocks(config: SynthConfig, skeleton: Skeleton, stream: int):
-    """``generate_pose_array``'s poses as (first index, (m, J, 3) block), _POSE_ROWS at a time."""
     rest = _rest_template(skeleton)
     n, e = config.n_poses, len(skeleton.topological_edges)
 
-    # Three draws per pose, in the order the module docstring fixes. One
-    # Philox is re-keyed to (seed, base + i) with counter 0 and an empty
-    # buffer per pose: the state a fresh ``pose_rng(seed, base + i)`` starts in.
+    # Three draws per pose, in the order the module docstring fixes; the
+    # study's training and test sets are drawn here too. One Philox is
+    # re-keyed to (seed, base + i) with counter 0 and an empty buffer per
+    # pose: the state a fresh ``pose_rng(seed, base + i)`` starts in.
     heads = np.empty((_POSE_ROWS, 6 + e))
     axes = np.empty((_POSE_ROWS, e, 3))
     swings = np.empty((_POSE_ROWS, e))
@@ -252,7 +232,22 @@ def _pose_blocks(config: SynthConfig, skeleton: Skeleton, stream: int):
             rng.random(out=heads[i])
             rng.standard_normal(out=axes[i])
             rng.random(out=swings[i])
-        yield lo, _build_poses(heads[:m], axes[:m], swings[:m], config, skeleton, rest)
+        joints[lo : lo + m] = _build_poses(heads[:m], axes[:m], swings[:m], config, skeleton, rest)
+    return joints
+
+
+def _too_large(name: str, count: int) -> MemoryError:
+    """The error for a count ``name`` whose arrays cannot be allocated."""
+    return MemoryError(f"{name} {count} needs more memory than can be allocated")
+
+
+def _empty(shape: tuple, name: str) -> np.ndarray:
+    """``np.empty(shape)``; a size that cannot be allocated is a MemoryError
+    naming ``name``, the count that sets ``shape[0]``."""
+    try:
+        return np.empty(shape)
+    except MemoryError:
+        raise _too_large(name, shape[0]) from None
 
 
 def _build_poses(heads, axes, swings, config: SynthConfig, skeleton: Skeleton, rest) -> np.ndarray:

@@ -713,7 +713,10 @@ _TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array"
 
 @pytest.mark.parametrize(
     "case",
-    ["record-line-nested-200000-deep", "joints_2d-nested-5000-deep", "camera-nested-5000-deep", "mpjpe-overflow"],
+    ["record-line-nested-200000-deep", "joints_2d-nested-5000-deep", "camera-nested-5000-deep",
+     "record-line-invalid-utf8", "camera-invalid-utf8", "header-skeleton-nested-5000-deep",
+     "header-fps-nested-5000-deep", "mpjpe-overflow", "eval-mpjpe-root-centering-overflow",
+     "eval-pmpjpe-root-centering-overflow"],
 )
 def test_input_that_crashed_or_traced_back_exits_two_in_one_line(tmp_path, camera_file, case):
     # Each case runs in a child process: the 200,000-deep line once killed
@@ -725,20 +728,40 @@ def test_input_that_crashed_or_traced_back_exits_two_in_one_line(tmp_path, camer
     out = tmp_path / "out.txt"
     out.write_text("kept\n")
     argv, error = ["stats", "--input", str(bad), "--output", str(out)], f"error: {bad}: line 4: invalid JSON: {_TOO_DEEP}"
+    not_utf8 = "'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"
     if case == "record-line-nested-200000-deep":
         lines[3] = "[" * 200_000 + "]" * 200_000
     elif case == "joints_2d-nested-5000-deep":
         lines[3] = json.dumps(dict(record, joints_2d="@")).replace('"@"', _NESTED_5000)
-    elif case == "camera-nested-5000-deep":
-        camera = tmp_path / "nested.json"
-        camera.write_text(_NESTED_5000)
+    elif case in ("camera-nested-5000-deep", "camera-invalid-utf8"):
+        camera = tmp_path / "bad-camera.json"
+        if case == "camera-nested-5000-deep":
+            camera.write_text(_NESTED_5000)
+            error = f"error: {camera}: invalid camera JSON: {_TOO_DEEP}"
+        else:
+            good = Path(camera_file).read_bytes()
+            camera.write_bytes(good[:20] + b"\xff" + good[21:])
+            error = f"error: {camera}: invalid camera JSON: {not_utf8}"
         argv = ["canonicalize", "--input", data, "--camera", str(camera), "--output", str(out)]
-        error = f"error: {camera}: invalid camera JSON: {_TOO_DEEP}"
-    else:
+    elif case == "record-line-invalid-utf8":
+        lines[3] = lines[3][:20] + "\udcff" + lines[3][21:]  # written back as the lone byte 0xff
+        error = f"error: {bad}: line 4: invalid UTF-8: {not_utf8}"
+    elif case.startswith("header-"):
+        key = case.split("-")[1]
+        lines[0] = json.dumps({"meta": dict(json.loads(lines[0])["meta"], **{key: "@"})}).replace('"@"', _NESTED_5000)
+        error = f"error: line 1: meta {key} is nested too deeply"
+    elif case == "mpjpe-overflow":
         lines[3] = json.dumps(dict(record, joints_3d=[[v * 1e160 for v in joint] for joint in record["joints_3d"]]))
         argv = ["eval", "--pred", data, "--gt", str(bad), "--metric", "mpjpe"]
         error = "error: the joint distance is not finite in 1 frame(s) (at positions [2])"
-    bad.write_text("\n".join(lines) + "\n")
+    else:
+        # The root and joint 1 sit 3e308 apart: finite as loaded, not once root-centered.
+        joints = record["joints_3d"]
+        joints[0][0], joints[1][0] = -1.5e308, 1.5e308
+        lines[3] = json.dumps(record)
+        argv = ["eval", "--pred", data, "--gt", str(bad), "--metric", case.split("-")[1]]
+        error = "error: --gt: root-centered joints are not finite in 1 frame(s) (at positions [2])"
+    bad.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     proc = run_module(*argv, warnings=["error::RuntimeWarning", "error::DeprecationWarning"])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(error) and proc.stderr.count("\n") == 1, proc.stderr

@@ -680,9 +680,16 @@ _IDENTITY_CANON = '{"rotation": [1,0,0,0,1,0,0,0,1], "source": [0,0,1], "root_de
         ('{"meta": {"unit_scale": 0.25}}', _IDENTITY_CANON % "-4", "line 2: root_depth must be positive and finite, got -1.0"),
         ('{"meta": {"fps": 0}}', None, "line 1: fps must be positive"),
         ('{"meta": [50]}', None, "line 1: meta must be an object"),
+        ('{"meta": {"skeleton": [[["x"]]]}}', None, "line 1: file declares skeleton [[['x']]], expected 'h36m17'"),
+        ('{"meta": {"fps": %s}}' % ("[" * 900 + "]" * 900), None,
+         "line 1: invalid meta numbers: fps must be a number, got %s" % ("[" * 900 + "]" * 900)),
+        ('{"meta": {"skeleton": %s}}' % ("[" * 5000 + "]" * 5000), None, "line 1: meta skeleton is nested too deeply"),
+        ('{"meta": {"unit_scale": %s}}' % ("[" * 5000 + "]" * 5000), None,
+         "line 1: meta unit_scale is nested too deeply"),
     ],
     ids=["canon-not-object", "root-depth-zero", "root-depth-negative", "root-depth-scaled", "fps-zero",
-         "meta-not-object"],
+         "meta-not-object", "skeleton-nested-3-deep", "fps-nested-900-deep", "skeleton-nested-5000-deep",
+         "unit-scale-nested-5000-deep"],
 )
 def test_loader_refusals_name_their_line(tmp_path, skeleton, header, canon, message):
     path = tmp_path / "refused.ndjson"

@@ -322,6 +322,37 @@ def test_study_refuses_training_poses_as_one_batch():
     assert max(got.value.indices) >= 7 * 256
 
 
+@pytest.mark.parametrize("rows", [None, 8], ids=["256-pose-blocks", "8-pose-blocks"])
+@pytest.mark.parametrize("seed", [37, 209])
+def test_study_refuses_canonical_joints_behind_the_camera_as_one_batch(monkeypatch, seed, rows):
+    # Roots 0.4 m off axis and 0.7 m deep: every joint of pose 26 is in front
+    # of the camera, and one of them is behind the canonical camera's plane.
+    if rows is not None:
+        monkeypatch.setattr(lift, "_CANON_ROWS", rows)
+    config = LiftingStudyConfig(
+        train_root_region=Box3((0.4, -0.05, 0.7), (0.45, 0.05, 0.75)), n_train=40, n_test=10, seed=seed
+    )
+    with pytest.raises(BehindCameraError) as expected:
+        reference_run_study(config)
+    with pytest.raises(BehindCameraError) as got:
+        run_study(config)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value) == "1 canonical joint(s) at or behind the camera plane (Z <= 1e-06) (at positions [26])"
+    assert got.value.indices == expected.value.indices
+
+
+def test_study_draws_each_pose_set_with_one_generator_call(monkeypatch):
+    calls = []
+
+    def counting(config, skeleton, stream=0):
+        calls.append((config.n_poses, stream))
+        return generate_pose_array(config, skeleton, stream=stream)
+
+    monkeypatch.setattr(lift, "generate_pose_array", counting)
+    run_study(LiftingStudyConfig(n_train=300, n_test=40, seed=2))
+    assert calls == [(300, 1), (40, 2)]
+
+
 def test_study_memory_grows_only_by_its_fit_arrays():
     # The kept poses, the canonical arm's inputs and targets, and one fit's
     # design: (3 + 2 + 3 + 2) * 17 + 1 numbers, 1,368 bytes per h36m17

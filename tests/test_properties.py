@@ -35,7 +35,7 @@ from canonpose.dataset import (
     serialize_sequences,
     window,
 )
-from canonpose.errors import ParseError, SchemaError
+from canonpose.errors import DataError, ParseError, SchemaError
 from canonpose.jsonfmt import json_float, json_numbers
 from canonpose.skeleton import Skeleton
 
@@ -585,3 +585,32 @@ def test_a_line_nested_too_deeply_is_invalid_json_after_a_lower_bad_line(tmp_pat
     with pytest.raises(SchemaError) as excinfo:
         load_sequences(_write(tmp_path, lines), TINY)
     assert str(excinfo.value) == "line 3: joints_3d holds a value that is not a JSON number"
+
+
+def test_a_joints_3d_of_bare_numbers_is_refused_as_the_reference_refuses_it(tmp_path):
+    records = _base_records(6, canonical=False)
+    records[2]["joints_3d"] = [0.5 * k for k in range(17)]  # line 4: joints without a length
+    loaded = _assert_agree(_write(tmp_path, [json.dumps(record) for record in records]))
+    assert isinstance(loaded, SchemaError) and loaded.line_number == 4
+    assert str(loaded) == "line 4: joints_3d must be a list of 3-vectors, got shape (17,)"
+
+
+def test_a_line_that_is_not_utf8_is_refused_naming_it_after_a_lower_bad_line(tmp_path):
+    lines = [json.dumps(record) for record in _base_records(6, canonical=False)]
+    path = _write(tmp_path, lines)
+    crlf = tmp_path / "crlf.ndjson"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    _assert_same_arrays(load_sequences(crlf, TINY), load_sequences(path, TINY))
+
+    def refusal(lines):
+        text = '{"meta": {"skeleton": "tiny4"}}\n' + "\n".join(lines) + "\n"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(DataError) as excinfo:
+            load_sequences(path, TINY)
+        return type(excinfo.value), excinfo.value.line_number, str(excinfo.value)
+
+    lines[3] = lines[3][:20] + "\udcff" + lines[3][21:]  # line 5, written as the lone byte 0xff
+    not_utf8 = "'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"
+    assert refusal(lines) == (ParseError, 5, f"{path}: line 5: invalid UTF-8: {not_utf8}")
+    lines[1] = lines[1].replace("[0.5, -1, ", "[true, -1, ", 1)  # line 3
+    assert refusal(lines) == (SchemaError, 3, "line 3: joints_3d holds a value that is not a JSON number")
