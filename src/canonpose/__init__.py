@@ -7,8 +7,8 @@ canonical camera frame — root ray aligned with the optical axis — removes
 that dependence. This package provides the camera model, the 3D and 2D
 canonicalization paths (and the exact back-transform), evaluation metrics,
 NDJSON dataset handling, distribution statistics, a synthetic pose
-generator with self-check oracles, a linear lifting study that measures the
-effect, and a batch CLI over all of it.
+generator, a linear lifting study that measures the effect, and a batch CLI
+over all of it.
 """
 
 from .camera import (
@@ -59,7 +59,7 @@ from .errors import (
     SequenceCanonicalizationError,
     SingularMatrixError,
 )
-from .lift import LiftingStudyConfig, LinearLifter, StudyReport, fit, predict, run_study
+from .lift import LiftingStudyConfig, LinearLifter, StudyReport, run_study
 from .metrics import SimilarityTransform, mpjpe, p_mpjpe, procrustes_align
 from .skeleton import H36M17, Skeleton, available_skeletons, get_skeleton, register_skeleton
 from .stats import (
@@ -68,15 +68,7 @@ from .stats import (
     joint_scatter_extent,
     pelvis_position_distribution,
 )
-from .synth import (
-    Box3,
-    ConsistencyReport,
-    ManyToOneReport,
-    SynthConfig,
-    consistency_oracle,
-    generate_poses,
-    many_to_one_demo,
-)
+from .synth import Box3, SynthConfig
 
 __version__ = "0.1.0"
 
@@ -88,7 +80,6 @@ __all__ = [
     "CameraIntrinsics",
     "CanonicalRecord",
     "CanonicalRotation",
-    "ConsistencyReport",
     "DataError",
     "DegenerateHomogeneousError",
     "DegenerateShapeError",
@@ -102,7 +93,6 @@ __all__ = [
     "H36M17",
     "LiftingStudyConfig",
     "LinearLifter",
-    "ManyToOneReport",
     "ParseError",
     "Pose2D",
     "Pose3D",
@@ -122,18 +112,13 @@ __all__ = [
     "canonicalize_2d",
     "canonicalize_3d",
     "canonicalize_dataset",
-    "consistency_oracle",
-    "fit",
-    "generate_poses",
     "get_skeleton",
     "joint_scatter_extent",
     "load_camera_json",
     "load_sequences",
-    "many_to_one_demo",
     "mpjpe",
     "p_mpjpe",
     "pelvis_position_distribution",
-    "predict",
     "procrustes_align",
     "project",
     "project_canonical_centered",

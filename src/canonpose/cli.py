@@ -189,6 +189,8 @@ def _read_config_json(path: str) -> dict:
             config = json.load(handle)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _UsageError(f"{path}: invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise _UsageError(f"{path}: cannot read config: {exc.strerror}") from exc
     if not isinstance(config, dict):
         raise _UsageError(f"{path}: config must be a JSON object")
     return config

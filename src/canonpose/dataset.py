@@ -606,7 +606,11 @@ _DECODER = json.JSONDecoder(parse_int=lambda text: _MINUS_ZERO if text == "-0" e
 
 
 def _decode(text: str):
-    """A line's JSON value, each ``-0`` number read as -0.0 except a record's frame."""
+    """A line's JSON value, each ``-0`` number read as -0.0 except a record's
+    frame; a line that starts with a UTF-8 BOM is refused as ``json.loads``
+    refuses it."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     obj = _DECODER.decode(text)
     if type(obj) is dict and obj.get("frame") is _MINUS_ZERO:
         obj["frame"] = 0

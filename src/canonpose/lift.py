@@ -20,9 +20,9 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, _check_depths, batch_project, batch_screen_normalize
+from .camera import CameraIntrinsics, _check_depths, batch_project, batch_screen_normalize
 from .canonical import batch_back_transform, batch_canonicalize_2d, batch_canonicalize_3d, batch_project_centered
-from .errors import BehindCameraError, DimensionMismatchError, FrameMismatchError, SingularMatrixError
+from .errors import BehindCameraError, DimensionMismatchError, SingularMatrixError
 from .jsonfmt import dumps, json_float, json_int
 from .metrics import mpjpe, p_mpjpe
 from .skeleton import get_skeleton
@@ -108,62 +108,11 @@ def _fit_arrays(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
     return weights
 
 
-def fit(pairs, ridge_lambda: float, mapping_kind: str = "conventional") -> LinearLifter:
-    """Fit a lifter from (Pose2D, Pose3D) pairs.
-
-    Args:
-        pairs: iterable of (Pose2D, Pose3D); the 2D poses must be
-            screen-normalized and the 3D poses root-relative.
-        ridge_lambda: L2 penalty on all weights; 0 requires the normal
-            equations to be non-singular.
-        mapping_kind: which frame the lifter's outputs live in.
-
-    Returns:
-        The fitted LinearLifter.
-
-    Raises:
-        DimensionMismatchError: fewer pairs than unknowns per output column,
-            or inconsistent joint counts.
-        FrameMismatchError: a 2D pose is not screen-normalized.
-        SingularMatrixError: ridge_lambda == 0 and the design is degenerate.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise DimensionMismatchError("need at least one training pair")
-    n_joints = pairs[0][0].n_joints
-    xs = np.empty((len(pairs), 2 * n_joints))
-    ys = np.empty((len(pairs), 3 * n_joints))
-    for i, (pose2d, pose3d) in enumerate(pairs):
-        if pose2d.space is not Space.SCREEN_NORMALIZED:
-            raise FrameMismatchError(f"pair {i}: expected screen-normalized 2D input, got {pose2d.space.value}")
-        if pose2d.n_joints != n_joints or pose3d.n_joints != n_joints:
-            raise DimensionMismatchError(
-                f"pair {i}: joint count {pose2d.n_joints}/{pose3d.n_joints} does not match {n_joints}"
-            )
-        xs[i] = pose2d.joints.ravel()
-        ys[i] = pose3d.joints.ravel()
-    if len(pairs) < 2 * n_joints + 1:
-        raise DimensionMismatchError(f"need at least {2 * n_joints + 1} pairs for {n_joints} joints, got {len(pairs)}")
-    ridge_lambda = _nonnegative(ridge_lambda, "ridge_lambda")
-    return LinearLifter(_fit_arrays(xs, ys, ridge_lambda), ridge_lambda, mapping_kind)
-
-
 def _predict_arrays(lifter: LinearLifter, x: np.ndarray) -> np.ndarray:
     """(n, 2J) flattened inputs -> (n, J, 3) predictions."""
     flat = x @ lifter.weights[:-1]
     flat += lifter.weights[-1]
     return flat.reshape(x.shape[0], lifter.n_joints, 3)
-
-
-def predict(lifter: LinearLifter, pose2d: Pose2D) -> Pose3D:
-    """Lift one screen-normalized 2D pose to a root-relative 3D pose."""
-    if pose2d.space is not Space.SCREEN_NORMALIZED:
-        raise FrameMismatchError(f"expected screen-normalized input, got {pose2d.space.value}")
-    if pose2d.n_joints != lifter.n_joints:
-        raise DimensionMismatchError(f"lifter expects {lifter.n_joints} joints, got {pose2d.n_joints}")
-    joints = _predict_arrays(lifter, pose2d.joints.reshape(1, -1))[0]
-    frame = Frame.CAMERA if lifter.mapping_kind == "conventional" else Frame.CANONICAL_CAMERA
-    return Pose3D(joints, frame)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Synthetic pose generation and brute-force self-checks.
+"""Synthetic pose generation.
 
 Poses are fixed-topology skeletons grown edge by edge from a rest template:
 bone lengths are jittered within +-10%, bone directions are perturbed by a
@@ -14,11 +14,6 @@ fixed order, which is the generator's output contract: 6 + E uniforms in
 jitters), E x 3 standard normals (swing axes), then E uniforms (swing
 angles), for a skeleton with E edges. A uniform on [low, high) is
 ``low + (high - low) * u``, the arithmetic of ``Generator.uniform``.
-
-The oracles (`consistency_oracle`, `many_to_one_demo`) exercise the public
-camera/canonical operations against each other; the only math re-derived
-from first principles is the projection inside the residual check, which is
-intentionally independent.
 """
 
 from __future__ import annotations
@@ -27,20 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import (
-    CameraIntrinsics,
-    Frame,
-    Pose3D,
-    _check_depths,
-    batch_project,
-    batch_screen_normalize,
-)
-from .canonical import (
-    batch_canonicalize_2d,
-    batch_canonicalize_3d,
-    batch_project_centered,
-    residual_offset,
-)
+from .camera import CameraIntrinsics
 from .jsonfmt import json_array, json_float, json_int
 from .skeleton import H36M17, Skeleton
 
@@ -290,11 +272,6 @@ def _build_poses(heads, axes, swings, config: SynthConfig, skeleton: Skeleton, r
     return np.ascontiguousarray(planes.transpose(1, 2, 0))
 
 
-def generate_poses(config: SynthConfig, skeleton: Skeleton) -> list[Pose3D]:
-    """Generate camera-frame poses; identical output for identical configs."""
-    return [Pose3D(j, Frame.CAMERA) for j in generate_pose_array(config, skeleton)]
-
-
 def random_intrinsics(rng: np.random.Generator) -> CameraIntrinsics:
     """One plausible pinhole camera drawn from ``rng`` (for harness sweeps)."""
     width = float(rng.integers(640, 1921))
@@ -306,175 +283,4 @@ def random_intrinsics(rng: np.random.Generator) -> CameraIntrinsics:
         cy=height * rng.uniform(0.4, 0.6),
         width=width,
         height=height,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Oracles.
-# ---------------------------------------------------------------------------
-
-CONSISTENCY_THRESHOLD = 1e-9
-
-
-def _root_index(skeleton: Skeleton | None, n_joints: int) -> int:
-    """The skeleton's root, else H36M17's for 17 joints, else joint 0."""
-    return (skeleton or H36M17).root_index if skeleton or n_joints == H36M17.n_joints else 0
-
-
-@dataclass(frozen=True, eq=False)
-class ConsistencyReport:
-    """Per-pose discrepancy between the 3D and 2D canonicalization paths."""
-
-    per_pose_max: np.ndarray
-    failed_indices: tuple[int, ...]
-    threshold: float = CONSISTENCY_THRESHOLD
-
-    @property
-    def n_poses(self) -> int:
-        return self.per_pose_max.shape[0] + len(self.failed_indices)
-
-    @property
-    def max_discrepancy(self) -> float:
-        return float(self.per_pose_max.max()) if self.per_pose_max.size else 0.0
-
-    @property
-    def mean_discrepancy(self) -> float:
-        return float(self.per_pose_max.mean()) if self.per_pose_max.size else 0.0
-
-    @property
-    def n_flagged(self) -> int:
-        return int((self.per_pose_max > self.threshold).sum())
-
-    @property
-    def passed(self) -> bool:
-        return not self.failed_indices and self.n_flagged == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "n_poses": self.n_poses,
-            "threshold": self.threshold,
-            "max_discrepancy_px": self.max_discrepancy,
-            "mean_discrepancy_px": self.mean_discrepancy,
-            "n_flagged": self.n_flagged,
-            "failed_pose_indices": list(self.failed_indices),
-            "passed": self.passed,
-        }
-
-
-def consistency_oracle(
-    poses,
-    intrinsics: CameraIntrinsics,
-    skeleton: Skeleton | None = None,
-    intrinsics_2d_path: CameraIntrinsics | None = None,
-) -> ConsistencyReport:
-    """Compare canonical 2D poses built through the 3D and the 2D paths.
-
-    For each pose the 3D path (canonicalize the 3D pose, project centered)
-    and the 2D path (project, canonicalize the pixels) should agree to within
-    floating-point noise; the report records each pose's worst coordinate
-    discrepancy in pixels. Poses that cannot be canonicalized at all are
-    listed in ``failed_indices`` rather than raised.
-
-    ``intrinsics_2d_path`` substitutes a different camera into the 2D path;
-    feeding deliberately wrong intrinsics is the negative control that shows
-    the oracle actually measures something.
-    """
-    if isinstance(poses, np.ndarray):
-        points = np.asarray(poses, dtype=np.float64)
-    else:
-        poses = list(poses)
-        if not poses:
-            return ConsistencyReport(np.zeros(0), ())
-        points = np.stack([pose.joints for pose in poses])
-    root = _root_index(skeleton, points.shape[1])
-    k2 = intrinsics_2d_path if intrinsics_2d_path is not None else intrinsics
-
-    def both_paths(pts: np.ndarray) -> np.ndarray:
-        canon3, _, _ = batch_canonicalize_3d(pts, root)
-        via_3d = batch_project_centered(canon3, intrinsics)
-        observed = batch_project(pts, intrinsics)
-        via_2d, _, _ = batch_canonicalize_2d(observed, k2, root)
-        return np.abs(via_3d - via_2d).max(axis=(1, 2))
-
-    try:
-        return ConsistencyReport(both_paths(points), ())
-    except ValueError:
-        per_pose, failed = [], []
-        for index in range(points.shape[0]):
-            try:
-                per_pose.append(float(both_paths(points[index : index + 1])[0]))
-            except ValueError:
-                failed.append(index)
-        return ConsistencyReport(np.asarray(per_pose), tuple(failed))
-
-
-@dataclass(frozen=True, eq=False)
-class ManyToOneReport:
-    """How much the same pose's 2D input varies with its placement.
-
-    Dispersions are the largest coordinate spread (max minus min across
-    placements) of the screen-normalized 2D poses; the canonical root figure
-    is the largest absolute canonical root coordinate, which centering pins
-    to exactly zero.
-    """
-
-    n_positions: int
-    conventional_dispersion: float
-    canonical_dispersion: float
-    conventional_root_dispersion: float
-    canonical_root_max_abs: float
-    residual_max_error: float
-
-
-def many_to_one_demo(
-    base_pose_root_relative, positions, intrinsics: CameraIntrinsics, skeleton: Skeleton | None = None
-) -> ManyToOneReport:
-    """Place one root-relative pose at several roots and compare 2D inputs.
-
-    Conventional screen-normalized 2D poses drift with the placement (the
-    many-to-one problem); canonical ones keep their root pinned at (0, 0).
-    Also verifies, joint by joint and from first principles, that moving the
-    pose off-axis shifts its projection by exactly ``residual_offset``
-    evaluated at each joint's depth.
-    """
-    base = base_pose_root_relative.joints if isinstance(base_pose_root_relative, Pose3D) else base_pose_root_relative
-    base = np.asarray(base, dtype=np.float64)
-    root = _root_index(skeleton, base.shape[0])
-    if np.abs(base[root]).max() > 1e-12:
-        raise ValueError("base pose must be root-relative (root at the origin)")
-    offsets = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    _check_depths(offsets[:, 2], "position(s)")
-
-    placed = base[None] + offsets[:, None, :]
-    conventional = batch_screen_normalize(batch_project(placed, intrinsics), intrinsics)
-    canon3, _, _ = batch_canonicalize_3d(placed, root)
-    canonical = batch_screen_normalize(batch_project_centered(canon3, intrinsics), intrinsics)
-
-    def spread(arr: np.ndarray) -> float:
-        return float((arr.max(axis=0) - arr.min(axis=0)).max()) if arr.shape[0] > 1 else 0.0
-
-    # Residual check, projection written out from first principles on purpose
-    # (an independent recomputation, not a call into the camera module).
-    max_error = 0.0
-    for offset in offsets:
-        on_axis = base + np.array([0.0, 0.0, offset[2]])
-        moved = base + offset
-        for j in range(base.shape[0]):
-            z = moved[j, 2]
-            proj_moved = np.array(
-                [intrinsics.fx * moved[j, 0] / z + intrinsics.cx, intrinsics.fy * moved[j, 1] / z + intrinsics.cy]
-            )
-            proj_axis = np.array(
-                [intrinsics.fx * on_axis[j, 0] / z + intrinsics.cx, intrinsics.fy * on_axis[j, 1] / z + intrinsics.cy]
-            )
-            predicted = residual_offset((offset[0], offset[1], z), intrinsics)
-            max_error = max(max_error, float(np.abs(proj_moved - proj_axis - predicted).max()))
-
-    return ManyToOneReport(
-        n_positions=offsets.shape[0],
-        conventional_dispersion=spread(conventional.reshape(offsets.shape[0], -1)),
-        canonical_dispersion=spread(canonical.reshape(offsets.shape[0], -1)),
-        conventional_root_dispersion=spread(conventional[:, root]),
-        canonical_root_max_abs=float(np.abs(canonical[:, root]).max()),
-        residual_max_error=max_error,
     )

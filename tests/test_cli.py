@@ -601,20 +601,25 @@ def test_a_unit_scale_that_overflows_3d_names_the_line(tmp_path):
 @pytest.mark.parametrize(
     "payload, reason",
     [
-        (b'{"seed": 1, "\xff": 2}', "'utf-8' codec can't decode byte 0xff in position 13"),
-        (b"[" * 5000 + b"]" * 5000, "maximum recursion depth exceeded"),
+        (b'{"seed": 1, "\xff": 2}', "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 13"),
+        (b"[" * 5000 + b"]" * 5000, "invalid JSON: maximum recursion depth exceeded"),
+        (None, "cannot read config: No such file or directory\n"),
+        ("directory", "cannot read config: Is a directory\n"),
     ],
-    ids=["not-utf-8", "nested-5000-deep"],
+    ids=["not-utf-8", "nested-5000-deep", "missing", "directory"],
 )
 def test_unreadable_config_files_exit_one_naming_the_file(tmp_path, capsys, command, payload, reason):
     config = tmp_path / "config.json"
-    config.write_bytes(payload)
+    if payload == "directory":
+        config.mkdir()
+    elif payload is not None:
+        config.write_bytes(payload)
     out = tmp_path / "out.txt"
     out.write_text("kept\n")
     capsys.readouterr()
     assert run([command, "--config", str(config), "--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {config}: invalid JSON: {reason}") and err.count("\n") == 1, err
+    assert err.startswith(f"error: {config}: {reason}") and err.count("\n") == 1, err
     assert out.read_text() == "kept\n"
 
 
@@ -716,7 +721,7 @@ _TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array"
     ["record-line-nested-200000-deep", "joints_2d-nested-5000-deep", "camera-nested-5000-deep",
      "record-line-invalid-utf8", "camera-invalid-utf8", "header-skeleton-nested-5000-deep",
      "header-fps-nested-5000-deep", "mpjpe-overflow", "eval-mpjpe-root-centering-overflow",
-     "eval-pmpjpe-root-centering-overflow"],
+     "eval-pmpjpe-root-centering-overflow", "file-starts-with-utf8-bom"],
 )
 def test_input_that_crashed_or_traced_back_exits_two_in_one_line(tmp_path, camera_file, case):
     # Each case runs in a child process: the 200,000-deep line once killed
@@ -746,6 +751,9 @@ def test_input_that_crashed_or_traced_back_exits_two_in_one_line(tmp_path, camer
     elif case == "record-line-invalid-utf8":
         lines[3] = lines[3][:20] + "\udcff" + lines[3][21:]  # written back as the lone byte 0xff
         error = f"error: {bad}: line 4: invalid UTF-8: {not_utf8}"
+    elif case == "file-starts-with-utf8-bom":
+        lines[0] = "\ufeff" + lines[0]
+        error = f"error: {bad}: line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
     elif case.startswith("header-"):
         key = case.split("-")[1]
         lines[0] = json.dumps({"meta": dict(json.loads(lines[0])["meta"], **{key: "@"})}).replace('"@"', _NESTED_5000)
@@ -766,3 +774,39 @@ def test_input_that_crashed_or_traced_back_exits_two_in_one_line(tmp_path, camer
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(error) and proc.stderr.count("\n") == 1, proc.stderr
     assert out.read_text() == "kept\n"
+
+
+_STATS_OF_NOTHING = json.dumps(
+    {
+        name: {"count": 0, "degenerate_count": 0}
+        for name in ("pelvis_xy_m", "pelvis_image_px", "body_orientation", "joint_scatter_2d_px",
+                     "joint_scatter_3d_root_relative_m")
+    },
+    indent=2,
+) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text", ["", '{"meta": {"skeleton": "h36m17", "unit_scale": 1, "fps": 50}}\n'], ids=["empty", "header-only"]
+)
+@pytest.mark.parametrize(
+    "command, code, out, err",
+    [
+        ("stats", 0, _STATS_OF_NOTHING, ""),
+        ("canonicalize", 0, "", ""),
+        ("window", 0, "", ""),
+        ("eval", 2, "", "error: --pred holds no sequences\n"),
+    ],
+)
+def test_a_file_without_records_is_a_dataset_without_sequences(tmp_path, camera_file, capsys, text, command, code, out, err):
+    data = tmp_path / "data.ndjson"
+    data.write_text(text)
+    argv = {
+        "stats": ["stats", "--input", str(data)],
+        "canonicalize": ["canonicalize", "--input", str(data), "--camera", camera_file],
+        "window": ["window", "--input", str(data), "--window-length", "3", "--window-stride", "1"],
+        "eval": ["eval", "--pred", str(data), "--gt", str(data)],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == code
+    assert capsys.readouterr() == (out, err)

@@ -4,101 +4,56 @@ import numpy as np
 import pytest
 
 from canonpose import lift
-from canonpose.camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, batch_project, batch_screen_normalize
+from canonpose.camera import CameraIntrinsics, batch_project, batch_screen_normalize
 from canonpose.canonical import batch_back_transform, batch_canonicalize_2d, batch_canonicalize_3d, batch_project_centered
-from canonpose.errors import (
-    BehindCameraError,
-    DimensionMismatchError,
-    FrameMismatchError,
-    SingularMatrixError,
-)
-from canonpose.lift import (
-    ArmResult,
-    LiftingStudyConfig,
-    LinearLifter,
-    StudyReport,
-    fit,
-    predict,
-    run_study,
-)
+from canonpose.errors import BehindCameraError, SingularMatrixError
+from canonpose.lift import ArmResult, LiftingStudyConfig, LinearLifter, StudyReport, _fit_arrays, _predict_arrays, run_study
 from canonpose.metrics import mpjpe, p_mpjpe
 from canonpose.skeleton import get_skeleton
 from canonpose.synth import Box3, SynthConfig, generate_pose_array, pose_rng
 
 
-def _planted_pairs(rng, n=60, n_joints=4, noise=0.0):
+def _planted_map(rng, n=60, n_joints=4, noise=0.0):
+    """(n, 2J) inputs, (n, 3J) targets and the (2J + 1, 3J) affine map between them."""
     x = rng.normal(size=(n, 2 * n_joints))
     weights = rng.normal(size=(2 * n_joints + 1, 3 * n_joints))
     y = x @ weights[:-1] + weights[-1] + noise * rng.normal(size=(n, 3 * n_joints))
-    pairs = [
-        (
-            Pose2D(x[i].reshape(n_joints, 2), Space.SCREEN_NORMALIZED),
-            Pose3D(y[i].reshape(n_joints, 3), Frame.CAMERA),
-        )
-        for i in range(n)
-    ]
-    return pairs, x, y, weights
+    return x, y, weights
 
 
 def test_fit_recovers_planted_linear_map():
     rng = np.random.default_rng(60)
-    pairs, x, y, weights = _planted_pairs(rng)
-    lifter = fit(pairs, ridge_lambda=0.0)
+    x, y, weights = _planted_map(rng)
+    lifter = LinearLifter(_fit_arrays(x, y, 0.0), 0.0, "conventional")
     assert np.abs(lifter.weights - weights).max() < 1e-6
-    pred = predict(lifter, pairs[0][0])
-    assert np.abs(pred.joints.ravel() - y[0]).max() < 1e-6
-    assert pred.frame is Frame.CAMERA
+    pred = _predict_arrays(lifter, x[:1])
+    assert pred.shape == (1, 4, 3)
+    assert np.abs(pred.ravel() - y[0]).max() < 1e-6
 
 
 def test_huge_ridge_shrinks_all_weights():
     rng = np.random.default_rng(61)
-    pairs, _, _, _ = _planted_pairs(rng)
-    lifter = fit(pairs, ridge_lambda=1e14)
+    x, y, _ = _planted_map(rng)
     # The bias is penalized like every other weight, so everything collapses.
-    assert np.abs(lifter.weights).max() < 1e-6
+    assert np.abs(_fit_arrays(x, y, 1e14)).max() < 1e-6
 
 
 def test_ridge_fit_beats_zero_predictor():
     rng = np.random.default_rng(62)
-    pairs, x, y, _ = _planted_pairs(rng, noise=0.5)
-    lifter = fit(pairs, ridge_lambda=1e-4)
-    residual = x @ lifter.weights[:-1] + lifter.weights[-1] - y
+    x, y, _ = _planted_map(rng, noise=0.5)
+    weights = _fit_arrays(x, y, 1e-4)
+    residual = x @ weights[:-1] + weights[-1] - y
     assert np.mean(residual**2) < np.mean(y**2)
 
 
 def test_singular_design_requires_ridge():
     rng = np.random.default_rng(63)
-    pairs, x, y, _ = _planted_pairs(rng, n=40, n_joints=2)
-    # Duplicate one input coordinate across all pairs: rank-deficient design.
-    degenerate = []
-    for pose2d, pose3d in pairs:
-        joints = pose2d.joints.copy()
-        joints[1] = joints[0]
-        degenerate.append((Pose2D(joints, Space.SCREEN_NORMALIZED), pose3d))
+    x, y, _ = _planted_map(rng, n=40, n_joints=2)
+    # Duplicate one input joint across all rows: rank-deficient design.
+    x[:, 2:4] = x[:, 0:2]
     with pytest.raises(SingularMatrixError):
-        fit(degenerate, ridge_lambda=0.0)
-    lifter = fit(degenerate, ridge_lambda=1e-6)
-    assert np.isfinite(lifter.weights).all()
-
-
-def test_fit_input_validation():
-    rng = np.random.default_rng(64)
-    pairs, _, _, _ = _planted_pairs(rng, n=20, n_joints=3)
-    with pytest.raises(DimensionMismatchError):
-        fit([], ridge_lambda=0.0)
-    with pytest.raises(DimensionMismatchError):
-        fit(pairs[:5], ridge_lambda=0.0)  # fewer pairs than unknowns
-    image_pair = (Pose2D(pairs[0][0].joints, Space.IMAGE), pairs[0][1])
-    with pytest.raises(FrameMismatchError):
-        fit([image_pair] + pairs[1:], ridge_lambda=0.0)
-    short = (
-        Pose2D(pairs[0][0].joints[:2], Space.SCREEN_NORMALIZED),
-        Pose3D(pairs[0][1].joints[:2], Frame.CAMERA),
-    )
-    with pytest.raises(DimensionMismatchError):
-        fit([short] + pairs[1:], ridge_lambda=0.0)
-    with pytest.raises(ValueError):
-        fit(pairs, ridge_lambda=-1.0)
+        _fit_arrays(x, y, 0.0)
+    assert np.isfinite(_fit_arrays(x, y, 1e-6)).all()
 
 
 def test_lifter_validation():
@@ -109,10 +64,7 @@ def test_lifter_validation():
         LinearLifter(np.zeros((9, 11)), 0.0, "conventional")  # cols not 3J
     with pytest.raises(ValueError):
         LinearLifter(good, 0.0, "sideways")
-    lifter = LinearLifter(good, 0.0, "canonical")
-    assert lifter.n_joints == 4
-    pred = predict(lifter, Pose2D(np.zeros((4, 2)), Space.SCREEN_NORMALIZED))
-    assert pred.frame is Frame.CANONICAL_CAMERA
+    assert LinearLifter(good, 0.0, "canonical").n_joints == 4
 
 
 def _tiny_config(**overrides):

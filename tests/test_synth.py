@@ -2,19 +2,11 @@ import numpy as np
 import pytest
 
 from canonpose import skeleton as skeleton_module
-from canonpose.camera import CameraIntrinsics, Frame
+from canonpose.camera import CameraIntrinsics, batch_project, batch_screen_normalize
+from canonpose.canonical import batch_canonicalize_2d, batch_canonicalize_3d, batch_project_centered, residual_offset
+from canonpose.errors import BehindCameraError
 from canonpose.skeleton import Skeleton, get_skeleton, register_skeleton
-from canonpose.synth import (
-    DEFAULT_ROOT_REGION,
-    Box3,
-    SynthConfig,
-    consistency_oracle,
-    generate_pose_array,
-    generate_poses,
-    many_to_one_demo,
-    pose_rng,
-    random_intrinsics,
-)
+from canonpose.synth import DEFAULT_ROOT_REGION, Box3, SynthConfig, generate_pose_array, pose_rng, random_intrinsics
 
 
 def test_generation_is_bitwise_deterministic(skeleton):
@@ -68,14 +60,6 @@ def test_bone_length_jitter_stays_within_ten_percent(skeleton):
         assert lengths.max() / lengths.min() <= 1.1 / 0.9 + 1e-9
 
 
-def test_generate_poses_wrapper(skeleton):
-    config = SynthConfig(seed=19, n_poses=4)
-    poses = generate_poses(config, skeleton)
-    assert len(poses) == 4
-    assert all(p.frame is Frame.CAMERA for p in poses)
-    assert np.array_equal(np.stack([p.joints for p in poses]), generate_pose_array(config, skeleton))
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(seed=0, n_poses=0)
@@ -102,15 +86,62 @@ def test_random_intrinsics_ranges():
     assert a == b
 
 
+# The two oracles below run the public batch kernels against each other;
+# the only math re-derived from first principles is the projection inside
+# the residual check, which is independent on purpose.
+
+CONSISTENCY_THRESHOLD = 1e-9
+
+
+def consistency_oracle(points, intrinsics, root, intrinsics_2d_path=None):
+    """Each pose's worst pixel gap between the canonical 2D built through the
+    3D path (canonicalize the 3D pose, project centered) and through the 2D
+    path (project, canonicalize the pixels, with ``intrinsics_2d_path`` if
+    given)."""
+    canon3, _, _ = batch_canonicalize_3d(points, root)
+    via_3d = batch_project_centered(canon3, intrinsics)
+    observed = batch_project(points, intrinsics)
+    via_2d, _, _ = batch_canonicalize_2d(observed, intrinsics_2d_path or intrinsics, root)
+    return np.abs(via_3d - via_2d).max(axis=(1, 2))
+
+
+def many_to_one_demo(base, positions, intrinsics, root):
+    """The screen-normalized conventional and canonical 2D of the
+    root-relative pose ``base`` placed at each of ``positions``, and the
+    largest per-joint error of ``residual_offset`` against a projection
+    written out from first principles."""
+    offsets = np.asarray(positions, dtype=np.float64)
+    placed = base[None] + offsets[:, None, :]
+    conventional = batch_screen_normalize(batch_project(placed, intrinsics), intrinsics)
+    canon3, _, _ = batch_canonicalize_3d(placed, root)
+    canonical = batch_screen_normalize(batch_project_centered(canon3, intrinsics), intrinsics)
+    max_error = 0.0
+    for offset in offsets:
+        on_axis = base + np.array([0.0, 0.0, offset[2]])
+        moved = base + offset
+        for j in range(base.shape[0]):
+            z = moved[j, 2]
+            proj_moved = np.array(
+                [intrinsics.fx * moved[j, 0] / z + intrinsics.cx, intrinsics.fy * moved[j, 1] / z + intrinsics.cy]
+            )
+            proj_axis = np.array(
+                [intrinsics.fx * on_axis[j, 0] / z + intrinsics.cx, intrinsics.fy * on_axis[j, 1] / z + intrinsics.cy]
+            )
+            predicted = residual_offset((offset[0], offset[1], z), intrinsics)
+            max_error = max(max_error, float(np.abs(proj_moved - proj_axis - predicted).max()))
+    return conventional, canonical, max_error
+
+
+def _spread(arr):
+    """The largest coordinate spread (max minus min) across placements."""
+    return float((arr.max(axis=0) - arr.min(axis=0)).max())
+
+
 def test_consistency_oracle_passes_on_generated_poses(skeleton, intrinsics):
     pts = generate_pose_array(SynthConfig(seed=29, n_poses=200), skeleton)
-    report = consistency_oracle(pts, intrinsics, skeleton)
-    assert report.passed
-    assert report.n_poses == 200
-    assert report.max_discrepancy < report.threshold
-    assert report.failed_indices == ()
-    d = report.to_dict()
-    assert d["passed"] is True and d["n_flagged"] == 0
+    gaps = consistency_oracle(pts, intrinsics, skeleton.root_index)
+    assert gaps.shape == (200,)
+    assert gaps.max() < CONSISTENCY_THRESHOLD
 
 
 def test_consistency_oracle_negative_control(skeleton, intrinsics):
@@ -123,28 +154,19 @@ def test_consistency_oracle_negative_control(skeleton, intrinsics):
         width=intrinsics.width,
         height=intrinsics.height,
     )
-    report = consistency_oracle(pts, intrinsics, skeleton, intrinsics_2d_path=wrong)
-    assert not report.passed
-    assert report.n_flagged == 50
+    gaps = consistency_oracle(pts, intrinsics, skeleton.root_index, intrinsics_2d_path=wrong)
+    assert (gaps > CONSISTENCY_THRESHOLD).sum() == 50
 
 
 def test_consistency_oracle_isolates_failing_poses(skeleton, intrinsics):
     pts = generate_pose_array(SynthConfig(seed=31, n_poses=6), skeleton)
-    pts = pts.copy()
     pts[2, :, 2] -= 20.0
-    report = consistency_oracle(pts, intrinsics, skeleton)
-    assert report.failed_indices == (2,)
-    assert not report.passed
-    assert report.per_pose_max.shape == (5,)
-    assert report.n_poses == 6
-    assert report.n_flagged == 0  # the healthy poses still agree
-
-
-def test_consistency_oracle_accepts_pose_lists_and_empty(skeleton, intrinsics):
-    poses = generate_poses(SynthConfig(seed=37, n_poses=3), skeleton)
-    assert consistency_oracle(poses, intrinsics, skeleton).passed
-    empty = consistency_oracle([], intrinsics, skeleton)
-    assert empty.n_poses == 0 and empty.passed
+    with pytest.raises(BehindCameraError) as excinfo:
+        consistency_oracle(pts, intrinsics, skeleton.root_index)
+    assert excinfo.value.indices == (2,)
+    gaps = consistency_oracle(np.delete(pts, 2, axis=0), intrinsics, skeleton.root_index)
+    assert gaps.shape == (5,)
+    assert gaps.max() < CONSISTENCY_THRESHOLD  # the healthy poses still agree
 
 
 def test_many_to_one_demo_contrast(skeleton, intrinsics):
@@ -153,32 +175,25 @@ def test_many_to_one_demo_contrast(skeleton, intrinsics):
     positions = np.array(
         [[0.0, 0.0, 4.0], [0.9, 0.0, 4.0], [-0.9, 0.6, 4.0], [0.4, -0.5, 4.0]]
     )
-    report = many_to_one_demo(base, positions, intrinsics, skeleton)
-    assert report.n_positions == 4
+    root = skeleton.root_index
+    conventional, canonical, residual_error = many_to_one_demo(base, positions, intrinsics, root)
+    assert conventional.shape == canonical.shape == (4, skeleton.n_joints, 2)
     # The same pose looks very different conventionally, far less so
     # canonically, and the canonical root is pinned at exactly zero.
-    assert report.conventional_dispersion > 5 * report.canonical_dispersion
-    assert report.conventional_root_dispersion > 0.1
-    assert report.canonical_root_max_abs == 0.0
-    assert report.residual_max_error < 1e-9
+    assert _spread(conventional) > 5 * _spread(canonical)
+    assert _spread(conventional[:, root]) > 0.1
+    assert np.abs(canonical[:, root]).max() == 0.0
+    assert residual_error < 1e-9
 
 
 def test_many_to_one_demo_identical_placements(skeleton, intrinsics):
     pts = generate_pose_array(SynthConfig(seed=43, n_poses=1), skeleton)[0]
     base = pts - pts[skeleton.root_index]
-    report = many_to_one_demo(base, [[0.0, 0.0, 4.0], [0.0, 0.0, 4.0]], intrinsics, skeleton)
-    assert report.conventional_dispersion == 0.0
-    assert report.canonical_dispersion == 0.0
-    assert report.residual_max_error < 1e-9
-
-
-def test_many_to_one_demo_validation(skeleton, intrinsics):
-    pts = generate_pose_array(SynthConfig(seed=47, n_poses=1), skeleton)[0]
-    with pytest.raises(ValueError, match="root-relative"):
-        many_to_one_demo(pts, [[0.0, 0.0, 4.0]], intrinsics, skeleton)
-    base = pts - pts[skeleton.root_index]
-    with pytest.raises(ValueError, match="Z"):
-        many_to_one_demo(base, [[0.0, 0.0, -1.0]], intrinsics, skeleton)
+    positions = [[0.0, 0.0, 4.0], [0.0, 0.0, 4.0]]
+    conventional, canonical, residual_error = many_to_one_demo(base, positions, intrinsics, skeleton.root_index)
+    assert _spread(conventional) == 0.0
+    assert _spread(canonical) == 0.0
+    assert residual_error < 1e-9
 
 
 def test_other_skeletons_grow_from_the_golden_spiral_template(monkeypatch):
