@@ -59,7 +59,7 @@ from .errors import (
     SequenceCanonicalizationError,
     SingularMatrixError,
 )
-from .lift import LiftingStudyConfig, LinearLifter, StudyReport, run_study
+from .lift import LiftingStudyConfig, StudyReport, run_study
 from .metrics import SimilarityTransform, mpjpe, p_mpjpe, procrustes_align
 from .skeleton import H36M17, Skeleton, available_skeletons, get_skeleton, register_skeleton
 from .stats import (
@@ -92,7 +92,6 @@ __all__ = [
     "GeometryError",
     "H36M17",
     "LiftingStudyConfig",
-    "LinearLifter",
     "ParseError",
     "Pose2D",
     "Pose3D",

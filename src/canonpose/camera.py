@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BehindCameraError, FrameMismatchError, ParseError, SchemaError
-from .jsonfmt import json_array, json_float
+from .jsonfmt import json_array, json_float, plain
 
 # Joints with Z at or below this depth (meters) are rejected by projection.
 EPS_DEPTH = 1e-6
@@ -190,7 +190,7 @@ class CameraIntrinsics:
         )
 
     def to_dict(self) -> dict:
-        return {field.name: getattr(self, field.name) for field in fields(self)}
+        return plain(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,8 +355,8 @@ def load_camera_json(path) -> tuple[CameraIntrinsics, CameraExtrinsics | None]:
     """Read a camera description file.
 
     The file is a single JSON object with numeric keys ``fx, fy, cx, cy,
-    width, height`` and optional ``R`` (9 numbers, row-major) and ``t``
-    (3 numbers). Missing extrinsics mean poses are already camera-frame.
+    width, height``, optional ``R`` (9 numbers, row-major) and ``t`` (3
+    numbers), and no other. Missing extrinsics mean camera-frame poses.
 
     Returns:
         (intrinsics, extrinsics or None).
@@ -369,6 +369,9 @@ def load_camera_json(path) -> tuple[CameraIntrinsics, CameraExtrinsics | None]:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: camera file must hold a JSON object")
     required = ("fx", "fy", "cx", "cy", "width", "height")
+    unknown = set(obj) - {*required, "R", "t"}
+    if unknown:
+        raise SchemaError(f"{path}: unknown camera file keys {sorted(unknown)}")
     missing = [key for key in required if key not in obj]
     if missing:
         raise SchemaError(f"{path}: camera file missing keys {missing}")

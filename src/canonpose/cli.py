@@ -40,7 +40,7 @@ from .dataset import (
 )
 from .errors import DataError, _with_indices
 from .jsonfmt import dumps
-from .lift import _CONFIG_KEYS, LiftingStudyConfig, run_study
+from .lift import LiftingStudyConfig, run_study
 from .metrics import mpjpe, p_mpjpe
 from .skeleton import available_skeletons, get_skeleton
 from .stats import (
@@ -214,16 +214,12 @@ def _write_sequences(sequences, path: str | None) -> None:
         write_sequences(sequences, handle)
 
 
-def _apply_extrinsics(sequences, extrinsics):
-    return apply_extrinsics(sequences, extrinsics)
-
-
 def _cmd_canonicalize(args) -> int:
     skeleton = _get_skeleton(args.skeleton)
     intrinsics, extrinsics = load_camera_json(args.camera)
     sequences = load_sequences(args.input, skeleton)
     if extrinsics is not None:
-        sequences = _apply_extrinsics(sequences, extrinsics)
+        sequences = apply_extrinsics(sequences, extrinsics)
     mode = "3d-path" if args.mode == "3d" else "2d-path"
     result = canonicalize_dataset(sequences, intrinsics, mode)
     _write_sequences(result, args.output)
@@ -311,10 +307,10 @@ def _cmd_eval(args) -> int:
 
 def _config(cls, args, **under):
     """A ``cls`` from ``under``, then the ``--config`` object, then ``--seed``,
-    each overriding the one before. The file's keys are the class's fields
-    (``_CONFIG_KEYS`` renames some); a field whose default is a box or a
-    camera is read from an object with exactly that class's fields."""
-    keys = {_CONFIG_KEYS.get(field.name, field.name): field for field in dataclasses.fields(cls)}
+    each overriding the one before. The file's keys are the class's fields;
+    a field whose default is a box or a camera is read from an object with
+    exactly that class's fields."""
+    keys = {field.name: field for field in dataclasses.fields(cls)}
     config = _read_config_json(args.config) if args.config else {}
     unknown = set(config) - set(keys)
     if unknown:
@@ -327,7 +323,7 @@ def _config(cls, args, **under):
             if not isinstance(value, dict) or set(value) != set(names):
                 raise _UsageError(f"{key} must be an object with keys {', '.join(names)}")
             value = _build(type(field.default), value, f"{key}: ")
-        values[field.name] = value
+        values[key] = value
     if args.seed is not None:
         values["seed"] = args.seed
     return _build(cls, values)

@@ -491,13 +491,20 @@ def _line_runs(seq: PoseSequence, bodies: dict, keep: int):
     yield [prefix, bodies[(stop - 1) // _BLOCK_ROWS][(stop - 1) % _BLOCK_ROWS]] * pad
 
 
+def _check_one_kind(sequences: list) -> None:
+    """Refuse sequences that differ in fps or skeleton: one header carries both."""
+    if len({(seq.fps, seq.skeleton.name) for seq in sequences}) > 1:
+        raise ValueError("sequences differ in fps or skeleton; save each kind to its own file")
+
+
 def _text_blocks(sequences: list):
     """The NDJSON text of ``sequences``: the header, then blocks of at most
     ``_BLOCK_ROWS`` lines. Only the current source's rendered bodies are
     held, and of those only the blocks that the rest of the current
     sequence, or the next one if it shares the source, still needs.
     """
-    if sequences and len({(seq.fps, seq.skeleton.name) for seq in sequences}) == 1:
+    _check_one_kind(sequences)
+    if sequences:
         yield '{"meta": {"skeleton": %s, "unit_scale": 1, "fps": %s}}\n' % (
             json.dumps(sequences[0].skeleton.name), format_float(sequences[0].fps)
         )
@@ -517,14 +524,15 @@ def _text_blocks(sequences: list):
 
 
 def serialize_sequences(sequences) -> str:
-    """Render sequences as NDJSON text (deterministic, 17-digit floats)."""
+    """Render sequences as NDJSON text (deterministic, 17-digit floats);
+    ValueError, before any text, if they differ in fps or skeleton."""
     return "".join(_text_blocks(list(sequences)))
 
 
 def write_sequences(sequences, handle) -> None:
     """Write sequences as NDJSON text to the open text ``handle``, one block
     of lines at a time, so the whole text is never held at once. The bytes
-    are those of ``serialize_sequences``."""
+    and the refusal are those of ``serialize_sequences``."""
     for block in _text_blocks(list(sequences)):
         handle.write(block)
 
@@ -532,15 +540,11 @@ def write_sequences(sequences, handle) -> None:
 def save_sequences(sequences, path) -> None:
     """Write sequences to an NDJSON file; see the module docstring for the
     schema. Saving and re-loading is lossless, and re-saving what was loaded
-    reproduces the file byte for byte.
-
-    Raises:
-        ValueError: the sequences differ in fps or skeleton, which the one
-            header line cannot carry.
+    reproduces the file byte for byte. Sequences that ``serialize_sequences``
+    refuses are refused before the file is opened.
     """
     sequences = list(sequences)
-    if len({(seq.fps, seq.skeleton.name) for seq in sequences}) > 1:
-        raise ValueError("sequences differ in fps or skeleton; save each kind to its own file")
+    _check_one_kind(sequences)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write_sequences(sequences, fh)
 

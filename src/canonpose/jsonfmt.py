@@ -8,12 +8,14 @@ scalar, never a bool or a string (``json_float``, ``json_int``); its one
 array form, ``json_numbers``, scans a decoded list's entry types in one pass
 (the loader's joint lists and canon blocks, and ``json_array``). The config
 dataclasses read their own fields through these, so the Python API and the
-command line share one set of rules.
+command line share one set of rules. ``plain`` is the one emitter that turns
+a dataclass, config or report, into a JSON object.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from itertools import chain
 
 import numpy as np
@@ -74,6 +76,15 @@ def json_array(value, name: str) -> np.ndarray:
     if not json_numbers(value, arr):
         raise TypeError(f"{name} holds a value that is not a JSON number: {value!r}")
     return arr
+
+
+def plain(value):
+    """``value`` in plain JSON types: a dataclass as an object keyed by its
+    field names, without its None fields, and an array as a list."""
+    if is_dataclass(value):
+        named = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {key: plain(item) for key, item in named if item is not None}
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def dumps(obj) -> str:

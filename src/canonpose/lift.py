@@ -16,19 +16,17 @@ prediction back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import CameraIntrinsics, _check_depths, batch_project, batch_screen_normalize
 from .canonical import batch_back_transform, batch_canonicalize_2d, batch_canonicalize_3d, batch_project_centered
-from .errors import BehindCameraError, DimensionMismatchError, SingularMatrixError
-from .jsonfmt import dumps, json_float, json_int
+from .errors import BehindCameraError, SingularMatrixError
+from .jsonfmt import dumps, json_float, json_int, plain
 from .metrics import mpjpe, p_mpjpe
 from .skeleton import get_skeleton
 from .synth import Box3, SynthConfig, _check_type, _empty, _too_large, generate_pose_array, pose_rng
-
-MAPPING_KINDS = ("conventional", "canonical")
 
 # Pose streams and noise streams for the study, all derived from one seed.
 _STREAM_TRAIN = 1
@@ -37,49 +35,10 @@ _NOISE_TRAIN_INDEX = 3 << 48
 _NOISE_TEST_INDEX = 4 << 48
 
 
-@dataclass(frozen=True, eq=False)
-class LinearLifter:
-    """Affine map from flattened 2D inputs to flattened 3D outputs.
-
-    ``weights`` has shape (2J + 1, 3J); the last row is the bias. Inputs are
-    screen-normalized 2D joints, outputs root-relative 3D joints in the frame
-    named by ``mapping_kind`` ("conventional" = camera frame, "canonical" =
-    canonical camera frame).
-    """
-
-    weights: np.ndarray
-    ridge_lambda: float
-    mapping_kind: str
-
-    def __post_init__(self):
-        weights = np.array(self.weights, dtype=np.float64)
-        if weights.ndim != 2 or (weights.shape[0] - 1) % 2 or weights.shape[1] % 3:
-            raise DimensionMismatchError(f"weights must have shape (2J + 1, 3J), got {weights.shape}")
-        if (weights.shape[0] - 1) // 2 != weights.shape[1] // 3:
-            raise DimensionMismatchError(f"weights shape {weights.shape} mixes two joint counts")
-        if not np.isfinite(weights).all():
-            raise ValueError("weights must be finite")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "ridge_lambda", _nonnegative(self.ridge_lambda, "ridge_lambda"))
-        if self.mapping_kind not in MAPPING_KINDS:
-            raise ValueError(f"mapping_kind must be one of {MAPPING_KINDS}, got {self.mapping_kind!r}")
-
-    @property
-    def n_joints(self) -> int:
-        return self.weights.shape[1] // 3
-
-
-def _nonnegative(value, name: str) -> float:
-    """``value`` as a finite number >= 0, read through ``json_float``."""
-    value = json_float(value, name)
-    if not (np.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
 def _fit_arrays(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
-    """Ridge-fit (2J + 1, 3J) weights from (n, 2J) inputs and (n, 3J) targets.
+    """Ridge-fit (2J + 1, 3J) weights, the last row the bias, from (n, 2J)
+    screen-normalized 2D inputs and (n, 3J) root-relative 3D targets in the
+    arm's frame (camera or canonical camera); ValueError unless all finite.
 
     Inputs are standardized per feature for conditioning and the solution is
     folded back to raw coordinates. The penalty applies to every weight,
@@ -105,14 +64,17 @@ def _fit_arrays(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
     weights = np.empty((x.shape[1] + 1, y.shape[1]))
     weights[:-1] = solution[:-1] / std[:, None]
     weights[-1] = solution[-1] - (mean / std) @ solution[:-1]
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
     return weights
 
 
-def _predict_arrays(lifter: LinearLifter, x: np.ndarray) -> np.ndarray:
-    """(n, 2J) flattened inputs -> (n, J, 3) predictions."""
-    flat = x @ lifter.weights[:-1]
-    flat += lifter.weights[-1]
-    return flat.reshape(x.shape[0], lifter.n_joints, 3)
+def _predict_arrays(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(n, 2J) flattened screen-normalized 2D inputs -> (n, J, 3) root-relative
+    3D predictions in the frame ``weights`` were fit in."""
+    flat = x @ weights[:-1]
+    flat += weights[-1]
+    return flat.reshape(x.shape[0], weights.shape[1] // 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +113,27 @@ class LiftingStudyConfig:
     ridge_lambda: float = 1e-4
     camera: CameraIntrinsics = DEFAULT_STUDY_CAMERA
     limb_scale: float = 1.0
-    skeleton_name: str = "h36m17"
+    skeleton: str = "h36m17"
 
     def __post_init__(self):
         for name, kind in (
             ("train_root_region", Box3),
             ("test_root_region", Box3),
             ("camera", CameraIntrinsics),
-            ("skeleton_name", str),
+            ("skeleton", str),
         ):
-            _check_type(getattr(self, name), kind, _CONFIG_KEYS.get(name, name))
+            _check_type(getattr(self, name), kind, name)
         for name in ("n_train", "n_test", "seed"):
             object.__setattr__(self, name, json_int(getattr(self, name), name))
         object.__setattr__(self, "limb_scale", json_float(self.limb_scale, "limb_scale"))
         for name in ("noise_sigma", "ridge_lambda"):
-            object.__setattr__(self, name, _nonnegative(getattr(self, name), name))
+            value = json_float(getattr(self, name), name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+            object.__setattr__(self, name, value)
         for draw in ("train", "test"):
             self._draw(draw)
-        get_skeleton(self.skeleton_name)
+        get_skeleton(self.skeleton)
 
     def _draw(self, draw: str) -> SynthConfig:
         """The generator config of the "train" or "test" pose draw; a
@@ -181,20 +146,7 @@ class LiftingStudyConfig:
 
     def to_dict(self) -> dict:
         """The config in plain JSON types, keyed as ``study --config`` reads it."""
-        return _plain(self)
-
-
-# Config keys that differ from their field names, in ``--config`` and ``to_dict``.
-_CONFIG_KEYS = {"skeleton_name": "skeleton"}
-
-
-def _plain(value):
-    """A value in plain JSON types: a dataclass as an object without its None
-    fields, an array as a list."""
-    if is_dataclass(value):
-        named = ((_CONFIG_KEYS.get(f.name, f.name), getattr(value, f.name)) for f in fields(value))
-        return {key: _plain(item) for key, item in named if item is not None}
-    return value.tolist() if isinstance(value, np.ndarray) else value
+        return plain(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +158,6 @@ class ArmResult:
     test_mpjpe_mm: float
     test_pmpjpe_mm: float
     test_mpjpe_before_back_transform_mm: float | None = None
-
-    def to_dict(self) -> dict:
-        return _plain(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +172,7 @@ class StudyReport:
         return self.canonical.test_mpjpe_mm / self.conventional.test_mpjpe_mm
 
     def to_dict(self) -> dict:
-        return dict(_plain(self), mpjpe_ratio_canonical_over_conventional=self.mpjpe_ratio)
+        return dict(plain(self), mpjpe_ratio_canonical_over_conventional=self.mpjpe_ratio)
 
     def to_json(self) -> str:
         return dumps(self.to_dict()) + "\n"
@@ -260,7 +209,7 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     pose. A refusal names every bad pose of the first depth check that
     fails, camera frame then canonical, as one batch.
     """
-    skeleton = get_skeleton(config.skeleton_name)
+    skeleton = get_skeleton(config.skeleton)
     intr = config.camera
     root = skeleton.root_index
     n_joints = skeleton.n_joints
@@ -269,14 +218,14 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     def flatten2(pixels: np.ndarray) -> np.ndarray:
         return batch_screen_normalize(pixels, intr).reshape(pixels.shape[0], -1)
 
-    def fit_and_score(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[LinearLifter, float, float]:
-        """The lifter fit to (x, y) and its mean and spread of training error."""
-        lifter = LinearLifter(_fit_arrays(x, y, lam), lam, kind)
+    def fit_and_score(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """The weights fit to (x, y) and their mean and spread of training error."""
+        weights = _fit_arrays(x, y, lam)
         errors = np.empty(len(x))
         for lo in range(0, len(x), _TRAIN_ROWS):
             rows = slice(lo, lo + _TRAIN_ROWS)
-            errors[rows] = _per_frame_errors(_predict_arrays(lifter, x[rows]), y[rows].reshape(-1, n_joints, 3))
-        return lifter, float(errors.mean()), float(errors.std())
+            errors[rows] = _per_frame_errors(_predict_arrays(weights, x[rows]), y[rows].reshape(-1, n_joints, 3))
+        return weights, float(errors.mean()), float(errors.std())
 
     # First pass: keep every pose, check their depths at once, fill the canonical arm.
     n_train = config.n_train
@@ -305,7 +254,7 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
             batch_project_centered(canon, intr)
         except BehindCameraError as exc:  # the whole set's count and text; its positions mapped back
             raise BehindCameraError(exc.message, positions[list(exc.indices)]) from None
-    lifter_canon, canon_train_mean, canon_train_std = fit_and_score(x_canon, y_canon, "canonical")
+    weights_canon, canon_train_mean, canon_train_std = fit_and_score(x_canon, y_canon)
     del x_canon, y_canon
 
     # Second pass: the same noise on the projected kept poses; the poses become their targets.
@@ -316,7 +265,7 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
         noise = config.noise_sigma * noise_rng.standard_normal((len(block), n_joints, 2))
         x_conv[lo : lo + len(block)] = flatten2(batch_project(block, intr) + noise)
         block -= block[:, root : root + 1].copy()
-    lifter_conv, conv_train_mean, conv_train_std = fit_and_score(x_conv, poses.reshape(n_train, -1), "conventional")
+    weights_conv, conv_train_mean, conv_train_std = fit_and_score(x_conv, poses.reshape(n_train, -1))
     del x_conv, poses
 
     # Each test array is freed once it is scored. The detector sees the same
@@ -333,7 +282,7 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     del test
 
     mm = 1000.0
-    pred_conv = _predict_arrays(lifter_conv, flatten2(observed))
+    pred_conv = _predict_arrays(weights_conv, flatten2(observed))
     conventional = ArmResult(
         train_mpjpe_mm=conv_train_mean * mm,
         train_mpjpe_std_mm=conv_train_std * mm,
@@ -344,7 +293,7 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
 
     canon_pix, rotations, _ = batch_canonicalize_2d(observed, intr, root)
     del observed
-    pred_canon = _predict_arrays(lifter_canon, flatten2(canon_pix))
+    pred_canon = _predict_arrays(weights_canon, flatten2(canon_pix))
     del canon_pix
     before_back_transform = mpjpe(pred_canon, gt_rel) * mm
     # Root depth is irrelevant to the back-rotated relative pose; zero keeps

@@ -15,7 +15,7 @@ import numpy as np
 from .camera import CameraIntrinsics, Frame, Space, _vector_norms, batch_project
 from .canonical import batch_project_centered
 from .errors import BehindCameraError
-from .jsonfmt import format_float
+from .jsonfmt import format_float, plain
 
 HIST_BINS = 64
 # Cross products below this norm give no usable orientation direction.
@@ -30,7 +30,7 @@ class AxisHistogram:
     counts: np.ndarray
 
     def to_dict(self) -> dict:
-        return {"edges": self.edges.tolist(), "counts": [int(c) for c in self.counts]}
+        return plain(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -325,10 +325,10 @@ def test_eval_refuses_to_score_across_frames(tmp_path, camera_file, capsys):
 
 def test_extrinsics_moved_joints_are_read_only(tmp_path, skeleton, camera_file, rotation_factory):
     from canonpose.camera import CameraExtrinsics, Frame
-    from canonpose.cli import _apply_extrinsics
+    from canonpose.dataset import apply_extrinsics
 
     seqs = load_sequences(synth_file(tmp_path, count=4, camera=camera_file), skeleton)
-    moved = _apply_extrinsics(seqs, CameraExtrinsics(rotation_factory(5), [0.1, 0.2, 0.3]))
+    moved = apply_extrinsics(seqs, CameraExtrinsics(rotation_factory(5), [0.1, 0.2, 0.3]))
     for frame in moved[0].frames:
         assert frame.pose_3d.frame is Frame.CAMERA
         for joints in (frame.pose_2d.joints, frame.pose_3d.joints):
@@ -810,3 +810,26 @@ def test_a_file_without_records_is_a_dataset_without_sequences(tmp_path, camera_
     capsys.readouterr()
     assert run(argv) == code
     assert capsys.readouterr() == (out, err)
+
+
+def test_a_study_whose_weights_overflow_exits_two(tmp_path):
+    # Noise of 1e308 px overflows the inputs, so the fit has no finite weights.
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({"n_train": 300, "n_test": 50, "noise_sigma": 1e308}))
+    out = tmp_path / "report.json"
+    proc = run_module("study", "--config", str(config), "--output", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == "error: weights must be finite"
+    assert not out.exists()
+
+
+def test_a_camera_file_with_an_unknown_key_exits_two_naming_it(tmp_path, intrinsics, capsys):
+    data = synth_file(tmp_path, count=4)
+    camera = tmp_path / "camera.json"
+    # "T" is a typo for "t"; read as extrinsics it would move nothing.
+    camera.write_text(json.dumps(dict(intrinsics.to_dict(), R=np.eye(3).ravel().tolist(), T=[0.5, 0, 4], k1=0.1)))
+    out = tmp_path / "canon.ndjson"
+    capsys.readouterr()
+    assert run(["canonicalize", "--input", data, "--camera", str(camera), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {camera}: unknown camera file keys ['T', 'k1']\n"
+    assert not out.exists()

@@ -1,7 +1,8 @@
 import canonpose
 from canonpose import lift, synth
 
-# Test-only helpers and a per-pose lifter API that the package no longer ships.
+# Test-only helpers, the per-pose lifter API and the lifter class that the
+# package no longer ships.
 _REMOVED = {
     "ConsistencyReport": synth,
     "ManyToOneReport": synth,
@@ -10,6 +11,8 @@ _REMOVED = {
     "generate_poses": synth,
     "fit": lift,
     "predict": lift,
+    "LinearLifter": lift,
+    "MAPPING_KINDS": lift,
 }
 
 

@@ -9,6 +9,7 @@ byte on every line shape.
 import json
 
 import numpy as np
+import pytest
 
 from canonpose.camera import Frame, Pose2D, Pose3D, Space
 from canonpose.canonical import CanonicalRecord, CanonicalRotation
@@ -185,7 +186,9 @@ def test_sequences_with_different_layouts_match_reference():
         _sequence(("S1", "a", "c"), small, [FramePair(_pose_2d(rng, 4), _pose_3d(rng, 4), 0)]),
         _sequence(("S1", "b", "c"), large, [FramePair(_pose_2d(rng, 6), _pose_3d(rng, 6), 0)], fps=25.0),
     ]
-    text = serialize_sequences(seqs)
-    assert text == reference_serialize(seqs)
-    assert not text.startswith('{"meta"')
+    for seq in seqs:
+        assert serialize_sequences([seq]) == reference_serialize([seq])
+    # One header cannot carry two layouts.
+    with pytest.raises(ValueError, match="^sequences differ in fps or skeleton; save each kind to its own file$"):
+        serialize_sequences(seqs)
     assert serialize_sequences([]) == reference_serialize([]) == ""

@@ -18,6 +18,7 @@ from canonpose.dataset import (
     PoseSequence,
     WindowSpec,
     canonicalize_dataset,
+    save_sequences,
     serialize_sequences,
     window,
     write_sequences,
@@ -89,6 +90,33 @@ def test_writer_writes_blocks_of_at_most_block_rows_lines(sources):
     assert writes[0].startswith('{"meta"') and writes[0].count("\n") == 1
     assert max(text.count("\n") for text in writes) == _BLOCK_ROWS
     assert all(text.endswith("\n") for text in writes)
+
+
+def test_every_writer_refuses_two_kinds_before_writing(sources, tmp_path):
+    long, short = sources
+    # The short source at 25 fps, and under another skeleton: neither can
+    # share the one header with a 50 fps writer5 sequence.
+    slow = PoseSequence("S2", "eat", "cam1", 25.0, short.frames, short.skeleton)
+    other = PoseSequence("S3", "eat", "cam1", 50.0, short.frames, _skeleton(5, "other5"))
+    writes = []
+
+    class Handle:
+        def write(self, text):
+            writes.append(text)
+
+    message = "^sequences differ in fps or skeleton; save each kind to its own file$"
+    path = tmp_path / "mixed.ndjson"
+    for listed in ([short, slow], [long, short, other]):
+        with pytest.raises(ValueError, match=message):
+            serialize_sequences(listed)
+        with pytest.raises(ValueError, match=message):
+            write_sequences(listed, Handle())
+        with pytest.raises(ValueError, match=message):
+            save_sequences(listed, path)
+    assert writes == [] and not path.exists()
+    write_sequences([], Handle())
+    save_sequences([], path)
+    assert writes == [] and path.read_bytes() == b""
 
 
 @pytest.fixture(scope="module")
