@@ -261,25 +261,6 @@ def _stacked_3d(sequences, label: str) -> dict[tuple, tuple[np.ndarray, Frame, l
     return stacks
 
 
-def _check_matched(key, pred: tuple, gt: tuple) -> None:
-    """Refuse a --pred sequence that cannot be scored against its --gt one:
-    each is a ``_stacked_3d`` entry."""
-    (pred_joints, pred_frame, pred_index), (gt_joints, gt_frame, gt_index) = pred, gt
-    if pred_frame is not gt_frame:
-        raise DataError(
-            f"sequence {key}: --pred 3D is in the '{pred_frame.value}' frame, --gt 3D in the "
-            f"'{gt_frame.value}' frame; poses in different frames cannot be scored"
-        )
-    if pred_joints.shape != gt_joints.shape:
-        raise DataError(f"sequence {key}: prediction shape {pred_joints.shape} != ground truth {gt_joints.shape}")
-    if pred_index != gt_index:
-        at = next(i for i, (p, g) in enumerate(zip(pred_index, gt_index)) if p != g)
-        raise DataError(
-            f"sequence {key}: at position {at} --pred has frame {pred_index[at]}, --gt frame "
-            f"{gt_index[at]}; frames are matched by number"
-        )
-
-
 def _cmd_eval(args) -> int:
     skeleton = _get_skeleton(args.skeleton)
     pred = _stacked_3d(load_sequences(args.pred, skeleton), "--pred")
@@ -289,8 +270,22 @@ def _cmd_eval(args) -> int:
     missing = [key for key in pred if key not in gt]
     if missing:
         raise DataError(f"prediction sequences missing from ground truth: {sorted(missing)}")
-    for key in pred:
-        _check_matched(key, pred[key], gt[key])
+    for key, (pred_joints, pred_frame, pred_index) in pred.items():
+        gt_joints, gt_frame, gt_index = gt[key]
+        if pred_frame is not gt_frame:
+            raise DataError(
+                f"sequence {key}: --pred 3D is in the '{pred_frame.value}' frame, --gt 3D in the "
+                f"'{gt_frame.value}' frame; poses in different frames cannot be scored"
+            )
+        if pred_joints.shape != gt_joints.shape:
+            raise DataError(f"sequence {key}: prediction shape {pred_joints.shape} != ground truth {gt_joints.shape}")
+        if pred_index != gt_index:
+            at = next(i for i, (p, g) in enumerate(zip(pred_index, gt_index)) if p != g)
+            raise DataError(
+                f"sequence {key}: at position {at} --pred has frame {pred_index[at]}, --gt frame "
+                f"{gt_index[at]}; frames are matched by number"
+            )
+    del pred_joints, gt_joints  # the loop's last pair would outlive the copies below
     # Scores are over root-relative poses; absolute placement is not the
     # lifter's job and is removed from both sides identically. Each side is
     # one array in --pred's order, and its loaded arrays go once it is copied.

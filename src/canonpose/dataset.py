@@ -905,12 +905,9 @@ def apply_extrinsics(sequences, extrinsics) -> list[PoseSequence]:
     for seq in sequences:
         world, present, _ = seq._channel(3)
         if world is not None:
-            # A sequence with 3D in every frame is moved whole: no zero fill, no masked copy.
-            if present.all():
-                camera = batch_world_to_camera(world, rotation, translation)
-            else:
-                camera = np.zeros_like(world)
-                camera[present] = batch_world_to_camera(world[present], rotation, translation)
+            # Moved whole: the frames without 3D hold zeros, so they stay finite.
+            camera = batch_world_to_camera(world, rotation, translation)
+            camera[~present] = 0
             seq = seq._replaced(joints_3d=camera, has_3d=present, frame_3d=Frame.CAMERA)
         moved.append(seq)
     return moved

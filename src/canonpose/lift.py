@@ -38,15 +38,21 @@ _NOISE_TEST_INDEX = 4 << 48
 def _fit_arrays(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
     """Ridge-fit (2J + 1, 3J) weights, the last row the bias, from (n, 2J)
     screen-normalized 2D inputs and (n, 3J) root-relative 3D targets in the
-    arm's frame (camera or canonical camera); ValueError unless all finite.
+    arm's frame (camera or canonical camera); ValueError unless all finite,
+    raised with the same text for inputs that are not finite or whose
+    spread overflows, since no finite weights fit them.
 
     Inputs are standardized per feature for conditioning and the solution is
     folded back to raw coordinates. The penalty applies to every weight,
     bias included, so lambda -> inf drives the whole map to zero rather than
     to a constant predictor.
     """
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)
+    # An inf std would zero its feature and fit a constant predictor.
+    if not np.isfinite(std).all():
+        raise ValueError("weights must be finite")
     std = np.where(std > 0, std, 1.0)
     design = np.ones((x.shape[0], x.shape[1] + 1))
     np.subtract(x, mean, out=design[:, :-1])
@@ -188,9 +194,6 @@ def _per_frame_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return np.linalg.norm(pred - gt, axis=-1).mean(axis=-1)
 
 
-# A noise draw or a fit that overflows ends in weights ``_fit_arrays``
-# refuses, under any warning filter: numpy's warnings are not the refusal.
-@np.errstate(over="ignore", invalid="ignore")
 def run_study(config: LiftingStudyConfig) -> StudyReport:
     """Run the full comparison; byte-identical reports for identical configs.
 
@@ -244,11 +247,13 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
         rows = slice(lo, lo + _CANON_ROWS)
         # Canonical arm: noisy canonical pixels, targets relative to the canonical root.
         canon, _, depths = batch_canonicalize_3d(poses[rows], root)
-        noise = config.noise_sigma * noise_rng.standard_normal((len(canon), n_joints, 2))
-        try:
-            x_canon[rows] = flatten2(batch_project_centered(canon, intr) + noise)
-        except BehindCameraError as exc:
-            refused.append((lo + np.array(exc.indices), canon[list(exc.indices)]))
+        # Noisy inputs that overflow are inf, and the fit refuses them.
+        with np.errstate(over="ignore"):
+            noise = config.noise_sigma * noise_rng.standard_normal((len(canon), n_joints, 2))
+            try:
+                x_canon[rows] = flatten2(batch_project_centered(canon, intr) + noise)
+            except BehindCameraError as exc:
+                refused.append((lo + np.array(exc.indices), canon[list(exc.indices)]))
         canon[..., 2] -= depths[:, None]
         y_canon[rows] = canon.reshape(len(canon), -1)
     if refused:

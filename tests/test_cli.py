@@ -814,15 +814,17 @@ def test_a_file_without_records_is_a_dataset_without_sequences(tmp_path, camera_
 
 
 def test_a_study_whose_weights_overflow_exits_two(tmp_path):
-    # Noise of 1e308 px overflows the inputs, so the fit has no finite
-    # weights; numpy's overflow warnings neither print nor end the run.
+    # Noise of 1e308 px overflows the inputs; at 1e180 px the inputs are
+    # finite but the squares of their spread overflow. Neither fit has finite
+    # weights, and numpy's overflow warnings neither print nor end the run.
     config = tmp_path / "study.json"
-    config.write_text(json.dumps({"n_train": 300, "n_test": 50, "noise_sigma": 1e308}))
     out = tmp_path / "report.json"
-    for warnings in ((), ("error::RuntimeWarning",)):
-        proc = run_module("study", "--config", str(config), "--output", str(out), warnings=warnings)
-        assert (proc.returncode, proc.stderr) == (2, "error: weights must be finite\n"), warnings
-        assert not out.exists()
+    for noise_sigma in (1e308, 1e180):
+        config.write_text(json.dumps({"n_train": 300, "n_test": 50, "noise_sigma": noise_sigma}))
+        for warnings in ((), ("error::RuntimeWarning",)):
+            proc = run_module("study", "--config", str(config), "--output", str(out), warnings=warnings)
+            assert (proc.returncode, proc.stderr) == (2, "error: weights must be finite\n"), (noise_sigma, warnings)
+            assert not out.exists()
 
 
 def test_eval_peak_is_about_its_two_sides(tmp_path, capsys):

@@ -531,17 +531,25 @@ def test_every_channel_views_one_shared_array(tmp_path, pose_batch, intrinsics, 
 
 def test_the_3d_path_output_shares_no_memory_with_its_input(pose_batch, intrinsics, skeleton, rotation_factory):
     """A canonical sequence owns its arrays, so its camera-frame input can be
-    freed; a sequence with 3D in every frame is moved whole, to the bits of
-    the masked route."""
+    freed; a sequence is moved whole, to the bits of moving only the frames
+    that have 3D, with zeros where a frame has none."""
     from canonpose.camera import CameraExtrinsics, batch_world_to_camera
     from canonpose.dataset import apply_extrinsics
 
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=6, seed=62)
+    gappy = PoseSequence(
+        *seq.key, seq.fps,
+        tuple(replace(f, pose_3d=None) if f.index in (1, 4) else f for f in seq.frames), skeleton,
+    )
     extrinsics = CameraExtrinsics(rotation_factory(7), [0.1, 0.2, 4.0])
-    (moved,) = apply_extrinsics([seq], extrinsics)
-    every = np.ones(seq.n_frames, dtype=bool)
-    masked = batch_world_to_camera(seq.joints_3d()[every], extrinsics.rotation, extrinsics.translation)
-    assert moved.joints_3d().tobytes() == masked.tobytes()
+    moved, moved_gappy = apply_extrinsics([seq, gappy], extrinsics)
+    for before, after in ((seq, moved), (gappy, moved_gappy)):
+        world, present, _ = before._channel(3)
+        masked = np.zeros_like(world)
+        masked[present] = batch_world_to_camera(world[present], extrinsics.rotation, extrinsics.translation)
+        assert after._channel(3)[0].tobytes() == masked.tobytes()
+        assert np.array_equal(after._channel(3)[1], present)
+    assert not moved_gappy._channel(3)[1][[1, 4]].any()
     root = skeleton.root_index
     for camera_frame in (seq, moved):
         (out,) = canonicalize_dataset([camera_frame], intrinsics, "3d-path")
