@@ -48,7 +48,6 @@ from .errors import (
     AntiparallelError,
     BehindCameraError,
     DataError,
-    DegenerateHomogeneousError,
     DegenerateShapeError,
     DegenerateVectorError,
     DimensionMismatchError,
@@ -81,7 +80,6 @@ __all__ = [
     "CanonicalRecord",
     "CanonicalRotation",
     "DataError",
-    "DegenerateHomogeneousError",
     "DegenerateShapeError",
     "DegenerateVectorError",
     "DimensionMismatchError",

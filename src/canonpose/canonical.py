@@ -11,7 +11,9 @@ K R K^-1 (each pixel is lifted to the depth-1 plane, rotated, and reprojected),
 so poses can be canonicalized from 2D observations alone, without depth. Both
 paths produce the same canonical 2D pose up to floating-point noise; that
 equivalence is the central contract of this module and is what the test suite
-leans on hardest.
+leans on hardest. Both reproject through the one pinhole projection
+(``camera._pinhole``), so both refuse a joint at or behind the canonical
+camera plane (Z <= EPS_DEPTH) with the same BehindCameraError text.
 
 Canonical 2D poses are centered: the root is placed at the image center
 (W/2, H/2) rather than at the principal point, so cameras with different
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import (
-    EPS_DEPTH,
     CameraIntrinsics,
     Frame,
     Pose2D,
@@ -41,11 +42,7 @@ from .camera import (
     _vector_norms,
     batch_to_normalized_plane,
 )
-from .errors import (
-    AntiparallelError,
-    DegenerateHomogeneousError,
-    DegenerateVectorError,
-)
+from .errors import AntiparallelError, DegenerateVectorError
 
 # Direction vectors shorter than this (meters) cannot be aligned.
 EPS_VEC = 1e-9
@@ -164,7 +161,8 @@ def batch_rodrigues_align(vectors: np.ndarray, target: np.ndarray) -> np.ndarray
     norm, and cos(theta) the dot product. Parallel inputs yield the identity.
 
     Raises:
-        DegenerateVectorError: some vector has norm <= EPS_VEC.
+        DegenerateVectorError: some vector has norm <= EPS_VEC, or a norm
+            that is not finite (one whose squares overflow, say).
         AntiparallelError: some vector points opposite the target
             (cos(theta) < -1 + EPS_ANTIPARALLEL).
     """
@@ -173,12 +171,19 @@ def batch_rodrigues_align(vectors: np.ndarray, target: np.ndarray) -> np.ndarray
     vecs = np.atleast_2d(vecs)
     tgt = np.asarray(target, dtype=np.float64)
 
-    norms = np.linalg.norm(vecs, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm that overflows is inf, refused below
+        norms = np.linalg.norm(vecs, axis=-1)
     short = norms <= EPS_VEC
     if short.any():
         raise DegenerateVectorError(
             f"{int(short.sum())} vector(s) too short to align (norm <= {EPS_VEC})",
             indices=np.nonzero(short)[0],
+        )
+    unbounded = ~np.isfinite(norms)
+    if unbounded.any():
+        raise DegenerateVectorError(
+            f"{int(unbounded.sum())} vector(s) with a norm that is not finite cannot be aligned",
+            indices=np.nonzero(unbounded)[0],
         )
     unit = vecs / norms[:, None]
 
@@ -255,33 +260,28 @@ def batch_canonicalize_2d(
 
     Each joint is lifted to the depth-1 plane, rotated by the alignment of
     the root's homogeneous vector (x_root, y_root, 1) with the principal
-    axis, reprojected, and finally translated so the root lands at exactly
-    (W/2, H/2).
+    axis, reprojected by the pinhole projection the 3D path uses, and
+    finally translated so the root lands at exactly (W/2, H/2).
 
     Returns (canonical pixels (N, J, 2), rotations (N, 3, 3), the homogeneous
     pelvis vectors (N, 3) the rotations were built from).
+
+    Raises BehindCameraError, with the 3D path's text, when a rotated joint
+    sits at or behind the canonical camera plane (Z <= EPS_DEPTH); the error
+    indexes the leading axis of ``pixels``.
     """
     pix = np.asarray(pixels, dtype=np.float64)
     n, j = pix.shape[0], pix.shape[1]
     plane = np.empty((n, j, 3), dtype=np.float64)
-    plane[..., :2] = batch_to_normalized_plane(pix, intrinsics)
+    with np.errstate(over="ignore"):  # a lift that overflows is inf; the rotation refuses such a root
+        plane[..., :2] = batch_to_normalized_plane(pix, intrinsics)
     plane[..., 2] = 1.0
 
     pelvis = plane[:, root_index].copy()
     rotations = batch_rodrigues_align(pelvis, PRINCIPAL_AXIS)
     rotated = batch_rotate(rotations, plane)
 
-    w = rotated[..., 2]
-    degenerate = np.abs(w) <= EPS_DEPTH
-    if degenerate.any():
-        raise DegenerateHomogeneousError(
-            f"{int(degenerate.sum())} joint(s) dehomogenize with |w| <= {EPS_DEPTH}",
-            indices=np.unique(np.nonzero(degenerate)[0]),
-        )
-
-    reprojected = np.empty((n, j, 2), dtype=np.float64)
-    reprojected[..., 0] = intrinsics.fx * rotated[..., 0] / w + intrinsics.cx
-    reprojected[..., 1] = intrinsics.fy * rotated[..., 1] / w + intrinsics.cy
+    reprojected = _pinhole(rotated, intrinsics, intrinsics.cx, intrinsics.cy, "canonical joint(s)")
 
     center = np.array([intrinsics.width / 2.0, intrinsics.height / 2.0])
     shift = center - reprojected[:, root_index]

@@ -962,11 +962,14 @@ def _canonicalize_sequence_2d(seq: PoseSequence, intrinsics: CameraIntrinsics) -
     joints_3d, has_3d, _ = seq._channel(3)
     depths = np.zeros(seq.n_frames)
     if joints_3d is not None:
-        depths[has_3d] = _vector_norms(joints_3d[has_3d, root])
-    centered = has_3d & (depths <= 0)
-    if centered.any():
-        at = np.flatnonzero(centered).tolist()
-        raise SequenceCanonicalizationError(f"sequence {seq.key}: 3D root at the camera center, no root depth", at)
+        with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below
+            depths[has_3d] = _vector_norms(joints_3d[has_3d, root])
+    undefined = has_3d & ~((depths > 0) & np.isfinite(depths))
+    if undefined.any():
+        at = np.flatnonzero(undefined).tolist()
+        raise SequenceCanonicalizationError(
+            f"sequence {seq.key}: the 3D root gives no root depth that is positive and finite", at
+        )
     return _canonical(seq, canonical, rotations, pelvis, depths, has_3d)
 
 

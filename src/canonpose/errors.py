@@ -44,16 +44,13 @@ class BehindCameraError(GeometryError):
 
 
 class DegenerateVectorError(GeometryError):
-    """A direction vector is too short to normalize (norm <= EPS_VEC)."""
+    """A direction vector cannot be normalized: its norm is at most EPS_VEC
+    or is not finite."""
 
 
 class AntiparallelError(GeometryError):
     """The vector to align points opposite the target axis; the aligning
     rotation is not unique there, so the operation refuses to pick one."""
-
-
-class DegenerateHomogeneousError(GeometryError):
-    """Dehomogenization hit a vanishing scale factor (|w| <= EPS_DEPTH)."""
 
 
 class DegenerateShapeError(GeometryError):

@@ -14,7 +14,8 @@ centered joints, with eigenvalues l1 >= l2 >= l3 >= 0, trace t and e2 the sum
 of its principal 2x2 minors, e2 <= 3 * l1 * l2 and l1 <= t. So a frame with
 e2 > 1e-6 * t**2 has sigma2 / sigma1 >= 5.7e-4, eleven orders of magnitude
 above the tolerance, and passes without an SVD. Every other frame, including
-zero, non-finite, overflowing and tiny ones, goes to the SVD.
+zero, overflowing and tiny ones, goes to the SVD. A frame with a joint that
+is not finite is refused before any of this.
 """
 
 from __future__ import annotations
@@ -125,14 +126,23 @@ def _surely_full_rank(centered: np.ndarray) -> np.ndarray:
 
 
 def _check_alignable(pred: np.ndarray, gt: np.ndarray, blocks: list) -> None:
-    """Raise unless (T, J, 3) ``pred`` and ``gt`` have J >= 3 and no frame
-    whose centered joints are collinear (rank < 2), which has no unique
-    alignment. Frames are checked by the ``blocks`` of rows, every pred frame
-    before any gt frame; the singular values decide every frame the rank
-    screen does not pass."""
+    """Raise unless (T, J, 3) ``pred`` and ``gt`` have J >= 3, finite joints,
+    and no frame whose centered joints are collinear (rank < 2), which has no
+    unique alignment. Frames are checked by the ``blocks`` of rows; one
+    refusal names every frame with a joint that is not finite in either
+    array, then every pred frame is checked for collinearity before any gt
+    frame. The singular values decide every frame the rank screen does not
+    pass."""
     j = pred.shape[1]
     if j < 3:
         raise DimensionMismatchError(f"similarity alignment needs at least 3 joints, got {j}")
+    nonfinite = np.concatenate(
+        [~(np.isfinite(pred[rows]).all(axis=(1, 2)) & np.isfinite(gt[rows]).all(axis=(1, 2))) for rows in blocks]
+    )
+    if nonfinite.any():
+        raise GeometryError(
+            f"joints are not finite in {int(nonfinite.sum())} frame(s)", indices=np.nonzero(nonfinite)[0]
+        )
     for name, poses in (("pred", pred), ("gt", gt)):
         degenerate = []
         for rows in blocks:
@@ -215,9 +225,10 @@ def p_mpjpe(pred, gt) -> float:
     Never exceeds ``mpjpe`` on the same input: the identity transform is
     always an alignment candidate. Frames are aligned ``_ALIGN_ROWS`` at a
     time, so its memory does not grow with whole-batch temporaries. A frame
-    whose fitted scale is not positive and finite (a pred frame whose squared
-    norm overflows or underflows, say) is refused, as ``procrustes_align``
-    refuses it; one refusal names every such frame.
+    with a joint that is not finite is refused before any alignment, and so
+    is a frame whose fitted scale is not positive and finite (a pred frame
+    whose squared norm overflows or underflows, say), as
+    ``procrustes_align`` refuses them; each refusal names every such frame.
     """
     p, g = _as_pair(pred, gt)
     # At least one block, so an empty input ends as one empty batch does.

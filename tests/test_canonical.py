@@ -27,7 +27,6 @@ from canonpose.canonical import (
 from canonpose.errors import (
     AntiparallelError,
     BehindCameraError,
-    DegenerateHomogeneousError,
     DegenerateVectorError,
     FrameMismatchError,
 )
@@ -156,15 +155,16 @@ def test_canonicalize_2d_matches_3d_path(intrinsics, pose_batch, skeleton):
     assert np.allclose(pelvis, pts[:, root] / pts[:, root, 2:3], atol=1e-12)
 
 
-def test_canonicalize_2d_degenerate_homogeneous(intrinsics):
-    # Pick a second joint whose depth-1 plane vector rotates onto the w = 0
-    # plane: for root ray r, R maps (x, 0, 1) to w = r31 * x + r33 = 0.
+def test_canonicalize_2d_refuses_joint_on_canonical_camera_plane(intrinsics):
+    # Pick a second joint whose depth-1 plane vector rotates onto the
+    # canonical camera plane: for root ray r, R maps (x, 0, 1) to
+    # Z = r31 * x + r33 = 0. The 2D path refuses it as the 3D path does.
     root_pixel = np.array([intrinsics.cx + 600.0, intrinsics.cy])
     ray = np.array([600.0 / intrinsics.fx, 0.0, 1.0])
     rotation = batch_rodrigues_align(ray, PRINCIPAL_AXIS)
     x = -rotation[2, 2] / rotation[2, 0]
     joint = np.array([intrinsics.cx + intrinsics.fx * x, intrinsics.cy])
-    with pytest.raises(DegenerateHomogeneousError):
+    with pytest.raises(BehindCameraError, match=r"^1 canonical joint\(s\) at or behind the camera plane"):
         batch_canonicalize_2d(np.stack([root_pixel, joint])[None], intrinsics, 0)
 
 

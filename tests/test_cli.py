@@ -827,6 +827,40 @@ def test_a_study_whose_weights_overflow_exits_two(tmp_path):
             assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["detection-1e200-px", "focal-length-1e-308", "root-1e200-m"])
+def test_canonicalize_2d_refuses_a_ray_or_root_depth_that_is_not_finite(tmp_path, camera_file, intrinsics, capsys, case):
+    # A root detection 1e200 px off, or any detection under focal lengths of
+    # 1e-308 px, lifts to a root ray whose norm is not finite; a 3D root
+    # 1e200 m off has a depth that is not finite. Each is refused naming its
+    # frames, with no numpy warning, in this process and in a child whose
+    # RuntimeWarnings are errors.
+    data = synth_file(tmp_path, count=5, seed=1, camera=camera_file)
+    lines = Path(data).read_text().splitlines()
+    record = json.loads(lines[3])
+    camera, frames, reason = camera_file, "[2]", "1 vector(s) with a norm that is not finite cannot be aligned"
+    if case == "detection-1e200-px":
+        record["joints_2d"][0][0] += 1e200
+    elif case == "root-1e200-m":
+        record["joints_3d"][0][0] += 1e200
+        reason = "the 3D root gives no root depth that is positive and finite"
+    else:
+        camera = str(tmp_path / "tiny-focal.json")
+        Path(camera).write_text(json.dumps(dict(intrinsics.to_dict(), fx=1e-308, fy=1e-308)))
+        frames, reason = "[0, 1, 2, 3, 4]", "5 vector(s) with a norm that is not finite cannot be aligned"
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("\n".join(lines[:3] + [json.dumps(record)] + lines[4:]) + "\n")
+    out = tmp_path / "out.ndjson"
+    argv = ["canonicalize", "--mode", "2d", "--input", str(bad), "--camera", camera, "--output", str(out)]
+    error = f"error: sequence ('synth', 'seed1', 'cam0'): {reason} (frames {frames})\n"
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", error)
+    proc = run_module(*argv, warnings=["error::RuntimeWarning"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+    assert not out.exists()
+
+
 def test_eval_peak_is_about_its_two_sides(tmp_path, capsys):
     """``eval`` copies each side into one array and frees what it loaded
     once copied. On 3,000 frames of 3D alone scored against themselves the

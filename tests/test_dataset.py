@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from canonpose.camera import Frame, Pose2D, Pose3D, Space, batch_project
+from canonpose.camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, batch_project
 from canonpose.dataset import (
     FramePair,
     PoseSequence,
@@ -109,6 +109,10 @@ def test_schema_error_catalog(tmp_path, skeleton):
         f"has 1 joints, expected {skeleton.n_joints}": good.replace(j3, "[[1, 2, 3]]"),
         "contains non-finite values": good.replace(j3, _joints(skeleton, 3, fill="1e999")),
         "neither joints_2d nor joints_3d": good.replace(j2, "null").replace(j3, "null"),
+        # Joints without a length fail the block's usual form, then this line check.
+        f"joints_2d must be a list of 2-vectors, got shape ({skeleton.n_joints},)": good.replace(
+            j2, "[" + ", ".join(["1"] * skeleton.n_joints) + "]"
+        ),
         "header must precede all records": good + '\n{"meta": {}}',
         "declares skeleton 'other'": '{"meta": {"skeleton": "other"}}',
         "unit_scale must be positive": '{"meta": {"unit_scale": 0}}',
@@ -674,6 +678,58 @@ def test_canonicalize_2d_refuses_a_3d_root_at_the_camera_center(pose_batch, intr
     with pytest.raises(SequenceCanonicalizationError) as excinfo:
         canonicalize_dataset([at_center], intrinsics, "2d-path")
     assert excinfo.value.frame_indices == (1,)
+
+
+def test_both_paths_refuse_a_joint_behind_the_canonical_camera_with_one_text(pose_batch, skeleton):
+    # The root sits at (4, 0, 4) m and one joint at (-3, 0, 1) m: in front of
+    # the camera, but behind the plane through it normal to the root ray.
+    intrinsics = CameraIntrinsics(fx=1100.0, fy=1100.0, cx=500.0, cy=500.0, width=1000.0, height=1000.0)
+    root = skeleton.root_index
+    pts = pose_batch(3, seed=63).copy()
+    pts[1] += np.array([4.0, 0.0, 4.0]) - pts[1, root]
+    pts[1, root + 1] = [-3.0, 0.0, 1.0]
+    pix = batch_project(pts, intrinsics)
+    frames = [FramePair(Pose2D(pix[t], Space.IMAGE), Pose3D(pts[t], Frame.CAMERA), t) for t in range(3)]
+    seq = PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
+    texts = []
+    for mode in ("3d-path", "2d-path"):
+        with pytest.raises(SequenceCanonicalizationError) as excinfo:
+            canonicalize_dataset([seq], intrinsics, mode)
+        texts.append(str(excinfo.value))
+    want = "sequence ('S1', 'walk', 'cam0'): 1 canonical joint(s) at or behind the camera plane (Z <= 1e-06) (frames [1])"
+    assert texts == [want, want]
+
+
+def _short_pose(seq):
+    """Frame 0's 3D pose without its last joint."""
+    return Pose3D(seq.frames[0].pose_3d.joints[:-1], Frame.CAMERA)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda seq, intr: FramePair(None, None, 0), "a frame needs at least one of a 2D or a 3D pose"),
+        (lambda seq, intr: FramePair(seq.frames[0].pose_2d, _short_pose(seq), 0), "2D and 3D joint counts differ (17 vs 16)"),
+        (lambda seq, intr: replace(seq, frames=()), "a sequence needs at least one frame"),
+        (
+            lambda seq, intr: replace(seq, frames=[FramePair(None, _short_pose(seq), 0)]),
+            "frame 0 has 16 joints, skeleton 'h36m17' has 17",
+        ),
+        (
+            lambda seq, intr: replace(seq, records=canonicalize_dataset([seq], intr, "3d-path")[0].records[:2]),
+            "records and frames must have equal length",
+        ),
+        (lambda seq, intr: replace(seq, fps=0.0), "fps must be positive and finite, got 0.0"),
+        (lambda seq, intr: replace(seq, fps=float("nan")), "fps must be positive and finite, got nan"),
+    ],
+    ids=["frame-without-poses", "frame-joint-counts-differ", "sequence-without-frames", "frame-joint-count",
+         "records-length", "fps-zero", "fps-nan"],
+)
+def test_constructors_refuse_what_a_sequence_cannot_hold(pose_batch, intrinsics, skeleton, build, message):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=3, seed=62)
+    with pytest.raises(ValueError) as excinfo:
+        build(seq, intrinsics)
+    assert str(excinfo.value) == message
 
 
 def test_padded_windows_canonicalize_like_their_frames(pose_batch, intrinsics, skeleton):

@@ -56,6 +56,16 @@ def test_singular_design_requires_ridge():
     assert np.isfinite(_fit_arrays(x, y, 1e-6)).all()
 
 
+def test_weights_that_overflow_are_refused():
+    rng = np.random.default_rng(64)
+    x = rng.normal(size=(40, 4))
+    # Finite inputs with a finite spread, but targets whose sums in the
+    # normal equations overflow, so the solved weights are not finite.
+    y = np.full((40, 6), 1.7e308)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="^weights must be finite$"):
+        _fit_arrays(x, y, 0.0)
+
+
 def _tiny_config(**overrides):
     kwargs = dict(n_train=600, n_test=200, seed=0)
     kwargs.update(overrides)

@@ -111,6 +111,10 @@ def test_degenerate_shapes_are_rejected():
         p_mpjpe(np.random.default_rng(6).normal(size=(5, 3)), line)
     with pytest.raises(DimensionMismatchError):
         p_mpjpe(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatchError, match=r"^pred must have shape \(T, J, 3\), got \(2, 5, 2\)$"):
+        p_mpjpe(np.zeros((2, 5, 2)), np.zeros((2, 5, 2)))
+    with pytest.raises(DimensionMismatchError, match="^procrustes_align takes single poses; use p_mpjpe for sequences$"):
+        procrustes_align(np.ones((2, 5, 3)), np.ones((2, 5, 3)))
 
 
 def test_procrustes_pose_round_trip(pose_batch):
@@ -143,6 +147,9 @@ def reference_p_mpjpe(pred, gt):
     j = pred.shape[1]
     if j < 3:
         raise DimensionMismatchError(f"similarity alignment needs at least 3 joints, got {j}")
+    nonfinite = ~(np.isfinite(pred).all(axis=(1, 2)) & np.isfinite(gt).all(axis=(1, 2)))
+    if nonfinite.any():
+        raise GeometryError(f"joints are not finite in {int(nonfinite.sum())} frame(s)", indices=np.nonzero(nonfinite)[0])
     mu_p, mu_g = pred.mean(axis=1), gt.mean(axis=1)
     p0, g0 = pred - mu_p[:, None], gt - mu_g[:, None]
     for name, centered in (("pred", p0), ("gt", g0)):
@@ -228,6 +235,7 @@ _SCREEN_CASES = {
     "three-joints": np.array([[0.0, 0.0, 3.0], [0.4, 0.1, 3.2], [-0.2, 0.5, 3.1]]),
     "three-joints-collinear": _line(j=3),
     "all-zero": np.zeros((17, 3)),
+    # Refused before the screen and the SVD, wherever the frame sits.
     "nan": np.where(np.arange(17)[:, None] == 4, np.nan, _line(offset=1.0)),
     # A pred frame's squared norm overflows and its fitted scale is 0, or
     # underflows and its fitted scale is infinite: either is refused.
@@ -311,6 +319,28 @@ def test_one_block_mixes_screened_and_svd_checked_frames():
     got = _outcome(p_mpjpe, pred, gt)
     assert got == _outcome(reference_p_mpjpe, pred, gt)
     assert got[1].startswith("pred joints are collinear in 3 frame(s)")
+
+
+@pytest.mark.filterwarnings("error")
+def test_frames_that_are_not_finite_are_refused_before_any_svd(monkeypatch):
+    rng = np.random.default_rng(34)
+    pred = rng.normal(size=(2 * _ALIGN_ROWS + 5, 17, 3))
+    gt = pred + rng.normal(scale=0.05, size=pred.shape)
+    pred[3, 4, 0] = np.nan
+    gt[_ALIGN_ROWS + 1, 0, 2] = np.inf
+    pred[2 * _ALIGN_ROWS + 4, 16, 1] = -np.inf
+    pred[7] = _line()  # collinear as well: the frames that are not finite are refused first
+
+    def svd(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    positions = (3, _ALIGN_ROWS + 1, 2 * _ALIGN_ROWS + 4)
+    want = (GeometryError, f"joints are not finite in 3 frame(s) (at positions {list(positions)})", positions)
+    assert _outcome(p_mpjpe, pred, gt) == _outcome(reference_p_mpjpe, pred, gt) == want
+    for position in positions:
+        got = _outcome(procrustes_align, pred[position], gt[position])
+        assert got == (GeometryError, "joints are not finite in 1 frame(s) (at positions [0])", (0,))
 
 
 def test_rank_screen_passes_ordinary_frames_and_no_doubtful_one():

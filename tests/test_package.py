@@ -1,8 +1,8 @@
 import canonpose
-from canonpose import lift, synth
+from canonpose import errors, lift, synth
 
-# Test-only helpers, the per-pose lifter API and the lifter class that the
-# package no longer ships.
+# Test-only helpers, the per-pose lifter API, the lifter class and the 2D
+# path's own dehomogenization error that the package no longer ships.
 _REMOVED = {
     "ConsistencyReport": synth,
     "ManyToOneReport": synth,
@@ -13,6 +13,7 @@ _REMOVED = {
     "predict": lift,
     "LinearLifter": lift,
     "MAPPING_KINDS": lift,
+    "DegenerateHomogeneousError": errors,
 }
 
 

@@ -71,6 +71,8 @@ def test_config_validation():
         SynthConfig(seed=-1, n_poses=1)
     with pytest.raises(ValueError):
         Box3((1, 0, 0), (0, 1, 1))
+    with pytest.raises(ValueError, match="^box bounds must be finite$"):
+        Box3((0, 0, 1), (1, 1, float("inf")))
 
 
 def test_random_intrinsics_ranges():
