@@ -267,8 +267,10 @@ def batch_canonicalize_2d(
     pelvis vectors (N, 3) the rotations were built from).
 
     Raises BehindCameraError, with the 3D path's text, when a rotated joint
-    sits at or behind the canonical camera plane (Z <= EPS_DEPTH); the error
-    indexes the leading axis of ``pixels``.
+    sits at or behind the canonical camera plane (Z <= EPS_DEPTH), then
+    DegenerateVectorError when a frame's canonical pixels are not finite (a
+    joint whose lift overflows, say); each error indexes the leading axis of
+    ``pixels``.
     """
     pix = np.asarray(pixels, dtype=np.float64)
     n, j = pix.shape[0], pix.shape[1]
@@ -281,7 +283,14 @@ def batch_canonicalize_2d(
     rotations = batch_rodrigues_align(pelvis, PRINCIPAL_AXIS)
     rotated = batch_rotate(rotations, plane)
 
-    reprojected = _pinhole(rotated, intrinsics, intrinsics.cx, intrinsics.cy, "canonical joint(s)")
+    # A joint whose lift overflows reprojects to inf or NaN, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        reprojected = _pinhole(rotated, intrinsics, intrinsics.cx, intrinsics.cy, "canonical joint(s)")
+    unbounded = ~np.isfinite(reprojected).all(axis=(1, 2))
+    if unbounded.any():
+        raise DegenerateVectorError(
+            f"canonical joints are not finite in {int(unbounded.sum())} frame(s)", indices=np.nonzero(unbounded)[0]
+        )
 
     center = np.array([intrinsics.width / 2.0, intrinsics.height / 2.0])
     shift = center - reprojected[:, root_index]

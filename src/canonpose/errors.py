@@ -45,7 +45,8 @@ class BehindCameraError(GeometryError):
 
 class DegenerateVectorError(GeometryError):
     """A direction vector cannot be normalized: its norm is at most EPS_VEC
-    or is not finite."""
+    or is not finite; or a joint's ray reprojects to canonical pixels that
+    are not finite."""
 
 
 class AntiparallelError(GeometryError):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, _check_depths, batch_project, batch_screen_normalize
 from .canonical import batch_back_transform, batch_canonicalize_2d, batch_canonicalize_3d, batch_project_centered
-from .errors import BehindCameraError, SingularMatrixError
+from .errors import SingularMatrixError
 from .jsonfmt import dumps, json_float, json_int, plain
 from .metrics import mpjpe, p_mpjpe
 from .skeleton import get_skeleton
@@ -65,11 +65,12 @@ def _fit_arrays(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
         raise SingularMatrixError(
             "normal equations are singular; add ridge_lambda > 0 or provide richer training pairs"
         ) from exc
-    solution = np.linalg.solve(chol.T, np.linalg.solve(chol, design.T @ y))
-
     weights = np.empty((x.shape[1] + 1, y.shape[1]))
-    weights[:-1] = solution[:-1] / std[:, None]
-    weights[-1] = solution[-1] - (mean / std) @ solution[:-1]
+    # Targets whose sums overflow give weights that are not finite, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        solution = np.linalg.solve(chol.T, np.linalg.solve(chol, design.T @ y))
+        weights[:-1] = solution[:-1] / std[:, None]
+        weights[-1] = solution[-1] - (mean / std) @ solution[:-1]
     if not np.isfinite(weights).all():
         raise ValueError("weights must be finite")
     return weights
@@ -184,8 +185,9 @@ class StudyReport:
         return dumps(self.to_dict()) + "\n"
 
 
-# Training poses canonicalized at once in the first pass, and projected or
-# scored at once after it.
+# Training poses canonicalized, or projected with their noise, at once; and
+# training predictions scored at once. _TRAIN_ROWS stays 1,024: the fit's
+# predictions are a matmul whose bits depend on the rows it is given.
 _CANON_ROWS = 256
 _TRAIN_ROWS = 1024
 
@@ -203,22 +205,23 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     available), lift, rotate back into the camera frame, then score against
     the root-relative ground truth.
 
-    The arms are trained one after the other. The first pass draws and keeps
-    the training poses with ``generate_pose_array``, refuses any joint at or
-    behind the camera plane in one check over them, and fills the canonical
-    arm's inputs and targets a block of poses and noise at a time; that arm
-    is fit, scored and freed. The second pass reads the training noise
-    stream again from its start, builds the conventional inputs from the
-    kept poses, and turns the kept poses into their root-relative targets in
-    place. What grows with ``n_train`` is at most the kept poses, the
-    canonical inputs and targets and one fit's design: 10J + 1 numbers per
-    pose. A refusal names every bad pose of the first depth check that
-    fails, camera frame then canonical, as one batch.
+    The arms are trained one after the other, from training poses drawn and
+    kept with ``generate_pose_array``. Their canonical joints are kept too,
+    made a block of poses at a time, and each set of joints gets one depth
+    check: a refusal names every pose with a joint at or behind the camera
+    plane, camera frame first, then canonical, as one batch. Each arm's
+    inputs are its projected joints plus the training noise stream read from
+    its start, a block of poses at a time, and its targets are its joints
+    made root-relative in place; the canonical arm is fit, scored and freed
+    before the conventional one is built. What grows with ``n_train`` is at
+    most the kept poses, the canonical joints, the canonical inputs and one
+    fit's design: 10J + 1 numbers per pose.
     """
     skeleton = get_skeleton(config.skeleton)
     intr = config.camera
     root = skeleton.root_index
     n_joints = skeleton.n_joints
+    n_train = config.n_train
     lam = config.ridge_lambda
 
     def flatten2(pixels: np.ndarray) -> np.ndarray:
@@ -233,46 +236,39 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
             errors[rows] = _per_frame_errors(_predict_arrays(weights, x[rows]), y[rows].reshape(-1, n_joints, 3))
         return weights, float(errors.mean()), float(errors.std())
 
-    # First pass: keep every pose, check their depths at once, fill the canonical arm.
-    n_train = config.n_train
+    def inputs(joints: np.ndarray, project) -> np.ndarray:
+        """The (n_train, 2J) noisy screen-normalized inputs of the ``project``ed
+        ``joints``, with the training noise stream read from its start."""
+        x = _empty((n_train, 2 * n_joints), "n_train")
+        noise_rng = pose_rng(config.seed, _NOISE_TRAIN_INDEX)
+        for lo in range(0, n_train, _CANON_ROWS):
+            block = joints[lo : lo + _CANON_ROWS]
+            # Noisy inputs that overflow are inf, and the fit refuses them.
+            with np.errstate(over="ignore"):
+                noise = config.noise_sigma * noise_rng.standard_normal((len(block), n_joints, 2))
+                x[lo : lo + len(block)] = flatten2(project(block, intr) + noise)
+        return x
+
+    # Keep every pose and its canonical joints, and check the depths of each set at once.
     try:
         poses = generate_pose_array(config._draw("train"), skeleton, stream=_STREAM_TRAIN)
     except MemoryError:
         raise _too_large("n_train", n_train) from None
     _check_depths(poses[..., 2], "point(s)")
-    x_canon, y_canon = (_empty((n_train, k * n_joints), "n_train") for k in (2, 3))
-    noise_rng = pose_rng(config.seed, _NOISE_TRAIN_INDEX)
-    refused = []  # (positions, canonical poses) of each centered projection that failed
+    canon = _empty((n_train, n_joints, 3), "n_train")
     for lo in range(0, n_train, _CANON_ROWS):
-        rows = slice(lo, lo + _CANON_ROWS)
-        # Canonical arm: noisy canonical pixels, targets relative to the canonical root.
-        canon, _, depths = batch_canonicalize_3d(poses[rows], root)
-        # Noisy inputs that overflow are inf, and the fit refuses them.
-        with np.errstate(over="ignore"):
-            noise = config.noise_sigma * noise_rng.standard_normal((len(canon), n_joints, 2))
-            try:
-                x_canon[rows] = flatten2(batch_project_centered(canon, intr) + noise)
-            except BehindCameraError as exc:
-                refused.append((lo + np.array(exc.indices), canon[list(exc.indices)]))
-        canon[..., 2] -= depths[:, None]
-        y_canon[rows] = canon.reshape(len(canon), -1)
-    if refused:
-        positions, canon = map(np.concatenate, zip(*refused))
-        try:
-            batch_project_centered(canon, intr)
-        except BehindCameraError as exc:  # the whole set's count and text; its positions mapped back
-            raise BehindCameraError(exc.message, positions[list(exc.indices)]) from None
-    weights_canon, canon_train_mean, canon_train_std = fit_and_score(x_canon, y_canon)
-    del x_canon, y_canon
+        canon[lo : lo + _CANON_ROWS] = batch_canonicalize_3d(poses[lo : lo + _CANON_ROWS], root)[0]
+    _check_depths(canon[..., 2], "canonical joint(s)")
 
-    # Second pass: the same noise on the projected kept poses; the poses become their targets.
-    x_conv = _empty((n_train, 2 * n_joints), "n_train")
-    noise_rng = pose_rng(config.seed, _NOISE_TRAIN_INDEX)
-    for lo in range(0, n_train, _TRAIN_ROWS):
-        block = poses[lo : lo + _TRAIN_ROWS]
-        noise = config.noise_sigma * noise_rng.standard_normal((len(block), n_joints, 2))
-        x_conv[lo : lo + len(block)] = flatten2(batch_project(block, intr) + noise)
-        block -= block[:, root : root + 1].copy()
+    # Each arm's targets are its joints relative to its root, made in place;
+    # the canonical root is exactly (0, 0, depth), so only the depths change.
+    x_canon = inputs(canon, batch_project_centered)
+    canon -= canon[:, root : root + 1].copy()
+    weights_canon, canon_train_mean, canon_train_std = fit_and_score(x_canon, canon.reshape(n_train, -1))
+    del x_canon, canon
+
+    x_conv = inputs(poses, batch_project)
+    poses -= poses[:, root : root + 1].copy()
     weights_conv, conv_train_mean, conv_train_std = fit_and_score(x_conv, poses.reshape(n_train, -1))
     del x_conv, poses
 

@@ -15,7 +15,8 @@ of its principal 2x2 minors, e2 <= 3 * l1 * l2 and l1 <= t. So a frame with
 e2 > 1e-6 * t**2 has sigma2 / sigma1 >= 5.7e-4, eleven orders of magnitude
 above the tolerance, and passes without an SVD. Every other frame, including
 zero, overflowing and tiny ones, goes to the SVD. A frame with a joint that
-is not finite is refused before any of this.
+is not finite is refused before any of this. The screen, the SVD and the
+alignment read one centered copy of each block of frames.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ def _as_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     return p, g
 
 
+def _refuse(flags: np.ndarray, what: str, error=GeometryError) -> None:
+    """Raise ``error`` ("``what`` in N frame(s)") naming every frame ``flags`` marks, if any."""
+    if flags.any():
+        raise error(f"{what} in {int(flags.sum())} frame(s)", indices=np.nonzero(flags)[0])
+
+
 def mpjpe(pred, gt) -> float:
     """Mean per-joint position error in meters.
 
@@ -93,12 +100,7 @@ def mpjpe(pred, gt) -> float:
     p, g = _as_pair(pred, gt)
     with np.errstate(over="ignore", invalid="ignore"):
         errors = np.linalg.norm(p - g, axis=-1)
-    nonfinite = ~np.isfinite(errors).all(axis=-1)
-    if nonfinite.any():
-        raise GeometryError(
-            f"the joint distance is not finite in {int(nonfinite.sum())} frame(s)",
-            indices=np.nonzero(nonfinite)[0],
-        )
+    _refuse(~np.isfinite(errors).all(axis=-1), "the joint distance is not finite")
     return float(np.mean(errors))
 
 
@@ -125,72 +127,63 @@ def _surely_full_rank(centered: np.ndarray) -> np.ndarray:
         return (e2 > _RANK_SCREEN * t * t) & (t > _SCREEN_MIN_TRACE)
 
 
-def _check_alignable(pred: np.ndarray, gt: np.ndarray, blocks: list) -> None:
-    """Raise unless (T, J, 3) ``pred`` and ``gt`` have J >= 3, finite joints,
-    and no frame whose centered joints are collinear (rank < 2), which has no
-    unique alignment. Frames are checked by the ``blocks`` of rows; one
-    refusal names every frame with a joint that is not finite in either
-    array, then every pred frame is checked for collinearity before any gt
-    frame. The singular values decide every frame the rank screen does not
-    pass."""
+def _aligned_blocks(pred: np.ndarray, gt: np.ndarray, blocks: list):
+    """Per-frame least-squares similarity alignment of (T, J, 3) ``pred``
+    onto ``gt``, by the ``blocks`` of rows.
+
+    Yields (rows, aligned pred, scales, rotations (m, 3, 3), translations
+    (m, 3)) for each block, while no frame seen has been collinear. Raises
+    unless J >= 3; then, before any alignment, one refusal names every frame
+    with a joint that is not finite in either array. A frame whose centered
+    joints are collinear (rank < 2) has no unique alignment: once one is
+    seen, no later block is aligned, and after the last block one refusal
+    names every collinear pred frame, or else every collinear gt frame. The
+    singular values decide every frame the rank screen does not pass. Each
+    block is centered once, for the screen, the SVD and the alignment. The
+    alignment itself neither raises nor warns, so no block can pre-empt the
+    refusal of a later one's collinear frame.
+    """
     j = pred.shape[1]
     if j < 3:
         raise DimensionMismatchError(f"similarity alignment needs at least 3 joints, got {j}")
     nonfinite = np.concatenate(
         [~(np.isfinite(pred[rows]).all(axis=(1, 2)) & np.isfinite(gt[rows]).all(axis=(1, 2))) for rows in blocks]
     )
-    if nonfinite.any():
-        raise GeometryError(
-            f"joints are not finite in {int(nonfinite.sum())} frame(s)", indices=np.nonzero(nonfinite)[0]
-        )
-    for name, poses in (("pred", pred), ("gt", gt)):
-        degenerate = []
-        for rows in blocks:
-            centered = poses[rows] - poses[rows].mean(axis=1, keepdims=True)
+    _refuse(nonfinite, "joints are not finite")
+    collinear = np.zeros((2, len(pred)), dtype=bool)
+    seen = False
+    for rows in blocks:
+        mu_p = pred[rows].mean(axis=1)
+        mu_g = gt[rows].mean(axis=1)
+        p0 = pred[rows] - mu_p[:, None]
+        g0 = gt[rows] - mu_g[:, None]
+        for flags, centered in zip(collinear, (p0, g0)):
             suspect = ~_surely_full_rank(centered)
-            flags = np.zeros(len(centered), dtype=bool)
             if suspect.any():
                 sv = np.linalg.svd(centered[suspect], compute_uv=False)
-                tol = max(j, 3) * np.finfo(np.float64).eps * sv[:, 0]
-                flags[suspect] = (sv[:, 1] <= tol) | (sv[:, 0] == 0.0)
-            degenerate.append(flags)
-        degenerate = np.concatenate(degenerate)
-        if degenerate.any():
-            raise DegenerateShapeError(
-                f"{name} joints are collinear in {int(degenerate.sum())} frame(s)",
-                indices=np.nonzero(degenerate)[0],
-            )
+                flags[rows][suspect] = (sv[:, 1] <= j * np.finfo(np.float64).eps * sv[:, 0]) | (sv[:, 0] == 0.0)
+        seen = seen or collinear[:, rows].any()
+        if seen:
+            continue
 
-
-def _batch_similarity_align(pred: np.ndarray, gt: np.ndarray):
-    """Per-frame least-squares similarity alignment of pred onto gt.
-
-    Args:
-        pred, gt: (T, J, 3), checked by ``_check_alignable``.
-
-    Returns:
-        (aligned pred (T, J, 3), scales (T,), rotations (T, 3, 3),
-        translations (T, 3)).
-    """
-    mu_p = pred.mean(axis=1)
-    mu_g = gt.mean(axis=1)
-    p0 = pred - mu_p[:, None]
-    g0 = gt - mu_g[:, None]
-
-    cov = np.einsum("tji,tjk->tik", p0, g0)
-    u, s, vt = np.linalg.svd(cov)
-    sign = np.sign(np.linalg.det(u @ vt))
-    vt_fixed = vt.copy()
-    vt_fixed[:, 2, :] *= sign[:, None]
-    rotations = np.matmul(vt_fixed.transpose(0, 2, 1), u.transpose(0, 2, 1))
-
-    var_p = np.einsum("tji,tji->t", p0, p0)
-    # A var_p that underflows to 0 gives an infinite scale, which callers refuse.
-    with np.errstate(divide="ignore"):
-        scales = (s[:, 0] + s[:, 1] + sign * s[:, 2]) / var_p
-    translations = mu_g - scales[:, None] * np.einsum("tij,tj->ti", rotations, mu_p)
-    aligned = scales[:, None, None] * np.einsum("tij,tkj->tki", rotations, p0) + mu_g[:, None]
-    return aligned, scales, rotations, translations
+        # A cross-covariance that overflows has no SVD, so its frame's scale
+        # is set to inf; a var_p that overflows or underflows gives a scale
+        # of 0 or inf. Callers refuse each; what follows from it is not finite.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cov = np.einsum("tji,tjk->tik", p0, g0)
+            unbounded = ~np.isfinite(cov).all(axis=(1, 2))
+            cov[unbounded] = 0.0
+            u, s, vt = np.linalg.svd(cov)
+            sign = np.sign(np.linalg.det(u @ vt))
+            vt[:, 2, :] *= sign[:, None]
+            rotations = np.matmul(vt.transpose(0, 2, 1), u.transpose(0, 2, 1))
+            scales = (s[:, 0] + s[:, 1] + sign * s[:, 2]) / np.einsum("tji,tji->t", p0, p0)
+            scales[unbounded] = np.inf
+            translations = mu_g - scales[:, None] * np.einsum("tij,tj->ti", rotations, mu_p)
+            aligned = scales[:, None, None] * np.einsum("tij,tkj->tki", rotations, p0) + mu_g[:, None]
+        yield rows, aligned, scales, rotations, translations
+    for name, flags in zip(("pred", "gt"), collinear):
+        _refuse(flags, f"{name} joints are collinear", DegenerateShapeError)
 
 
 def procrustes_align(pred, gt) -> tuple:
@@ -211,8 +204,7 @@ def procrustes_align(pred, gt) -> tuple:
     p, g = _as_pair(pred, gt)
     if p.shape[0] != 1:
         raise DimensionMismatchError("procrustes_align takes single poses; use p_mpjpe for sequences")
-    _check_alignable(p, g, [slice(None)])
-    aligned, scales, rotations, translations = _batch_similarity_align(p, g)
+    ((_, aligned, scales, rotations, translations),) = _aligned_blocks(p, g, [slice(None)])
     transform = SimilarityTransform(scales[0], rotations[0], translations[0])
     if isinstance(pred, Pose3D):
         return Pose3D(aligned[0], pred.frame), transform
@@ -224,25 +216,25 @@ def p_mpjpe(pred, gt) -> float:
 
     Never exceeds ``mpjpe`` on the same input: the identity transform is
     always an alignment candidate. Frames are aligned ``_ALIGN_ROWS`` at a
-    time, so its memory does not grow with whole-batch temporaries. A frame
-    with a joint that is not finite is refused before any alignment, and so
-    is a frame whose fitted scale is not positive and finite (a pred frame
-    whose squared norm overflows or underflows, say), as
-    ``procrustes_align`` refuses them; each refusal names every such frame.
+    time, each block visited once, so its memory does not grow with
+    whole-batch temporaries. A frame with a joint that is not finite is
+    refused before any alignment, then a collinear frame after the last
+    block, as ``procrustes_align`` refuses them. Then a frame whose fitted
+    scale is not positive and finite (a pred frame whose squared norm
+    overflows or underflows, or one whose cross-covariance with gt
+    overflows, say), and last, as ``mpjpe`` refuses it, a frame whose
+    aligned joint distance is not finite. Each refusal names every such
+    frame.
     """
     p, g = _as_pair(pred, gt)
     # At least one block, so an empty input ends as one empty batch does.
     blocks = [slice(lo, lo + _ALIGN_ROWS) for lo in range(0, len(p) or 1, _ALIGN_ROWS)]
-    _check_alignable(p, g, blocks)
     errors = np.empty(p.shape[:2])
     unscaled = np.zeros(len(p), dtype=bool)
-    for rows in blocks:
-        aligned, scales = _batch_similarity_align(p[rows], g[rows])[:2]
-        errors[rows] = np.linalg.norm(aligned - g[rows], axis=-1)
+    for rows, aligned, scales, _, _ in _aligned_blocks(p, g, blocks):
+        with np.errstate(over="ignore", invalid="ignore"):  # a distance that overflows is inf, refused below
+            errors[rows] = np.linalg.norm(aligned - g[rows], axis=-1)
         unscaled[rows] = ~(np.isfinite(scales) & (scales > 0))
-    if unscaled.any():
-        raise GeometryError(
-            f"the fitted alignment scale is not positive and finite in {int(unscaled.sum())} frame(s)",
-            indices=np.nonzero(unscaled)[0],
-        )
+    _refuse(unscaled, "the fitted alignment scale is not positive and finite")
+    _refuse(~np.isfinite(errors).all(axis=-1), "the aligned joint distance is not finite")
     return float(np.mean(errors))

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from canonpose.camera import Frame, Pose2D, Pose3D, Space, batch_project
+from canonpose.camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, batch_project
 from canonpose.canonical import (
     PRINCIPAL_AXIS,
     CanonicalRecord,
@@ -166,6 +166,20 @@ def test_canonicalize_2d_refuses_joint_on_canonical_camera_plane(intrinsics):
     joint = np.array([intrinsics.cx + intrinsics.fx * x, intrinsics.cy])
     with pytest.raises(BehindCameraError, match=r"^1 canonical joint\(s\) at or behind the camera plane"):
         batch_canonicalize_2d(np.stack([root_pixel, joint])[None], intrinsics, 0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_canonicalize_2d_refuses_frames_whose_canonical_pixels_are_not_finite(intrinsics):
+    # Under focal lengths of 1e-308 px a root detection at exactly (cx, cy)
+    # lifts to the finite ray (0, 0, 1), but a joint 10 px off lifts to inf.
+    tiny = CameraIntrinsics(**dict(intrinsics.to_dict(), fx=1e-308, fy=1e-308))
+    pixels = np.full((5, 3, 2), [tiny.cx, tiny.cy])
+    pixels[[1, 3], 2, 0] += 10.0
+    pixels[4, 1, 1] -= 10.0
+    with pytest.raises(DegenerateVectorError) as excinfo:
+        batch_canonicalize_2d(pixels, tiny, 0)
+    assert str(excinfo.value) == "canonical joints are not finite in 3 frame(s) (at positions [1, 3, 4])"
+    assert excinfo.value.indices == (1, 3, 4)
 
 
 def test_back_transform_round_trip(pose_batch, skeleton):

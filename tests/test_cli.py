@@ -606,8 +606,10 @@ def test_a_unit_scale_that_overflows_3d_names_the_line(tmp_path):
         (b"[" * 5000 + b"]" * 5000, "invalid JSON: maximum recursion depth exceeded"),
         (None, "cannot read config: No such file or directory\n"),
         ("directory", "cannot read config: Is a directory\n"),
+        (b"", "invalid JSON: Expecting value: line 1 column 1 (char 0)\n"),
+        (b'\xef\xbb\xbf{"seed": 1}', "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"),
     ],
-    ids=["not-utf-8", "nested-5000-deep", "missing", "directory"],
+    ids=["not-utf-8", "nested-5000-deep", "missing", "directory", "empty", "utf-8-bom"],
 )
 def test_unreadable_config_files_exit_one_naming_the_file(tmp_path, capsys, command, payload, reason):
     config = tmp_path / "config.json"
@@ -722,11 +724,15 @@ _TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array"
     ["record-line-nested-200000-deep", "joints_2d-nested-5000-deep", "camera-nested-5000-deep",
      "record-line-invalid-utf8", "camera-invalid-utf8", "header-skeleton-nested-5000-deep",
      "header-fps-nested-5000-deep", "mpjpe-overflow", "eval-mpjpe-root-centering-overflow",
-     "eval-pmpjpe-root-centering-overflow", "file-starts-with-utf8-bom"],
+     "eval-pmpjpe-root-centering-overflow", "file-starts-with-utf8-bom", "camera-empty", "camera-utf8-bom",
+     "camera-directory", "camera-missing", "input-directory", "input-missing",
+     "pmpjpe-cross-covariance-overflow", "pmpjpe-aligned-distance-overflow"],
 )
 def test_input_that_crashed_or_traced_back_exits_two_in_one_line(tmp_path, camera_file, case):
     # Each case runs in a child process: the 200,000-deep line once killed
     # the process that read it. Under -W error a numpy warning is a traceback.
+    # An empty, BOM-led, directory or missing camera file, and a directory
+    # or missing --input, always exited in one line; they are pinned here.
     data = synth_file(tmp_path, count=5, seed=1, camera=camera_file)
     lines = Path(data).read_text().splitlines()
     record = json.loads(lines[3])
@@ -739,16 +745,28 @@ def test_input_that_crashed_or_traced_back_exits_two_in_one_line(tmp_path, camer
         lines[3] = "[" * 200_000 + "]" * 200_000
     elif case == "joints_2d-nested-5000-deep":
         lines[3] = json.dumps(dict(record, joints_2d="@")).replace('"@"', _NESTED_5000)
-    elif case in ("camera-nested-5000-deep", "camera-invalid-utf8"):
-        camera = tmp_path / "bad-camera.json"
-        if case == "camera-nested-5000-deep":
-            camera.write_text(_NESTED_5000)
-            error = f"error: {camera}: invalid camera JSON: {_TOO_DEEP}"
+    elif case.startswith(("camera-", "input-")):
+        path = tmp_path / ("bad-camera.json" if case.startswith("camera-") else "input")
+        good = Path(camera_file).read_bytes()
+        bom = "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"
+        payload, reason = {
+            "camera-nested-5000-deep": (_NESTED_5000.encode(), f"invalid camera JSON: {_TOO_DEEP}"),
+            "camera-invalid-utf8": (good[:20] + b"\xff" + good[21:], f"invalid camera JSON: {not_utf8}"),
+            "camera-empty": (b"", "invalid camera JSON: Expecting value: line 1 column 1 (char 0)\n"),
+            "camera-utf8-bom": (b"\xef\xbb\xbf" + good, f"invalid camera JSON: {bom}"),
+        }.get(case, (None, None))
+        error = f"error: {path}: {reason}"
+        if payload is not None:
+            path.write_bytes(payload)
+        elif case.endswith("-directory"):
+            path.mkdir()
+            error = f"error: [Errno 21] Is a directory: '{path}'\n"
         else:
-            good = Path(camera_file).read_bytes()
-            camera.write_bytes(good[:20] + b"\xff" + good[21:])
-            error = f"error: {camera}: invalid camera JSON: {not_utf8}"
-        argv = ["canonicalize", "--input", data, "--camera", str(camera), "--output", str(out)]
+            error = f"error: [Errno 2] No such file or directory: '{path}'\n"
+        if case.startswith("camera-"):
+            argv = ["canonicalize", "--input", data, "--camera", str(path), "--output", str(out)]
+        else:
+            argv = ["stats", "--input", str(path), "--output", str(out)]
     elif case == "record-line-invalid-utf8":
         lines[3] = lines[3][:20] + "\udcff" + lines[3][21:]  # written back as the lone byte 0xff
         error = f"error: {bad}: line 4: invalid UTF-8: {not_utf8}"
@@ -763,6 +781,16 @@ def test_input_that_crashed_or_traced_back_exits_two_in_one_line(tmp_path, camer
         lines[3] = json.dumps(dict(record, joints_3d=[[v * 1e160 for v in joint] for joint in record["joints_3d"]]))
         argv = ["eval", "--pred", data, "--gt", str(bad), "--metric", "mpjpe"]
         error = "error: the joint distance is not finite in 1 frame(s) (at positions [2])"
+    elif case.startswith("pmpjpe-"):
+        # Both sides 1e160 across: their cross-covariance overflows (numpy's
+        # SVD failed on it). A gt 1e170 across: the aligned distances
+        # overflow (it printed inf mm).
+        both = case == "pmpjpe-cross-covariance-overflow"
+        scale = 1e160 if both else 1e170
+        lines[3] = json.dumps(dict(record, joints_3d=[[v * scale for v in joint] for joint in record["joints_3d"]]))
+        argv = ["eval", "--pred", str(bad) if both else data, "--gt", str(bad), "--metric", "pmpjpe"]
+        what = "the fitted alignment scale is not positive and finite" if both else "the aligned joint distance is not finite"
+        error = f"error: {what} in 1 frame(s) (at positions [2])\n"
     else:
         # The root and joint 1 sit 3e308 apart: finite as loaded, not once root-centered.
         joints = record["joints_3d"]
@@ -828,15 +856,24 @@ def test_a_study_whose_weights_overflow_exits_two(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("case", ["detection-1e200-px", "focal-length-1e-308", "root-1e200-m"])
+@pytest.mark.parametrize(
+    "case", ["detection-1e200-px", "focal-length-1e-308", "root-1e200-m", "focal-length-1e-308-root-at-cx-cy"]
+)
 def test_canonicalize_2d_refuses_a_ray_or_root_depth_that_is_not_finite(tmp_path, camera_file, intrinsics, capsys, case):
     # A root detection 1e200 px off, or any detection under focal lengths of
     # 1e-308 px, lifts to a root ray whose norm is not finite; a 3D root
-    # 1e200 m off has a depth that is not finite. Each is refused naming its
-    # frames, with no numpy warning, in this process and in a child whose
-    # RuntimeWarnings are errors.
+    # 1e200 m off has a depth that is not finite. Under focal lengths of
+    # 1e-308 px with every root detection at (cx, cy), the root ray is finite
+    # but the other joints' are not, and so are their canonical pixels. Each
+    # is refused naming its frames, with no numpy warning, in this process
+    # and in a child whose RuntimeWarnings are errors.
     data = synth_file(tmp_path, count=5, seed=1, camera=camera_file)
     lines = Path(data).read_text().splitlines()
+    if case == "focal-length-1e-308-root-at-cx-cy":
+        records = [json.loads(line) for line in lines[1:]]
+        for each in records:
+            each["joints_2d"][0] = [intrinsics.cx, intrinsics.cy]
+        lines = lines[:1] + [json.dumps(each) for each in records]
     record = json.loads(lines[3])
     camera, frames, reason = camera_file, "[2]", "1 vector(s) with a norm that is not finite cannot be aligned"
     if case == "detection-1e200-px":
@@ -848,6 +885,8 @@ def test_canonicalize_2d_refuses_a_ray_or_root_depth_that_is_not_finite(tmp_path
         camera = str(tmp_path / "tiny-focal.json")
         Path(camera).write_text(json.dumps(dict(intrinsics.to_dict(), fx=1e-308, fy=1e-308)))
         frames, reason = "[0, 1, 2, 3, 4]", "5 vector(s) with a norm that is not finite cannot be aligned"
+        if case == "focal-length-1e-308-root-at-cx-cy":
+            reason = "canonical joints are not finite in 5 frame(s)"
     bad = tmp_path / "bad.ndjson"
     bad.write_text("\n".join(lines[:3] + [json.dumps(record)] + lines[4:]) + "\n")
     out = tmp_path / "out.ndjson"

@@ -56,13 +56,15 @@ def test_singular_design_requires_ridge():
     assert np.isfinite(_fit_arrays(x, y, 1e-6)).all()
 
 
+@pytest.mark.filterwarnings("error")
 def test_weights_that_overflow_are_refused():
     rng = np.random.default_rng(64)
     x = rng.normal(size=(40, 4))
     # Finite inputs with a finite spread, but targets whose sums in the
-    # normal equations overflow, so the solved weights are not finite.
+    # normal equations overflow, so the solved weights are not finite; the
+    # one refusal is that check, with no numpy warning.
     y = np.full((40, 6), 1.7e308)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="^weights must be finite$"):
+    with pytest.raises(ValueError, match="^weights must be finite$"):
         _fit_arrays(x, y, 0.0)
 
 
@@ -278,6 +280,12 @@ def test_study_refuses_training_poses_as_one_batch():
 def test_study_refuses_canonical_joints_behind_the_camera_as_one_batch(monkeypatch, seed, rows):
     # Roots 0.4 m off axis and 0.7 m deep: every joint of pose 26 is in front
     # of the camera, and one of them is behind the canonical camera's plane.
+    # One depth check over the kept canonical joints finds it: the study
+    # projects none of them before it.
+    def projection_not_reached(points, intrinsics):
+        raise AssertionError("canonical joints projected before their depth check")
+
+    monkeypatch.setattr(lift, "batch_project_centered", projection_not_reached)
     if rows is not None:
         monkeypatch.setattr(lift, "_CANON_ROWS", rows)
     config = LiftingStudyConfig(

@@ -175,7 +175,15 @@ def reference_p_mpjpe(pred, gt):
             indices=np.nonzero(unscaled)[0],
         )
     aligned = scales[:, None, None] * np.einsum("tij,tkj->tki", rotations, p0) + mu_g[:, None]
-    return float(np.mean(np.linalg.norm(aligned - gt, axis=-1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = np.linalg.norm(aligned - gt, axis=-1)
+    unbounded = ~np.isfinite(errors).all(axis=-1)
+    if unbounded.any():
+        raise GeometryError(
+            f"the aligned joint distance is not finite in {int(unbounded.sum())} frame(s)",
+            indices=np.nonzero(unbounded)[0],
+        )
+    return float(np.mean(errors))
 
 
 def _blocked_pair(seed):
@@ -238,7 +246,8 @@ _SCREEN_CASES = {
     # Refused before the screen and the SVD, wherever the frame sits.
     "nan": np.where(np.arange(17)[:, None] == 4, np.nan, _line(offset=1.0)),
     # A pred frame's squared norm overflows and its fitted scale is 0, or
-    # underflows and its fitted scale is infinite: either is refused.
+    # underflows and its fitted scale is infinite: either is refused. As gt,
+    # the 1e160 and 1e200 frames' aligned distances overflow, also refused.
     "scale-1e160": _line(offset=1.0, scale=1e160),
     "scale-1e200": _line(offset=1.0, scale=1e200),
     "scale-1e-170": _line(offset=1.0, scale=1e-170),
@@ -341,6 +350,34 @@ def test_frames_that_are_not_finite_are_refused_before_any_svd(monkeypatch):
     for position in positions:
         got = _outcome(procrustes_align, pred[position], gt[position])
         assert got == (GeometryError, "joints are not finite in 1 frame(s) (at positions [0])", (0,))
+
+
+@pytest.mark.filterwarnings("error")
+def test_alignments_that_overflow_are_refused_after_the_collinear_frames():
+    # Pred and gt both 1e160 across: the cross-covariance overflows and has
+    # no SVD, so the fitted scale is not finite. A gt 1e170 across against an
+    # ordinary pred: the scale is finite and the aligned distances overflow.
+    # Each is refused naming its frames, but only once no block, however
+    # late, holds a collinear frame.
+    rng = np.random.default_rng(35)
+    pred = rng.normal(size=(2 * _ALIGN_ROWS + 5, 17, 3))
+    gt = pred + rng.normal(scale=0.05, size=pred.shape)
+    huge_pred, huge_gt = pred.copy(), gt.copy()
+    huge_pred[3] *= 1e160
+    huge_gt[3] *= 1e160
+    far_gt = gt.copy()
+    far_gt[_ALIGN_ROWS + 4] *= 1e170
+    scale = "the fitted alignment scale is not positive and finite in 1 frame(s) (at positions [3])"
+    distance = f"the aligned joint distance is not finite in 1 frame(s) (at positions [{_ALIGN_ROWS + 4}])"
+    assert _outcome(p_mpjpe, huge_pred, huge_gt) == (GeometryError, scale, (3,))
+    assert _outcome(p_mpjpe, pred, far_gt) == (GeometryError, distance, (_ALIGN_ROWS + 4,))
+    got = _outcome(procrustes_align, huge_pred[3], huge_gt[3])
+    assert got == (ValueError, "scale must be positive and finite, got inf", None)
+    collinear = 2 * _ALIGN_ROWS + 1
+    for p, g in ((huge_pred, huge_gt), (pred, far_gt)):
+        p[collinear] = _line()
+        want = (DegenerateShapeError, f"pred joints are collinear in 1 frame(s) (at positions [{collinear}])", (collinear,))
+        assert _outcome(p_mpjpe, p, g) == want
 
 
 def test_rank_screen_passes_ordinary_frames_and_no_doubtful_one():
