@@ -19,22 +19,8 @@ from .camera import (
     Pose3D,
     Space,
     load_camera_json,
-    project,
-    screen_normalize,
-    to_normalized_plane,
-    world_to_camera,
 )
-from .canonical import (
-    CanonicalRecord,
-    CanonicalRotation,
-    back_transform,
-    canonicalize_2d,
-    canonicalize_3d,
-    project_canonical_centered,
-    residual_offset,
-    rodrigues_align,
-    root_relative,
-)
+from .canonical import residual_offset
 from .dataset import (
     FramePair,
     PoseSequence,
@@ -51,7 +37,6 @@ from .errors import (
     DegenerateShapeError,
     DegenerateVectorError,
     DimensionMismatchError,
-    FrameMismatchError,
     GeometryError,
     ParseError,
     SchemaError,
@@ -77,15 +62,12 @@ __all__ = [
     "Box3",
     "CameraExtrinsics",
     "CameraIntrinsics",
-    "CanonicalRecord",
-    "CanonicalRotation",
     "DataError",
     "DegenerateShapeError",
     "DegenerateVectorError",
     "DimensionMismatchError",
     "DistributionSummary",
     "Frame",
-    "FrameMismatchError",
     "FramePair",
     "GeometryError",
     "H36M17",
@@ -104,10 +86,7 @@ __all__ = [
     "SynthConfig",
     "WindowSpec",
     "available_skeletons",
-    "back_transform",
     "body_orientation_distribution",
-    "canonicalize_2d",
-    "canonicalize_3d",
     "canonicalize_dataset",
     "get_skeleton",
     "joint_scatter_extent",
@@ -117,17 +96,10 @@ __all__ = [
     "p_mpjpe",
     "pelvis_position_distribution",
     "procrustes_align",
-    "project",
-    "project_canonical_centered",
     "register_skeleton",
     "residual_offset",
-    "rodrigues_align",
-    "root_relative",
     "run_study",
     "save_sequences",
-    "screen_normalize",
-    "to_normalized_plane",
     "window",
-    "world_to_camera",
     "__version__",
 ]

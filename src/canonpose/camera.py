@@ -23,9 +23,11 @@ Projection follows the standard pinhole model
 
 and rejects joints with Z <= EPS_DEPTH rather than dividing by a vanishing
 depth. All arithmetic is 64-bit; every tolerance in this package assumes it.
-Frame and space tags are checked at every operation boundary because silent
-mixups between the four 2D/3D spaces are the dominant bug class in this
-domain.
+The kernels below take bare arrays. A sequence's joint arrays carry one frame
+or space tag each, checked where an array enters a command (canonicalization
+needs camera-frame 3D, and ``eval`` refuses poses in different frames),
+because silent mixups between the 2D/3D spaces are the dominant bug class in
+this domain.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BehindCameraError, FrameMismatchError, ParseError, SchemaError
+from .errors import BehindCameraError, ParseError, SchemaError
 from .jsonfmt import json_array, json_float, plain
 
 # Joints with Z at or below this depth (meters) are rejected by projection.
@@ -89,20 +91,6 @@ def _float_array(values) -> np.ndarray:
 
 def _as_readonly_array(values, last_dim: int, name: str) -> np.ndarray:
     return _check_joints(_float_array(values), last_dim, name, ndim=2)
-
-
-def _require_frame(pose: "Pose3D", frame: Frame, op: str) -> None:
-    if pose.frame is not frame:
-        raise FrameMismatchError(
-            f"{op} expects a pose in the '{frame.value}' frame, got '{pose.frame.value}'"
-        )
-
-
-def _require_space(pose: "Pose2D", space: Space, op: str) -> None:
-    if pose.space is not space:
-        raise FrameMismatchError(
-            f"{op} expects a pose in the '{space.value}' space, got '{pose.space.value}'"
-        )
 
 
 def _rotation_errors(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,8 +228,7 @@ class Pose2D:
 
 # ---------------------------------------------------------------------------
 # Batch kernels. These operate on bare arrays with any number of leading axes
-# and do all the real work; the tagged single-pose operations below wrap them,
-# so both paths share one set of numerics.
+# and do all the real work.
 # ---------------------------------------------------------------------------
 
 
@@ -299,56 +286,6 @@ def batch_screen_normalize(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> 
     out[..., 0] = (2.0 * pix[..., 0] - intrinsics.width) / intrinsics.width
     out[..., 1] = (2.0 * pix[..., 1] - intrinsics.height) / intrinsics.width
     return out
-
-
-# ---------------------------------------------------------------------------
-# Tagged single-pose operations.
-# ---------------------------------------------------------------------------
-
-
-def world_to_camera(pose: Pose3D, extrinsics: CameraExtrinsics) -> Pose3D:
-    """Transform a global-frame pose into the camera frame.
-
-    Args:
-        pose: pose in the global frame.
-        extrinsics: world-to-camera rotation and translation.
-
-    Returns:
-        The same joints expressed in the camera frame.
-    """
-    _require_frame(pose, Frame.GLOBAL, "world_to_camera")
-    joints = batch_world_to_camera(pose.joints, extrinsics.rotation, extrinsics.translation)
-    return Pose3D(joints, Frame.CAMERA)
-
-
-def project(pose: Pose3D, intrinsics: CameraIntrinsics) -> Pose2D:
-    """Project a camera-frame pose onto the image plane.
-
-    Args:
-        pose: pose in the camera frame with all joints at Z > EPS_DEPTH.
-        intrinsics: pinhole parameters.
-
-    Returns:
-        Pixel coordinates in image space.
-    """
-    _require_frame(pose, Frame.CAMERA, "project")
-    return Pose2D(batch_project(pose.joints, intrinsics), Space.IMAGE)
-
-
-def to_normalized_plane(pose: Pose2D, intrinsics: CameraIntrinsics) -> Pose2D:
-    """Strip the intrinsics from an image-space pose.
-
-    The result lives on the plane at depth 1: reprojecting with the same K
-    (x * fx + cx, y * fy + cy) recovers the input.
-    """
-    _require_space(pose, Space.IMAGE, "to_normalized_plane")
-    return Pose2D(batch_to_normalized_plane(pose.joints, intrinsics), Space.NORMALIZED_PLANE)
-
-
-def screen_normalize(pose: Pose2D, intrinsics: CameraIntrinsics) -> Pose2D:
-    """Rescale an image-space pose so x spans [-1, 1] with aspect preserved."""
-    _require_space(pose, Space.IMAGE, "screen_normalize")
-    return Pose2D(batch_screen_normalize(pose.joints, intrinsics), Space.SCREEN_NORMALIZED)
 
 
 def load_camera_json(path) -> tuple[CameraIntrinsics, CameraExtrinsics | None]:

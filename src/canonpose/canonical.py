@@ -23,21 +23,13 @@ principal-point offsets produce identically-distributed canonical data. The
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .camera import (
     CameraIntrinsics,
-    Frame,
-    Pose2D,
-    Pose3D,
-    Space,
     _check_depths,
     _improper_rotations,
     _pinhole,
-    _require_frame,
-    _require_space,
     _rigid,
     _vector_norms,
     batch_to_normalized_plane,
@@ -54,52 +46,25 @@ PRINCIPAL_AXIS = np.array([0.0, 0.0, 1.0])
 PRINCIPAL_AXIS.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalRotation:
-    """A proper rotation together with the vector it was built to align.
-
-    ``matrix @ normalize(source_vector)`` equals the alignment target, which
-    is the principal axis (0, 0, 1) for every rotation produced by the
-    canonicalization operations.
-    """
-
-    matrix: np.ndarray
-    source_vector: np.ndarray
-
-    def __post_init__(self):
-        mat, src = _rigid(self.matrix, self.source_vector, "canonical rotation", "source_vector")
-        with np.errstate(invalid="ignore", over="ignore"):  # an overflowing norm is inf and passes
-            (norm,) = _vector_norms(src[None])
-        if norm <= EPS_VEC:
-            raise DegenerateVectorError(f"source_vector norm {norm:.3e} <= {EPS_VEC}")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "source_vector", src)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Rotate a (..., 3) array: R @ p for each point."""
-        return np.asarray(points, dtype=np.float64) @ self.matrix.T
-
-    def inverse_apply(self, points: np.ndarray) -> np.ndarray:
-        """Rotate a (..., 3) array back: R^T @ p for each point."""
-        return np.asarray(points, dtype=np.float64) @ self.matrix
-
-
 def _check_rotations(matrices: np.ndarray, sources: np.ndarray):
-    """The CanonicalRotation checks, run once over (N, 3, 3) matrices and
-    their (N, 3) source vectors.
+    """The canon-block checks, run once over (N, 3, 3) matrices and their
+    (N, 3) source vectors: each matrix a finite proper rotation (``_rigid``),
+    each source finite with a norm above EPS_VEC.
 
     Returns None when every frame passes, else (position, error) for the
-    first failing frame, with the error the constructor raises for it.
+    first failing frame, with the error ``_rigid`` or the norm test gives
+    for that frame alone.
     """
-    bad = _improper_rotations(matrices)
-    bad |= ~np.isfinite(sources).all(axis=-1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        bad |= ~(_vector_norms(sources) > EPS_VEC)
+    with np.errstate(invalid="ignore", over="ignore"):  # an overflowing norm is inf and passes
+        norms = _vector_norms(sources)
+    bad = _improper_rotations(matrices) | ~np.isfinite(sources).all(axis=-1) | ~(norms > EPS_VEC)
     for position in np.flatnonzero(bad):
         try:
-            CanonicalRotation(matrices[position], sources[position])
+            _rigid(matrices[position], sources[position], "canonical rotation", "source_vector")
         except ValueError as exc:
             return int(position), exc
+        if norms[position] <= EPS_VEC:
+            return int(position), DegenerateVectorError(f"source_vector norm {norms[position]:.3e} <= {EPS_VEC}")
     return None
 
 
@@ -109,42 +74,6 @@ def _root_depth(value) -> float:
     if not np.isfinite(depth) or depth <= 0:
         raise ValueError(f"root_depth must be positive and finite, got {depth!r}")
     return depth
-
-
-@dataclass(frozen=True, eq=False)
-class CanonicalRecord:
-    """Everything needed to use and invert one frame's canonicalization.
-
-    ``canonical_3d`` and ``root_depth`` are None for records produced from 2D
-    observations alone. The 3D path writes each canonical root at exactly
-    (0, 0, root_depth), and the loader reads a canonical sequence's 3D as
-    canonical-frame only when every frame with 3D meets that rule (else as
-    camera-frame, as the 2D path leaves it); the constructor does not check it.
-    """
-
-    canonical_3d: Pose3D | None
-    canonical_2d: Pose2D
-    rotation: CanonicalRotation
-    root_depth: float | None
-    skeleton_id: str
-
-    def __post_init__(self):
-        if self.canonical_3d is not None:
-            if self.canonical_3d.frame is not Frame.CANONICAL_CAMERA:
-                raise ValueError("canonical_3d must be in the canonical-camera frame")
-            if self.root_depth is None:
-                raise ValueError("root_depth is required when canonical_3d is present")
-        if self.root_depth is not None:
-            object.__setattr__(self, "root_depth", _root_depth(self.root_depth))
-        if self.canonical_2d.space is not Space.IMAGE:
-            raise ValueError("canonical_2d must be in image space")
-
-
-def _root_index_of(skeleton) -> int:
-    # Accepts either a Skeleton-like object or a bare joint index, so the
-    # canonical operations work on poses with no named skeleton (single-joint
-    # test poses included).
-    return int(getattr(skeleton, "root_index", skeleton))
 
 
 # ---------------------------------------------------------------------------
@@ -317,113 +246,6 @@ def batch_back_transform(predictions: np.ndarray, rotations: np.ndarray, root_de
     absolute = batch_rotate(rots.transpose(0, 2, 1), preds + anchor[:, None, :])
     root_position = np.einsum("nji,nj->ni", rots, anchor)
     return absolute - root_position[:, None, :]
-
-
-# ---------------------------------------------------------------------------
-# Tagged single-pose operations.
-# ---------------------------------------------------------------------------
-
-
-def rodrigues_align(a, b) -> CanonicalRotation:
-    """Rotation taking direction ``a`` onto direction ``b``.
-
-    Both vectors are normalized internally. The returned rotation is the
-    minimal-angle one about the axis a x b; parallel inputs give the
-    identity, antiparallel inputs raise (no unique axis exists there).
-
-    Args:
-        a: source 3-vector, norm > EPS_VEC.
-        b: target 3-vector, norm > EPS_VEC.
-
-    Returns:
-        CanonicalRotation with matrix R satisfying R @ normalize(a) =
-        normalize(b) and source_vector = a.
-    """
-    src = np.asarray(a, dtype=np.float64).reshape(3)
-    tgt = np.asarray(b, dtype=np.float64).reshape(3)
-    tgt_norm = np.linalg.norm(tgt)
-    if tgt_norm <= EPS_VEC:
-        raise DegenerateVectorError(f"target vector norm {tgt_norm:.3e} <= {EPS_VEC}")
-    matrix = batch_rodrigues_align(src, tgt / tgt_norm)
-    return CanonicalRotation(matrix, src)
-
-
-def canonicalize_3d(pose: Pose3D, skeleton) -> tuple[Pose3D, CanonicalRotation]:
-    """Rotate a camera-frame pose so its root lies on the principal axis.
-
-    Args:
-        pose: camera-frame pose; the root must be in front of the camera.
-        skeleton: Skeleton (or bare root joint index).
-
-    Returns:
-        (canonical pose with root at (0, 0, ||root||), the rotation used).
-    """
-    _require_frame(pose, Frame.CAMERA, "canonicalize_3d")
-    root_index = _root_index_of(skeleton)
-    canonical, rotations, _ = batch_canonicalize_3d(pose.joints[None], root_index)
-    rotation = CanonicalRotation(rotations[0], pose.joints[root_index])
-    return Pose3D(canonical[0], Frame.CANONICAL_CAMERA), rotation
-
-
-def project_canonical_centered(pose: Pose3D, intrinsics: CameraIntrinsics) -> Pose2D:
-    """Project a canonical pose with the root pinned to the image center.
-
-    Identical to ``project`` with (cx, cy) replaced by (W/2, H/2); the
-    canonical root at (0, 0, depth) therefore lands exactly on (W/2, H/2).
-    """
-    _require_frame(pose, Frame.CANONICAL_CAMERA, "project_canonical_centered")
-    return Pose2D(batch_project_centered(pose.joints, intrinsics), Space.IMAGE)
-
-
-def root_relative(pose: Pose3D, skeleton) -> Pose3D:
-    """Subtract the root joint from every joint; the frame tag is kept."""
-    root_index = _root_index_of(skeleton)
-    return Pose3D(pose.joints - pose.joints[root_index], pose.frame)
-
-
-def canonicalize_2d(
-    pose: Pose2D, intrinsics: CameraIntrinsics, skeleton
-) -> tuple[Pose2D, CanonicalRotation]:
-    """Canonicalize an image-space pose without any 3D information.
-
-    The pose is lifted to the depth-1 plane with K^-1, rotated by the
-    alignment of the root's homogeneous vector with the principal axis,
-    reprojected with K, and translated so the root lands at (W/2, H/2).
-    When the input is the projection of a 3D pose, the output equals the
-    3D path (canonicalize_3d followed by project_canonical_centered) and the
-    returned rotation equals the 3D-path rotation, up to rounding.
-
-    Returns:
-        (canonical image-space pose, the rotation used; its source_vector is
-        the root's homogeneous plane vector).
-    """
-    _require_space(pose, Space.IMAGE, "canonicalize_2d")
-    root_index = _root_index_of(skeleton)
-    canonical, rotations, pelvis = batch_canonicalize_2d(pose.joints[None], intrinsics, root_index)
-    rotation = CanonicalRotation(rotations[0], pelvis[0])
-    return Pose2D(canonical[0], Space.IMAGE), rotation
-
-
-def back_transform(pred: Pose3D, rotation: CanonicalRotation, root_depth: float) -> Pose3D:
-    """Map a root-relative canonical prediction back to the camera frame.
-
-    Computes root_relative(R^T @ (pred + (0, 0, root_depth))): the prediction
-    is re-anchored at the canonical root, rotated back, and re-centered on
-    the root's camera-frame position. Because the depth term cancels in the
-    result, any ``root_depth`` (including 0 when the true depth is unknown)
-    produces the same root-relative output.
-
-    Args:
-        pred: root-relative pose in the canonical-camera frame.
-        rotation: the rotation that canonicalized the frame.
-        root_depth: canonical root depth in meters (0 is acceptable).
-
-    Returns:
-        Root-relative pose in the camera frame.
-    """
-    _require_frame(pred, Frame.CANONICAL_CAMERA, "back_transform")
-    out = batch_back_transform(pred.joints[None], rotation.matrix[None], float(root_depth))
-    return Pose3D(out[0], Frame.CAMERA)
 
 
 def residual_offset(root, intrinsics: CameraIntrinsics) -> np.ndarray:

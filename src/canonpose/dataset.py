@@ -59,9 +59,10 @@ where it is built: (T, J, 2) and (T, J, 3) joints with a (T,) presence mask
 each, one 2D space and one 3D frame tag, the frame numbers, and for a
 canonical sequence (T, 3, 3) rotations, (T, 3) sources and (T,) root depths
 with a null mask. Loading, canonicalization, windowing, serialization and
-the statistics read and write those arrays alone. ``PoseSequence.frames``
-and ``records`` build FramePair and CanonicalRecord objects from them on
-access, for callers that want one frame at a time.
+the statistics read and write those arrays alone; ``PoseSequence.frames``
+builds FramePair objects from them on access, for callers that want one
+frame at a time, and ``PoseSequence.canon()`` returns a canonical
+sequence's rows of the canon arrays, for back-transforming predictions.
 """
 
 from __future__ import annotations
@@ -85,8 +86,6 @@ from .camera import (
     batch_world_to_camera,
 )
 from .canonical import (
-    CanonicalRecord,
-    CanonicalRotation,
     _check_rotations,
     _root_depth,
     batch_canonicalize_2d,
@@ -134,8 +133,8 @@ class _Columns:
     Joints are None when no frame has the channel, else zeros in the rows
     its mask leaves out; one tag covers each channel. ``index`` holds Python
     ints. A canonical sequence has rotations, sources and depths (0 where
-    ``has_depth`` is false), others None. The FramePair and CanonicalRecord
-    of a row are built on first access and kept.
+    ``has_depth`` is false), others None. The FramePair of a row is built
+    on first access and kept.
     """
 
     index: np.ndarray
@@ -150,7 +149,6 @@ class _Columns:
     depths: np.ndarray | None = None
     has_depth: np.ndarray | None = None
     _pairs: dict = field(default_factory=dict, init=False, repr=False)
-    _records: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for joints, width in ((self.joints_2d, 2), (self.joints_3d, 3)):
@@ -166,18 +164,6 @@ class _Columns:
             pose_3d = Pose3D(self.joints_3d[row], self.frame_3d) if self.has_3d[row] else None
             self._pairs[row] = FramePair(pose_2d, pose_3d, self.index[row])
         return self._pairs[row]
-
-    def record(self, row: int, skeleton_id: str) -> CanonicalRecord:
-        if row not in self._records:
-            pair = self.pair(row)
-            self._records[row] = CanonicalRecord(
-                pair.pose_3d if self.frame_3d is Frame.CANONICAL_CAMERA else None,
-                pair.pose_2d,
-                CanonicalRotation(self.rotations[row], self.sources[row]),
-                float(self.depths[row]) if self.has_depth[row] else None,
-                skeleton_id,
-            )
-        return self._records[row]
 
 
 def _spread(mask: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray | None:
@@ -198,8 +184,8 @@ def _one_tag(tags: set, what: str, default):
     return tags.pop() if tags else default
 
 
-def _columns_of(frames: tuple, records, skeleton: Skeleton) -> _Columns:
-    """The arrays of the public ``PoseSequence`` constructor's arguments."""
+def _columns_of(frames: tuple, skeleton: Skeleton) -> _Columns:
+    """The arrays of the public ``PoseSequence`` constructor's frames."""
     poses_2d = [frame.pose_2d for frame in frames]
     poses_3d = [frame.pose_3d for frame in frames]
     has_2d, has_3d = (np.array([pose is not None for pose in poses], dtype=bool) for poses in (poses_2d, poses_3d))
@@ -208,33 +194,7 @@ def _columns_of(frames: tuple, records, skeleton: Skeleton) -> _Columns:
     space_2d = _one_tag({p.space for p in poses_2d if p is not None}, "2D spaces", Space.IMAGE)
     frame_3d = _one_tag({p.frame for p in poses_3d if p is not None}, "3D frames", Frame.CAMERA)
     index = np.array([frame.index for frame in frames], dtype=object)
-    columns = _Columns(index, joints_2d, has_2d, joints_3d, has_3d, space_2d, frame_3d)
-    if records is None:
-        return columns
-    records = tuple(records)
-    if len(records) != len(frames):
-        raise ValueError("records and frames must have equal length")
-    for position, (record, pose_2d, pose_3d) in enumerate(zip(records, poses_2d, poses_3d)):
-        given = (record.canonical_2d, record.canonical_3d, record.skeleton_id, Space.IMAGE)
-        if frame_3d is not Frame.CANONICAL_CAMERA:
-            pose_3d = None
-        if any(map(_differ, given, (pose_2d, pose_3d, skeleton.name, space_2d))):
-            raise ValueError(
-                f"record {position} is not what frame {position} gives: its frame's image-space 2D pose, "
-                "its frame's 3D pose if that is canonical-camera (else None) and the skeleton's name"
-            )
-    rotations = np.stack([record.rotation.matrix for record in records])
-    sources = np.stack([record.rotation.source_vector for record in records])
-    has_depth = np.array([record.root_depth is not None for record in records])
-    depths = np.array([record.root_depth or 0.0 for record in records])
-    return replace(columns, rotations=rotations, sources=sources, depths=depths, has_depth=has_depth)
-
-
-def _differ(value, other) -> bool:
-    """Whether two poses (by joint bytes), or any other two values, differ."""
-    if isinstance(value, (Pose2D, Pose3D)) and isinstance(other, (Pose2D, Pose3D)):
-        return value.joints.tobytes() != other.joints.tobytes()
-    return value != other
+    return _Columns(index, joints_2d, has_2d, joints_3d, has_3d, space_2d, frame_3d)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -242,13 +202,9 @@ class PoseSequence:
     """Consecutive frames sharing a subject, action, camera, and skeleton.
 
     Stored as per-sequence arrays with one 2D space and one 3D frame tag
-    (see the module docstring); ``frames`` and ``records`` (one
-    CanonicalRecord per frame once canonicalized, else None) are built from
-    them on access. A record's ``canonical_2d`` is its frame's 2D pose and
-    its ``canonical_3d`` its frame's 3D pose when that is canonical-camera,
-    else None. The constructor converts its arguments once and raises
-    ValueError for what the arrays cannot hold: a channel whose frames mix
-    tags, or a record other than what its frame gives.
+    (see the module docstring); ``frames`` is built from them on access.
+    The constructor converts its frames once and raises ValueError for what
+    the arrays cannot hold: a channel whose frames mix tags.
     """
 
     subject: str
@@ -257,9 +213,8 @@ class PoseSequence:
     fps: float
     frames: tuple[FramePair, ...]
     skeleton: Skeleton
-    records: tuple[CanonicalRecord, ...] | None
 
-    def __init__(self, subject, action, camera_id, fps, frames, skeleton, records=None):
+    def __init__(self, subject, action, camera_id, fps, frames, skeleton):
         frames = tuple(frames)
         if not frames:
             raise ValueError("a sequence needs at least one frame")
@@ -269,7 +224,7 @@ class PoseSequence:
                     f"frame {position} has {frame.n_joints} joints, skeleton "
                     f"{skeleton.name!r} has {skeleton.n_joints}"
                 )
-        columns = _columns_of(frames, records, skeleton)
+        columns = _columns_of(frames, skeleton)
         vars(self).update(vars(PoseSequence._of(subject, action, camera_id, fps, skeleton, columns)))
 
     @classmethod
@@ -291,12 +246,6 @@ class PoseSequence:
         return tuple(map(self._columns.pair, self._positions()))
 
     @property
-    def records(self) -> tuple[CanonicalRecord, ...] | None:
-        if self._columns.rotations is None:
-            return None
-        return tuple(self._columns.record(row, self.skeleton.name) for row in self._positions())
-
-    @property
     def n_frames(self) -> int:
         start, stop, pad = self._rows
         return stop - start + pad
@@ -306,7 +255,7 @@ class PoseSequence:
         return (self.subject, self.action, self.camera_id)
 
     def __repr__(self) -> str:
-        # Not the dataclass repr: ``frames`` and ``records`` build every frame.
+        # Not the dataclass repr: ``frames`` builds every frame.
         cols = self._columns
         space = None if cols.joints_2d is None else cols.space_2d.value
         frame = None if cols.joints_3d is None else cols.frame_3d.value
@@ -326,6 +275,20 @@ class PoseSequence:
         joints, present, _ = self._channel(3)
         return joints if present.all() else None
 
+    def canon(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """(rotations (T, 3, 3), sources (T, 3), root depths (T,), depth mask
+        (T,)) of a canonical sequence, read-only, or None for a raw one.
+
+        Row t's rotation maps the root's ray onto the principal axis, and its
+        depth is 0 where the mask is false (no root depth is known).
+        ``canonical.batch_back_transform(predictions, rotations, depths)``
+        maps root-relative canonical predictions back to the camera frame.
+        """
+        cols = self._columns
+        if cols.rotations is None:
+            return None
+        return tuple(self._take(values) for values in (cols.rotations, cols.sources, cols.depths, cols.has_depth))
+
     def _positions(self) -> list[int]:
         start, stop, pad = self._rows
         return list(range(start, stop)) + [stop - 1] * pad
@@ -336,7 +299,10 @@ class PoseSequence:
             return None
         start, stop, pad = self._rows
         rows = values[start:stop]
-        return np.concatenate([rows, rows[-1:].repeat(pad, axis=0)]) if pad else rows
+        if pad:
+            rows = np.concatenate([rows, rows[-1:].repeat(pad, axis=0)])
+            rows.setflags(write=False)
+        return rows
 
     def _channel(self, width: int):
         """(joints or None, presence mask, tag) of the 2D or 3D channel."""
@@ -789,7 +755,7 @@ def _loaded(key, pieces: list, skeleton: Skeleton) -> _Columns:
         bad = int(linenos[fault[0]])
         raise SchemaError(f"line {bad}: invalid canon block: {fault[1]}", bad) from fault[1]
     depths, has_depth = joined("depth"), joined("has_depth")
-    # The root rule of ``CanonicalRecord``: every root at exactly (0, 0, depth).
+    # The 3D path's root rule: every root at exactly (0, 0, depth).
     roots = joints_3d[has_3d, skeleton.root_index] if joints_3d is not None else np.zeros((0, 3))
     canonical = has_depth[has_3d].all() and not roots[:, :2].any() and np.array_equal(roots[:, 2], depths[has_3d])
     frame_3d = Frame.CANONICAL_CAMERA if canonical else Frame.CAMERA
@@ -976,7 +942,7 @@ def _canonicalize_sequence_2d(seq: PoseSequence, intrinsics: CameraIntrinsics) -
 def canonicalize_dataset(
     sequences, intrinsics: CameraIntrinsics, mode: str, threads: int | None = None
 ) -> list[PoseSequence]:
-    """Canonicalize every sequence, frame by frame, in input order.
+    """Canonicalize every sequence as whole arrays, in input order.
 
     Args:
         sequences: input PoseSequences.
@@ -988,8 +954,8 @@ def canonicalize_dataset(
             and output bytes are identical for any value.
 
     Returns:
-        New sequences, in input order, carrying one CanonicalRecord per
-        frame.
+        New sequences, in input order, each carrying a rotation, source
+        vector and root depth per frame (``PoseSequence.canon()``).
 
     Raises:
         SequenceCanonicalizationError: some sequence is already canonical,

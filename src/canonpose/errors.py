@@ -35,10 +35,6 @@ class GeometryError(ValueError):
         super().__init__(_with_indices(message, self.indices))
 
 
-class FrameMismatchError(GeometryError):
-    """A pose carried the wrong coordinate-frame or 2D-space tag."""
-
-
 class BehindCameraError(GeometryError):
     """A point sits at or behind the camera plane (Z <= EPS_DEPTH)."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Pose3D, _rigid
+from .camera import _rigid
 from .errors import DegenerateShapeError, DimensionMismatchError, GeometryError
 
 
@@ -52,15 +52,8 @@ class SimilarityTransform:
 
 
 def _as_frames(poses, name: str) -> np.ndarray:
-    """Coerce a Pose3D, a sequence of Pose3D, or a (J,3)/(T,J,3) array to (T, J, 3)."""
-    if isinstance(poses, Pose3D):
-        return poses.joints[None]
-    if isinstance(poses, np.ndarray):
-        arr = np.asarray(poses, dtype=np.float64)
-    elif isinstance(poses, (list, tuple)) and poses and isinstance(poses[0], Pose3D):
-        arr = np.stack([pose.joints for pose in poses])
-    else:
-        arr = np.asarray(poses, dtype=np.float64)
+    """Coerce a (J, 3) or (T, J, 3) array to (T, J, 3)."""
+    arr = np.asarray(poses, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[-1] != 3:
@@ -69,11 +62,13 @@ def _as_frames(poses, name: str) -> np.ndarray:
 
 
 def _as_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
-    """``pred`` and ``gt`` as (T, J, 3) arrays of one shape."""
+    """``pred`` and ``gt`` as (T, J, 3) arrays of one shape, not empty."""
     p = _as_frames(pred, "pred")
     g = _as_frames(gt, "gt")
     if p.shape != g.shape:
         raise DimensionMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
+    if p.size == 0:
+        raise DimensionMismatchError(f"pred and gt hold no joints (shape {p.shape})")
     return p, g
 
 
@@ -94,8 +89,8 @@ def mpjpe(pred, gt) -> float:
     overflows, say) is refused; one refusal names every such frame.
 
     Args:
-        pred, gt: Pose3D, sequence of Pose3D, or array of shape (J, 3) or
-            (T, J, 3); shapes must match.
+        pred, gt: arrays of shape (J, 3) or (T, J, 3); shapes must match,
+            and an empty pair is refused.
     """
     p, g = _as_pair(pred, gt)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,21 +189,17 @@ def procrustes_align(pred, gt) -> tuple:
     decomposition of the cross-covariance.
 
     Args:
-        pred, gt: single poses as Pose3D or (J, 3) arrays, J >= 3, not all
-            joints collinear.
+        pred, gt: single poses as (J, 3) arrays, J >= 3, not all joints
+            collinear.
 
     Returns:
-        (aligned pred, SimilarityTransform). The aligned pose is returned as
-        a Pose3D when ``pred`` was one (same frame tag), else as an array.
+        (aligned pred as a (J, 3) array, SimilarityTransform).
     """
     p, g = _as_pair(pred, gt)
     if p.shape[0] != 1:
         raise DimensionMismatchError("procrustes_align takes single poses; use p_mpjpe for sequences")
     ((_, aligned, scales, rotations, translations),) = _aligned_blocks(p, g, [slice(None)])
-    transform = SimilarityTransform(scales[0], rotations[0], translations[0])
-    if isinstance(pred, Pose3D):
-        return Pose3D(aligned[0], pred.frame), transform
-    return aligned[0], transform
+    return aligned[0], SimilarityTransform(scales[0], rotations[0], translations[0])
 
 
 def p_mpjpe(pred, gt) -> float:
@@ -217,18 +208,17 @@ def p_mpjpe(pred, gt) -> float:
     Never exceeds ``mpjpe`` on the same input: the identity transform is
     always an alignment candidate. Frames are aligned ``_ALIGN_ROWS`` at a
     time, each block visited once, so its memory does not grow with
-    whole-batch temporaries. A frame with a joint that is not finite is
-    refused before any alignment, then a collinear frame after the last
-    block, as ``procrustes_align`` refuses them. Then a frame whose fitted
-    scale is not positive and finite (a pred frame whose squared norm
+    whole-batch temporaries. An empty pair is refused, as ``mpjpe`` refuses
+    it. A frame with a joint that is not finite is refused before any
+    alignment, then a collinear frame after the last block, as
+    ``procrustes_align`` refuses them. Then a frame whose fitted scale is not positive and finite (a pred frame whose squared norm
     overflows or underflows, or one whose cross-covariance with gt
     overflows, say), and last, as ``mpjpe`` refuses it, a frame whose
     aligned joint distance is not finite. Each refusal names every such
     frame.
     """
     p, g = _as_pair(pred, gt)
-    # At least one block, so an empty input ends as one empty batch does.
-    blocks = [slice(lo, lo + _ALIGN_ROWS) for lo in range(0, len(p) or 1, _ALIGN_ROWS)]
+    blocks = [slice(lo, lo + _ALIGN_ROWS) for lo in range(0, len(p), _ALIGN_ROWS)]
     errors = np.empty(p.shape[:2])
     unscaled = np.zeros(len(p), dtype=bool)
     for rows, aligned, scales, _, _ in _aligned_blocks(p, g, blocks):

@@ -18,24 +18,20 @@ from canonpose.camera import (
     batch_to_normalized_plane,
     batch_world_to_camera,
     load_camera_json,
-    project,
-    screen_normalize,
-    to_normalized_plane,
-    world_to_camera,
 )
-from canonpose.canonical import CanonicalRotation, batch_project_centered
-from canonpose.errors import BehindCameraError, FrameMismatchError, ParseError, SchemaError
+from canonpose.canonical import batch_project_centered
+from canonpose.dataset import FramePair, PoseSequence, apply_extrinsics, load_sequences
+from canonpose.errors import BehindCameraError, ParseError, SchemaError
 from canonpose.metrics import SimilarityTransform
+from canonpose.skeleton import H36M17
 
 finite_coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
 def test_project_frozen_example(intrinsics):
-    pose = Pose3D([[0.2, -0.1, 2.0]], Frame.CAMERA)
-    projected = project(pose, intrinsics)
-    assert projected.space is Space.IMAGE
+    projected = batch_project(np.array([[0.2, -0.1, 2.0]]), intrinsics)
     # u = 1150 * 0.2 / 2 + 512.5, v = 1080 * (-0.1) / 2 + 488
-    assert np.allclose(projected.joints, [[627.5, 434.0]], atol=1e-12)
+    assert np.allclose(projected, [[627.5, 434.0]], atol=1e-12)
 
 
 def test_project_matches_elementwise_formula(intrinsics, pose_batch):
@@ -89,13 +85,15 @@ def test_world_to_camera_is_rigid(rotation_factory):
 
 
 def test_world_to_camera_tagged_round_trip(rotation_factory):
+    # ``apply_extrinsics`` moves a global-frame sequence and retags its 3D.
     rng = np.random.default_rng(7)
     extr = CameraExtrinsics(rotation_factory(rng), rng.standard_normal(3))
-    pose = Pose3D(rng.standard_normal((17, 3)), Frame.GLOBAL)
-    moved = world_to_camera(pose, extr)
-    assert moved.frame is Frame.CAMERA
-    back = (moved.joints - extr.translation) @ extr.rotation
-    assert np.allclose(back, pose.joints, atol=1e-12)
+    world = rng.standard_normal((3, 17, 3))
+    frames = [FramePair(None, Pose3D(world[t], Frame.GLOBAL), t) for t in range(3)]
+    (moved,) = apply_extrinsics([PoseSequence("S1", "walk", "cam0", 50.0, frames, H36M17)], extr)
+    assert moved._columns.frame_3d is Frame.CAMERA
+    back = (moved.joints_3d() - extr.translation) @ extr.rotation
+    assert np.allclose(back, world, atol=1e-12)
 
 
 @given(arrays(np.float64, (6, 3), elements=finite_coords))
@@ -125,20 +123,6 @@ def test_screen_normalize_is_affine(intrinsics):
     lhs = batch_screen_normalize((a + b) / 2.0, intrinsics)
     rhs = (batch_screen_normalize(a, intrinsics) + batch_screen_normalize(b, intrinsics)) / 2.0
     assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_tag_enforcement(intrinsics, rotation_factory):
-    rng = np.random.default_rng(1)
-    camera_pose = Pose3D([[0.0, 0.0, 2.0]], Frame.CAMERA)
-    global_pose = Pose3D([[0.0, 0.0, 2.0]], Frame.GLOBAL)
-    extr = CameraExtrinsics(rotation_factory(rng), np.zeros(3))
-    with pytest.raises(FrameMismatchError):
-        project(global_pose, intrinsics)
-    with pytest.raises(FrameMismatchError):
-        world_to_camera(camera_pose, extr)
-    normalized = to_normalized_plane(project(camera_pose, intrinsics), intrinsics)
-    with pytest.raises(FrameMismatchError):
-        screen_normalize(normalized, intrinsics)
 
 
 def test_pose_arrays_are_validated_and_read_only():
@@ -268,12 +252,25 @@ _NAN_ROTATION = np.eye(3)
 _NAN_ROTATION[1, 1] = np.nan
 
 
+def _loaded_canon(rotation, vector, tmp_path):
+    """The rotation and source of a one-line canonical file, as loaded."""
+    record = {
+        "subject": "S1", "action": "walk", "camera": "cam0", "frame": 0,
+        "joints_2d": [[500.0, 500.0]] * H36M17.n_joints, "joints_3d": None,
+        "canon": {"rotation": np.ravel(rotation).tolist(), "source": list(vector), "root_depth": None},
+    }
+    path = tmp_path / "canon.ndjson"
+    path.write_text(json.dumps(record) + "\n")
+    rotations, sources, _, _ = load_sequences(path, H36M17)[0].canon()
+    return rotations, sources
+
+
 @pytest.mark.parametrize(
     "build",
     [
-        lambda rotation, vector: CameraExtrinsics(rotation, vector),
-        lambda rotation, vector: CanonicalRotation(rotation, vector),
-        lambda rotation, vector: SimilarityTransform(1.0, rotation, vector),
+        lambda rotation, vector, tmp_path: vars(CameraExtrinsics(rotation, vector)).values(),
+        _loaded_canon,
+        lambda rotation, vector, tmp_path: vars(SimilarityTransform(1.0, rotation, vector)).values(),
     ],
     ids=["extrinsics", "canonical-rotation", "similarity"],
 )
@@ -287,9 +284,9 @@ _NAN_ROTATION[1, 1] = np.nan
     ],
     ids=["wrong-shape", "nan-entry", "reflection", "2-vector"],
 )
-def test_rotation_carriers_reject_bad_rotations_and_vectors(build, rotation, vector):
+def test_rotation_carriers_reject_bad_rotations_and_vectors(build, rotation, vector, tmp_path):
     with pytest.raises(ValueError):
-        build(rotation, vector)
-    good = build(np.eye(3), [0.0, 0.0, 1.0])
-    arrays_held = [value for value in vars(good).values() if isinstance(value, np.ndarray)]
+        build(rotation, vector, tmp_path)
+    good = build(np.eye(3), [0.0, 0.0, 1.0], tmp_path)
+    arrays_held = [value for value in good if isinstance(value, np.ndarray)]
     assert len(arrays_held) == 2 and not any(array.flags.writeable for array in arrays_held)

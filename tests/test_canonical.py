@@ -6,30 +6,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from canonpose.camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, batch_project
+from canonpose.camera import CameraIntrinsics, Frame, Pose3D, batch_project
 from canonpose.canonical import (
     PRINCIPAL_AXIS,
-    CanonicalRecord,
-    CanonicalRotation,
-    back_transform,
+    _check_rotations,
+    _root_depth,
     batch_back_transform,
     batch_canonicalize_2d,
     batch_canonicalize_3d,
     batch_project_centered,
     batch_rodrigues_align,
-    canonicalize_2d,
-    canonicalize_3d,
-    project_canonical_centered,
     residual_offset,
-    rodrigues_align,
-    root_relative,
 )
-from canonpose.errors import (
-    AntiparallelError,
-    BehindCameraError,
-    DegenerateVectorError,
-    FrameMismatchError,
-)
+from canonpose.dataset import FramePair, PoseSequence, canonicalize_dataset, load_sequences, save_sequences
+from canonpose.errors import AntiparallelError, BehindCameraError, DegenerateVectorError
 
 vector_strategy = arrays(
     np.float64, (3,), elements=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -37,10 +27,10 @@ vector_strategy = arrays(
 
 
 def test_rodrigues_frozen_example():
-    rotation = rodrigues_align((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    rotation = batch_rodrigues_align(np.array([1.0, 0.0, 0.0]), PRINCIPAL_AXIS)
     expected = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    assert np.allclose(rotation.matrix, expected, atol=1e-15)
-    assert np.allclose(rotation.apply([1.0, 0.0, 0.0]), [0.0, 0.0, 1.0], atol=1e-15)
+    assert np.allclose(rotation, expected, atol=1e-15)
+    assert np.allclose(rotation @ [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], atol=1e-15)
 
 
 @given(vector_strategy, vector_strategy)
@@ -50,25 +40,23 @@ def test_rodrigues_aligns_any_directions(a, b):
         return
     if np.dot(a, b) / (na * nb) < -1.0 + 1e-6:
         return
-    rotation = rodrigues_align(a, b)
-    assert np.allclose(rotation.matrix @ (a / na), b / nb, atol=1e-9)
-    gram = rotation.matrix.T @ rotation.matrix
+    rotation = batch_rodrigues_align(a, b / nb)
+    assert np.allclose(rotation @ (a / na), b / nb, atol=1e-9)
+    gram = rotation.T @ rotation
     assert np.abs(gram - np.eye(3)).max() < 1e-9
-    assert abs(np.linalg.det(rotation.matrix) - 1.0) < 1e-9
+    assert abs(np.linalg.det(rotation) - 1.0) < 1e-9
 
 
 def test_rodrigues_parallel_gives_identity():
-    rotation = rodrigues_align((0.0, 0.0, 5.0), PRINCIPAL_AXIS)
-    assert np.array_equal(rotation.matrix, np.eye(3))
+    rotation = batch_rodrigues_align(np.array([0.0, 0.0, 5.0]), PRINCIPAL_AXIS)
+    assert np.array_equal(rotation, np.eye(3))
 
 
 def test_rodrigues_degenerate_and_antiparallel():
     with pytest.raises(DegenerateVectorError):
-        rodrigues_align((0.0, 0.0, 0.0), PRINCIPAL_AXIS)
-    with pytest.raises(DegenerateVectorError):
-        rodrigues_align(PRINCIPAL_AXIS, (0.0, 0.0, 1e-12))
+        batch_rodrigues_align(np.zeros(3), PRINCIPAL_AXIS)
     with pytest.raises(AntiparallelError):
-        rodrigues_align((0.0, 0.0, -2.0), PRINCIPAL_AXIS)
+        batch_rodrigues_align(np.array([0.0, 0.0, -2.0]), PRINCIPAL_AXIS)
     bad = np.array([[0.0, 0.0, 1.0], [1e-12, 0.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(DegenerateVectorError) as excinfo:
         batch_rodrigues_align(bad, PRINCIPAL_AXIS)
@@ -76,12 +64,10 @@ def test_rodrigues_degenerate_and_antiparallel():
 
 
 def test_canonicalize_3d_single_joint_example():
-    pose = Pose3D([[3.0, 0.0, 4.0]], Frame.CAMERA)
-    canonical, rotation = canonicalize_3d(pose, 0)
-    assert canonical.frame is Frame.CANONICAL_CAMERA
-    assert np.array_equal(canonical.joints, [[0.0, 0.0, 5.0]])
-    assert np.allclose(rotation.matrix @ np.array([0.6, 0.0, 0.8]), [0.0, 0.0, 1.0], atol=1e-12)
-    assert np.array_equal(rotation.source_vector, [3.0, 0.0, 4.0])
+    canonical, (rotation,), depths = batch_canonicalize_3d(np.array([[[3.0, 0.0, 4.0]]]), 0)
+    assert np.array_equal(canonical, [[[0.0, 0.0, 5.0]]])
+    assert np.array_equal(depths, [5.0])
+    assert np.allclose(rotation @ np.array([0.6, 0.0, 0.8]), [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_canonicalize_3d_batch_contract(pose_batch):
@@ -108,38 +94,25 @@ def test_canonicalize_3d_rejects_root_behind_camera():
 
 
 def test_project_canonical_centered_pins_root(intrinsics):
-    pose = Pose3D([[0.0, 0.0, 4.0], [0.3, -0.2, 4.4]], Frame.CANONICAL_CAMERA)
-    pix = project_canonical_centered(pose, intrinsics)
-    assert np.array_equal(pix.joints[0], [500.0, 500.0])
+    pix = batch_project_centered(np.array([[0.0, 0.0, 4.0], [0.3, -0.2, 4.4]]), intrinsics)
+    assert np.array_equal(pix[0], [500.0, 500.0])
     expected = [
         intrinsics.fx * 0.3 / 4.4 + 500.0,
         intrinsics.fy * -0.2 / 4.4 + 500.0,
     ]
-    assert np.allclose(pix.joints[1], expected, atol=1e-12)
-    with pytest.raises(FrameMismatchError):
-        project_canonical_centered(Pose3D(pose.joints, Frame.CAMERA), intrinsics)
-
-
-def test_root_relative_is_idempotent(pose_batch, skeleton):
-    pose = Pose3D(pose_batch(1, seed=3)[0], Frame.CAMERA)
-    relative = root_relative(pose, skeleton)
-    assert relative.frame is Frame.CAMERA
-    assert np.array_equal(relative.joints[skeleton.root_index], np.zeros(3))
-    again = root_relative(relative, skeleton)
-    assert np.array_equal(again.joints, relative.joints)
+    assert np.allclose(pix[1], expected, atol=1e-12)
 
 
 def test_canonicalize_2d_identity_rotation(intrinsics):
     # Root on the principal point: the pelvis ray is already the principal
     # axis, so the whole pose just shifts by the center-vs-principal offset.
     pixels = np.array([[intrinsics.cx, intrinsics.cy], [640.0, 410.0], [388.5, 612.0]])
-    pose = Pose2D(pixels, Space.IMAGE)
-    canonical, rotation = canonicalize_2d(pose, intrinsics, 0)
-    assert np.array_equal(rotation.matrix, np.eye(3))
+    (canonical,), (rotation,), (pelvis,) = batch_canonicalize_2d(pixels[None], intrinsics, 0)
+    assert np.array_equal(rotation, np.eye(3))
     shift = np.array([500.0 - intrinsics.cx, 500.0 - intrinsics.cy])
-    assert np.array_equal(canonical.joints[0], [500.0, 500.0])
-    assert np.allclose(canonical.joints[1:], pixels[1:] + shift, atol=1e-9)
-    assert np.allclose(rotation.source_vector, [0.0, 0.0, 1.0], atol=1e-15)
+    assert np.array_equal(canonical[0], [500.0, 500.0])
+    assert np.allclose(canonical[1:], pixels[1:] + shift, atol=1e-9)
+    assert np.allclose(pelvis, [0.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_canonicalize_2d_matches_3d_path(intrinsics, pose_batch, skeleton):
@@ -205,15 +178,22 @@ def test_back_transform_is_depth_invariant(pose_batch, skeleton):
     assert np.abs(with_truth - with_junk).max() < 1e-9
 
 
-def test_back_transform_tags(pose_batch, skeleton):
-    pose = Pose3D(pose_batch(1, seed=8)[0], Frame.CAMERA)
-    canonical, rotation = canonicalize_3d(pose, skeleton)
-    relative = root_relative(canonical, skeleton)
-    out = back_transform(relative, rotation, 0.0)
-    assert out.frame is Frame.CAMERA
-    assert np.abs(out.joints - root_relative(pose, skeleton).joints).max() < 1e-9
-    with pytest.raises(FrameMismatchError):
-        back_transform(root_relative(pose, skeleton), rotation, 0.0)
+def test_back_transform_tags(tmp_path, pose_batch, intrinsics, skeleton):
+    # A saved 3D-path file loads with canonical-camera 3D, and its canon rows
+    # rotate root-relative predictions back to the camera frame.
+    pts = pose_batch(20, seed=8)
+    frames = [FramePair(None, Pose3D(pts[t], Frame.CAMERA), t) for t in range(20)]
+    raw = PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
+    path = tmp_path / "canon.ndjson"
+    save_sequences(canonicalize_dataset([raw], intrinsics, "3d-path"), path)
+    (loaded,) = load_sequences(path, skeleton)
+    assert loaded._columns.frame_3d is Frame.CANONICAL_CAMERA
+    assert raw.canon() is None
+    rotations, _, depths, _ = loaded.canon()
+    root = skeleton.root_index
+    canonical = loaded.joints_3d()
+    out = batch_back_transform(canonical - canonical[:, root : root + 1], rotations, depths)
+    assert np.abs(out - (pts - pts[:, root : root + 1])).max() < 1e-9
 
 
 def test_residual_offset_formula(intrinsics):
@@ -236,33 +216,27 @@ def test_residual_offset_explains_projection_shift(intrinsics, pose_batch, skele
 
 
 def test_canonical_rotation_validation():
-    with pytest.raises(ValueError):
-        CanonicalRotation(np.eye(3) * 1.1, [0.0, 0.0, 1.0])
-    with pytest.raises(DegenerateVectorError):
-        CanonicalRotation(np.eye(3), [0.0, 0.0, 0.0])
-    rotation = rodrigues_align((1.0, 2.0, 3.0), PRINCIPAL_AXIS)
-    pts = np.arange(12, dtype=np.float64).reshape(4, 3)
-    assert np.allclose(rotation.inverse_apply(rotation.apply(pts)), pts, atol=1e-12)
+    # The canon-block checks that the loader and canonicalization run.
+    good = batch_rodrigues_align(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 2.0]]), PRINCIPAL_AXIS)
+    sources = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 2.0]])
+    assert _check_rotations(good, sources) is None
+    scaled = np.stack([good[0], np.eye(3) * 1.1])
+    position, error = _check_rotations(scaled, sources)
+    assert position == 1 and str(error).startswith("canonical rotation is not orthogonal")
+    position, error = _check_rotations(good, np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
+    assert position == 1 and isinstance(error, DegenerateVectorError)
+    assert str(error) == "source_vector norm 0.000e+00 <= 1e-09"
 
 
 def test_a_source_whose_norm_overflows_is_accepted_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rotation = CanonicalRotation(np.eye(3), [1e308, 0.0, 1.0])
-    assert rotation.source_vector[0] == 1e308
+        assert _check_rotations(np.eye(3)[None], np.array([[1e308, 0.0, 1.0]])) is None
 
 
-def test_canonical_record_validation(intrinsics):
-    pose3d = Pose3D([[0.0, 0.0, 4.0]], Frame.CANONICAL_CAMERA)
-    pose2d = Pose2D([[500.0, 500.0]], Space.IMAGE)
-    rotation = rodrigues_align((0.2, 0.1, 3.9), PRINCIPAL_AXIS)
-    record = CanonicalRecord(pose3d, pose2d, rotation, 4.0, "h36m17")
-    assert record.root_depth == 4.0
-    with pytest.raises(ValueError):
-        CanonicalRecord(pose3d, pose2d, rotation, None, "h36m17")
-    with pytest.raises(ValueError):
-        CanonicalRecord(pose3d, pose2d, rotation, -1.0, "h36m17")
-    with pytest.raises(ValueError):
-        CanonicalRecord(Pose3D([[0.0, 0.0, 4.0]], Frame.CAMERA), pose2d, rotation, 4.0, "h36m17")
-    with pytest.raises(ValueError):
-        CanonicalRecord(None, Pose2D([[0.0, 0.0]], Space.SCREEN_NORMALIZED), rotation, None, "h36m17")
+def test_canonical_record_validation():
+    # A canon block's root depth: positive and finite, as the loader reads it.
+    assert _root_depth(4.0) == 4.0
+    for bad in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^root_depth must be positive and finite"):
+            _root_depth(bad)

@@ -100,7 +100,7 @@ def test_canonicalize_centers_roots(tmp_path, skeleton, intrinsics, camera_file)
     seqs = load_sequences(out, skeleton)
     roots = seqs[0].joints_2d()[:, skeleton.root_index]
     assert np.all(roots == np.array([intrinsics.width / 2.0, intrinsics.height / 2.0]))
-    assert seqs[0].records is not None
+    assert seqs[0].canon() is not None
     # Re-canonicalizing canonical data is a data error, not a crash.
     assert run(["canonicalize", "--input", str(out), "--camera", camera_file]) == 2
 

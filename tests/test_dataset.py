@@ -54,12 +54,10 @@ def test_canonical_round_trip_is_bitwise(tmp_path, pose_batch, intrinsics, skele
     path = tmp_path / "canon.ndjson"
     save_sequences(canonical, path)
     loaded = load_sequences(path, skeleton)
-    assert loaded[0].records is not None
-    for before, after in zip(canonical[0].records, loaded[0].records):
-        assert np.array_equal(after.rotation.matrix, before.rotation.matrix)
-        assert np.array_equal(after.rotation.source_vector, before.rotation.source_vector)
-        assert after.root_depth == before.root_depth
-        assert np.array_equal(after.canonical_2d.joints, before.canonical_2d.joints)
+    assert loaded[0].canon() is not None
+    for before, after in zip(canonical[0].canon(), loaded[0].canon()):
+        assert np.array_equal(after, before)
+    assert np.array_equal(loaded[0].joints_2d(), canonical[0].joints_2d())
     assert all(f.pose_3d.frame is Frame.CANONICAL_CAMERA for f in loaded[0].frames)
     assert serialize_sequences(loaded) == path.read_text()
 
@@ -76,8 +74,7 @@ def test_unit_scale_applies_to_3d_and_depth(tmp_path, pose_batch, intrinsics, sk
     loaded = load_sequences(path, skeleton)
     assert np.array_equal(loaded[0].joints_3d(), seqs[0].joints_3d() * 0.001)
     assert np.array_equal(loaded[0].joints_2d(), seqs[0].joints_2d())
-    for before, after in zip(seqs[0].records, loaded[0].records):
-        assert after.root_depth == before.root_depth * 0.001
+    assert np.array_equal(loaded[0].canon()[2], seqs[0].canon()[2] * 0.001)
 
 
 def test_parse_error_reports_line_number(tmp_path, skeleton):
@@ -206,9 +203,11 @@ def test_window_slices_records(pose_batch, intrinsics, skeleton):
         [make_sequence(pose_batch, intrinsics, skeleton, n=10, seed=29)], intrinsics, "3d-path", threads=1
     )[0]
     windows = window(seq, WindowSpec(4, 8), "repeat-last")
-    assert [len(w.records) for w in windows] == [4, 4]
-    assert windows[1].records[0] is seq.records[8]
-    assert windows[1].records[-1] is seq.records[9]
+    for win, rows in zip(windows, ([0, 1, 2, 3], [8, 9, 9, 9])):
+        for mine, theirs in zip(win.canon(), seq.canon()):
+            assert np.array_equal(mine, theirs[rows])
+    # The full window views the sequence's arrays.
+    assert np.shares_memory(windows[0].canon()[0], seq.canon()[0])
     with pytest.raises(ValueError):
         window(seq, WindowSpec(4, 8), "truncate")
     with pytest.raises(ValueError):
@@ -221,10 +220,11 @@ def test_canonicalize_dataset_3d_path(pose_batch, intrinsics, skeleton):
     assert out.key == seq.key
     roots = out.joints_2d()[:, skeleton.root_index]
     assert np.all(roots == np.array([500.0, 500.0]))
-    for t, record in enumerate(out.records):
-        original_root = seq.frames[t].pose_3d.joints[skeleton.root_index]
-        assert record.root_depth == pytest.approx(np.linalg.norm(original_root), abs=1e-12)
-        assert np.array_equal(record.rotation.source_vector, original_root)
+    _, sources, depths, has_depth = out.canon()
+    original_roots = seq.joints_3d()[:, skeleton.root_index]
+    assert has_depth.all()
+    assert np.abs(depths - np.linalg.norm(original_roots, axis=-1)).max() <= 1e-12
+    assert np.array_equal(sources, original_roots)
     with pytest.raises(ValueError):
         canonicalize_dataset([seq], intrinsics, "sideways", threads=1)
     with pytest.raises(SequenceCanonicalizationError) as excinfo:
@@ -237,10 +237,11 @@ def test_canonicalize_dataset_2d_path(pose_batch, intrinsics, skeleton):
     via_3d = canonicalize_dataset([seq], intrinsics, "3d-path", threads=1)[0]
     via_2d = canonicalize_dataset([seq], intrinsics, "2d-path", threads=1)[0]
     assert np.abs(via_2d.joints_2d() - via_3d.joints_2d()).max() < 1e-9
-    for rec_2d, rec_3d, frame in zip(via_2d.records, via_3d.records, seq.frames):
-        assert rec_2d.canonical_3d is None
-        assert np.abs(rec_2d.rotation.matrix - rec_3d.rotation.matrix).max() < 1e-9
-        assert rec_2d.root_depth == pytest.approx(rec_3d.root_depth, abs=1e-12)
+    rotations_2d, _, depths_2d, has_depth_2d = via_2d.canon()
+    rotations_3d, _, depths_3d, _ = via_3d.canon()
+    assert via_2d._columns.frame_3d is Frame.CAMERA
+    assert np.abs(rotations_2d - rotations_3d).max() < 1e-9
+    assert has_depth_2d.all() and np.abs(depths_2d - depths_3d).max() <= 1e-12
     # Original 3D channel is carried through untouched.
     assert np.array_equal(via_2d.joints_3d(), seq.joints_3d())
 
@@ -252,8 +253,8 @@ def test_canonicalize_dataset_2d_path(pose_batch, intrinsics, skeleton):
         tuple(FramePair(f.pose_2d, None, f.index) for f in seq.frames),
         skeleton,
     )
-    records = canonicalize_dataset([only_2d], intrinsics, "2d-path", threads=1)[0].records
-    assert all(rec.root_depth is None for rec in records)
+    _, _, depths, has_depth = canonicalize_dataset([only_2d], intrinsics, "2d-path", threads=1)[0].canon()
+    assert not has_depth.any() and not depths.any()
     with pytest.raises(SequenceCanonicalizationError) as excinfo:
         canonicalize_dataset([only_2d], intrinsics, "3d-path", threads=1)
     assert excinfo.value.frame_indices == tuple(range(6))
@@ -388,8 +389,7 @@ def test_a_source_whose_norm_overflows_builds_its_record_without_a_warning(tmp_p
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         (seq,) = load_sequences(path, skeleton)
-        (record,) = seq.records
-    assert record.rotation.source_vector.tolist() == [1e308, 0.0, 1.0]
+    assert seq.canon()[1].tolist() == [[1e308, 0.0, 1.0]]
 
 
 def _assert_read_only(arrays):
@@ -406,12 +406,8 @@ def _sequence_arrays(seq):
         for pose in (frame.pose_2d, frame.pose_3d):
             if pose is not None:
                 yield pose.joints
-    for record in seq.records or ():
-        yield record.rotation.matrix
-        yield record.rotation.source_vector
-        yield record.canonical_2d.joints
-        if record.canonical_3d is not None:
-            yield record.canonical_3d.joints
+    yield from (joints for joints in (seq.joints_2d(), seq.joints_3d()) if joints is not None)
+    yield from seq.canon() or ()
 
 
 def test_loaded_and_canonicalized_arrays_are_read_only(tmp_path, pose_batch, intrinsics, skeleton):
@@ -424,7 +420,10 @@ def test_loaded_and_canonicalized_arrays_are_read_only(tmp_path, pose_batch, int
     save_sequences([seq], raw_path)
     save_sequences(via_3d, canon_path)
     loaded = load_sequences(raw_path, skeleton) + load_sequences(canon_path, skeleton)
-    for out in produced + loaded:
+    # The second window repeats the last frame: its arrays are copies.
+    padded = window(via_3d[0], WindowSpec(4, 3), "repeat-last")
+    assert [w.n_frames for w in padded] == [4, 4]
+    for out in produced + loaded + padded:
         _assert_read_only(_sequence_arrays(out))
 
 
@@ -432,11 +431,12 @@ def test_canonicalize_2d_root_depth_is_the_per_frame_norm(pose_batch, intrinsics
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=30, seed=48)
     frames = tuple(FramePair(f.pose_2d, f.pose_3d if f.index % 4 else None, f.index) for f in seq.frames)
     out = canonicalize_dataset([replace(seq, frames=frames)], intrinsics, "2d-path")[0]
-    for frame, record in zip(frames, out.records):
+    _, _, depths, has_depth = out.canon()
+    for frame, depth, known in zip(frames, depths, has_depth):
         if frame.pose_3d is None:
-            assert record.root_depth is None
+            assert not known and depth == 0.0
         else:
-            assert record.root_depth == float(np.linalg.norm(frame.pose_3d.joints[skeleton.root_index]))
+            assert known and depth == float(np.linalg.norm(frame.pose_3d.joints[skeleton.root_index]))
 
 
 @pytest.mark.parametrize(
@@ -474,8 +474,9 @@ def test_2d_path_output_reloads_with_camera_frame_3d(tmp_path, pose_batch, intri
         else:
             assert after.pose_3d.frame is Frame.CAMERA
             assert np.array_equal(after.pose_3d.joints, before.pose_3d.joints)
-    assert [r.canonical_3d for r in loaded.records] == [None] * seq.n_frames
-    assert [r.root_depth for r in loaded.records] == [r.root_depth for r in via_2d[0].records]
+    assert loaded._columns.frame_3d is Frame.CAMERA
+    for mine, theirs in zip(loaded.canon()[2:], via_2d[0].canon()[2:]):
+        assert np.array_equal(mine, theirs)
     assert serialize_sequences([loaded]) == path.read_text()
 
 
@@ -487,7 +488,6 @@ def test_canonical_3d_needs_every_root_on_the_axis(tmp_path, pose_batch, intrins
     path.write_text(text)
     loaded = load_sequences(path, skeleton)[0]
     assert all(f.pose_3d.frame is Frame.CANONICAL_CAMERA for f in loaded.frames)
-    assert all(r.canonical_3d is f.pose_3d for f, r in zip(loaded.frames, loaded.records))
     # Move one frame's root off the axis: the whole sequence reads as camera-frame.
     lines = text.splitlines()
     root = skeleton.root_index
@@ -497,15 +497,14 @@ def test_canonical_3d_needs_every_root_on_the_axis(tmp_path, pose_batch, intrins
     path.write_text("\n".join(lines) + "\n")
     moved = load_sequences(path, skeleton)[0]
     assert all(f.pose_3d.frame is Frame.CAMERA for f in moved.frames)
-    assert all(r.canonical_3d is None for r in moved.records)
 
 
 def _assert_channels_share_one_array(seq):
     arrays = {
         "pose_2d": [f.pose_2d.joints for f in seq.frames if f.pose_2d is not None],
         "pose_3d": [f.pose_3d.joints for f in seq.frames if f.pose_3d is not None],
-        "rotation": [r.rotation.matrix for r in seq.records or ()],
-        "source": [r.rotation.source_vector for r in seq.records or ()],
+        "rotation": [] if seq.canon() is None else list(seq.canon()[0]),
+        "source": [] if seq.canon() is None else list(seq.canon()[1]),
     }
     for channel, views in arrays.items():
         bases = {id(view.base) for view in views}
@@ -606,9 +605,7 @@ def test_record_values_must_be_json_numbers(tmp_path, skeleton, canon, where, va
 def _per_frame_objects():
     import gc
 
-    from canonpose.canonical import CanonicalRecord, CanonicalRotation
-
-    kinds = (FramePair, CanonicalRecord, CanonicalRotation, Pose2D, Pose3D)
+    kinds = (FramePair, Pose2D, Pose3D)
     gc.collect()
     return [obj for obj in gc.get_objects() if isinstance(obj, kinds)]
 
@@ -658,16 +655,6 @@ def test_constructor_refuses_mixed_2d_spaces(pose_batch, intrinsics, skeleton):
         PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
 
 
-def test_constructor_refuses_a_record_its_frame_does_not_give(pose_batch, intrinsics, skeleton):
-    seq = make_sequence(pose_batch, intrinsics, skeleton, n=4, seed=59)
-    canonical = canonicalize_dataset([seq], intrinsics, "3d-path")[0]
-    kept = PoseSequence("S1", "walk", "cam0", 50.0, canonical.frames, skeleton, canonical.records)
-    assert serialize_sequences([kept]) == serialize_sequences([canonical])
-    # The raw frames' 2D poses are not the records' canonical_2d.
-    with pytest.raises(ValueError, match="record 0 is not what frame 0 gives"):
-        PoseSequence("S1", "walk", "cam0", 50.0, seq.frames, skeleton, canonical.records)
-
-
 def test_canonicalize_2d_refuses_a_3d_root_at_the_camera_center(pose_batch, intrinsics, skeleton):
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=4, seed=60)
     frames = list(seq.frames)
@@ -715,15 +702,11 @@ def _short_pose(seq):
             lambda seq, intr: replace(seq, frames=[FramePair(None, _short_pose(seq), 0)]),
             "frame 0 has 16 joints, skeleton 'h36m17' has 17",
         ),
-        (
-            lambda seq, intr: replace(seq, records=canonicalize_dataset([seq], intr, "3d-path")[0].records[:2]),
-            "records and frames must have equal length",
-        ),
         (lambda seq, intr: replace(seq, fps=0.0), "fps must be positive and finite, got 0.0"),
         (lambda seq, intr: replace(seq, fps=float("nan")), "fps must be positive and finite, got nan"),
     ],
     ids=["frame-without-poses", "frame-joint-counts-differ", "sequence-without-frames", "frame-joint-count",
-         "records-length", "fps-zero", "fps-nan"],
+         "fps-zero", "fps-nan"],
 )
 def test_constructors_refuse_what_a_sequence_cannot_hold(pose_batch, intrinsics, skeleton, build, message):
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=3, seed=62)
@@ -741,9 +724,10 @@ def test_padded_windows_canonicalize_like_their_frames(pose_batch, intrinsics, s
         for win, cut in zip(canonicalize_dataset(windows, intrinsics, mode), cuts):
             assert [f.index for f in win.frames] == [f.index for f in cut.frames]
             assert np.abs(win.joints_2d() - cut.joints_2d()).max() < 1e-9
-            for mine, theirs in zip(win.records, cut.records):
-                assert np.abs(mine.rotation.matrix - theirs.rotation.matrix).max() < 1e-12
-                assert mine.root_depth == pytest.approx(theirs.root_depth, abs=1e-12)
+            (mine, _, my_depths, mine_known), (theirs, _, their_depths, theirs_known) = win.canon(), cut.canon()
+            assert np.abs(mine - theirs).max() < 1e-12
+            assert np.array_equal(mine_known, theirs_known)
+            assert np.abs(my_depths - their_depths).max() <= 1e-12
 
 
 def _record_line(skeleton, canon=None):
@@ -796,7 +780,8 @@ def test_canonical_file_with_null_root_depths_reloads_as_camera_frame(tmp_path, 
     path.write_text(text.splitlines()[0] + "\n" + "".join(json.dumps(record) + "\n" for record in records))
     loaded = load_sequences(path, skeleton)[0]
     assert all(f.pose_3d.frame is Frame.CAMERA for f in loaded.frames)
-    assert [(r.canonical_3d, r.root_depth) for r in loaded.records] == [(None, None)] * 4
+    assert loaded._columns.frame_3d is Frame.CAMERA
+    assert not loaded.canon()[3].any()
     for frame, record in zip(loaded.frames, records):
         assert frame.pose_3d.joints.tolist() == record["joints_3d"]
 
@@ -859,6 +844,6 @@ def test_repr_of_a_loaded_sequence_builds_no_frame(tmp_path, pose_batch, intrins
         "space_2d='image', frame_3d='canonical-camera', canonical=True)"
     )
     assert str([loaded]) == f"[{text}]"
-    assert not loaded._columns._pairs and not loaded._columns._records
+    assert not loaded._columns._pairs
     only_2d = replace(seq, frames=tuple(FramePair(f.pose_2d, None, f.index) for f in seq.frames))
     assert repr(only_2d).endswith("space_2d='image', frame_3d=None, canonical=False)")

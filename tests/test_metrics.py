@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from canonpose.camera import Frame, Pose3D
 from canonpose.errors import DegenerateShapeError, DimensionMismatchError, GeometryError
 from canonpose.metrics import _ALIGN_ROWS, SimilarityTransform, _surely_full_rank, mpjpe, p_mpjpe, procrustes_align
 
@@ -39,7 +38,7 @@ def test_mpjpe_multi_frame_is_mean_of_frames():
 
 def test_mpjpe_accepts_pose_lists(pose_batch):
     pts = pose_batch(3, seed=11)
-    poses = [Pose3D(p, Frame.CAMERA) for p in pts]
+    poses = list(pts)
     assert mpjpe(poses, poses) == 0.0
     with pytest.raises(DimensionMismatchError):
         mpjpe(pts, pts[:, :5])
@@ -118,12 +117,21 @@ def test_degenerate_shapes_are_rejected():
 
 
 def test_procrustes_pose_round_trip(pose_batch):
-    gt = Pose3D(pose_batch(1, seed=15)[0], Frame.CAMERA)
-    pred = Pose3D(gt.joints[::-1].copy(), Frame.CAMERA)
+    gt = pose_batch(1, seed=15)[0]
+    pred = gt[::-1].copy()
     aligned, transform = procrustes_align(pred, gt)
-    assert isinstance(aligned, Pose3D)
-    assert aligned.frame is Frame.CAMERA
+    assert isinstance(aligned, np.ndarray) and aligned.shape == gt.shape
+    assert np.allclose(transform.apply(pred), aligned, atol=1e-12)
     assert transform.scale > 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(0, 17, 3), (4, 0, 3)], ids=["no-frames", "no-joints"])
+@pytest.mark.parametrize("metric", [mpjpe, p_mpjpe], ids=["mpjpe", "p_mpjpe"])
+def test_an_empty_pair_is_refused(metric, shape):
+    with pytest.raises(DimensionMismatchError) as excinfo:
+        metric(np.zeros(shape), np.zeros(shape))
+    assert str(excinfo.value) == f"pred and gt hold no joints (shape {shape})"
 
 
 def test_similarity_transform_validation():

@@ -7,12 +7,12 @@ byte on every line shape.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from canonpose.camera import Frame, Pose2D, Pose3D, Space
-from canonpose.canonical import CanonicalRecord, CanonicalRotation
 from canonpose.dataset import FramePair, PoseSequence, serialize_sequences
 from canonpose.jsonfmt import format_float
 from canonpose.skeleton import Skeleton
@@ -28,7 +28,7 @@ def _reference_joints(array):
     return "[" + rows + "]"
 
 
-def _reference_line(seq, frame, record):
+def _reference_line(seq, frame, canon):
     parts = [
         f'"subject": {json.dumps(seq.subject)}',
         f'"action": {json.dumps(seq.action)}',
@@ -37,10 +37,11 @@ def _reference_line(seq, frame, record):
         f'"joints_2d": {_reference_joints(frame.pose_2d.joints if frame.pose_2d else None)}',
         f'"joints_3d": {_reference_joints(frame.pose_3d.joints if frame.pose_3d else None)}',
     ]
-    if record is not None:
-        rotation = ", ".join(format_float(v) for v in record.rotation.matrix.ravel())
-        source = ", ".join(format_float(v) for v in record.rotation.source_vector)
-        depth = "null" if record.root_depth is None else format_float(record.root_depth)
+    if canon is not None:
+        matrix, vector, root_depth, has_depth = canon
+        rotation = ", ".join(format_float(v) for v in matrix.ravel())
+        source = ", ".join(format_float(v) for v in vector)
+        depth = format_float(root_depth) if has_depth else "null"
         parts.append(
             f'"canon": {{"rotation": [{rotation}], "source": [{source}], "root_depth": {depth}}}'
         )
@@ -59,9 +60,10 @@ def reference_serialize(sequences):
                 % (json.dumps(next(iter(names))), format_float(next(iter(fps_values))))
             )
     for seq in sequences:
-        records = seq.records if seq.records is not None else (None,) * seq.n_frames
-        for frame, record in zip(seq.frames, records):
-            lines.append(_reference_line(seq, frame, record))
+        canon = seq.canon()
+        rows = zip(*canon) if canon is not None else (None,) * seq.n_frames
+        for frame, row in zip(seq.frames, rows):
+            lines.append(_reference_line(seq, frame, row))
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -89,7 +91,7 @@ def _rotation(rng, index):
     if index % 2:
         # An exact -0.0 entry in a proper rotation (a quarter turn about z).
         q = np.array([[-0.0, -1.0, 0.0], [1.0, -0.0, 0.0], [0.0, 0.0, 1.0]])
-    return CanonicalRotation(q, rng.standard_normal(3) + np.array([0.0, 0.0, 3.0]))
+    return q, rng.standard_normal(3) + np.array([0.0, 0.0, 3.0])
 
 
 def _skeleton(n_joints, name):
@@ -104,8 +106,21 @@ def _skeleton(n_joints, name):
     )
 
 
-def _sequence(key, skeleton, frames, records=None, fps=50.0):
-    return PoseSequence(key[0], key[1], key[2], fps, tuple(frames), skeleton, records)
+def _sequence(key, skeleton, frames, fps=50.0):
+    return PoseSequence(key[0], key[1], key[2], fps, tuple(frames), skeleton)
+
+
+def _canonical(key, skeleton, frames, rotations, depths):
+    """A canonical sequence of ``frames``: one (matrix, source) of
+    ``rotations`` and one root depth, None for a null one, per frame."""
+    columns = replace(
+        _sequence(key, skeleton, frames)._columns,
+        rotations=np.stack([matrix for matrix, _ in rotations]),
+        sources=np.stack([source for _, source in rotations]),
+        depths=np.array([0.0 if depth is None else depth for depth in depths]),
+        has_depth=np.array([depth is not None for depth in depths]),
+    )
+    return PoseSequence._of(*key, 50.0, skeleton, columns)
 
 
 def _all_shapes(rng, skeleton):
@@ -117,34 +132,30 @@ def _all_shapes(rng, skeleton):
     mixed = [
         FramePair(_pose_2d(rng, j), _pose_3d(rng, j) if t % 2 else None, t) for t in range(5)
     ]
-    canon_frames, canon_records = [], []
+    canon_frames, canon_rotations = [], []
     for t in range(4):
-        pose_2d = _pose_2d(rng, j)
-        pose_3d = _pose_3d(rng, j, Frame.CANONICAL_CAMERA)
-        canon_frames.append(FramePair(pose_2d, pose_3d, t))
-        canon_records.append(CanonicalRecord(pose_3d, pose_2d, _rotation(rng, t), depths[t], skeleton.name))
-    null_frames, null_records = [], []
+        canon_frames.append(FramePair(_pose_2d(rng, j), _pose_3d(rng, j, Frame.CANONICAL_CAMERA), t))
+        canon_rotations.append(_rotation(rng, t))
+    null_frames, null_rotations = [], []
     for t in range(3):
-        pose_2d = _pose_2d(rng, j)
-        null_frames.append(FramePair(pose_2d, None, 2**64 + t))
-        null_records.append(CanonicalRecord(None, pose_2d, _rotation(rng, t), None, skeleton.name))
+        null_frames.append(FramePair(_pose_2d(rng, j), None, 2**64 + t))
+        null_rotations.append(_rotation(rng, t))
     # A 2D-path sequence whose frames differ in whether they carry a depth.
-    part_frames, part_records = [], []
+    part_frames, part_rotations = [], []
     for t in range(4):
-        pose_2d = _pose_2d(rng, j)
-        pose_3d = _pose_3d(rng, j) if t % 2 else None
-        part_frames.append(FramePair(pose_2d, pose_3d, t))
-        part_records.append(
-            CanonicalRecord(None, pose_2d, _rotation(rng, t), 3.0 + t if t % 2 else None, skeleton.name)
-        )
+        part_frames.append(FramePair(_pose_2d(rng, j), _pose_3d(rng, j) if t % 2 else None, t))
+        part_rotations.append(_rotation(rng, t))
     return [
         _sequence(("S1", "2d only", "cam0"), skeleton, only_2d),
         _sequence(("S1", "3d only", "cam0"), skeleton, only_3d),
         _sequence(("S1", "both", "cam0"), skeleton, both),
         _sequence(("S1", "mixed", "cam0"), skeleton, mixed),
-        _sequence(("S1", "canon", "cam0"), skeleton, canon_frames, canon_records),
-        _sequence(("S1", "canon null depth", "cam0"), skeleton, null_frames, null_records),
-        _sequence(("S1", "canon some depths", "cam0"), skeleton, part_frames, part_records),
+        _canonical(("S1", "canon", "cam0"), skeleton, canon_frames, canon_rotations, depths),
+        _canonical(("S1", "canon null depth", "cam0"), skeleton, null_frames, null_rotations, [None] * 3),
+        _canonical(
+            ("S1", "canon some depths", "cam0"), skeleton, part_frames, part_rotations,
+            [3.0 + t if t % 2 else None for t in range(4)],
+        ),
     ]
 
 
