@@ -288,18 +288,27 @@ def _cmd_eval(args) -> int:
     del pred_joints, gt_joints  # the loop's last pair would outlive the copies below
     # Scores are over root-relative poses; absolute placement is not the
     # lifter's job and is removed from both sides identically. Each side is
-    # one array in --pred's order, and its loaded arrays go once it is copied.
+    # one array in --pred's order, each sequence root-centered into its rows
+    # and its loaded array dropped once copied.
     root = skeleton.root_index
     keys = list(pred)
+    n_frames = sum(len(pred[key][2]) for key in keys)
     centered = []
     for label, stacks in (("--pred", pred), ("--gt", gt)):
-        joints = np.concatenate([stacks[key][0] for key in keys])
+        joints = np.empty((n_frames, skeleton.n_joints, 3))
+        at = 0
+        for key in keys:
+            loaded, _, index = stacks.pop(key)
+            rows = joints[at : at + len(index)]
+            at += len(index)
+            with np.errstate(over="ignore"):
+                np.subtract(loaded, loaded[:, root : root + 1], out=rows)
+            del loaded
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=(1, 2)))
+            if len(bad):
+                message = f"{label}: sequence {key}: root-centered joints are not finite in {len(bad)} frame(s)"
+                raise DataError(_with_indices(message, [index[i] for i in bad], "frames"))
         stacks.clear()
-        with np.errstate(over="ignore"):
-            joints -= joints[:, root : root + 1].copy()
-        bad = np.nonzero(~np.isfinite(joints).all(axis=(1, 2)))[0].tolist()
-        if bad:
-            raise DataError(_with_indices(f"{label}: root-centered joints are not finite in {len(bad)} frame(s)", bad))
         centered.append(joints)
     pred_arr, gt_arr = centered
     metric = mpjpe if args.metric == "mpjpe" else p_mpjpe

@@ -8,7 +8,8 @@ are reproducible and diffable; rendering is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,40 +36,62 @@ class AxisHistogram:
 
 @dataclass(frozen=True, eq=False)
 class DistributionSummary:
-    """Samples plus their per-axis bounds, mean, and histograms.
+    """Per-axis bounds, mean, and histograms of samples made in blocks.
 
-    ``n_degenerate`` counts inputs that produced no sample (currently only
-    near-zero cross products in the orientation statistic).
+    ``blocks`` is a zero-argument callable yielding the samples as (n, width)
+    blocks, in order; each call makes them again, so no more than one block
+    is held at a time. The bounds and the mean carry across blocks in row
+    order, so their bits are those of numpy's axis-0 reductions of the
+    pooled samples. ``n_degenerate`` counts inputs that produced no sample
+    (currently only near-zero cross products in the orientation statistic).
     """
 
-    samples: np.ndarray
+    blocks: Callable[[], Iterable[np.ndarray]]
+    width: int
+    n_samples: int
     bounds: np.ndarray | None
     mean: np.ndarray | None
     histograms: tuple[AxisHistogram, ...]
     n_degenerate: int = 0
 
     @classmethod
-    def from_samples(cls, samples, n_degenerate: int = 0) -> "DistributionSummary":
-        arr = np.asarray(samples, dtype=np.float64)
-        if arr.shape[0] == 0:
-            return cls(arr, None, None, (), n_degenerate)
-        bounds = np.stack([arr.min(axis=0), arr.max(axis=0)], axis=1)
-        mean = arr.mean(axis=0)
-        histograms = []
-        for axis in range(arr.shape[1]):
-            lo, hi = bounds[axis]
+    def from_blocks(cls, blocks, width: int, n_degenerate: int = 0) -> "DistributionSummary":
+        """Two passes over ``blocks()``: the count, bounds and mean, then the
+        histograms over edges spanning the bounds."""
+        n, carried = 0, None
+        for block in blocks():
+            n += len(block)
+            carried = _carried(carried, block)
+            del block  # the next block is made without this one held
+        if carried is None:
+            return cls(blocks, width, 0, None, None, (), n_degenerate)
+        total, low, high = carried
+        bounds = np.stack([low, high], axis=1)
+        edges = []
+        for lo, hi in bounds:
             if lo == hi:
                 # All samples identical on this axis; give the bin range a
                 # nonzero width so every sample still lands in a bin.
                 lo, hi = lo - 0.5, hi + 0.5
-            edges = np.linspace(lo, hi, HIST_BINS + 1)
-            counts, _ = np.histogram(arr[:, axis], bins=edges)
-            histograms.append(AxisHistogram(edges, counts))
-        return cls(arr, bounds, mean, tuple(histograms), n_degenerate)
+            edges.append(np.linspace(lo, hi, HIST_BINS + 1))
+        counts = np.zeros((width, HIST_BINS), dtype=np.intp)
+        for block in blocks():
+            for axis, axis_edges in enumerate(edges):
+                counts[axis] += np.histogram(block[:, axis], bins=axis_edges)[0]
+            del block
+        histograms = tuple(map(AxisHistogram, edges, counts))
+        return cls(blocks, width, n, bounds, total / n, histograms, n_degenerate)
+
+    @classmethod
+    def from_samples(cls, samples, n_degenerate: int = 0) -> "DistributionSummary":
+        """The one-block summary of an (n, width) array."""
+        arr = np.asarray(samples, dtype=np.float64)
+        return cls.from_blocks(lambda: (arr,), arr.shape[1], n_degenerate)
 
     @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
+    def samples(self) -> np.ndarray:
+        """Every sample as one (n_samples, width) array, made on access."""
+        return np.concatenate([np.zeros((0, self.width)), *self.blocks()])
 
     def to_dict(self) -> dict:
         out: dict = {"count": self.n_samples, "degenerate_count": self.n_degenerate}
@@ -79,13 +102,37 @@ class DistributionSummary:
         return out
 
 
+_REDUCTIONS = (np.add.reduce, np.minimum.reduce, np.maximum.reduce)
+
+
+def _carried(carried: list | None, block: np.ndarray) -> list | None:
+    """[sums, minima, maxima] of each column over the rows ``carried`` covers
+    (None for none) and then ``block``'s, each reduced in row order, as
+    numpy's axis-0 reduction of the pooled rows is."""
+    if not len(block):
+        return carried
+    if carried is None:
+        # numpy's own reductions of the first rows start each one, as they
+        # start the pooled reduction (min and max have no zero to start from).
+        return [reduce(block, axis=0) for reduce in _REDUCTIONS]
+    # The carried row leads the block, where the pooled reduction holds it.
+    rows = np.concatenate([carried[0][None], block])
+    out = []
+    for value, reduce in zip(carried, _REDUCTIONS):
+        rows[0] = value
+        out.append(reduce(rows, axis=0))
+    return out
+
+
 def write_samples_csv(summary: DistributionSummary, path) -> None:
-    """Dump raw samples as CSV with an x,y[,z] header (17-digit floats); the
-    header has one column per sample axis even when there are no samples."""
-    lines = [",".join("xyz"[: summary.samples.shape[1]])]
-    lines += [",".join(format_float(v) for v in row) for row in summary.samples]
+    """Dump raw samples as CSV with an x,y[,z] header (17-digit floats), one
+    block at a time; the header has one column per sample axis even when
+    there are no samples."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join("xyz"[: summary.width]) + "\n")
+        for block in summary.blocks():
+            fh.writelines(",".join(map(format_float, row)) + "\n" for row in block)
+            del block
 
 
 def pelvis_position_distribution(
@@ -102,36 +149,41 @@ def pelvis_position_distribution(
         BehindCameraError: a root to be projected is at or behind the camera
             plane; the error names its frame.
     """
-    xy, image = [], []
-    for seq in sequences:
-        root = seq.skeleton.root_index
-        joints_3d, has_3d, frame = seq._channel(3)
-        joints_2d, has_2d, space = seq._channel(2)
-        # Image roots in frame order, stored ones and projected ones mixed.
-        rows = np.empty((seq.n_frames, 2))
-        taken = has_2d & (space is Space.IMAGE)
-        if taken.any():
-            rows[taken] = joints_2d[taken, root]
-        if has_3d.any():
-            xy.append(joints_3d[has_3d, root, :2])
-            unprojected = has_3d & ~taken
-            if intrinsics is not None and unprojected.any():
-                at = np.flatnonzero(unprojected)
-                project = batch_project_centered if frame is Frame.CANONICAL_CAMERA else batch_project
-                try:
-                    rows[at] = project(joints_3d[at, root], intrinsics)
-                except BehindCameraError as exc:
-                    frame_no = seq._take(seq._columns.index)[at[exc.indices[0]]]
-                    raise BehindCameraError(
-                        f"sequence {seq.key} frame {frame_no}: root at or behind the camera plane"
-                    ) from exc
-                taken |= unprojected
-        image.append(rows[taken])
-    empty2 = np.zeros((0, 2))
+    sequences = tuple(sequences)
     return (
-        DistributionSummary.from_samples(np.concatenate(xy) if xy else empty2),
-        DistributionSummary.from_samples(np.concatenate(image) if image else empty2),
+        DistributionSummary.from_blocks(lambda: map(_root_xy, sequences), 2),
+        DistributionSummary.from_blocks(lambda: (_image_roots(seq, intrinsics) for seq in sequences), 2),
     )
+
+
+def _root_xy(seq) -> np.ndarray:
+    joints, present, _ = seq._channel(3)
+    return joints[present, seq.skeleton.root_index, :2] if present.any() else np.zeros((0, 2))
+
+
+def _image_roots(seq, intrinsics: CameraIntrinsics | None) -> np.ndarray:
+    """The sequence's image roots in frame order, stored ones and projected
+    ones mixed."""
+    root = seq.skeleton.root_index
+    joints_3d, has_3d, frame = seq._channel(3)
+    joints_2d, has_2d, space = seq._channel(2)
+    rows = np.empty((seq.n_frames, 2))
+    taken = has_2d & (space is Space.IMAGE)
+    if taken.any():
+        rows[taken] = joints_2d[taken, root]
+    unprojected = has_3d & ~taken
+    if intrinsics is not None and unprojected.any():
+        at = np.flatnonzero(unprojected)
+        project = batch_project_centered if frame is Frame.CANONICAL_CAMERA else batch_project
+        try:
+            rows[at] = project(joints_3d[at, root], intrinsics)
+        except BehindCameraError as exc:
+            frame_no = seq._take(seq._columns.index)[at[exc.indices[0]]]
+            raise BehindCameraError(
+                f"sequence {seq.key} frame {frame_no}: root at or behind the camera plane"
+            ) from exc
+        taken |= unprojected
+    return rows[taken]
 
 
 def body_orientation_distribution(sequences) -> DistributionSummary:
@@ -142,30 +194,31 @@ def body_orientation_distribution(sequences) -> DistributionSummary:
     to the spine) yield no direction and are tallied in ``n_degenerate``.
     Frames without 3D joints are skipped.
     """
-    directions = []
-    degenerate = 0
-    for seq in sequences:
-        skel = seq.skeleton
-        joints, present, _ = seq._channel(3)
-        if not present.any():
-            continue
-        joints = joints[present]
-        across = joints[:, skel.left_hip_index] - joints[:, skel.right_hip_index]
-        up = joints[:, skel.torso_index] - joints[:, skel.root_index]
-        cross = np.cross(across, up)
-        norms = _vector_norms(cross)
-        flat = norms <= EPS_ORIENTATION
-        degenerate += int(np.count_nonzero(flat))
-        directions.append(cross[~flat] / norms[~flat, None])
-    samples = np.concatenate(directions) if directions else np.zeros((0, 3))
-    return DistributionSummary.from_samples(samples, n_degenerate=degenerate)
+    sequences = tuple(sequences)
+    summary = DistributionSummary.from_blocks(lambda: map(_directions, sequences), 3)
+    with_3d = sum(int(seq._channel(3)[1].sum()) for seq in sequences)
+    return replace(summary, n_degenerate=with_3d - summary.n_samples)
+
+
+def _directions(seq) -> np.ndarray:
+    skel = seq.skeleton
+    joints, present, _ = seq._channel(3)
+    if not present.any():
+        return np.zeros((0, 3))
+    joints = joints[present]
+    across = joints[:, skel.left_hip_index] - joints[:, skel.right_hip_index]
+    up = joints[:, skel.torso_index] - joints[:, skel.root_index]
+    cross = np.cross(across, up)
+    norms = _vector_norms(cross)
+    flat = norms <= EPS_ORIENTATION
+    return cross[~flat] / norms[~flat, None]
 
 
 SCATTER_MODES = ("2d", "3d-root-relative")
 
 
 def joint_scatter_extent(sequences, mode: str) -> DistributionSummary:
-    """Pool every joint coordinate of every frame.
+    """Pool every joint coordinate of every frame, one sequence per block.
 
     Mode "2d" pools raw 2D joints; mode "3d-root-relative" pools 3D joints
     after subtracting each frame's root, so the summary reflects pose shape
@@ -173,17 +226,19 @@ def joint_scatter_extent(sequences, mode: str) -> DistributionSummary:
     """
     if mode not in SCATTER_MODES:
         raise ValueError(f"mode must be one of {SCATTER_MODES}, got {mode!r}")
+    sequences = tuple(sequences)
     width = 2 if mode == "2d" else 3
-    channels = [(seq.skeleton, *seq._channel(width)[:2]) for seq in sequences]
-    # One sample array, filled in place: no per-sequence pools to concatenate.
-    samples = np.empty((sum(int(present.sum()) * skel.n_joints for skel, _, present in channels), width))
-    at = 0
-    for skel, joints, present in channels:
-        if not present.any():
-            continue
-        pool = samples[at : at + int(present.sum()) * skel.n_joints].reshape(-1, skel.n_joints, width)
-        np.compress(present, joints, axis=0, out=pool)
-        if mode != "2d":
-            pool -= pool[:, skel.root_index : skel.root_index + 1].copy()
-        at += pool.size // width
-    return DistributionSummary.from_samples(samples)
+    return DistributionSummary.from_blocks(lambda: (_pool(seq, width) for seq in sequences), width)
+
+
+def _pool(seq, width: int) -> np.ndarray:
+    """The sequence's 2D joints, or its 3D joints made root-relative, one row
+    per joint of each frame."""
+    joints, present, _ = seq._channel(width)
+    if not present.any():
+        return np.zeros((0, width))
+    pool = joints[present]
+    if width == 3:
+        root = seq.skeleton.root_index
+        pool -= pool[:, root : root + 1].copy()
+    return pool.reshape(-1, width)
