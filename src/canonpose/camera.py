@@ -9,13 +9,13 @@ Coordinate conventions
 * ``canonical-camera``: camera frame rotated so the subject's root joint lies
   on the optical axis.
 
-2D spaces (``Pose2D.space``):
+2D poses (``Pose2D``, and every sequence's 2D) are ``image`` pixels: origin
+at the top-left corner, u right, v down. Two kernels map pixels elsewhere:
 
-* ``image``: pixels, origin at the top-left corner, u right, v down.
-* ``normalized-plane``: ((u - cx) / fx, (v - cy) / fy), i.e. coordinates on
-  the plane at depth 1.
-* ``screen-normalized``: ((2u - W) / W, (2v - H) / W); both axes are divided
-  by the width, so x spans [-1, 1] and the aspect ratio is preserved.
+* ``batch_to_normalized_plane``: ((u - cx) / fx, (v - cy) / fy), i.e.
+  coordinates on the plane at depth 1.
+* ``batch_screen_normalize``: ((2u - W) / W, (2v - H) / W); both axes are
+  divided by the width, so x spans [-1, 1] and the aspect ratio is preserved.
 
 Projection follows the standard pinhole model
 
@@ -23,11 +23,10 @@ Projection follows the standard pinhole model
 
 and rejects joints with Z <= EPS_DEPTH rather than dividing by a vanishing
 depth. All arithmetic is 64-bit; every tolerance in this package assumes it.
-The kernels below take bare arrays. A sequence's joint arrays carry one frame
-or space tag each, checked where an array enters a command (canonicalization
-needs camera-frame 3D, and ``eval`` refuses poses in different frames),
-because silent mixups between the 2D/3D spaces are the dominant bug class in
-this domain.
+The kernels below take bare arrays. A sequence's 3D array carries one frame
+tag, checked where it enters a command (canonicalization needs camera-frame
+3D, and ``eval`` refuses poses in different frames), because silent mixups
+between 3D frames are the dominant bug class in this domain.
 """
 
 from __future__ import annotations
@@ -56,11 +55,9 @@ class Frame(str, enum.Enum):
 
 
 class Space(str, enum.Enum):
-    """Coordinate space of a 2D pose."""
+    """Coordinate space of a 2D pose: pixels, the one a file can hold."""
 
     IMAGE = "image"
-    NORMALIZED_PLANE = "normalized-plane"
-    SCREEN_NORMALIZED = "screen-normalized"
 
 
 def _check_joints(arr: np.ndarray, last_dim: int, name: str, ndim: int = 3) -> np.ndarray:
@@ -212,7 +209,7 @@ class Pose3D:
 
 @dataclass(frozen=True, eq=False)
 class Pose2D:
-    """A (J, 2) joint array, tagged with its 2D coordinate space."""
+    """A (J, 2) joint array in pixels; ``space`` is ``Space.IMAGE``."""
 
     joints: np.ndarray
     space: Space

@@ -230,22 +230,16 @@ def batch_canonicalize_2d(
     return out, rotations, pelvis
 
 
-def batch_back_transform(predictions: np.ndarray, rotations: np.ndarray, root_depths) -> np.ndarray:
-    """Invert canonicalization for root-relative predictions (N, J, 3).
+def batch_back_transform(predictions: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """Invert canonicalization for root-relative predictions (N, J, 3):
+    rotate each back to the camera frame by R^T.
 
-    Rotates each prediction back to the camera frame about the canonical root
-    at (0, 0, depth) and re-centers on the root's camera-frame position. The
-    output is unchanged by the choice of ``root_depths`` (the depth term
-    cancels), so passing zeros is valid when true depths are unknown.
+    No root depth is needed: rotating the pose about its root at
+    (0, 0, d) and re-centering on the rotated root gives
+    R^T (p + d z) - R^T (d z) = R^T p.
     """
-    preds = np.asarray(predictions, dtype=np.float64)
     rots = np.asarray(rotations, dtype=np.float64)
-    depths = np.broadcast_to(np.asarray(root_depths, dtype=np.float64), preds.shape[0])
-    anchor = np.zeros((preds.shape[0], 3), dtype=np.float64)
-    anchor[:, 2] = depths
-    absolute = batch_rotate(rots.transpose(0, 2, 1), preds + anchor[:, None, :])
-    root_position = np.einsum("nji,nj->ni", rots, anchor)
-    return absolute - root_position[:, None, :]
+    return batch_rotate(rots.transpose(0, 2, 1), np.asarray(predictions, dtype=np.float64))
 
 
 def residual_offset(root, intrinsics: CameraIntrinsics) -> np.ndarray:

@@ -12,8 +12,8 @@ A file has at most one header, before every record:
 
 ``unit_scale`` multiplies 3D coordinates on load (declare 0.001 for
 millimeter sources; this package works in meters). Canonicalized files carry
-an extra ``canon`` key per record holding the rotation, its source vector,
-and the root depth, so predictions can be back-transformed later.
+an extra ``canon`` key per record holding the rotation, which
+back-transforms predictions later, its source vector, and the root depth.
 
 Floats are written with 17 significant digits, so a load/save round trip is
 bit-exact and re-saving a loaded file reproduces it byte for byte; -0.0,
@@ -56,13 +56,13 @@ camera-frame otherwise, as the 2D path leaves it.
 
 A sequence is stored as per-sequence arrays, each read-only and checked once
 where it is built: (T, J, 2) and (T, J, 3) joints with a (T,) presence mask
-each, one 2D space and one 3D frame tag, the frame numbers, and for a
+each (the 2D in pixels), one 3D frame tag, the frame numbers, and for a
 canonical sequence (T, 3, 3) rotations, (T, 3) sources and (T,) root depths
 with a null mask. Loading, canonicalization, windowing, serialization and
 the statistics read and write those arrays alone; ``PoseSequence.frames``
-builds FramePair objects from them on access, for callers that want one
-frame at a time, and ``PoseSequence.canon()`` returns a canonical
-sequence's rows of the canon arrays, for back-transforming predictions.
+builds FramePair objects from them on each access, for callers that want
+one frame at a time, and ``PoseSequence.canon()`` returns a canonical
+sequence's rows of the canon arrays.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import orjson
@@ -131,10 +131,9 @@ class _Columns:
     """One sequence's per-row arrays, shared by every sequence cut from it.
 
     Joints are None when no frame has the channel, else zeros in the rows
-    its mask leaves out; one tag covers each channel. ``index`` holds Python
-    ints. A canonical sequence has rotations, sources and depths (0 where
-    ``has_depth`` is false), others None. The FramePair of a row is built
-    on first access and kept.
+    its mask leaves out; the 2D is pixels and one tag covers the 3D.
+    ``index`` holds Python ints. A canonical sequence has rotations, sources
+    and depths (0 where ``has_depth`` is false), others None.
     """
 
     index: np.ndarray
@@ -142,13 +141,11 @@ class _Columns:
     has_2d: np.ndarray
     joints_3d: np.ndarray | None
     has_3d: np.ndarray
-    space_2d: Space = Space.IMAGE
     frame_3d: Frame = Frame.CAMERA
     rotations: np.ndarray | None = None
     sources: np.ndarray | None = None
     depths: np.ndarray | None = None
     has_depth: np.ndarray | None = None
-    _pairs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for joints, width in ((self.joints_2d, 2), (self.joints_3d, 3)):
@@ -157,13 +154,6 @@ class _Columns:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-
-    def pair(self, row: int) -> FramePair:
-        if row not in self._pairs:
-            pose_2d = Pose2D(self.joints_2d[row], self.space_2d) if self.has_2d[row] else None
-            pose_3d = Pose3D(self.joints_3d[row], self.frame_3d) if self.has_3d[row] else None
-            self._pairs[row] = FramePair(pose_2d, pose_3d, self.index[row])
-        return self._pairs[row]
 
 
 def _spread(mask: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray | None:
@@ -178,12 +168,6 @@ def _spread(mask: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray | 
     return rows
 
 
-def _one_tag(tags: set, what: str, default):
-    if len(tags) > 1:
-        raise ValueError(f"frames mix {what} ({', '.join(sorted(tag.value for tag in tags))}); one per channel")
-    return tags.pop() if tags else default
-
-
 def _columns_of(frames: tuple, skeleton: Skeleton) -> _Columns:
     """The arrays of the public ``PoseSequence`` constructor's frames."""
     poses_2d = [frame.pose_2d for frame in frames]
@@ -191,20 +175,22 @@ def _columns_of(frames: tuple, skeleton: Skeleton) -> _Columns:
     has_2d, has_3d = (np.array([pose is not None for pose in poses], dtype=bool) for poses in (poses_2d, poses_3d))
     joints_2d = _spread(has_2d, np.array([p.joints for p in poses_2d if p is not None]), (skeleton.n_joints, 2))
     joints_3d = _spread(has_3d, np.array([p.joints for p in poses_3d if p is not None]), (skeleton.n_joints, 3))
-    space_2d = _one_tag({p.space for p in poses_2d if p is not None}, "2D spaces", Space.IMAGE)
-    frame_3d = _one_tag({p.frame for p in poses_3d if p is not None}, "3D frames", Frame.CAMERA)
+    frames_3d = {p.frame for p in poses_3d if p is not None}
+    if len(frames_3d) > 1:
+        raise ValueError(f"frames mix 3D frames ({', '.join(sorted(f.value for f in frames_3d))}); one per channel")
+    frame_3d = frames_3d.pop() if frames_3d else Frame.CAMERA
     index = np.array([frame.index for frame in frames], dtype=object)
-    return _Columns(index, joints_2d, has_2d, joints_3d, has_3d, space_2d, frame_3d)
+    return _Columns(index, joints_2d, has_2d, joints_3d, has_3d, frame_3d)
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class PoseSequence:
     """Consecutive frames sharing a subject, action, camera, and skeleton.
 
-    Stored as per-sequence arrays with one 2D space and one 3D frame tag
-    (see the module docstring); ``frames`` is built from them on access.
-    The constructor converts its frames once and raises ValueError for what
-    the arrays cannot hold: a channel whose frames mix tags.
+    Stored as per-sequence arrays with one 3D frame tag (see the module
+    docstring); ``frames`` is built from them on each access. The
+    constructor converts its frames once and raises ValueError for what the
+    arrays cannot hold: 3D poses that mix frames.
     """
 
     subject: str
@@ -243,7 +229,15 @@ class PoseSequence:
     # Fields, for the constructor and ``dataclasses.replace``, built on access.
     @property
     def frames(self) -> tuple[FramePair, ...]:
-        return tuple(map(self._columns.pair, self._positions()))
+        cols = self._columns
+        return tuple(
+            FramePair(
+                Pose2D(cols.joints_2d[row], Space.IMAGE) if cols.has_2d[row] else None,
+                Pose3D(cols.joints_3d[row], cols.frame_3d) if cols.has_3d[row] else None,
+                cols.index[row],
+            )
+            for row in self._positions()
+        )
 
     @property
     def n_frames(self) -> int:
@@ -257,22 +251,21 @@ class PoseSequence:
     def __repr__(self) -> str:
         # Not the dataclass repr: ``frames`` builds every frame.
         cols = self._columns
-        space = None if cols.joints_2d is None else cols.space_2d.value
         frame = None if cols.joints_3d is None else cols.frame_3d.value
         return (
             f"PoseSequence(key={self.key!r}, fps={self.fps!r}, n_frames={self.n_frames}, "
-            f"skeleton={self.skeleton.name!r}, space_2d={space!r}, frame_3d={frame!r}, "
+            f"skeleton={self.skeleton.name!r}, has_2d={cols.joints_2d is not None}, frame_3d={frame!r}, "
             f"canonical={cols.rotations is not None})"
         )
 
     def joints_2d(self) -> np.ndarray | None:
         """(T, J, 2) read-only array, or None when any frame lacks a 2D pose."""
-        joints, present, _ = self._channel(2)
+        joints, present = self._channel(2)
         return joints if present.all() else None
 
     def joints_3d(self) -> np.ndarray | None:
         """(T, J, 3) read-only array, or None when any frame lacks a 3D pose."""
-        joints, present, _ = self._channel(3)
+        joints, present = self._channel(3)
         return joints if present.all() else None
 
     def canon(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
@@ -281,8 +274,8 @@ class PoseSequence:
 
         Row t's rotation maps the root's ray onto the principal axis, and its
         depth is 0 where the mask is false (no root depth is known).
-        ``canonical.batch_back_transform(predictions, rotations, depths)``
-        maps root-relative canonical predictions back to the camera frame.
+        ``canonical.batch_back_transform(predictions, rotations)`` maps
+        root-relative canonical predictions back to the camera frame.
         """
         cols = self._columns
         if cols.rotations is None:
@@ -305,11 +298,11 @@ class PoseSequence:
         return rows
 
     def _channel(self, width: int):
-        """(joints or None, presence mask, tag) of the 2D or 3D channel."""
+        """(joints or None, presence mask) of the 2D or 3D channel."""
         cols = self._columns
         if width == 2:
-            return self._take(cols.joints_2d), self._take(cols.has_2d), cols.space_2d
-        return self._take(cols.joints_3d), self._take(cols.has_3d), cols.frame_3d
+            return self._take(cols.joints_2d), self._take(cols.has_2d)
+        return self._take(cols.joints_3d), self._take(cols.has_3d)
 
     def _cut(self, offset: int, length: int) -> "PoseSequence":
         """Frames offset..offset+length-1 over the same arrays; positions past
@@ -869,7 +862,7 @@ def apply_extrinsics(sequences, extrinsics) -> list[PoseSequence]:
     moved = []
     rotation, translation = extrinsics.rotation, extrinsics.translation
     for seq in sequences:
-        world, present, _ = seq._channel(3)
+        world, present = seq._channel(3)
         if world is not None:
             # Moved whole: the frames without 3D hold zeros, so they stay finite.
             camera = batch_world_to_camera(world, rotation, translation)
@@ -879,11 +872,11 @@ def apply_extrinsics(sequences, extrinsics) -> list[PoseSequence]:
     return moved
 
 
-def _required(seq: PoseSequence, width: int, what: str, tag=None) -> np.ndarray:
+def _required(seq: PoseSequence, width: int, what: str, frame: Frame | None = None) -> np.ndarray:
     """The (T, J, width) joints of a channel the path needs in every frame,
-    tagged ``tag`` if given."""
-    joints, present, channel_tag = seq._channel(width)
-    if tag is not None and channel_tag is not tag:
+    its 3D in ``frame`` if given."""
+    joints, present = seq._channel(width)
+    if frame is not None and seq._columns.frame_3d is not frame:
         present = np.zeros_like(present)
     if not present.all():
         missing = np.flatnonzero(~present).tolist()
@@ -899,7 +892,7 @@ def _canonical(seq: PoseSequence, pixels, rotations, sources, depths, has_depth,
         raise fault[1]
     every = np.ones(seq.n_frames, dtype=bool)
     return seq._replaced(
-        joints_2d=pixels, has_2d=every, space_2d=Space.IMAGE,
+        joints_2d=pixels, has_2d=every,
         rotations=rotations, sources=sources, depths=depths, has_depth=has_depth, **changes,
     )
 
@@ -925,7 +918,7 @@ def _canonicalize_sequence_2d(seq: PoseSequence, intrinsics: CameraIntrinsics) -
 
     # The stored 3D pose (if any) is left untouched: this path exists for
     # data whose 3D is absent or untrusted. It only gives the root depth.
-    joints_3d, has_3d, _ = seq._channel(3)
+    joints_3d, has_3d = seq._channel(3)
     depths = np.zeros(seq.n_frames)
     if joints_3d is not None:
         with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below

@@ -300,9 +300,7 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     pred_canon = _predict_arrays(weights_canon, flatten2(canon_pix))
     del canon_pix
     before_back_transform = mpjpe(pred_canon, gt_rel) * mm
-    # Root depth is irrelevant to the back-rotated relative pose; zero keeps
-    # the test path honest about not knowing it.
-    pred_back = batch_back_transform(pred_canon, rotations, np.zeros(config.n_test))
+    pred_back = batch_back_transform(pred_canon, rotations)
     del pred_canon, rotations
     canonical = ArmResult(
         train_mpjpe_mm=canon_train_mean * mm,

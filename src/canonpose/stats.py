@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Frame, Space, _vector_norms, batch_project
+from .camera import CameraIntrinsics, Frame, _vector_norms, batch_project
 from .canonical import batch_project_centered
 from .errors import BehindCameraError
 from .jsonfmt import format_float, plain
@@ -141,7 +141,7 @@ def pelvis_position_distribution(
     """Where the root joint sits, in 3D x-y and on the image plane.
 
     The x-y summary collects camera-frame (x, y) of every 3D root. The
-    image-plane summary collects every image-space 2D root; frames with 3D
+    image-plane summary collects every stored 2D root (pixels); frames with 3D
     but no 2D are projected with ``intrinsics`` when given (camera frame via
     the principal point, canonical frame via the image center).
 
@@ -157,7 +157,7 @@ def pelvis_position_distribution(
 
 
 def _root_xy(seq) -> np.ndarray:
-    joints, present, _ = seq._channel(3)
+    joints, present = seq._channel(3)
     return joints[present, seq.skeleton.root_index, :2] if present.any() else np.zeros((0, 2))
 
 
@@ -165,16 +165,16 @@ def _image_roots(seq, intrinsics: CameraIntrinsics | None) -> np.ndarray:
     """The sequence's image roots in frame order, stored ones and projected
     ones mixed."""
     root = seq.skeleton.root_index
-    joints_3d, has_3d, frame = seq._channel(3)
-    joints_2d, has_2d, space = seq._channel(2)
+    joints_3d, has_3d = seq._channel(3)
+    joints_2d, has_2d = seq._channel(2)
     rows = np.empty((seq.n_frames, 2))
-    taken = has_2d & (space is Space.IMAGE)
+    taken = has_2d.copy()
     if taken.any():
         rows[taken] = joints_2d[taken, root]
     unprojected = has_3d & ~taken
     if intrinsics is not None and unprojected.any():
         at = np.flatnonzero(unprojected)
-        project = batch_project_centered if frame is Frame.CANONICAL_CAMERA else batch_project
+        project = batch_project_centered if seq._columns.frame_3d is Frame.CANONICAL_CAMERA else batch_project
         try:
             rows[at] = project(joints_3d[at, root], intrinsics)
         except BehindCameraError as exc:
@@ -202,12 +202,11 @@ def body_orientation_distribution(sequences) -> DistributionSummary:
 
 def _directions(seq) -> np.ndarray:
     skel = seq.skeleton
-    joints, present, _ = seq._channel(3)
+    joints, present = seq._channel(3)
     if not present.any():
         return np.zeros((0, 3))
-    joints = joints[present]
-    across = joints[:, skel.left_hip_index] - joints[:, skel.right_hip_index]
-    up = joints[:, skel.torso_index] - joints[:, skel.root_index]
+    across = joints[present, skel.left_hip_index] - joints[present, skel.right_hip_index]
+    up = joints[present, skel.torso_index] - joints[present, skel.root_index]
     cross = np.cross(across, up)
     norms = _vector_norms(cross)
     flat = norms <= EPS_ORIENTATION
@@ -234,7 +233,7 @@ def joint_scatter_extent(sequences, mode: str) -> DistributionSummary:
 def _pool(seq, width: int) -> np.ndarray:
     """The sequence's 2D joints, or its 3D joints made root-relative, one row
     per joint of each frame."""
-    joints, present, _ = seq._channel(width)
+    joints, present = seq._channel(width)
     if not present.any():
         return np.zeros((0, width))
     pool = joints[present]

@@ -78,9 +78,9 @@ def test_criterion_1_path_equivalence(h36m17):
 
 def test_criterion_2_round_trip(h36m17, big_batch):
     root = h36m17.root_index
-    canonical, rotations, depths = batch_canonicalize_3d(big_batch, root)
+    canonical, rotations, _ = batch_canonicalize_3d(big_batch, root)
     relative = canonical - canonical[:, root : root + 1]
-    recovered = batch_back_transform(relative, rotations, depths)
+    recovered = batch_back_transform(relative, rotations)
     expected = big_batch - big_batch[:, root : root + 1]
     worst = float(np.abs(recovered - expected).max())
     passed = worst < 1e-9

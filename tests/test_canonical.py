@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -158,24 +158,55 @@ def test_canonicalize_2d_refuses_frames_whose_canonical_pixels_are_not_finite(in
 def test_back_transform_round_trip(pose_batch, skeleton):
     pts = pose_batch(100, seed=4)
     root = skeleton.root_index
-    canonical, rotations, depths = batch_canonicalize_3d(pts, root)
+    canonical, rotations, _ = batch_canonicalize_3d(pts, root)
     relative = canonical - canonical[:, root : root + 1]
-    recovered = batch_back_transform(relative, rotations, depths)
+    recovered = batch_back_transform(relative, rotations)
     expected = pts - pts[:, root : root + 1]
     assert np.abs(recovered - expected).max() < 1e-9
     assert np.all(recovered[:, root] == 0.0)
 
 
+def _back_transform_about_the_root(predictions, rotations, root_depths):
+    """The back-transform as it was written with a root depth: rotate back
+    about the canonical root at (0, 0, depth), then re-center on the rotated
+    root."""
+    anchor = np.zeros((predictions.shape[0], 3))
+    anchor[:, 2] = root_depths
+    absolute = np.einsum("nij,nkj->nki", rotations.transpose(0, 2, 1), predictions + anchor[:, None, :])
+    return absolute - np.einsum("nji,nj->ni", rotations, anchor)[:, None, :]
+
+
 def test_back_transform_is_depth_invariant(pose_batch, skeleton):
+    """The depth term cancels: rotating about the root at its true depth, or
+    at any other, gives the rotation alone."""
     pts = pose_batch(50, seed=6)
     root = skeleton.root_index
     canonical, rotations, depths = batch_canonicalize_3d(pts, root)
     relative = canonical - canonical[:, root : root + 1]
-    with_truth = batch_back_transform(relative, rotations, depths)
-    with_zero = batch_back_transform(relative, rotations, np.zeros(50))
-    with_junk = batch_back_transform(relative, rotations, np.full(50, 7.25))
-    assert np.abs(with_truth - with_zero).max() < 1e-9
-    assert np.abs(with_truth - with_junk).max() < 1e-9
+    out = batch_back_transform(relative, rotations)
+    for root_depths in (depths, np.full(50, 7.25)):
+        assert np.abs(_back_transform_about_the_root(relative, rotations, root_depths) - out).max() < 1e-9
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    n_joints=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-6, 1.0, 1e3]),
+)
+def test_back_transform_is_the_zero_depth_rotation_bit_for_bit(n, n_joints, seed, scale):
+    """With zero depths the formula about the root reduces to the rotation
+    alone, to the bit (up to the sign of a zero, which ``array_equal``
+    does not see)."""
+    rng = np.random.default_rng(seed)
+    rays = rng.normal(size=(n, 3))
+    rays[:, 2] = np.abs(rays[:, 2]) + 0.1
+    rotations = batch_rodrigues_align(rays, PRINCIPAL_AXIS)
+    relative = rng.normal(size=(n, n_joints, 3)) * scale
+    relative[:, 0] = 0.0
+    expected = _back_transform_about_the_root(relative, rotations, np.zeros(n))
+    assert np.array_equal(batch_back_transform(relative, rotations), expected)
 
 
 def test_back_transform_tags(tmp_path, pose_batch, intrinsics, skeleton):
@@ -189,10 +220,10 @@ def test_back_transform_tags(tmp_path, pose_batch, intrinsics, skeleton):
     (loaded,) = load_sequences(path, skeleton)
     assert loaded._columns.frame_3d is Frame.CANONICAL_CAMERA
     assert raw.canon() is None
-    rotations, _, depths, _ = loaded.canon()
+    rotations, _, _, _ = loaded.canon()
     root = skeleton.root_index
     canonical = loaded.joints_3d()
-    out = batch_back_transform(canonical - canonical[:, root : root + 1], rotations, depths)
+    out = batch_back_transform(canonical - canonical[:, root : root + 1], rotations)
     assert np.abs(out - (pts - pts[:, root : root + 1])).max() < 1e-9
 
 

@@ -547,7 +547,7 @@ def test_the_3d_path_output_shares_no_memory_with_its_input(pose_batch, intrinsi
     extrinsics = CameraExtrinsics(rotation_factory(7), [0.1, 0.2, 4.0])
     moved, moved_gappy = apply_extrinsics([seq, gappy], extrinsics)
     for before, after in ((seq, moved), (gappy, moved_gappy)):
-        world, present, _ = before._channel(3)
+        world, present = before._channel(3)
         masked = np.zeros_like(world)
         masked[present] = batch_world_to_camera(world[present], extrinsics.rotation, extrinsics.translation)
         assert after._channel(3)[0].tobytes() == masked.tobytes()
@@ -647,12 +647,12 @@ def test_constructor_refuses_mixed_3d_frames(pose_batch, intrinsics, skeleton):
         PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
 
 
-def test_constructor_refuses_mixed_2d_spaces(pose_batch, intrinsics, skeleton):
-    seq = make_sequence(pose_batch, intrinsics, skeleton, n=4, seed=58)
-    frames = list(seq.frames)
-    frames[0] = FramePair(Pose2D(frames[0].pose_2d.joints, Space.SCREEN_NORMALIZED), frames[0].pose_3d, 0)
-    with pytest.raises(ValueError, match=r"mix 2D spaces \(image, screen-normalized\)"):
-        PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
+def test_a_2d_pose_in_any_space_but_pixels_is_refused():
+    """A sequence's 2D is pixels, the one space a file holds, so a 2D pose
+    can be built in no other."""
+    with pytest.raises(ValueError, match="'screen-normalized' is not a valid Space"):
+        Pose2D(np.zeros((17, 2)), "screen-normalized")
+    assert list(Space) == [Space.IMAGE]
 
 
 def test_canonicalize_2d_refuses_a_3d_root_at_the_camera_center(pose_batch, intrinsics, skeleton):
@@ -832,18 +832,26 @@ def test_minus_zero_loads_as_minus_zero_and_a_minus_zero_frame_as_frame_zero(tmp
         load_sequences(path, skeleton)
 
 
-def test_repr_of_a_loaded_sequence_builds_no_frame(tmp_path, pose_batch, intrinsics, skeleton):
+def _refuse_a_frame(*args):
+    raise AssertionError("a FramePair was built")
+
+
+def test_repr_of_a_loaded_sequence_builds_no_frame(tmp_path, pose_batch, intrinsics, skeleton, monkeypatch):
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=1100, seed=24)
     path = tmp_path / "canon.ndjson"
     save_sequences(canonicalize_dataset([seq], intrinsics, "3d-path", threads=1), path)
     (loaded,) = load_sequences(path, skeleton)
-    text = repr(loaded)
+    known = {id(obj) for obj in _per_frame_objects()}
+    with monkeypatch.context() as patch:
+        patch.setattr(FramePair, "__post_init__", _refuse_a_frame)
+        text = repr(loaded)
+        listed = str([loaded])
     assert len(text) < 300
     assert text == (
         "PoseSequence(key=('S1', 'walk', 'cam0'), fps=50.0, n_frames=1100, skeleton='h36m17', "
-        "space_2d='image', frame_3d='canonical-camera', canonical=True)"
+        "has_2d=True, frame_3d='canonical-camera', canonical=True)"
     )
-    assert str([loaded]) == f"[{text}]"
-    assert not loaded._columns._pairs
+    assert listed == f"[{text}]"
+    assert [type(obj).__name__ for obj in _per_frame_objects() if id(obj) not in known] == []
     only_2d = replace(seq, frames=tuple(FramePair(f.pose_2d, None, f.index) for f in seq.frames))
-    assert repr(only_2d).endswith("space_2d='image', frame_3d=None, canonical=False)")
+    assert repr(only_2d).endswith("has_2d=True, frame_3d=None, canonical=False)")

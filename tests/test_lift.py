@@ -227,7 +227,7 @@ def reference_run_study(config):
     pred_conv = reference_predict_arrays(weights_conv, flatten2(observed))
     canon_pix, rotations, _ = batch_canonicalize_2d(observed, intr, root)
     pred_canon = reference_predict_arrays(weights_canon, flatten2(canon_pix))
-    pred_back = batch_back_transform(pred_canon, rotations, np.zeros(config.n_test))
+    pred_back = batch_back_transform(pred_canon, rotations)
 
     mm = 1000.0
     conventional = ArmResult(

@@ -208,7 +208,7 @@ def _assert_same_arrays(loaded, reference):
     assert [(seq.key, seq.fps, seq._rows) for seq in loaded] == [(seq.key, seq.fps, seq._rows) for seq in reference]
     for seq, ref in zip(loaded, reference):
         cols, ref_cols = seq._columns, ref._columns
-        assert (cols.space_2d, cols.frame_3d) == (ref_cols.space_2d, ref_cols.frame_3d)
+        assert cols.frame_3d == ref_cols.frame_3d
         for name in _ARRAYS:
             value, expected = getattr(cols, name), getattr(ref_cols, name)
             if expected is None:
