@@ -86,10 +86,6 @@ def _float_array(values) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def _as_readonly_array(values, last_dim: int, name: str) -> np.ndarray:
-    return _check_joints(_float_array(values), last_dim, name, ndim=2)
-
-
 def _rotation_errors(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """max |R^T R - I| and det R of each matrix of a finite (N, 3, 3) stack;
     entries too large to multiply give inf, without a warning."""
@@ -118,7 +114,7 @@ def _rigid(rotation, vector, rotation_name: str, vector_name: str) -> tuple[np.n
     if gram_error > EPS_ROTATION:
         raise ValueError(f"{rotation_name} is not orthogonal (max |R^T R - I| = {gram_error:.3e})")
     if abs(det - 1.0) > EPS_ROTATION:
-        raise ValueError(f"{rotation_name} is not a proper rotation (det = {det!r})")
+        raise ValueError(f"{rotation_name} is not a proper rotation (det = {float(det)!r})")
     vec = _float_array(vector).reshape(-1)
     if vec.shape != (3,) or not np.isfinite(vec).all():
         raise ValueError(f"{vector_name} must be a finite 3-vector")
@@ -199,7 +195,7 @@ class Pose3D:
     frame: Frame
 
     def __post_init__(self):
-        object.__setattr__(self, "joints", _as_readonly_array(self.joints, 3, "joints"))
+        object.__setattr__(self, "joints", _check_joints(_float_array(self.joints), 3, "joints", ndim=2))
         object.__setattr__(self, "frame", Frame(self.frame))
 
     @property
@@ -215,7 +211,7 @@ class Pose2D:
     space: Space
 
     def __post_init__(self):
-        object.__setattr__(self, "joints", _as_readonly_array(self.joints, 2, "joints"))
+        object.__setattr__(self, "joints", _check_joints(_float_array(self.joints), 2, "joints", ndim=2))
         object.__setattr__(self, "space", Space(self.space))
 
     @property

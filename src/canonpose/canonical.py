@@ -47,9 +47,9 @@ PRINCIPAL_AXIS.setflags(write=False)
 
 
 def _check_rotations(matrices: np.ndarray, sources: np.ndarray):
-    """The canon-block checks, run once over (N, 3, 3) matrices and their
-    (N, 3) source vectors: each matrix a finite proper rotation (``_rigid``),
-    each source finite with a norm above EPS_VEC.
+    """The canon-block checks, run where canon blocks are read (``_loaded``),
+    once over (N, 3, 3) matrices and their (N, 3) sources: each matrix a
+    finite proper rotation (``_rigid``), each source finite, norm > EPS_VEC.
 
     Returns None when every frame passes, else (position, error) for the
     first failing frame, with the error ``_rigid`` or the norm test gives

@@ -38,7 +38,7 @@ from .dataset import (
     window,
     write_sequences,
 )
-from .errors import DataError, _with_indices
+from .errors import DataError, GeometryError, _with_indices
 from .jsonfmt import dumps
 from .lift import LiftingStudyConfig, run_study
 from .metrics import mpjpe, p_mpjpe
@@ -292,15 +292,14 @@ def _cmd_eval(args) -> int:
     # and its loaded array dropped once copied.
     root = skeleton.root_index
     keys = list(pred)
-    n_frames = sum(len(pred[key][2]) for key in keys)
+    numbers = [pred[key][2] for key in keys]
+    ends = np.cumsum([len(index) for index in numbers])
     centered = []
     for label, stacks in (("--pred", pred), ("--gt", gt)):
-        joints = np.empty((n_frames, skeleton.n_joints, 3))
-        at = 0
-        for key in keys:
+        joints = np.empty((ends[-1], skeleton.n_joints, 3))
+        for key, end in zip(keys, ends):
             loaded, _, index = stacks.pop(key)
-            rows = joints[at : at + len(index)]
-            at += len(index)
+            rows = joints[end - len(index) : end]
             with np.errstate(over="ignore"):
                 np.subtract(loaded, loaded[:, root : root + 1], out=rows)
             del loaded
@@ -310,9 +309,21 @@ def _cmd_eval(args) -> int:
                 raise DataError(_with_indices(message, [index[i] for i in bad], "frames"))
         stacks.clear()
         centered.append(joints)
-    pred_arr, gt_arr = centered
     metric = mpjpe if args.metric == "mpjpe" else p_mpjpe
-    print(f"{args.metric} {metric(pred_arr, gt_arr) * 1000.0:.6f} mm")
+    try:
+        score = metric(*centered)
+    except GeometryError as exc:
+        if exc.indices is None:
+            raise
+        # ``metrics._refuse`` counts and indexes the concatenation ("... in N
+        # frame(s)"); name the first refused sequence's own count and frames.
+        first = int(np.searchsorted(ends, exc.indices[0], side="right"))
+        index, start = numbers[first], ends[first] - len(numbers[first])
+        frames = [index[i - start] for i in exc.indices if i < ends[first]]
+        what = exc.message.removesuffix(f" in {len(exc.indices)} frame(s)")
+        message = f"sequence {keys[first]}: {what} in {len(frames)} frame(s)"
+        raise DataError(_with_indices(message, frames, "frames")) from exc
+    print(f"{args.metric} {score * 1000.0:.6f} mm")
     return 0
 
 

@@ -229,14 +229,14 @@ class PoseSequence:
     # Fields, for the constructor and ``dataclasses.replace``, built on access.
     @property
     def frames(self) -> tuple[FramePair, ...]:
-        cols = self._columns
+        cols, (start, stop, pad) = self._columns, self._rows
         return tuple(
             FramePair(
                 Pose2D(cols.joints_2d[row], Space.IMAGE) if cols.has_2d[row] else None,
                 Pose3D(cols.joints_3d[row], cols.frame_3d) if cols.has_3d[row] else None,
                 cols.index[row],
             )
-            for row in self._positions()
+            for row in [*range(start, stop), *[stop - 1] * pad]
         )
 
     @property
@@ -281,10 +281,6 @@ class PoseSequence:
         if cols.rotations is None:
             return None
         return tuple(self._take(values) for values in (cols.rotations, cols.sources, cols.depths, cols.has_depth))
-
-    def _positions(self) -> list[int]:
-        start, stop, pad = self._rows
-        return list(range(start, stop)) + [stop - 1] * pad
 
     def _take(self, values: np.ndarray | None) -> np.ndarray | None:
         """This sequence's rows of a per-row array: a view unless padded."""
@@ -885,11 +881,10 @@ def _required(seq: PoseSequence, width: int, what: str, frame: Frame | None = No
 
 
 def _canonical(seq: PoseSequence, pixels, rotations, sources, depths, has_depth, **changes) -> PoseSequence:
-    """``seq`` with canonical 2D ``pixels`` and the given canon blocks, whose
-    rotations are checked here, once."""
-    fault = _check_rotations(rotations, sources)
-    if fault is not None:
-        raise fault[1]
+    """``seq`` with canonical 2D ``pixels`` and the given canon blocks. Canon
+    blocks are checked where they are read (``_loaded``): ``batch_rodrigues_align``
+    built these rotations from the finite, in-front-of-camera sources stored
+    beside them, so they are proper rotations by construction."""
     every = np.ones(seq.n_frames, dtype=bool)
     return seq._replaced(
         joints_2d=pixels, has_2d=every,

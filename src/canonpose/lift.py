@@ -192,10 +192,6 @@ _CANON_ROWS = 256
 _TRAIN_ROWS = 1024
 
 
-def _per_frame_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(pred - gt, axis=-1).mean(axis=-1)
-
-
 def run_study(config: LiftingStudyConfig) -> StudyReport:
     """Run the full comparison; byte-identical reports for identical configs.
 
@@ -233,7 +229,8 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
         errors = np.empty(len(x))
         for lo in range(0, len(x), _TRAIN_ROWS):
             rows = slice(lo, lo + _TRAIN_ROWS)
-            errors[rows] = _per_frame_errors(_predict_arrays(weights, x[rows]), y[rows].reshape(-1, n_joints, 3))
+            gaps = _predict_arrays(weights, x[rows]) - y[rows].reshape(-1, n_joints, 3)
+            errors[rows] = np.linalg.norm(gaps, axis=-1).mean(axis=-1)
         return weights, float(errors.mean()), float(errors.std())
 
     def inputs(joints: np.ndarray, project) -> np.ndarray:

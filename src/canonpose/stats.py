@@ -42,8 +42,8 @@ class DistributionSummary:
     blocks, in order; each call makes them again, so no more than one block
     is held at a time. The bounds and the mean carry across blocks in row
     order, so their bits are those of numpy's axis-0 reductions of the
-    pooled samples. ``n_degenerate`` counts inputs that produced no sample
-    (currently only near-zero cross products in the orientation statistic).
+    pooled samples. ``n_degenerate`` counts inputs that produced no sample;
+    only ``body_orientation_distribution`` sets it (near-zero cross products).
     """
 
     blocks: Callable[[], Iterable[np.ndarray]]
@@ -55,7 +55,7 @@ class DistributionSummary:
     n_degenerate: int = 0
 
     @classmethod
-    def from_blocks(cls, blocks, width: int, n_degenerate: int = 0) -> "DistributionSummary":
+    def from_blocks(cls, blocks, width: int) -> "DistributionSummary":
         """Two passes over ``blocks()``: the count, bounds and mean, then the
         histograms over edges spanning the bounds."""
         n, carried = 0, None
@@ -64,7 +64,7 @@ class DistributionSummary:
             carried = _carried(carried, block)
             del block  # the next block is made without this one held
         if carried is None:
-            return cls(blocks, width, 0, None, None, (), n_degenerate)
+            return cls(blocks, width, 0, None, None, ())
         total, low, high = carried
         bounds = np.stack([low, high], axis=1)
         edges = []
@@ -80,13 +80,13 @@ class DistributionSummary:
                 counts[axis] += np.histogram(block[:, axis], bins=axis_edges)[0]
             del block
         histograms = tuple(map(AxisHistogram, edges, counts))
-        return cls(blocks, width, n, bounds, total / n, histograms, n_degenerate)
+        return cls(blocks, width, n, bounds, total / n, histograms)
 
     @classmethod
-    def from_samples(cls, samples, n_degenerate: int = 0) -> "DistributionSummary":
+    def from_samples(cls, samples) -> "DistributionSummary":
         """The one-block summary of an (n, width) array."""
         arr = np.asarray(samples, dtype=np.float64)
-        return cls.from_blocks(lambda: (arr,), arr.shape[1], n_degenerate)
+        return cls.from_blocks(lambda: (arr,), arr.shape[1])
 
     @property
     def samples(self) -> np.ndarray:

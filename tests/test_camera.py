@@ -290,3 +290,20 @@ def test_rotation_carriers_reject_bad_rotations_and_vectors(build, rotation, vec
     good = build(np.eye(3), [0.0, 0.0, 1.0], tmp_path)
     arrays_held = [value for value in good if isinstance(value, np.ndarray)]
     assert len(arrays_held) == 2 and not any(array.flags.writeable for array in arrays_held)
+
+
+def test_a_reflection_is_refused_with_one_det_text_on_every_numpy(tmp_path):
+    # numpy 2 prints a float64 as np.float64(-1.0), numpy 1.24 as -1.0; the
+    # refusal quotes the plain float, so the text is the same on both.
+    reflection = np.diag([1.0, 1.0, -1.0])
+    with pytest.raises(SchemaError) as excinfo:
+        _loaded_canon(reflection, [0.0, 0.0, 1.0], tmp_path)
+    assert str(excinfo.value) == "line 1: invalid canon block: canonical rotation is not a proper rotation (det = -1.0)"
+    path = tmp_path / "cam.json"
+    base = {"fx": 1100.0, "fy": 1050.0, "cx": 500.0, "cy": 510.0, "width": 1000.0, "height": 1020.0}
+    path.write_text(json.dumps(dict(base, R=reflection.ravel().tolist())))
+    with pytest.raises(SchemaError) as excinfo:
+        load_camera_json(path)
+    assert str(excinfo.value) == f"{path}: invalid extrinsics: extrinsic rotation is not a proper rotation (det = -1.0)"
+    with pytest.raises(ValueError, match=r"^similarity rotation is not a proper rotation \(det = -1\.0\)$"):
+        SimilarityTransform(1.0, reflection, np.zeros(3))

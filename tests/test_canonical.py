@@ -247,7 +247,7 @@ def test_residual_offset_explains_projection_shift(intrinsics, pose_batch, skele
 
 
 def test_canonical_rotation_validation():
-    # The canon-block checks that the loader and canonicalization run.
+    # The canon-block checks that the loader runs.
     good = batch_rodrigues_align(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 2.0]]), PRINCIPAL_AXIS)
     sources = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 2.0]])
     assert _check_rotations(good, sources) is None

@@ -666,7 +666,10 @@ def test_eval_pmpjpe_refuses_a_frame_whose_fitted_scale_is_zero(tmp_path, capsys
     assert run(["eval", "--pred", str(pred), "--gt", gt, "--metric", "pmpjpe"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: the fitted alignment scale is not positive and finite in 1 frame(s) (at positions [2])\n"
+    assert captured.err == (
+        "error: sequence ('synth', 'seed1', 'cam0'): the fitted alignment scale is not positive and finite "
+        "in 1 frame(s) (frames [2])\n"
+    )
 
 
 def test_main_freezes_the_objects_alive_before_it_runs(monkeypatch):
@@ -781,7 +784,7 @@ def test_input_that_crashed_or_traced_back_exits_two_in_one_line(tmp_path, camer
     elif case == "mpjpe-overflow":
         lines[3] = json.dumps(dict(record, joints_3d=[[v * 1e160 for v in joint] for joint in record["joints_3d"]]))
         argv = ["eval", "--pred", data, "--gt", str(bad), "--metric", "mpjpe"]
-        error = "error: the joint distance is not finite in 1 frame(s) (at positions [2])"
+        error = "error: sequence ('synth', 'seed1', 'cam0'): the joint distance is not finite in 1 frame(s) (frames [2])"
     elif case.startswith("pmpjpe-"):
         # Both sides 1e160 across: their cross-covariance overflows (numpy's
         # SVD failed on it). A gt 1e170 across: the aligned distances
@@ -791,7 +794,7 @@ def test_input_that_crashed_or_traced_back_exits_two_in_one_line(tmp_path, camer
         lines[3] = json.dumps(dict(record, joints_3d=[[v * scale for v in joint] for joint in record["joints_3d"]]))
         argv = ["eval", "--pred", str(bad) if both else data, "--gt", str(bad), "--metric", "pmpjpe"]
         what = "the fitted alignment scale is not positive and finite" if both else "the aligned joint distance is not finite"
-        error = f"error: {what} in 1 frame(s) (at positions [2])\n"
+        error = f"error: sequence ('synth', 'seed1', 'cam0'): {what} in 1 frame(s) (frames [2])\n"
     else:
         # The root and joint 1 sit 3e308 apart: finite as loaded, not once root-centered.
         joints = record["joints_3d"]
@@ -920,6 +923,35 @@ def test_eval_names_the_sequence_and_frame_numbers_that_root_centering_overflows
         "error: --pred: sequence ('synth', 'second', 'cam0'): root-centered joints are not finite "
         "in 1 frame(s) (frames [11])\n"
     )
+    capsys.readouterr()
+    assert run(["eval", "--pred", str(pred), "--gt", str(gt), "--metric", metric]) == 2
+    assert capsys.readouterr() == ("", error)
+    proc = run_module("eval", "--pred", str(pred), "--gt", str(gt), "--metric", metric, warnings=["error::RuntimeWarning"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+
+
+@pytest.mark.parametrize(
+    "metric, scale, what",
+    [("mpjpe", 1e160, "the joint distance is not finite"), ("pmpjpe", 1e170, "the aligned joint distance is not finite")],
+    ids=["mpjpe", "pmpjpe"],
+)
+def test_eval_names_the_sequence_and_frame_numbers_a_metric_refuses(tmp_path, capsys, metric, scale, what):
+    # Three sequences of three frames, numbered from 10. Frame 11 of the
+    # second and frames 10 and 12 of the third have a ground truth scaled
+    # past what the metric's distances can hold. The refusal names the
+    # second sequence, its own count and its frame number, not positions
+    # [4, 6, 8] of the concatenation.
+    lines = Path(synth_file(tmp_path, count=9, seed=2)).read_text().splitlines()
+    records = [json.loads(line) for line in lines[1:]]
+    for k, record in enumerate(records):
+        record.update(action=("first", "second", "third")[k // 3], frame=10 + k % 3)
+    pred = tmp_path / "pred.ndjson"
+    pred.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+    for k in (4, 6, 8):
+        records[k]["joints_3d"] = [[v * scale for v in joint] for joint in records[k]["joints_3d"]]
+    gt = tmp_path / "gt.ndjson"
+    gt.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+    error = f"error: sequence ('synth', 'second', 'cam0'): {what} in 1 frame(s) (frames [11])\n"
     capsys.readouterr()
     assert run(["eval", "--pred", str(pred), "--gt", str(gt), "--metric", metric]) == 2
     assert capsys.readouterr() == ("", error)

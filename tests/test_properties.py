@@ -1,5 +1,6 @@
 """Properties of ``load_sequences`` over generated files, with the per-line
-loader it replaced as the reference.
+loader it replaced as the reference, and of the canon blocks that
+canonicalization writes for it to read.
 
 ``reference_load`` below is that loader, kept as it was: every record line
 is converted to arrays and checked on its own, as it is read. The block
@@ -22,16 +23,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from canonpose import dataset
-from canonpose.camera import Frame
+from canonpose.camera import EPS_ROTATION, CameraIntrinsics, Frame, batch_project
 from canonpose.canonical import _check_rotations, _root_depth
 from canonpose.dataset import (
+    CANONICALIZE_MODES,
     DEFAULT_FPS,
     PAD_POLICIES,
     PoseSequence,
     WindowSpec,
     _Columns,
     _read_meta,
+    canonicalize_dataset,
     load_sequences,
+    save_sequences,
     serialize_sequences,
     window,
 )
@@ -337,6 +341,47 @@ def test_negative_zero_survives_a_round_trip(tmp_path):
     path = tmp_path / "saved.ndjson"
     path.write_text(saved, encoding="utf-8")
     assert serialize_sequences(load_sequences(path, TINY)) == saved
+
+
+# ---------------------------------------------------------------------------
+# Canonicalization's canon blocks.
+# ---------------------------------------------------------------------------
+
+CAMERA = CameraIntrinsics(fx=1150.0, fy=1080.0, cx=512.5, cy=488.0, width=1000.0, height=1000.0)
+# Each root: degrees off the optical axis, azimuth in degrees, log10 of its
+# depth Z in meters. At 89 degrees the root projects about 66,000 px outside
+# the image.
+ROOTS = st.lists(st.tuples(st.floats(0.0, 89.0), st.floats(0.0, 360.0), st.floats(-5.0, 5.0)), min_size=1, max_size=6)
+# A body about its root in units of the root's depth: every joint stays in
+# front of the camera and of each canonical camera, so both paths accept it.
+BODY = np.array([[0.0, 0.0, 0.0], [0.1, 0.05, 0.02], [-0.1, 0.05, -0.02], [0.0, -0.3, 0.01]])
+
+
+@PROFILE
+@given(ROOTS)
+def test_canonicalization_writes_canon_blocks_the_loader_check_accepts(tmp_path_factory, roots):
+    """Canonicalization checks none of its own rotations; the loader checks
+    canon blocks as it reads them. So each path's rotations, built from roots
+    on the axis out to 89 degrees off it, at depths from 1e-5 m to 1e5 m,
+    must pass the loader's check, be proper rotations within EPS_ROTATION,
+    and reload."""
+    degrees_off, azimuth, log_depth = np.array(roots).T
+    off, azimuth = np.tan(np.radians(degrees_off)), np.radians(azimuth)
+    ray = np.stack([off * np.cos(azimuth), off * np.sin(azimuth), np.ones_like(off)], axis=-1)
+    joints_3d = (ray[:, None] + BODY) * 10.0 ** log_depth[:, None, None]
+    every = np.ones(len(roots), dtype=bool)
+    columns = _Columns(np.arange(len(roots)).astype(object), batch_project(joints_3d, CAMERA), every, joints_3d, every)
+    seq = PoseSequence._of("S1", "walk", "cam0", DEFAULT_FPS, TINY, columns)
+    for mode in CANONICALIZE_MODES:
+        (canonical,) = canonicalize_dataset([seq], CAMERA, mode)
+        rotations, sources, _, _ = canonical.canon()
+        assert _check_rotations(rotations, sources) is None, mode
+        assert np.abs(rotations.transpose(0, 2, 1) @ rotations - np.eye(3)).max() < EPS_ROTATION, mode
+        assert np.abs(np.linalg.det(rotations) - 1.0).max() < EPS_ROTATION, mode
+        path = tmp_path_factory.mktemp("canonical") / f"{mode}.ndjson"
+        save_sequences([canonical], path)
+        (loaded,) = load_sequences(path, TINY)
+        assert loaded.canon()[0].tobytes() == rotations.tobytes(), mode
 
 
 # ---------------------------------------------------------------------------
