@@ -235,7 +235,7 @@ def _check_depths(z: np.ndarray, what: str) -> None:
     # atleast_1d: a single (3,) point has a 0-d Z, which nonzero cannot index.
     bad = np.atleast_1d(z <= EPS_DEPTH)
     if bad.any():
-        flat = np.unique(np.nonzero(bad)[0])
+        flat = np.flatnonzero(np.bincount(np.nonzero(bad)[0]))
         raise BehindCameraError(
             f"{int(bad.sum())} {what} at or behind the camera plane (Z <= {EPS_DEPTH})",
             indices=flat,

@@ -34,8 +34,12 @@ Input checks run once per array, not once per frame. Line-level checks
 (JSON, names, frame number, joint shapes, counts and finiteness, canon block
 shapes and root depth, and that every joint, rotation and source value is a
 JSON number, not a bool or a string, and that 3D values stay finite once
-scaled by ``unit_scale``) run once per block of up to ``_LOAD_ROWS`` (128)
-record lines, over flat lists of its values. A block that fails one is
+scaled by ``unit_scale``) run once per block of up to ``_LOAD_ROWS`` (64)
+record lines, over flat lists of its values; its rows then go into one
+zero-filled array per field for the whole file, made for the rest of the
+file at the block's shortest line and grown in place if a later line is
+shorter. A sequence is a slice of those arrays when its lines are
+contiguous, else a copy of its rows. A block that fails a line check is
 checked again line by line, as is a waiting block before a fault found while
 decoding (bad JSON, a non-object, a misplaced header), so the first bad line
 of the file is reported, with the same text. Lines are decoded by orjson; a
@@ -69,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 from dataclasses import dataclass, replace
 
@@ -404,7 +409,7 @@ def _bodies(cols: _Columns, n_joints: int, lo: int, hi: int) -> list[str]:
     # (rows, K) float slots in template order; a line shape skips the slots it lacks.
     slots = [(bit, values[lo:hi].reshape(hi - lo, -1)) for bit, values in slots if values is not None]
     index = cols.index[lo:hi]
-    kinds = np.unique(shapes).tolist()
+    kinds = np.flatnonzero(np.bincount(shapes)).tolist()
     bodies: list = [None] * (hi - lo)
     for shape in kinds:
         at = np.flatnonzero(shapes == shape)
@@ -556,7 +561,7 @@ def _parse_canon(value, lineno: int, unit_scale: float):
 
 
 # Record lines checked at once; a block's values wait as Python floats until then.
-_LOAD_ROWS = 128
+_LOAD_ROWS = 64
 
 # The writer writes -0.0 as ``-0``, which JSON reads as the integer 0; this
 # decoder reads it back as this float, a record's frame then set to 0.
@@ -681,7 +686,7 @@ class _Block:
         return self.arrays()
 
     def arrays(self) -> dict | None:
-        """The block's rows, one per line (see ``_loaded``), or None unless
+        """The block's rows, one per line (see ``_Rows``), or None unless
         each line has the usual form, each value is a finite JSON number, each
         scaled 3D value is finite and each scaled root depth is positive: then
         the line checks pass too."""
@@ -706,30 +711,43 @@ class _Block:
             source=_spread(has_canon, sources, (3,)), depth=_spread(has_canon, depths, ()), has_depth=has_depth,
         )
 
-    def flush(self, groups: dict) -> None:
-        """Check the block, add each sequence's rows to its pieces in ``groups`` and empty it."""
-        arrays = self.arrays() or self.check()
-        keys = list(dict.fromkeys(self.keys))
-        for key in keys:
-            at = [row for row, other in enumerate(self.keys) if other == key] if len(keys) > 1 else slice(None)
-            groups.setdefault(key, []).append({name: v if v is None else v[at] for name, v in arrays.items()})
-        self.__init__(self.path, self.n_joints, self.unit_scale)
+
+class _Rows:
+    """The checked record lines of a file of ``size`` bytes: rows 0..n-1 of one
+    array per ``_Block.arrays`` column and of ``sequence``, each line's key's index in ``keys``."""
+
+    def __init__(self, size: int):
+        self.size, self.n, self.capacity, self.keys, self.columns = size, 0, 0, {}, {}
+
+    def add(self, block: _Block, read: int) -> None:
+        """Check ``block`` and write its lines; ``read``: the bytes of the file read so far."""
+        arrays = block.arrays() or block.check()
+        arrays["sequence"] = np.array([self.keys.setdefault(key, len(self.keys)) for key in block.keys], dtype=np.intp)
+        stop = self.n + len(block.keys)
+        if stop > self.capacity:  # rows for the rest of the file at this block's shortest line
+            self.resize(stop + max(self.size - read, 0) // min(len(text) + 1 for _, text in block.lines))
+        for name, values in arrays.items():
+            if values is not None:
+                if name not in self.columns:
+                    self.columns[name] = np.zeros((self.capacity, *values.shape[1:]), values.dtype)
+                self.columns[name][self.n : stop] = values
+        self.n = stop
+
+    def resize(self, capacity: int) -> None:
+        for column in self.columns.values():  # in place: no view of a column exists until the file is read
+            column.resize((capacity, *column.shape[1:]), refcheck=False)
+        self.capacity = capacity
 
 
-def _loaded(key, pieces: list, skeleton: Skeleton) -> _Columns:
-    """The arrays of one sequence from its pieces, the ``_Block.arrays`` of
-    its lines in each block; a fault raises SchemaError naming its line."""
-
-    def joined(name):  # a piece without the channel gives zeros
-        parts = [piece[name] for piece in pieces]
-        shape = next((part.shape[1:] for part in parts if part is not None), None)
-        return None if shape is None else np.concatenate(
-            [np.zeros((len(piece["frame"]), *shape)) if part is None else part for piece, part in zip(pieces, parts)])
-
-    linenos, has_2d, has_3d, has_canon = map(joined, ("lineno", "has_2d", "has_3d", "has_canon"))
-    joints_2d = joined("joints_2d") if has_2d.any() else None
-    joints_3d = joined("joints_3d") if has_3d.any() else None
-    columns = _Columns(joined("frame"), joints_2d, has_2d, joints_3d, has_3d)
+def _loaded(key, arrays: dict, at: np.ndarray, skeleton: Skeleton) -> _Columns:
+    """One sequence's arrays from rows ``at`` of the file's ``arrays``, sliced
+    when contiguous; a fault raises SchemaError naming its line."""
+    if at[-1] - at[0] + 1 == len(at):
+        at = slice(at[0], at[-1] + 1)
+    linenos, has_2d, has_3d, has_canon = (arrays[name][at] for name in ("lineno", "has_2d", "has_3d", "has_canon"))
+    joints_2d = arrays["joints_2d"][at] if has_2d.any() else None
+    joints_3d = arrays["joints_3d"][at] if has_3d.any() else None
+    columns = _Columns(arrays["frame"][at], joints_2d, has_2d, joints_3d, has_3d)
     if not has_canon.any():
         return columns
     if not has_canon.all():
@@ -738,12 +756,12 @@ def _loaded(key, pieces: list, skeleton: Skeleton) -> _Columns:
     if not has_2d.all():
         bad = int(linenos[np.argmin(has_2d)])
         raise SchemaError(f"line {bad}: canonicalized record lacks joints_2d", bad)
-    rotations, sources = joined("rotation"), joined("source")
+    rotations, sources = arrays["rotation"][at], arrays["source"][at]
     fault = _check_rotations(rotations, sources)
     if fault is not None:
         bad = int(linenos[fault[0]])
         raise SchemaError(f"line {bad}: invalid canon block: {fault[1]}", bad) from fault[1]
-    depths, has_depth = joined("depth"), joined("has_depth")
+    depths, has_depth = arrays["depth"][at], arrays["has_depth"][at]
     # The 3D path's root rule: every root at exactly (0, 0, depth).
     roots = joints_3d[has_3d, skeleton.root_index] if joints_3d is not None else np.zeros((0, 3))
     canonical = has_depth[has_3d].all() and not roots[:, :2].any() and np.array_equal(roots[:, 2], depths[has_3d])
@@ -794,9 +812,9 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
         ``unit_scale``.
     """
     unit_scale, fps, header = 1.0, DEFAULT_FPS, None
-    groups: dict[tuple[str, str, str], list] = {}
     block = _Block(path, skeleton.n_joints, unit_scale)
     with open(path, "rb") as fh:
+        rows = _Rows(os.fstat(fh.fileno()).st_size)
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
@@ -810,7 +828,7 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
                 if not isinstance(obj, dict):
                     raise SchemaError(f"line {lineno}: record must be a JSON object", lineno)
                 if "meta" in obj:
-                    if groups or block.lines:
+                    if rows.keys or block.lines:
                         raise SchemaError(f"line {lineno}: header must precede all records", lineno)
                     if header is not None:
                         raise SchemaError(f"line {lineno}: a second header; the first is line {header}", lineno)
@@ -827,16 +845,18 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
                 raise
             block.add(lineno, line, obj)
             if len(block.lines) == _LOAD_ROWS:
-                block.flush(groups)
-    block.flush(groups)
+                rows.add(block, fh.tell())
+                block = _Block(path, skeleton.n_joints, unit_scale)
+        rows.add(block, fh.tell())
 
     # The per-sequence checks run once each, and the lowest failing line of
     # the file is the one reported.
+    rows.resize(rows.n)
+    order = np.argsort(rows.columns["sequence"], kind="stable")
     sequences, faults = [], []
-    for key in list(groups):
+    for key, at in zip(rows.keys, np.split(order, np.cumsum(np.bincount(rows.columns["sequence"]))[:-1])):
         try:
-            # Popped, so a sequence's pieces are freed once its arrays exist.
-            columns = _loaded(key, groups.pop(key), skeleton)
+            columns = _loaded(key, rows.columns, at, skeleton)
         except SchemaError as exc:
             faults.append(exc)
             continue

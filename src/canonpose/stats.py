@@ -82,12 +82,6 @@ class DistributionSummary:
         histograms = tuple(map(AxisHistogram, edges, counts))
         return cls(blocks, width, n, bounds, total / n, histograms)
 
-    @classmethod
-    def from_samples(cls, samples) -> "DistributionSummary":
-        """The one-block summary of an (n, width) array."""
-        arr = np.asarray(samples, dtype=np.float64)
-        return cls.from_blocks(lambda: (arr,), arr.shape[1])
-
     @property
     def samples(self) -> np.ndarray:
         """Every sample as one (n_samples, width) array, made on access."""

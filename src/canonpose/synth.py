@@ -57,10 +57,6 @@ class Box3:
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return ((pts >= self.low) & (pts <= self.high)).all(axis=-1)
-
 
 def _check_type(value, kind: type, name: str) -> None:
     """Raise a TypeError naming ``name`` unless ``value`` is a ``kind``."""

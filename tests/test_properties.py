@@ -539,6 +539,34 @@ def test_an_int_too_large_for_a_float_is_not_numeric(tmp_path):
     assert str(excinfo.value).startswith("line 6: joints_3d is not numeric: ")
 
 
+@pytest.mark.parametrize("last_2d", [False, True], ids=["2d-in-the-first-block", "2d-in-the-first-and-last-blocks"])
+def test_every_column_grows_when_later_lines_are_shorter(tmp_path, last_2d):
+    """The loader makes rows for the rest of a file at the shortest line of
+    its first block. Here every later line is shorter than that, so the rows
+    run out and every column must grow, the 2D ones too though no later
+    block has 2D (or only the last does). Two sequences' lines alternate, so
+    each is a gathered copy."""
+    count = 2 * dataset._LOAD_ROWS + 10
+    records = []
+    for n in range(count):
+        record = {"subject": "S1", "action": "walk", "camera": f"cam{n % 2}", "frame": n, "joints_2d": None}
+        if n < dataset._LOAD_ROWS or (last_2d and n == count - 1):
+            record["joints_2d"] = [[n + j / 3, 2.0 / 3 - j] for j in range(TINY.n_joints)]
+            record["joints_3d"] = [[j / 7, -j / 9, 3 + j / 11] for j in range(TINY.n_joints)]
+        else:
+            record["joints_3d"] = [[j, -j, 3] for j in range(TINY.n_joints)]
+        records.append(record)
+    lines = [json.dumps(record) for record in records]
+    first = lines[: dataset._LOAD_ROWS]
+    assert max(map(len, lines[dataset._LOAD_ROWS : -1])) < min(map(len, first))
+    path = _write(tmp_path, lines)
+    loaded = _assert_agree(path)
+    assert [seq.n_frames for seq in loaded] == [count // 2, count // 2]
+    saved = serialize_sequences(loaded)
+    path.write_text(saved, encoding="utf-8")
+    assert serialize_sequences(_assert_agree(path)) == saved
+
+
 # ---------------------------------------------------------------------------
 # Number tokens: the loader decodes lines with orjson, the reference with json.
 # ---------------------------------------------------------------------------

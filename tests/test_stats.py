@@ -31,10 +31,16 @@ def make_sequence(pose_batch, intrinsics, skeleton, n=8, seed=40, with_2d=True):
     return PoseSequence("S1", "act", "cam0", 50.0, frames, skeleton)
 
 
+def summary_of(samples) -> DistributionSummary:
+    """The one-block summary of an (n, width) array."""
+    arr = np.asarray(samples, dtype=np.float64)
+    return DistributionSummary.from_blocks(lambda: (arr,), arr.shape[1])
+
+
 def test_summary_matches_brute_force_histogram():
     rng = np.random.default_rng(50)
     samples = rng.normal(size=(500, 2))
-    summary = DistributionSummary.from_samples(samples)
+    summary = summary_of(samples)
     assert summary.n_samples == 500
     assert np.array_equal(summary.bounds[:, 0], samples.min(axis=0))
     assert np.array_equal(summary.bounds[:, 1], samples.max(axis=0))
@@ -50,10 +56,10 @@ def test_summary_matches_brute_force_histogram():
 
 
 def test_summary_handles_constant_axis_and_empty():
-    summary = DistributionSummary.from_samples(np.full((10, 2), 3.0))
+    summary = summary_of(np.full((10, 2), 3.0))
     assert summary.histograms[0].counts.sum() == 10
     assert summary.bounds[0].tolist() == [3.0, 3.0]
-    empty = DistributionSummary.from_samples(np.zeros((0, 2)))
+    empty = summary_of(np.zeros((0, 2)))
     assert empty.n_samples == 0
     assert empty.bounds is None
     assert empty.to_dict() == {"count": 0, "degenerate_count": 0}
@@ -209,7 +215,7 @@ def test_summary_of_blocks_is_the_summary_of_the_pooled_samples(sizes, width, va
         blocks.append(block)
     pooled = np.concatenate(blocks)
     streamed = DistributionSummary.from_blocks(lambda: iter(blocks), width)
-    whole = DistributionSummary.from_samples(pooled)
+    whole = summary_of(pooled)
     assert streamed.n_samples == whole.n_samples == len(pooled)
     assert _same_bits(streamed.samples, pooled)
     if not len(pooled):
@@ -228,7 +234,7 @@ def test_summary_of_blocks_is_the_summary_of_the_pooled_samples(sizes, width, va
 
 def test_write_samples_csv_round_trip(tmp_path):
     samples = np.array([[1.0, 2.5, -3.25], [0.1, 0.2, 0.3]])
-    summary = DistributionSummary.from_samples(samples)
+    summary = summary_of(samples)
     path = tmp_path / "samples.csv"
     write_samples_csv(summary, path)
     lines = path.read_text().splitlines()
