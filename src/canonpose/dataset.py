@@ -38,11 +38,12 @@ scaled by ``unit_scale``) run once per block of up to ``_LOAD_ROWS`` (64)
 record lines, over flat lists of its values; its rows then go into one
 zero-filled array per field for the whole file, made for the rest of the
 file at the block's shortest line and grown in place if a later line is
-shorter. A sequence is a slice of those arrays when its lines are
-contiguous, else a copy of its rows. A block that fails a line check is
-checked again line by line, as is a waiting block before a fault found while
-decoding (bad JSON, a non-object, a misplaced header), so the first bad line
-of the file is reported, with the same text. Lines are decoded by orjson; a
+shorter. Every sequence is a slice of those arrays: when some sequences'
+lines interleave, the rows are put in sequence order once, in place, after
+the last block. A block that fails a line check is checked again line by
+line, as is a waiting block before a fault found while decoding (bad JSON, a
+non-object, a misplaced header), so the first bad line of the file is
+reported, with the same text. Lines are decoded by orjson; a
 line orjson refuses (``NaN``, a number past the float range, a lone
 surrogate, bad JSON), one that holds an integer ``-0`` or one longer than
 ``_ORJSON_MAX_LINE`` is decoded by the stdlib ``json``, and the line-by-line
@@ -52,8 +53,9 @@ as invalid JSON, naming its line, and so is one that is not UTF-8: each
 line, ended by a newline byte, is decoded when it is reached. The sequence
 checks (no mix of canonical and raw records, 2D in every canonical record,
 and the rotation checks of the canon blocks: orthogonality, unit
-determinant, finite entries, source norm above EPS_VEC) run once per
-sequence after the whole file is read, and report the lowest failing line.
+determinant, finite entries, source norm above EPS_VEC, over
+``_CHECK_ROWS`` (256) rows at a time) run once per sequence after the whole
+file is read, and report the lowest failing line.
 A canonical sequence's 3D loads as canonical-frame when every frame with 3D
 has its root at exactly (0, 0, root_depth), as the 3D path writes it, and as
 camera-frame otherwise, as the 2D path leaves it.
@@ -739,11 +741,14 @@ class _Rows:
         self.capacity = capacity
 
 
-def _loaded(key, arrays: dict, at: np.ndarray, skeleton: Skeleton) -> _Columns:
-    """One sequence's arrays from rows ``at`` of the file's ``arrays``, sliced
-    when contiguous; a fault raises SchemaError naming its line."""
-    if at[-1] - at[0] + 1 == len(at):
-        at = slice(at[0], at[-1] + 1)
+# Canon blocks whose rotations are checked at once: the check's temporaries
+# do not grow with the sequence.
+_CHECK_ROWS = 256
+
+
+def _loaded(key, arrays: dict, at: slice, skeleton: Skeleton) -> _Columns:
+    """One sequence's arrays, rows ``at`` of the file's ``arrays``; a fault
+    raises SchemaError naming its line."""
     linenos, has_2d, has_3d, has_canon = (arrays[name][at] for name in ("lineno", "has_2d", "has_3d", "has_canon"))
     joints_2d = arrays["joints_2d"][at] if has_2d.any() else None
     joints_3d = arrays["joints_3d"][at] if has_3d.any() else None
@@ -757,10 +762,11 @@ def _loaded(key, arrays: dict, at: np.ndarray, skeleton: Skeleton) -> _Columns:
         bad = int(linenos[np.argmin(has_2d)])
         raise SchemaError(f"line {bad}: canonicalized record lacks joints_2d", bad)
     rotations, sources = arrays["rotation"][at], arrays["source"][at]
-    fault = _check_rotations(rotations, sources)
-    if fault is not None:
-        bad = int(linenos[fault[0]])
-        raise SchemaError(f"line {bad}: invalid canon block: {fault[1]}", bad) from fault[1]
+    for start in range(0, len(rotations), _CHECK_ROWS):
+        fault = _check_rotations(rotations[start : start + _CHECK_ROWS], sources[start : start + _CHECK_ROWS])
+        if fault is not None:
+            bad = int(linenos[start + fault[0]])
+            raise SchemaError(f"line {bad}: invalid canon block: {fault[1]}", bad) from fault[1]
     depths, has_depth = arrays["depth"][at], arrays["has_depth"][at]
     # The 3D path's root rule: every root at exactly (0, 0, depth).
     roots = joints_3d[has_3d, skeleton.root_index] if joints_3d is not None else np.zeros((0, 3))
@@ -849,14 +855,22 @@ def load_sequences(path, skeleton: Skeleton) -> list[PoseSequence]:
                 block = _Block(path, skeleton.n_joints, unit_scale)
         rows.add(block, fh.tell())
 
+    # Every sequence is a row slice: if some sequences interleave, the rows
+    # are put in sequence order once, in place, from the first row that moves.
+    rows.resize(rows.n)
+    sequence = rows.columns["sequence"]
+    if (sequence[1:] < sequence[:-1]).any():
+        order = np.argsort(sequence, kind="stable")
+        first = int(np.argmax(order != np.arange(rows.n)))
+        for column in rows.columns.values():
+            column[first:] = column[order[first:]]
+    stops = np.cumsum(np.bincount(sequence)).tolist()
     # The per-sequence checks run once each, and the lowest failing line of
     # the file is the one reported.
-    rows.resize(rows.n)
-    order = np.argsort(rows.columns["sequence"], kind="stable")
     sequences, faults = [], []
-    for key, at in zip(rows.keys, np.split(order, np.cumsum(np.bincount(rows.columns["sequence"]))[:-1])):
+    for key, start, stop in zip(rows.keys, [0, *stops], stops):
         try:
-            columns = _loaded(key, rows.columns, at, skeleton)
+            columns = _loaded(key, rows.columns, slice(start, stop), skeleton)
         except SchemaError as exc:
             faults.append(exc)
             continue

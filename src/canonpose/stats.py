@@ -82,11 +82,6 @@ class DistributionSummary:
         histograms = tuple(map(AxisHistogram, edges, counts))
         return cls(blocks, width, n, bounds, total / n, histograms)
 
-    @property
-    def samples(self) -> np.ndarray:
-        """Every sample as one (n_samples, width) array, made on access."""
-        return np.concatenate([np.zeros((0, self.width)), *self.blocks()])
-
     def to_dict(self) -> dict:
         out: dict = {"count": self.n_samples, "degenerate_count": self.n_degenerate}
         if self.bounds is not None:

@@ -383,6 +383,23 @@ def test_canon_rotation_error_reports_the_lowest_line_of_the_file(tmp_path, skel
     assert excinfo.value.line_number == 4
 
 
+@pytest.mark.parametrize("row", [0, 255, 256, 299])
+def test_a_canon_rotation_error_past_the_first_check_block_names_its_line(tmp_path, skeleton, row):
+    """Rotations are checked 256 rows at a time, after interleaved sequences
+    are put in order: the refusal still names the file line of the bad row."""
+    improper = "[1,0,0,0,1,0,0,0,-1]"
+    lines = [
+        _canon_record(skeleton, k // 2, improper if k == 2 * row else IDENTITY, "[0,0,1]", subject=f"S{k % 2}")
+        for k in range(600)
+    ]
+    path = tmp_path / "canon.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as excinfo:
+        load_sequences(path, skeleton)
+    assert excinfo.value.line_number == 2 * row + 1
+    assert str(excinfo.value).startswith(f"line {2 * row + 1}: invalid canon block: ")
+
+
 def test_a_source_whose_norm_overflows_builds_its_record_without_a_warning(tmp_path, skeleton):
     path = tmp_path / "canon.ndjson"
     path.write_text(_canon_record(skeleton, 0, IDENTITY, "[1e308,0,1]") + "\n")

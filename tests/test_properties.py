@@ -316,6 +316,12 @@ def test_loader_matches_reference_and_round_trips(tmp_path_factory, generated, r
     path = tmp_path_factory.mktemp("generated") / "poses.ndjson"
     path.write_text(text, encoding="utf-8")
     loaded = _assert_agree(path, rows)
+    # Each sequence's rows are a slice of one array per field, interleaved or not.
+    bases = {}
+    for seq in loaded:
+        for name, values in vars(seq._columns).items():
+            if isinstance(values, np.ndarray):
+                assert values.base is not None and bases.setdefault(name, values.base) is values.base
     # save -> load -> save is byte-identical.
     saved = serialize_sequences(loaded)
     path.write_text(saved, encoding="utf-8")
@@ -545,7 +551,7 @@ def test_every_column_grows_when_later_lines_are_shorter(tmp_path, last_2d):
     its first block. Here every later line is shorter than that, so the rows
     run out and every column must grow, the 2D ones too though no later
     block has 2D (or only the last does). Two sequences' lines alternate, so
-    each is a gathered copy."""
+    the grown columns are put in sequence order."""
     count = 2 * dataset._LOAD_ROWS + 10
     records = []
     for n in range(count):
