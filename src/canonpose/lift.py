@@ -34,6 +34,14 @@ _STREAM_TEST = 2
 _NOISE_TRAIN_INDEX = 3 << 48
 _NOISE_TEST_INDEX = 4 << 48
 
+# Training poses canonicalized, or projected with their noise, at once; and
+# rows of the fit's normal equations summed, or training predictions scored,
+# at once. _TRAIN_ROWS stays 1,024: those sums and predictions are matmuls
+# whose bits depend on the rows they are given, so the study's bytes are set
+# by this fixed block size.
+_CANON_ROWS = 256
+_TRAIN_ROWS = 1024
+
 
 def _fit_arrays(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
     """Ridge-fit (2J + 1, 3J) weights, the last row the bias, from (n, 2J)
@@ -42,33 +50,44 @@ def _fit_arrays(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
     raised with the same text for inputs that are not finite or whose
     spread overflows, since no finite weights fit them.
 
-    Inputs are standardized per feature for conditioning and the solution is
-    folded back to raw coordinates. The penalty applies to every weight,
-    bias included, so lambda -> inf drives the whole map to zero rather than
-    to a constant predictor.
+    The normal equations of the mean-centered inputs and a column of ones
+    are summed ``_TRAIN_ROWS`` rows at a time in one reused block, so no
+    (n, 2J + 1) design is made; each feature's std comes from their
+    diagonal. They are scaled to standardized inputs for conditioning and
+    the solution is folded back to raw coordinates. The penalty applies to
+    every weight, bias included, so lambda -> inf drives the whole map to
+    zero rather than to a constant predictor.
     """
+    n, width = x.shape
+    block = np.ones((min(n, _TRAIN_ROWS), width + 1))
+    gram = np.zeros((width + 1, width + 1))
+    rhs = np.zeros((width + 1, y.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=0)
-        std = x.std(axis=0)
+        for lo in range(0, n, _TRAIN_ROWS):
+            rows = block[: min(n - lo, _TRAIN_ROWS)]
+            np.subtract(x[lo : lo + len(rows)], mean, out=rows[:, :-1])
+            gram += rows.T @ rows
+            rhs += rows.T @ y[lo : lo + len(rows)]
+        std = np.sqrt(gram.diagonal()[:-1] / n)
     # An inf std would zero its feature and fit a constant predictor.
     if not np.isfinite(std).all():
         raise ValueError("weights must be finite")
     std = np.where(std > 0, std, 1.0)
-    design = np.ones((x.shape[0], x.shape[1] + 1))
-    np.subtract(x, mean, out=design[:, :-1])
-    design[:, :-1] /= std
-
-    gram = design.T @ design + ridge_lambda * np.eye(design.shape[1])
+    scale = np.append(1.0 / std, 1.0)
+    gram *= scale[:, None] * scale
+    gram += ridge_lambda * np.eye(width + 1)
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             "normal equations are singular; add ridge_lambda > 0 or provide richer training pairs"
         ) from exc
-    weights = np.empty((x.shape[1] + 1, y.shape[1]))
+    weights = np.empty((width + 1, y.shape[1]))
     # Targets whose sums overflow give weights that are not finite, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        solution = np.linalg.solve(chol.T, np.linalg.solve(chol, design.T @ y))
+        rhs *= scale[:, None]
+        solution = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
         weights[:-1] = solution[:-1] / std[:, None]
         weights[-1] = solution[-1] - (mean / std) @ solution[:-1]
     if not np.isfinite(weights).all():
@@ -185,13 +204,6 @@ class StudyReport:
         return dumps(self.to_dict()) + "\n"
 
 
-# Training poses canonicalized, or projected with their noise, at once; and
-# training predictions scored at once. _TRAIN_ROWS stays 1,024: the fit's
-# predictions are a matmul whose bits depend on the rows it is given.
-_CANON_ROWS = 256
-_TRAIN_ROWS = 1024
-
-
 def run_study(config: LiftingStudyConfig) -> StudyReport:
     """Run the full comparison; byte-identical reports for identical configs.
 
@@ -210,8 +222,8 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     its start, a block of poses at a time, and its targets are its joints
     made root-relative in place; the canonical arm is fit, scored and freed
     before the conventional one is built. What grows with ``n_train`` is at
-    most the kept poses, the canonical joints, the canonical inputs and one
-    fit's design: 10J + 1 numbers per pose.
+    most the kept poses, the canonical joints and the canonical inputs: 8J
+    numbers per pose, since the fit sums its normal equations in blocks.
     """
     skeleton = get_skeleton(config.skeleton)
     intr = config.camera

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from canonpose import lift
 from canonpose.camera import CameraIntrinsics, batch_project, batch_screen_normalize
@@ -163,8 +165,9 @@ def test_config_object_fields_are_type_checked_at_construction(build, field):
 
 
 def reference_fit_arrays(x, y, ridge_lambda):
-    """``lift._fit_arrays`` as a whole-batch design: standardized inputs and a
-    column of ones concatenated into a new array."""
+    """``lift._fit_arrays`` as a whole-batch design, as it was before the fit
+    summed its normal equations in blocks: standardized inputs and a column
+    of ones concatenated into a new array."""
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std = np.where(std > 0, std, 1.0)
@@ -183,9 +186,10 @@ def reference_predict_arrays(weights, x):
     return flat.reshape(x.shape[0], -1, 3)
 
 
-def reference_run_study(config):
-    """``run_study`` on whole-set arrays: every training pose, its noise, both
-    arms' pixels and the canonical poses at once."""
+def reference_run_study(config, fit):
+    """``run_study`` on whole-set arrays, with ``fit(x, y, ridge_lambda)`` for
+    the lifter: every training pose, its noise, both arms' pixels and the
+    canonical poses at once."""
     skeleton = get_skeleton(config.skeleton)
     intr = config.camera
     root = skeleton.root_index
@@ -212,8 +216,8 @@ def reference_run_study(config):
     y_canon = (canon_train - anchors).reshape(config.n_train, -1)
 
     lam = config.ridge_lambda
-    weights_conv = reference_fit_arrays(x_conv, y_conv, lam)
-    weights_canon = reference_fit_arrays(x_canon, y_canon, lam)
+    weights_conv = fit(x_conv, y_conv, lam)
+    weights_canon = fit(x_canon, y_canon, lam)
 
     def train_stats(weights, x, y):
         errors = np.linalg.norm(reference_predict_arrays(weights, x) - y.reshape(-1, n_joints, 3), axis=-1).mean(axis=-1)
@@ -246,18 +250,61 @@ def reference_run_study(config):
     return StudyReport(config=config, conventional=conventional, canonical=canonical)
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        dict(n_train=3 * 256 + 37, n_test=2 * 256 + 5, seed=4, noise_sigma=3.5, ridge_lambda=0.02, limb_scale=1.15),
-        dict(n_train=100, n_test=1, seed=3),
-        dict(n_train=2 * 1024 + 37, n_test=300, seed=6, noise_sigma=2.5),
-    ],
-    ids=["ragged-blocks", "under-one-block", "ragged-second-pass-blocks"],
-)
+BLOCK_CASES = {
+    "ragged-blocks": dict(
+        n_train=3 * 256 + 37, n_test=2 * 256 + 5, seed=4, noise_sigma=3.5, ridge_lambda=0.02, limb_scale=1.15
+    ),
+    "under-one-block": dict(n_train=100, n_test=1, seed=3),
+    "ragged-second-pass-blocks": dict(n_train=2 * 1024 + 37, n_test=300, seed=6, noise_sigma=2.5),
+}
+
+
+@pytest.mark.parametrize("overrides", list(BLOCK_CASES.values()), ids=list(BLOCK_CASES))
 def test_study_in_blocks_writes_the_whole_batch_report(overrides):
     config = LiftingStudyConfig(**overrides)
-    assert run_study(config).to_json() == reference_run_study(config).to_json()
+    assert run_study(config).to_json() == reference_run_study(config, lift._fit_arrays).to_json()
+
+
+def _report_numbers(report):
+    numbers = report.to_dict()
+    arms = {f"{arm} {key}": value for arm in ("conventional", "canonical") for key, value in numbers[arm].items()}
+    return dict(arms, ratio=numbers["mpjpe_ratio_canonical_over_conventional"])
+
+
+@pytest.mark.parametrize("overrides", [*BLOCK_CASES.values(), {}], ids=[*BLOCK_CASES, "default"])
+def test_study_numbers_match_the_whole_design_fit_to_rounding(overrides):
+    # The fit sums its normal equations in 1,024-row blocks where the
+    # reference multiplies one whole design, so the two agree to rounding,
+    # not bit for bit.
+    config = LiftingStudyConfig(**overrides)
+    got = _report_numbers(run_study(config))
+    want = _report_numbers(reference_run_study(config, reference_fit_arrays))
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert abs(got[key] - value) <= 1e-12 * abs(value), (key, got[key], value)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    blocks=st.integers(1, 5),
+    short=st.integers(0, lift._TRAIN_ROWS - 100),
+    n_joints=st.sampled_from([3, 17]),
+    ridge_lambda=st.sampled_from([0.0, 1e-4, 0.02]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(blocks=1, short=lift._TRAIN_ROWS - 100, n_joints=17, ridge_lambda=0.0, seed=0)
+@example(blocks=5, short=0, n_joints=17, ridge_lambda=1e-4, seed=1)
+def test_blocked_fit_matches_the_whole_design_fit(blocks, short, n_joints, ridge_lambda, seed):
+    # 1 to 5 Gram blocks, the last one full or ragged: a single block short
+    # of 1,024 rows is a set smaller than one block. Inputs sit off zero,
+    # each with its own spread, so centering and standardizing both matter.
+    rng = np.random.default_rng(seed)
+    n = blocks * lift._TRAIN_ROWS - short
+    x = rng.uniform(-3, 3, 2 * n_joints) + rng.uniform(0.01, 1, 2 * n_joints) * rng.normal(size=(n, 2 * n_joints))
+    weights = rng.normal(size=(2 * n_joints + 1, 3 * n_joints))
+    y = x @ weights[:-1] + weights[-1] + 0.1 * rng.normal(size=(n, 3 * n_joints))
+    want = reference_fit_arrays(x, y, ridge_lambda)
+    assert np.abs(_fit_arrays(x, y, ridge_lambda) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_study_refuses_training_poses_as_one_batch():
@@ -267,7 +314,7 @@ def test_study_refuses_training_poses_as_one_batch():
         train_root_region=Box3((-0.15, -0.15, 0.51), (0.15, 0.15, 0.6)), n_train=2000, n_test=50
     )
     with pytest.raises(BehindCameraError) as expected:
-        reference_run_study(config)
+        reference_run_study(config, reference_fit_arrays)
     with pytest.raises(BehindCameraError) as got:
         run_study(config)
     assert str(got.value) == str(expected.value)
@@ -292,12 +339,25 @@ def test_study_refuses_canonical_joints_behind_the_camera_as_one_batch(monkeypat
         train_root_region=Box3((0.4, -0.05, 0.7), (0.45, 0.05, 0.75)), n_train=40, n_test=10, seed=seed
     )
     with pytest.raises(BehindCameraError) as expected:
-        reference_run_study(config)
+        reference_run_study(config, reference_fit_arrays)
     with pytest.raises(BehindCameraError) as got:
         run_study(config)
     assert str(got.value) == str(expected.value)
     assert str(got.value) == "1 canonical joint(s) at or behind the camera plane (Z <= 1e-06) (at positions [26])"
     assert got.value.indices == expected.value.indices
+
+
+def test_study_refuses_a_fit_without_finite_weights():
+    # 1e308 px of noise overflows the inputs' spread.
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        run_study(LiftingStudyConfig(n_train=300, n_test=50, noise_sigma=1e308))
+
+
+def test_study_without_noise_or_ridge_is_singular():
+    # Noiseless canonical inputs hold the root at the principal point in
+    # every pose, a feature no fit without a ridge can separate from the bias.
+    with pytest.raises(SingularMatrixError, match="^normal equations are singular; add ridge_lambda > 0"):
+        run_study(LiftingStudyConfig(n_train=300, n_test=50, noise_sigma=0, ridge_lambda=0))
 
 
 def test_study_draws_each_pose_set_with_one_generator_call(monkeypatch):
@@ -313,9 +373,8 @@ def test_study_draws_each_pose_set_with_one_generator_call(monkeypatch):
 
 
 def test_study_memory_grows_only_by_its_fit_arrays():
-    # The kept poses, the canonical arm's inputs and targets, and one fit's
-    # design: (3 + 2 + 3 + 2) * 17 + 1 numbers, 1,368 bytes per h36m17
-    # training pose.
+    # The kept poses, the canonical arm's targets and its inputs:
+    # (3 + 3 + 2) * 17 numbers, 1,088 bytes per h36m17 training pose.
     def peak(n_train):
         config = LiftingStudyConfig(n_train=n_train, n_test=500, seed=9)
         tracemalloc.start()
@@ -326,4 +385,4 @@ def test_study_memory_grows_only_by_its_fit_arrays():
             tracemalloc.stop()
 
     small, large = peak(4096), peak(16384)
-    assert (large - small) / (16384 - 4096) <= 1450, (small, large)
+    assert (large - small) / (16384 - 4096) <= 1150, (small, large)
