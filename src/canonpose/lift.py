@@ -46,9 +46,10 @@ _TRAIN_ROWS = 1024
 def _fit_arrays(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
     """Ridge-fit (2J + 1, 3J) weights, the last row the bias, from (n, 2J)
     screen-normalized 2D inputs and (n, 3J) root-relative 3D targets in the
-    arm's frame (camera or canonical camera); ValueError unless all finite,
-    raised with the same text for inputs that are not finite or whose
-    spread overflows, since no finite weights fit them.
+    arm's frame (camera or canonical camera), read only as row slices, so a
+    ``_RootRelative`` serves; ValueError unless all finite, raised with the
+    same text for inputs that are not finite or whose spread overflows,
+    since no finite weights fit them.
 
     The normal equations of the mean-centered inputs and a column of ones
     are summed ``_TRAIN_ROWS`` rows at a time in one reused block, so no
@@ -204,6 +205,20 @@ class StudyReport:
         return dumps(self.to_dict()) + "\n"
 
 
+class _RootRelative:
+    """(n, J, 3) joints read as (n, 3J) targets relative to their root, a
+    block of rows at a time: ``targets[lo:hi]`` makes just those rows."""
+
+    def __init__(self, joints: np.ndarray, root: int):
+        self.joints = joints
+        self.root = root
+        self.shape = (joints.shape[0], 3 * joints.shape[1])
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        block = self.joints[rows]
+        return (block - block[:, self.root : self.root + 1]).reshape(len(block), -1)
+
+
 def run_study(config: LiftingStudyConfig) -> StudyReport:
     """Run the full comparison; byte-identical reports for identical configs.
 
@@ -213,17 +228,20 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     available), lift, rotate back into the camera frame, then score against
     the root-relative ground truth.
 
-    The arms are trained one after the other, from training poses drawn and
-    kept with ``generate_pose_array``. Their canonical joints are kept too,
-    made a block of poses at a time, and each set of joints gets one depth
-    check: a refusal names every pose with a joint at or behind the camera
-    plane, camera frame first, then canonical, as one batch. Each arm's
-    inputs are its projected joints plus the training noise stream read from
-    its start, a block of poses at a time, and its targets are its joints
-    made root-relative in place; the canonical arm is fit, scored and freed
-    before the conventional one is built. What grows with ``n_train`` is at
-    most the kept poses, the canonical joints and the canonical inputs: 8J
-    numbers per pose, since the fit sums its normal equations in blocks.
+    The arms are trained one after the other from one buffer of training
+    poses, drawn and kept with ``generate_pose_array``. Each arm's inputs are
+    its projected joints plus the training noise stream read from its start, a
+    block of poses at a time. The conventional arm runs first, on the
+    camera-frame poses, its targets made root-relative one fit block at a
+    time; its inputs are then freed and the poses are canonicalized in place,
+    a block at a time, for the canonical arm, whose targets are made
+    root-relative in place. Each set of joints gets one depth check: a refusal
+    names every pose with a joint at or behind the camera plane as one batch.
+    Refusals come in the order camera depth, canonical depth, canonical fit,
+    conventional fit, so a conventional fit's refusal is held until the
+    canonical arm is fit. What grows with ``n_train`` is at most the kept
+    poses and one arm's inputs: 5J numbers per pose, since the fit sums its
+    normal equations in blocks.
     """
     skeleton = get_skeleton(config.skeleton)
     intr = config.camera
@@ -235,7 +253,7 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     def flatten2(pixels: np.ndarray) -> np.ndarray:
         return batch_screen_normalize(pixels, intr).reshape(pixels.shape[0], -1)
 
-    def fit_and_score(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]:
+    def fit_and_score(x: np.ndarray, y: np.ndarray | _RootRelative) -> tuple[np.ndarray, float, float]:
         """The weights fit to (x, y) and their mean and spread of training error."""
         weights = _fit_arrays(x, y, lam)
         errors = np.empty(len(x))
@@ -258,28 +276,35 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
                 x[lo : lo + len(block)] = flatten2(project(block, intr) + noise)
         return x
 
-    # Keep every pose and its canonical joints, and check the depths of each set at once.
     try:
         poses = generate_pose_array(config._draw("train"), skeleton, stream=_STREAM_TRAIN)
     except MemoryError:
         raise _too_large("n_train", n_train) from None
     _check_depths(poses[..., 2], "point(s)")
-    canon = _empty((n_train, n_joints, 3), "n_train")
+
+    # The conventional arm runs first. A refusal of its fit is held, so the
+    # canonical depth check and the canonical fit still refuse before it.
+    x = inputs(poses, batch_project)
+    try:
+        conventional_fit = fit_and_score(x, _RootRelative(poses, root))
+    except ValueError as exc:
+        conventional_fit = exc
+    del x
+
+    # The same buffer, canonicalized in place, trains the canonical arm. Its
+    # targets are made root-relative in place, as nothing reads the poses
+    # after; the canonical root is exactly (0, 0, depth), so only the depths
+    # change.
     for lo in range(0, n_train, _CANON_ROWS):
-        canon[lo : lo + _CANON_ROWS] = batch_canonicalize_3d(poses[lo : lo + _CANON_ROWS], root)[0]
-    _check_depths(canon[..., 2], "canonical joint(s)")
-
-    # Each arm's targets are its joints relative to its root, made in place;
-    # the canonical root is exactly (0, 0, depth), so only the depths change.
-    x_canon = inputs(canon, batch_project_centered)
-    canon -= canon[:, root : root + 1].copy()
-    weights_canon, canon_train_mean, canon_train_std = fit_and_score(x_canon, canon.reshape(n_train, -1))
-    del x_canon, canon
-
-    x_conv = inputs(poses, batch_project)
+        poses[lo : lo + _CANON_ROWS] = batch_canonicalize_3d(poses[lo : lo + _CANON_ROWS], root)[0]
+    _check_depths(poses[..., 2], "canonical joint(s)")
+    x = inputs(poses, batch_project_centered)
     poses -= poses[:, root : root + 1].copy()
-    weights_conv, conv_train_mean, conv_train_std = fit_and_score(x_conv, poses.reshape(n_train, -1))
-    del x_conv, poses
+    weights_canon, canon_train_mean, canon_train_std = fit_and_score(x, poses.reshape(n_train, -1))
+    del x, poses
+    if isinstance(conventional_fit, ValueError):
+        raise conventional_fit
+    weights_conv, conv_train_mean, conv_train_std = conventional_fit
 
     # Each test array is freed once it is scored. The detector sees the same
     # noisy pixels no matter which lifter runs behind it.

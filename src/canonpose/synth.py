@@ -269,7 +269,8 @@ def _build_poses(heads, axes, swings, config: SynthConfig, skeleton: Skeleton, r
 
 
 def random_intrinsics(rng: np.random.Generator) -> CameraIntrinsics:
-    """One plausible pinhole camera drawn from ``rng`` (for harness sweeps)."""
+    """One plausible pinhole camera drawn from ``rng``; acceptance criteria 1,
+    3, 4 and 5 in ``tests/test_acceptance.py`` draw their cameras with it."""
     width = float(rng.integers(640, 1921))
     height = float(rng.integers(480, 1201))
     return CameraIntrinsics(
