@@ -77,15 +77,6 @@ def _check_joints(arr: np.ndarray, last_dim: int, name: str, ndim: int = 3) -> n
     return arr
 
 
-def _float_array(values) -> np.ndarray:
-    """``values`` as a float64 array of its own: a read-only float64 array
-    (such as a row of a checked per-sequence array) is kept, anything else
-    is copied."""
-    if isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable:
-        return values
-    return np.array(values, dtype=np.float64)
-
-
 def _rotation_errors(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """max |R^T R - I| and det R of each matrix of a finite (N, 3, 3) stack;
     entries too large to multiply give inf, without a warning."""
@@ -107,7 +98,7 @@ def _rigid(rotation, vector, rotation_name: str, vector_name: str) -> tuple[np.n
     """The one-matrix rotation check: ``rotation`` and ``vector`` as read-only
     float64 arrays, or ValueError unless they are a finite proper 3x3 rotation
     and a finite 3-vector."""
-    rot = _float_array(rotation)
+    rot = np.array(rotation, dtype=np.float64)
     if rot.shape != (3, 3) or not np.isfinite(rot).all():
         raise ValueError(f"{rotation_name} must be a finite 3x3 matrix, got shape {rot.shape}")
     (gram_error,), (det,) = _rotation_errors(rot[None])
@@ -115,7 +106,7 @@ def _rigid(rotation, vector, rotation_name: str, vector_name: str) -> tuple[np.n
         raise ValueError(f"{rotation_name} is not orthogonal (max |R^T R - I| = {gram_error:.3e})")
     if abs(det - 1.0) > EPS_ROTATION:
         raise ValueError(f"{rotation_name} is not a proper rotation (det = {float(det)!r})")
-    vec = _float_array(vector).reshape(-1)
+    vec = np.array(vector, dtype=np.float64).reshape(-1)
     if vec.shape != (3,) or not np.isfinite(vec).all():
         raise ValueError(f"{vector_name} must be a finite 3-vector")
     rot.setflags(write=False)
@@ -195,7 +186,7 @@ class Pose3D:
     frame: Frame
 
     def __post_init__(self):
-        object.__setattr__(self, "joints", _check_joints(_float_array(self.joints), 3, "joints", ndim=2))
+        object.__setattr__(self, "joints", _check_joints(np.array(self.joints, dtype=np.float64), 3, "joints", ndim=2))
         object.__setattr__(self, "frame", Frame(self.frame))
 
     @property
@@ -211,7 +202,7 @@ class Pose2D:
     space: Space
 
     def __post_init__(self):
-        object.__setattr__(self, "joints", _check_joints(_float_array(self.joints), 2, "joints", ndim=2))
+        object.__setattr__(self, "joints", _check_joints(np.array(self.joints, dtype=np.float64), 2, "joints", ndim=2))
         object.__setattr__(self, "space", Space(self.space))
 
     @property

@@ -254,10 +254,10 @@ def _stacked_3d(sequences, label: str) -> dict[tuple, tuple[np.ndarray, Frame, l
     of a loaded file."""
     stacks = {}
     for seq in sequences:
-        joints, present = seq._channel(3)
-        if not present.all():
+        joints = seq.joints_3d()
+        if joints is None:
             raise DataError(f"{label}: sequence {seq.key} has frames without 3D joints")
-        stacks[seq.key] = joints, seq._columns.frame_3d, seq._take(seq._columns.index).tolist()
+        stacks[seq.key] = joints, seq.frame_3d, seq.frame_numbers().tolist()
     return stacks
 
 

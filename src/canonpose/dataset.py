@@ -65,10 +65,9 @@ where it is built: (T, J, 2) and (T, J, 3) joints with a (T,) presence mask
 each (the 2D in pixels), one 3D frame tag, the frame numbers, and for a
 canonical sequence (T, 3, 3) rotations, (T, 3) sources and (T,) root depths
 with a null mask. Loading, canonicalization, windowing, serialization and
-the statistics read and write those arrays alone; ``PoseSequence.frames``
-builds FramePair objects from them on each access, for callers that want
-one frame at a time, and ``PoseSequence.canon()`` returns a canonical
-sequence's rows of the canon arrays.
+the statistics read and write those arrays alone. A sequence is read
+through them too: ``joints_2d()``, ``joints_3d()``, ``frame_numbers()``,
+``frame_3d`` and, for a canonical sequence, ``canon()`` give its rows.
 """
 
 from __future__ import annotations
@@ -87,7 +86,6 @@ from .camera import (
     Frame,
     Pose2D,
     Pose3D,
-    Space,
     _check_joints,
     _vector_norms,
     batch_world_to_camera,
@@ -195,16 +193,16 @@ class PoseSequence:
     """Consecutive frames sharing a subject, action, camera, and skeleton.
 
     Stored as per-sequence arrays with one 3D frame tag (see the module
-    docstring); ``frames`` is built from them on each access. The
-    constructor converts its frames once and raises ValueError for what the
-    arrays cannot hold: 3D poses that mix frames.
+    docstring), read through ``joints_2d()``, ``joints_3d()``,
+    ``frame_numbers()``, ``frame_3d`` and ``canon()``. The constructor
+    converts its FramePairs once and raises ValueError for what the arrays
+    cannot hold: 3D poses that mix frames.
     """
 
     subject: str
     action: str
     camera_id: str
     fps: float
-    frames: tuple[FramePair, ...]
     skeleton: Skeleton
 
     def __init__(self, subject, action, camera_id, fps, frames, skeleton):
@@ -233,19 +231,6 @@ class PoseSequence:
         vars(seq).update(_columns=columns, _rows=rows or (0, len(columns.index), 0))
         return seq
 
-    # Fields, for the constructor and ``dataclasses.replace``, built on access.
-    @property
-    def frames(self) -> tuple[FramePair, ...]:
-        cols, (start, stop, pad) = self._columns, self._rows
-        return tuple(
-            FramePair(
-                Pose2D(cols.joints_2d[row], Space.IMAGE) if cols.has_2d[row] else None,
-                Pose3D(cols.joints_3d[row], cols.frame_3d) if cols.has_3d[row] else None,
-                cols.index[row],
-            )
-            for row in [*range(start, stop), *[stop - 1] * pad]
-        )
-
     @property
     def n_frames(self) -> int:
         start, stop, pad = self._rows
@@ -255,15 +240,24 @@ class PoseSequence:
     def key(self) -> tuple[str, str, str]:
         return (self.subject, self.action, self.camera_id)
 
+    @property
+    def frame_3d(self) -> Frame | None:
+        """The one frame of every 3D pose, or None when no frame has 3D."""
+        start, stop, _ = self._rows
+        return self._columns.frame_3d if self._columns.has_3d[start:stop].any() else None
+
     def __repr__(self) -> str:
-        # Not the dataclass repr: ``frames`` builds every frame.
-        cols = self._columns
-        frame = None if cols.joints_3d is None else cols.frame_3d.value
+        (start, stop, _), frame = self._rows, self.frame_3d
         return (
             f"PoseSequence(key={self.key!r}, fps={self.fps!r}, n_frames={self.n_frames}, "
-            f"skeleton={self.skeleton.name!r}, has_2d={cols.joints_2d is not None}, frame_3d={frame!r}, "
-            f"canonical={cols.rotations is not None})"
+            f"skeleton={self.skeleton.name!r}, has_2d={bool(self._columns.has_2d[start:stop].any())}, "
+            f"frame_3d={None if frame is None else frame.value!r}, canonical={self._columns.rotations is not None})"
         )
+
+    def frame_numbers(self) -> np.ndarray:
+        """(T,) read-only source frame numbers, Python ints; a padded
+        window repeats its last."""
+        return self._take(self._columns.index)
 
     def joints_2d(self) -> np.ndarray | None:
         """(T, J, 2) read-only array, or None when any frame lacks a 2D pose."""
@@ -906,7 +900,7 @@ def _required(seq: PoseSequence, width: int, what: str, frame: Frame | None = No
     """The (T, J, width) joints of a channel the path needs in every frame,
     its 3D in ``frame`` if given."""
     joints, present = seq._channel(width)
-    if frame is not None and seq._columns.frame_3d is not frame:
+    if frame is not None and seq.frame_3d is not frame:
         present = np.zeros_like(present)
     if not present.all():
         missing = np.flatnonzero(~present).tolist()

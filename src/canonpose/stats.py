@@ -163,11 +163,11 @@ def _image_roots(seq, intrinsics: CameraIntrinsics | None) -> np.ndarray:
     unprojected = has_3d & ~taken
     if intrinsics is not None and unprojected.any():
         at = np.flatnonzero(unprojected)
-        project = batch_project_centered if seq._columns.frame_3d is Frame.CANONICAL_CAMERA else batch_project
+        project = batch_project_centered if seq.frame_3d is Frame.CANONICAL_CAMERA else batch_project
         try:
             rows[at] = project(joints_3d[at, root], intrinsics)
         except BehindCameraError as exc:
-            frame_no = seq._take(seq._columns.index)[at[exc.indices[0]]]
+            frame_no = seq.frame_numbers()[at[exc.indices[0]]]
             raise BehindCameraError(
                 f"sequence {seq.key} frame {frame_no}: root at or behind the camera plane"
             ) from exc

@@ -331,12 +331,12 @@ def test_criterion_8_windowing(h36m17):
     spec = WindowSpec(243, 81)
     exact = window(sequence(243), spec, "drop")
     steps = window(sequence(405), spec, "drop")
-    starts = [win.frames[0].index for win in steps]
+    starts = [win.frame_numbers()[0] for win in steps]
     padded = window(sequence(100), spec, "repeat-last")
     pad_ok = (
         len(padded) == 1
-        and [f.index for f in padded[0].frames[:100]] == list(range(100))
-        and all(f.index == 99 for f in padded[0].frames[100:])
+        and padded[0].frame_numbers()[:100].tolist() == list(range(100))
+        and all(number == 99 for number in padded[0].frame_numbers()[100:])
         and padded[0].n_frames == 243
     )
     non_overlap = window(sequence(405), WindowSpec(243, 243), "drop")

@@ -91,7 +91,7 @@ def test_world_to_camera_tagged_round_trip(rotation_factory):
     world = rng.standard_normal((3, 17, 3))
     frames = [FramePair(None, Pose3D(world[t], Frame.GLOBAL), t) for t in range(3)]
     (moved,) = apply_extrinsics([PoseSequence("S1", "walk", "cam0", 50.0, frames, H36M17)], extr)
-    assert moved._columns.frame_3d is Frame.CAMERA
+    assert moved.frame_3d is Frame.CAMERA
     back = (moved.joints_3d() - extr.translation) @ extr.rotation
     assert np.allclose(back, world, atol=1e-12)
 

@@ -218,7 +218,7 @@ def test_back_transform_tags(tmp_path, pose_batch, intrinsics, skeleton):
     path = tmp_path / "canon.ndjson"
     save_sequences(canonicalize_dataset([raw], intrinsics, "3d-path"), path)
     (loaded,) = load_sequences(path, skeleton)
-    assert loaded._columns.frame_3d is Frame.CANONICAL_CAMERA
+    assert loaded.frame_3d is Frame.CANONICAL_CAMERA
     assert raw.canon() is None
     rotations, _, _, _ = loaded.canon()
     root = skeleton.root_index

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import os
@@ -10,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from sequence_arrays import sequence_of
 
 from canonpose import cli
 from canonpose.camera import Frame, Pose3D
@@ -168,14 +168,11 @@ def test_canonicalize_applies_extrinsics(tmp_path, skeleton, intrinsics, camera_
     data = synth_file(tmp_path, camera=camera_file)
     rotation = rotation_factory(3)
     translation = np.array([0.1, -0.2, 0.3])
-    seqs = load_sequences(data, skeleton)
-    world_frames = []
-    for pair in seqs[0].frames:
-        # World joints chosen so that R @ w + t reproduces the camera joints.
-        world = (pair.pose_3d.joints - translation) @ rotation
-        world_frames.append(dataclasses.replace(pair, pose_3d=Pose3D(world, pair.pose_3d.frame)))
+    (seq,) = load_sequences(data, skeleton)
+    # World joints chosen so that R @ w + t reproduces the camera joints.
+    world = (seq.joints_3d() - translation) @ rotation
     world_path = tmp_path / "world.ndjson"
-    save_sequences([dataclasses.replace(seqs[0], frames=tuple(world_frames))], world_path)
+    save_sequences([sequence_of(seq.key, skeleton, seq.frame_numbers(), seq.joints_2d(), world)], world_path)
 
     extrinsic_camera = tmp_path / "camera_rt.json"
     payload = intrinsics.to_dict()
@@ -195,14 +192,11 @@ def test_canonicalize_applies_extrinsics(tmp_path, skeleton, intrinsics, camera_
 
 def test_eval_offset_joint(tmp_path, skeleton, capsys):
     gt_path = synth_file(tmp_path, "gt.ndjson", count=5)
-    seqs = load_sequences(gt_path, skeleton)
-    moved_frames = []
-    for pair in seqs[0].frames:
-        joints = pair.pose_3d.joints.copy()
-        joints[skeleton.root_index + 1, 0] += 0.05
-        moved_frames.append(dataclasses.replace(pair, pose_3d=Pose3D(joints, pair.pose_3d.frame)))
+    (seq,) = load_sequences(gt_path, skeleton)
+    joints = seq.joints_3d().copy()
+    joints[:, skeleton.root_index + 1, 0] += 0.05
     pred_path = tmp_path / "pred.ndjson"
-    save_sequences([dataclasses.replace(seqs[0], frames=tuple(moved_frames))], pred_path)
+    save_sequences([sequence_of(seq.key, skeleton, seq.frame_numbers(), seq.joints_2d(), joints)], pred_path)
 
     assert run(["eval", "--pred", str(pred_path), "--gt", gt_path]) == 0
     out = capsys.readouterr().out.strip()
@@ -247,17 +241,16 @@ def test_stats_json_and_csv(tmp_path, camera_file, capsys):
 def test_stats_camera_rejects_3d_root_behind_camera(tmp_path, skeleton, camera_file, capsys):
     data = synth_file(tmp_path, count=4)
     seq = load_sequences(data, skeleton)[0]
-    joints = seq.frames[2].pose_3d.joints.copy()
-    joints[skeleton.root_index, 2] = -1.5
-    frames = list(seq.frames)
-    frames[2] = dataclasses.replace(frames[2], pose_2d=None, pose_3d=Pose3D(joints, frames[2].pose_3d.frame))
+    assert seq.joints_2d() is None
+    joints = seq.joints_3d().copy()
+    joints[2, skeleton.root_index, 2] = -1.5
+    # Frame numbers 100, 103, 106, 109: the refusal names frame 106, not row 2.
     bad = tmp_path / "behind.ndjson"
-    save_sequences([dataclasses.replace(seq, frames=tuple(frames))], bad)
+    save_sequences([sequence_of(seq.key, skeleton, range(100, 112, 3), None, joints)], bad)
     capsys.readouterr()
     assert run(["stats", "--input", str(bad), "--camera", camera_file]) == 2
     err = capsys.readouterr().err
-    assert "behind the camera" in err
-    assert "frame 2" in err
+    assert err == "error: sequence ('synth', 'seed0', 'cam0') frame 106: root at or behind the camera plane\n"
     # Without a camera nothing is projected, so the same file is fine.
     assert run(["stats", "--input", str(bad)]) == 0
 
@@ -271,7 +264,7 @@ def test_window_command(tmp_path, skeleton):
     assert rc == 0
     seqs = load_sequences(out, skeleton)
     assert [seq.action for seq in seqs] == ["seed0#w0000", "seed0#w0001", "seed0#w0002"]
-    assert [f.index for f in seqs[2].frames] == [8, 9, 9]
+    assert seqs[2].frame_numbers().tolist() == [8, 9, 9]
     assert run(["window", "--input", data, "--window-length", "0", "--window-stride", "4"]) == 1
 
 
@@ -319,12 +312,10 @@ def test_study_command(tmp_path, capsys):
 def test_canonicalize_error_lists_its_frames_once(tmp_path, skeleton, camera_file, capsys):
     data = synth_file(tmp_path, count=8)
     seq = load_sequences(data, skeleton)[0]
-    frames = list(seq.frames)
-    joints = frames[5].pose_3d.joints.copy()
-    joints[skeleton.root_index, 2] = -1.5
-    frames[5] = dataclasses.replace(frames[5], pose_3d=Pose3D(joints, frames[5].pose_3d.frame))
+    joints = seq.joints_3d().copy()
+    joints[5, skeleton.root_index, 2] = -1.5
     bad = tmp_path / "behind.ndjson"
-    save_sequences([dataclasses.replace(seq, frames=tuple(frames))], bad)
+    save_sequences([sequence_of(seq.key, skeleton, seq.frame_numbers(), seq.joints_2d(), joints)], bad)
     capsys.readouterr()
     assert run(["canonicalize", "--input", str(bad), "--camera", camera_file]) == 2
     err = capsys.readouterr().err
@@ -355,9 +346,9 @@ def test_extrinsics_moved_joints_are_read_only(tmp_path, skeleton, camera_file, 
 
     seqs = load_sequences(synth_file(tmp_path, count=4, camera=camera_file), skeleton)
     moved = apply_extrinsics(seqs, CameraExtrinsics(rotation_factory(5), [0.1, 0.2, 0.3]))
-    for frame in moved[0].frames:
-        assert frame.pose_3d.frame is Frame.CAMERA
-        for joints in (frame.pose_2d.joints, frame.pose_3d.joints):
+    assert moved[0].frame_3d is Frame.CAMERA
+    for pixels, points in zip(moved[0].joints_2d(), moved[0].joints_3d()):
+        for joints in (pixels, points):
             assert not joints.flags.writeable
             with pytest.raises(ValueError):
                 joints[0] = 0.0

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from sequence_arrays import rebuilt, rows_of, sequence_of
 
 from canonpose.camera import CameraIntrinsics, Frame, Pose2D, Pose3D, Space, batch_project
 from canonpose.dataset import (
@@ -21,11 +22,11 @@ from canonpose.errors import ParseError, SchemaError, SequenceCanonicalizationEr
 
 def make_sequence(pose_batch, intrinsics, skeleton, n=8, seed=20, key=("S1", "walk", "cam0")):
     pts = pose_batch(n, seed=seed)
-    pix = batch_project(pts, intrinsics)
-    frames = tuple(
-        FramePair(Pose2D(pix[t], Space.IMAGE), Pose3D(pts[t], Frame.CAMERA), t) for t in range(n)
-    )
-    return PoseSequence(key[0], key[1], key[2], 50.0, frames, skeleton)
+    return sequence_of(key, skeleton, range(n), batch_project(pts, intrinsics), pts)
+
+
+def _only_2d(seq):
+    return sequence_of(seq.key, seq.skeleton, seq.frame_numbers(), seq.joints_2d(), fps=seq.fps)
 
 
 def test_round_trip_is_bitwise(tmp_path, pose_batch, intrinsics, skeleton):
@@ -43,8 +44,8 @@ def test_round_trip_is_bitwise(tmp_path, pose_batch, intrinsics, skeleton):
         assert after.fps == before.fps
         assert np.array_equal(after.joints_2d(), before.joints_2d())
         assert np.array_equal(after.joints_3d(), before.joints_3d())
-        assert [f.index for f in after.frames] == [f.index for f in before.frames]
-        assert all(f.pose_3d.frame is Frame.CAMERA for f in after.frames)
+        assert after.frame_numbers().tolist() == before.frame_numbers().tolist()
+        assert after.frame_3d is Frame.CAMERA
     assert serialize_sequences(loaded) == text
 
 
@@ -58,7 +59,7 @@ def test_canonical_round_trip_is_bitwise(tmp_path, pose_batch, intrinsics, skele
     for before, after in zip(canonical[0].canon(), loaded[0].canon()):
         assert np.array_equal(after, before)
     assert np.array_equal(loaded[0].joints_2d(), canonical[0].joints_2d())
-    assert all(f.pose_3d.frame is Frame.CANONICAL_CAMERA for f in loaded[0].frames)
+    assert loaded[0].joints_3d() is not None and loaded[0].frame_3d is Frame.CANONICAL_CAMERA
     assert serialize_sequences(loaded) == path.read_text()
 
 
@@ -171,7 +172,7 @@ def test_window_exact_cover(pose_batch, intrinsics, skeleton):
         assert len(windows) == 3
         for k, win in enumerate(windows):
             assert win.n_frames == 243
-            assert [f.index for f in win.frames] == list(range(81 * k, 81 * k + 243))
+            assert win.frame_numbers().tolist() == list(range(81 * k, 81 * k + 243))
             assert np.array_equal(win.joints_3d(), seq.joints_3d()[81 * k : 81 * k + 243])
 
 
@@ -183,15 +184,15 @@ def test_window_short_sequence_padding(pose_batch, intrinsics, skeleton):
     assert len(padded) == 1
     win = padded[0]
     assert win.n_frames == 243
-    assert [f.index for f in win.frames[:100]] == list(range(100))
-    assert all(f.index == 99 for f in win.frames[100:])
+    assert win.frame_numbers()[:100].tolist() == list(range(100))
+    assert all(number == 99 for number in win.frame_numbers()[100:])
     assert np.array_equal(win.joints_3d()[100:], np.broadcast_to(seq.joints_3d()[99], (143, skeleton.n_joints, 3)))
 
 
 def test_window_tail_offset(pose_batch, intrinsics, skeleton):
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=10, seed=27)
     windows = window(seq, WindowSpec(3, 4), "repeat-last")
-    assert [[f.index for f in w.frames] for w in windows] == [[0, 1, 2], [4, 5, 6], [8, 9, 9]]
+    assert [w.frame_numbers().tolist() for w in windows] == [[0, 1, 2], [4, 5, 6], [8, 9, 9]]
     assert len(window(seq, WindowSpec(3, 4), "drop")) == 2
     # A sequence of exactly one window length yields that window and nothing else.
     exact = make_sequence(pose_batch, intrinsics, skeleton, n=3, seed=28)
@@ -239,20 +240,13 @@ def test_canonicalize_dataset_2d_path(pose_batch, intrinsics, skeleton):
     assert np.abs(via_2d.joints_2d() - via_3d.joints_2d()).max() < 1e-9
     rotations_2d, _, depths_2d, has_depth_2d = via_2d.canon()
     rotations_3d, _, depths_3d, _ = via_3d.canon()
-    assert via_2d._columns.frame_3d is Frame.CAMERA
+    assert via_2d.frame_3d is Frame.CAMERA
     assert np.abs(rotations_2d - rotations_3d).max() < 1e-9
     assert has_depth_2d.all() and np.abs(depths_2d - depths_3d).max() <= 1e-12
     # Original 3D channel is carried through untouched.
     assert np.array_equal(via_2d.joints_3d(), seq.joints_3d())
 
-    only_2d = PoseSequence(
-        "S1",
-        "walk",
-        "cam0",
-        50.0,
-        tuple(FramePair(f.pose_2d, None, f.index) for f in seq.frames),
-        skeleton,
-    )
+    only_2d = _only_2d(seq)
     _, _, depths, has_depth = canonicalize_dataset([only_2d], intrinsics, "2d-path", threads=1)[0].canon()
     assert not has_depth.any() and not depths.any()
     with pytest.raises(SequenceCanonicalizationError) as excinfo:
@@ -321,15 +315,15 @@ def test_canonicalize_2d_vanishing_w_names_its_frame(pose_batch, skeleton, intri
 
 def test_save_refuses_sequences_the_header_cannot_carry(tmp_path, pose_batch, intrinsics, skeleton):
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=3, seed=39)
-    other = replace(seq, subject="S2", fps=25.0)
+    other = rebuilt(seq, key=("S2", *seq.key[1:]), fps=25.0)
     path = tmp_path / "mixed.ndjson"
     with pytest.raises(ValueError, match="fps or skeleton"):
         save_sequences([seq, other], path)
     assert not path.exists()
     renamed = replace(skeleton, name="h36m17b")
     with pytest.raises(ValueError, match="fps or skeleton"):
-        save_sequences([seq, replace(other, fps=50.0, skeleton=renamed)], path)
-    save_sequences([seq, replace(other, fps=50.0)], path)
+        save_sequences([seq, rebuilt(other, fps=50.0, skeleton=renamed)], path)
+    save_sequences([seq, rebuilt(other, fps=50.0)], path)
     assert [s.fps for s in load_sequences(path, skeleton)] == [50.0, 50.0]
 
 
@@ -419,17 +413,16 @@ def _assert_read_only(arrays):
 
 
 def _sequence_arrays(seq):
-    for frame in seq.frames:
-        for pose in (frame.pose_2d, frame.pose_3d):
-            if pose is not None:
-                yield pose.joints
+    for width in (2, 3):
+        yield from (joints for joints in rows_of(seq, width) if joints is not None)
     yield from (joints for joints in (seq.joints_2d(), seq.joints_3d()) if joints is not None)
+    yield seq.frame_numbers()
     yield from seq.canon() or ()
 
 
 def test_loaded_and_canonicalized_arrays_are_read_only(tmp_path, pose_batch, intrinsics, skeleton):
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=5, seed=45)
-    only_2d = replace(seq, frames=tuple(FramePair(f.pose_2d, None, f.index) for f in seq.frames))
+    only_2d = _only_2d(seq)
     via_3d = canonicalize_dataset([seq], intrinsics, "3d-path")
     via_2d = canonicalize_dataset([seq], intrinsics, "2d-path")
     produced = via_3d + via_2d + canonicalize_dataset([only_2d], intrinsics, "2d-path")
@@ -446,14 +439,15 @@ def test_loaded_and_canonicalized_arrays_are_read_only(tmp_path, pose_batch, int
 
 def test_canonicalize_2d_root_depth_is_the_per_frame_norm(pose_batch, intrinsics, skeleton):
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=30, seed=48)
-    frames = tuple(FramePair(f.pose_2d, f.pose_3d if f.index % 4 else None, f.index) for f in seq.frames)
-    out = canonicalize_dataset([replace(seq, frames=frames)], intrinsics, "2d-path")[0]
+    has_3d = [number % 4 != 0 for number in seq.frame_numbers().tolist()]
+    gappy = sequence_of(seq.key, skeleton, seq.frame_numbers(), seq.joints_2d(), seq.joints_3d(), has_3d=has_3d)
+    out = canonicalize_dataset([gappy], intrinsics, "2d-path")[0]
     _, _, depths, has_depth = out.canon()
-    for frame, depth, known in zip(frames, depths, has_depth):
-        if frame.pose_3d is None:
+    for joints, depth, known in zip(rows_of(gappy, 3), depths, has_depth):
+        if joints is None:
             assert not known and depth == 0.0
         else:
-            assert known and depth == float(np.linalg.norm(frame.pose_3d.joints[skeleton.root_index]))
+            assert known and depth == float(np.linalg.norm(joints[skeleton.root_index]))
 
 
 @pytest.mark.parametrize(
@@ -475,8 +469,10 @@ def test_header_numbers_must_be_json_numbers(tmp_path, skeleton, meta):
 
 
 def _with_some_3d_dropped(seq):
-    frames = tuple(FramePair(f.pose_2d, f.pose_3d if f.index % 3 else None, f.index) for f in seq.frames)
-    return replace(seq, frames=frames)
+    has_3d = [number % 3 != 0 for number in seq.frame_numbers().tolist()]
+    return sequence_of(
+        seq.key, seq.skeleton, seq.frame_numbers(), seq.joints_2d(), seq.joints_3d(), fps=seq.fps, has_3d=has_3d
+    )
 
 
 def test_2d_path_output_reloads_with_camera_frame_3d(tmp_path, pose_batch, intrinsics, skeleton):
@@ -485,13 +481,12 @@ def test_2d_path_output_reloads_with_camera_frame_3d(tmp_path, pose_batch, intri
     path = tmp_path / "canon2d.ndjson"
     save_sequences(via_2d, path)
     loaded = load_sequences(path, skeleton)[0]
-    for before, after in zip(seq.frames, loaded.frames):
-        if before.pose_3d is None:
-            assert after.pose_3d is None
+    for before, after in zip(rows_of(seq, 3), rows_of(loaded, 3)):
+        if before is None:
+            assert after is None
         else:
-            assert after.pose_3d.frame is Frame.CAMERA
-            assert np.array_equal(after.pose_3d.joints, before.pose_3d.joints)
-    assert loaded._columns.frame_3d is Frame.CAMERA
+            assert np.array_equal(after, before)
+    assert loaded.frame_3d is Frame.CAMERA
     for mine, theirs in zip(loaded.canon()[2:], via_2d[0].canon()[2:]):
         assert np.array_equal(mine, theirs)
     assert serialize_sequences([loaded]) == path.read_text()
@@ -504,7 +499,7 @@ def test_canonical_3d_needs_every_root_on_the_axis(tmp_path, pose_batch, intrins
     path = tmp_path / "canon.ndjson"
     path.write_text(text)
     loaded = load_sequences(path, skeleton)[0]
-    assert all(f.pose_3d.frame is Frame.CANONICAL_CAMERA for f in loaded.frames)
+    assert loaded.joints_3d() is not None and loaded.frame_3d is Frame.CANONICAL_CAMERA
     # Move one frame's root off the axis: the whole sequence reads as camera-frame.
     lines = text.splitlines()
     root = skeleton.root_index
@@ -513,13 +508,13 @@ def test_canonical_3d_needs_every_root_on_the_axis(tmp_path, pose_batch, intrins
     lines[2] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     moved = load_sequences(path, skeleton)[0]
-    assert all(f.pose_3d.frame is Frame.CAMERA for f in moved.frames)
+    assert moved.joints_3d() is not None and moved.frame_3d is Frame.CAMERA
 
 
 def _assert_channels_share_one_array(seq):
     arrays = {
-        "pose_2d": [f.pose_2d.joints for f in seq.frames if f.pose_2d is not None],
-        "pose_3d": [f.pose_3d.joints for f in seq.frames if f.pose_3d is not None],
+        "pose_2d": [joints for joints in rows_of(seq, 2) if joints is not None],
+        "pose_3d": [joints for joints in rows_of(seq, 3) if joints is not None],
         "rotation": [] if seq.canon() is None else list(seq.canon()[0]),
         "source": [] if seq.canon() is None else list(seq.canon()[1]),
     }
@@ -557,10 +552,8 @@ def test_the_3d_path_output_shares_no_memory_with_its_input(pose_batch, intrinsi
     from canonpose.dataset import apply_extrinsics
 
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=6, seed=62)
-    gappy = PoseSequence(
-        *seq.key, seq.fps,
-        tuple(replace(f, pose_3d=None) if f.index in (1, 4) else f for f in seq.frames), skeleton,
-    )
+    has_3d = [number not in (1, 4) for number in seq.frame_numbers().tolist()]
+    gappy = sequence_of(seq.key, skeleton, seq.frame_numbers(), seq.joints_2d(), seq.joints_3d(), has_3d=has_3d)
     extrinsics = CameraExtrinsics(rotation_factory(7), [0.1, 0.2, 4.0])
     moved, moved_gappy = apply_extrinsics([seq, gappy], extrinsics)
     for before, after in ((seq, moved), (gappy, moved_gappy)):
@@ -658,8 +651,11 @@ def test_cli_data_path_builds_no_per_frame_object(tmp_path, pose_batch, intrinsi
 
 def test_constructor_refuses_mixed_3d_frames(pose_batch, intrinsics, skeleton):
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=4, seed=57)
-    frames = list(seq.frames)
-    frames[2] = FramePair(frames[2].pose_2d, Pose3D(frames[2].pose_3d.joints, Frame.GLOBAL), 2)
+    pixels, points = seq.joints_2d(), seq.joints_3d()
+    frames = [
+        FramePair(Pose2D(pixels[t], Space.IMAGE), Pose3D(points[t], Frame.GLOBAL if t == 2 else Frame.CAMERA), t)
+        for t in range(4)
+    ]
     with pytest.raises(ValueError, match=r"mix 3D frames \(camera, global\)"):
         PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
 
@@ -674,11 +670,9 @@ def test_a_2d_pose_in_any_space_but_pixels_is_refused():
 
 def test_canonicalize_2d_refuses_a_3d_root_at_the_camera_center(pose_batch, intrinsics, skeleton):
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=4, seed=60)
-    frames = list(seq.frames)
-    joints = frames[1].pose_3d.joints.copy()
-    joints[skeleton.root_index] = 0.0
-    frames[1] = FramePair(frames[1].pose_2d, Pose3D(joints, Frame.CAMERA), 1)
-    at_center = PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
+    joints = seq.joints_3d().copy()
+    joints[1, skeleton.root_index] = 0.0
+    at_center = sequence_of(seq.key, skeleton, seq.frame_numbers(), seq.joints_2d(), joints)
     with pytest.raises(SequenceCanonicalizationError) as excinfo:
         canonicalize_dataset([at_center], intrinsics, "2d-path")
     assert excinfo.value.frame_indices == (1,)
@@ -706,21 +700,24 @@ def test_both_paths_refuse_a_joint_behind_the_canonical_camera_with_one_text(pos
 
 def _short_pose(seq):
     """Frame 0's 3D pose without its last joint."""
-    return Pose3D(seq.frames[0].pose_3d.joints[:-1], Frame.CAMERA)
+    return Pose3D(seq.joints_3d()[0, :-1], Frame.CAMERA)
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
         (lambda seq, intr: FramePair(None, None, 0), "a frame needs at least one of a 2D or a 3D pose"),
-        (lambda seq, intr: FramePair(seq.frames[0].pose_2d, _short_pose(seq), 0), "2D and 3D joint counts differ (17 vs 16)"),
-        (lambda seq, intr: replace(seq, frames=()), "a sequence needs at least one frame"),
         (
-            lambda seq, intr: replace(seq, frames=[FramePair(None, _short_pose(seq), 0)]),
+            lambda seq, intr: FramePair(Pose2D(seq.joints_2d()[0], Space.IMAGE), _short_pose(seq), 0),
+            "2D and 3D joint counts differ (17 vs 16)",
+        ),
+        (lambda seq, intr: PoseSequence(*seq.key, seq.fps, (), seq.skeleton), "a sequence needs at least one frame"),
+        (
+            lambda seq, intr: PoseSequence(*seq.key, seq.fps, [FramePair(None, _short_pose(seq), 0)], seq.skeleton),
             "frame 0 has 16 joints, skeleton 'h36m17' has 17",
         ),
-        (lambda seq, intr: replace(seq, fps=0.0), "fps must be positive and finite, got 0.0"),
-        (lambda seq, intr: replace(seq, fps=float("nan")), "fps must be positive and finite, got nan"),
+        (lambda seq, intr: rebuilt(seq, fps=0.0), "fps must be positive and finite, got 0.0"),
+        (lambda seq, intr: rebuilt(seq, fps=float("nan")), "fps must be positive and finite, got nan"),
     ],
     ids=["frame-without-poses", "frame-joint-counts-differ", "sequence-without-frames", "frame-joint-count",
          "fps-zero", "fps-nan"],
@@ -735,11 +732,11 @@ def test_constructors_refuse_what_a_sequence_cannot_hold(pose_batch, intrinsics,
 def test_padded_windows_canonicalize_like_their_frames(pose_batch, intrinsics, skeleton):
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=10, seed=61)
     windows = window(seq, WindowSpec(4, 4), "repeat-last")
-    assert [f.index for f in windows[-1].frames] == [8, 9, 9, 9]
+    assert windows[-1].frame_numbers().tolist() == [8, 9, 9, 9]
     for mode in ("3d-path", "2d-path"):
         cuts = window(canonicalize_dataset([seq], intrinsics, mode)[0], WindowSpec(4, 4), "repeat-last")
         for win, cut in zip(canonicalize_dataset(windows, intrinsics, mode), cuts):
-            assert [f.index for f in win.frames] == [f.index for f in cut.frames]
+            assert win.frame_numbers().tolist() == cut.frame_numbers().tolist()
             assert np.abs(win.joints_2d() - cut.joints_2d()).max() < 1e-9
             (mine, _, my_depths, mine_known), (theirs, _, their_depths, theirs_known) = win.canon(), cut.canon()
             assert np.abs(mine - theirs).max() < 1e-12
@@ -796,16 +793,15 @@ def test_canonical_file_with_null_root_depths_reloads_as_camera_frame(tmp_path, 
     path = tmp_path / "null_depth.ndjson"
     path.write_text(text.splitlines()[0] + "\n" + "".join(json.dumps(record) + "\n" for record in records))
     loaded = load_sequences(path, skeleton)[0]
-    assert all(f.pose_3d.frame is Frame.CAMERA for f in loaded.frames)
-    assert loaded._columns.frame_3d is Frame.CAMERA
+    assert loaded.joints_3d() is not None and loaded.frame_3d is Frame.CAMERA
     assert not loaded.canon()[3].any()
-    for frame, record in zip(loaded.frames, records):
-        assert frame.pose_3d.joints.tolist() == record["joints_3d"]
+    for joints, record in zip(loaded.joints_3d(), records):
+        assert joints.tolist() == record["joints_3d"]
 
 
 def test_2d_path_output_of_a_2d_only_file_resaves_byte_for_byte(tmp_path, pose_batch, intrinsics, skeleton):
     seq = make_sequence(pose_batch, intrinsics, skeleton, n=5, seed=54)
-    only_2d = replace(seq, frames=tuple(FramePair(f.pose_2d, None, f.index) for f in seq.frames))
+    only_2d = _only_2d(seq)
     path = tmp_path / "canon2d.ndjson"
     save_sequences(canonicalize_dataset([only_2d], intrinsics, "2d-path"), path)
     text = path.read_text()
@@ -839,7 +835,7 @@ def test_minus_zero_loads_as_minus_zero_and_a_minus_zero_frame_as_frame_zero(tmp
     path = tmp_path / "zeros.ndjson"
     path.write_text(line % (_joints(skeleton, 2, "-0"), _joints(skeleton, 3, "-0")) + "\n")
     (seq,) = load_sequences(path, skeleton)
-    assert [(type(i), i) for i in seq._columns.index.tolist()] == [(int, 0)]
+    assert [(type(i), i) for i in seq.frame_numbers().tolist()] == [(int, 0)]
     for joints in (seq.joints_2d(), seq.joints_3d()):
         assert not joints.any() and np.signbit(joints).all()
     assert serialize_sequences([seq]).splitlines()[1] == line.replace("-0,", "0,", 1) % (
@@ -870,5 +866,48 @@ def test_repr_of_a_loaded_sequence_builds_no_frame(tmp_path, pose_batch, intrins
     )
     assert listed == f"[{text}]"
     assert [type(obj).__name__ for obj in _per_frame_objects() if id(obj) not in known] == []
-    only_2d = replace(seq, frames=tuple(FramePair(f.pose_2d, None, f.index) for f in seq.frames))
+    only_2d = _only_2d(seq)
     assert repr(only_2d).endswith("has_2d=True, frame_3d=None, canonical=False)")
+
+
+def test_frame_numbers_of_a_padded_window_repeat_its_last(pose_batch, intrinsics, skeleton):
+    pts = pose_batch(5, seed=64)
+    seq = sequence_of(("S1", "walk", "cam0"), skeleton, range(100, 115, 3), batch_project(pts, intrinsics), pts)
+    windows = window(seq, WindowSpec(4, 3), "repeat-last")
+    assert [w.frame_numbers().tolist() for w in windows] == [[100, 103, 106, 109], [109, 112, 112, 112]]
+    assert all(type(number) is int for number in windows[1].frame_numbers())
+    _assert_read_only([w.frame_numbers() for w in windows] + [seq.frame_numbers()])
+
+
+def test_frame_numbers_of_interleaved_sequences_stay_their_own(tmp_path, skeleton):
+    lines = [
+        f'{{"subject": "S1", "action": "{action}", "camera": "c", "frame": {frame}, '
+        f'"joints_2d": {_joints(skeleton, 2)}, "joints_3d": null}}'
+        for action, frame in (("a", 7), ("b", 40), ("a", 3), ("b", 41), ("b", 2), ("a", 9))
+    ]
+    path = tmp_path / "interleaved.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    first, second = load_sequences(path, skeleton)
+    assert (first.action, first.frame_numbers().tolist()) == ("a", [7, 3, 9])
+    assert (second.action, second.frame_numbers().tolist()) == ("b", [40, 41, 2])
+
+
+def test_frame_3d_is_none_without_3d(tmp_path, pose_batch, intrinsics, skeleton):
+    seq = make_sequence(pose_batch, intrinsics, skeleton, n=6, seed=65)
+    only_2d = _only_2d(seq)
+    assert seq.frame_3d is Frame.CAMERA and only_2d.frame_3d is None
+    path = tmp_path / "only2d.ndjson"
+    save_sequences([only_2d], path)
+    (loaded,) = load_sequences(path, skeleton)
+    assert loaded.frame_3d is None
+    # A window of a sequence that has 3D only in its first frames, and 2D
+    # only in the rest, has no 3D, and its repr says so.
+    has_3d = [number < 2 for number in seq.frame_numbers().tolist()]
+    split = sequence_of(
+        seq.key, skeleton, seq.frame_numbers(), seq.joints_2d(), seq.joints_3d(),
+        has_2d=[not h for h in has_3d], has_3d=has_3d,
+    )
+    first, last = window(split, WindowSpec(2, 4), "drop")
+    assert (first.frame_3d, last.frame_3d) == (Frame.CAMERA, None)
+    assert repr(first).endswith("has_2d=False, frame_3d='camera', canonical=False)")
+    assert repr(last).endswith("has_2d=True, frame_3d=None, canonical=False)")

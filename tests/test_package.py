@@ -1,15 +1,21 @@
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import canonpose
 from canonpose import camera, canonical, errors, lift, synth
+from canonpose.camera import Frame
+from canonpose.dataset import PoseSequence, load_sequences
+from canonpose.skeleton import H36M17
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Test-only helpers, the per-pose lifter API, the lifter class, the 2D
-# path's own dehomogenization error, and the tagged single-pose operations
-# with their rotation and record types, that the package no longer ships.
+# path's own dehomogenization error, the tagged single-pose operations
+# with their rotation and record types, and the per-frame view of a
+# sequence, that the package no longer ships.
 _REMOVED = {
     "world_to_camera": camera,
     "project": camera,
@@ -34,6 +40,7 @@ _REMOVED = {
     "LinearLifter": lift,
     "MAPPING_KINDS": lift,
     "DegenerateHomogeneousError": errors,
+    "frames": PoseSequence,
 }
 
 
@@ -67,3 +74,22 @@ def test_every_name_the_benchmark_uses_resolves():
     for module, name in used:
         if not hasattr(importlib.import_module(module), name):
             importlib.import_module(f"{module}.{name}")  # ``from canonpose import cli``: a submodule
+
+
+def test_the_benchmark_input_builder_writes_its_files(tmp_path, monkeypatch):
+    # The benchmark builds its inputs with the per-frame PoseSequence
+    # constructor, the one caller of it outside the tests.
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(inputs)
+    built = inputs.build_inputs(11, str(tmp_path))
+    for path, frame in ((built.raw, Frame.CAMERA), (built.world, Frame.CAMERA), (built.canon, Frame.CANONICAL_CAMERA)):
+        sequences = load_sequences(path, H36M17)
+        assert len(sequences) == 8
+        assert sorted(seq.n_frames for seq in sequences) == sorted(inputs.SEQUENCE_LENGTHS)
+        assert [seq.key for seq in sequences] == list(built.keys)
+        assert [seq.n_frames for seq in sequences] == list(built.lengths)
+        assert all(seq.frame_3d is frame for seq in sequences)
+        assert all(seq.frame_numbers().tolist() == list(range(seq.n_frames)) for seq in sequences)

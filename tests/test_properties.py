@@ -21,6 +21,7 @@ import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sequence_arrays import rows_of
 
 from canonpose import dataset
 from canonpose.camera import EPS_ROTATION, CameraIntrinsics, Frame, batch_project
@@ -533,7 +534,7 @@ def test_a_nested_rotation_loads_as_the_flat_one(tmp_path):
         record["canon"]["rotation"] = [rotation[k : k + 3] for k in (0, 3, 6)]
     nested = load_sequences(_write(tmp_path, [json.dumps(record) for record in records]), TINY)
     _assert_same_arrays(nested, flat)
-    assert nested[0].frames[0].pose_3d.frame is Frame.CANONICAL_CAMERA
+    assert rows_of(nested[0], 3)[0] is not None and nested[0].frame_3d is Frame.CANONICAL_CAMERA
 
 
 def test_an_int_too_large_for_a_float_is_not_numeric(tmp_path):

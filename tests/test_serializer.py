@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from sequence_arrays import rows_of
 
 from canonpose.camera import Frame, Pose2D, Pose3D, Space
 from canonpose.dataset import FramePair, PoseSequence, serialize_sequences
@@ -28,14 +29,14 @@ def _reference_joints(array):
     return "[" + rows + "]"
 
 
-def _reference_line(seq, frame, canon):
+def _reference_line(seq, number, pose_2d, pose_3d, canon):
     parts = [
         f'"subject": {json.dumps(seq.subject)}',
         f'"action": {json.dumps(seq.action)}',
         f'"camera": {json.dumps(seq.camera_id)}',
-        f'"frame": {frame.index}',
-        f'"joints_2d": {_reference_joints(frame.pose_2d.joints if frame.pose_2d else None)}',
-        f'"joints_3d": {_reference_joints(frame.pose_3d.joints if frame.pose_3d else None)}',
+        f'"frame": {number}',
+        f'"joints_2d": {_reference_joints(pose_2d)}',
+        f'"joints_3d": {_reference_joints(pose_3d)}',
     ]
     if canon is not None:
         matrix, vector, root_depth, has_depth = canon
@@ -62,8 +63,9 @@ def reference_serialize(sequences):
     for seq in sequences:
         canon = seq.canon()
         rows = zip(*canon) if canon is not None else (None,) * seq.n_frames
-        for frame, row in zip(seq.frames, rows):
-            lines.append(_reference_line(seq, frame, row))
+        numbers = seq.frame_numbers().tolist()
+        for number, pose_2d, pose_3d, row in zip(numbers, rows_of(seq, 2), rows_of(seq, 3), rows):
+            lines.append(_reference_line(seq, number, pose_2d, pose_3d, row))
     return "\n".join(lines) + "\n" if lines else ""
 
 

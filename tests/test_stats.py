@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sequence_arrays import rows_of, sequence_of
 
 from canonpose.camera import Frame, Pose2D, Pose3D, Space, batch_project
 from canonpose.dataset import FramePair, PoseSequence, canonicalize_dataset
@@ -20,15 +21,7 @@ from canonpose.stats import (
 def make_sequence(pose_batch, intrinsics, skeleton, n=8, seed=40, with_2d=True):
     pts = pose_batch(n, seed=seed)
     pix = batch_project(pts, intrinsics) if with_2d else None
-    frames = tuple(
-        FramePair(
-            Pose2D(pix[t], Space.IMAGE) if with_2d else None,
-            Pose3D(pts[t], Frame.CAMERA),
-            t,
-        )
-        for t in range(n)
-    )
-    return PoseSequence("S1", "act", "cam0", 50.0, frames, skeleton)
+    return sequence_of(("S1", "act", "cam0"), skeleton, range(n), pix, pts)
 
 
 def samples_of(summary: DistributionSummary) -> np.ndarray:
@@ -256,15 +249,15 @@ def _reference_pelvis(sequences, intrinsics):
     xy, image = [], []
     for seq in sequences:
         root = seq.skeleton.root_index
-        for frame in seq.frames:
-            if frame.pose_3d is not None:
-                xy.append(frame.pose_3d.joints[root, :2])
-            if frame.pose_2d is not None and frame.pose_2d.space is Space.IMAGE:
-                image.append(frame.pose_2d.joints[root])
-            elif frame.pose_3d is not None and intrinsics is not None:
-                centered = frame.pose_3d.frame is Frame.CANONICAL_CAMERA
+        for pose_2d, pose_3d in zip(rows_of(seq, 2), rows_of(seq, 3)):
+            if pose_3d is not None:
+                xy.append(pose_3d[root, :2])
+            if pose_2d is not None:
+                image.append(pose_2d[root])
+            elif pose_3d is not None and intrinsics is not None:
+                centered = seq.frame_3d is Frame.CANONICAL_CAMERA
                 project = batch_project_centered if centered else batch_project
-                image.append(project(frame.pose_3d.joints[root], intrinsics))
+                image.append(project(pose_3d[root], intrinsics))
     return np.array(xy), np.array(image)
 
 
@@ -272,10 +265,9 @@ def _reference_orientation(sequences):
     directions, degenerate = [], 0
     for seq in sequences:
         skel = seq.skeleton
-        for frame in seq.frames:
-            if frame.pose_3d is None:
+        for joints in rows_of(seq, 3):
+            if joints is None:
                 continue
-            joints = frame.pose_3d.joints
             across = joints[skel.left_hip_index] - joints[skel.right_hip_index]
             up = joints[skel.torso_index] - joints[skel.root_index]
             cross = np.cross(across, up)
@@ -291,11 +283,11 @@ def _reference_scatter(sequences, mode):
     pools = []
     for seq in sequences:
         root = seq.skeleton.root_index
-        for frame in seq.frames:
-            if mode == "2d" and frame.pose_2d is not None:
-                pools.append(frame.pose_2d.joints)
-            elif mode == "3d-root-relative" and frame.pose_3d is not None:
-                pools.append(frame.pose_3d.joints - frame.pose_3d.joints[root])
+        for pose_2d, pose_3d in zip(rows_of(seq, 2), rows_of(seq, 3)):
+            if mode == "2d" and pose_2d is not None:
+                pools.append(pose_2d)
+            elif mode == "3d-root-relative" and pose_3d is not None:
+                pools.append(pose_3d - pose_3d[root])
     return np.concatenate(pools, axis=0)
 
 
@@ -306,16 +298,14 @@ def test_distributions_match_per_frame_reference_bit_for_bit(pose_batch, intrins
     flat[skeleton.torso_index] = flat[skeleton.root_index] + 2.5 * (
         flat[skeleton.left_hip_index] - flat[skeleton.right_hip_index]
     )
-    frames = []
-    for t in range(40):
-        kind = t % 3
-        pose_2d = Pose2D(pix[t], Space.IMAGE) if kind != 1 else None
-        pose_3d = Pose3D(flat if t == 7 else pts[t], Frame.CAMERA) if kind != 0 else None
-        frames.append(FramePair(pose_2d, pose_3d, t))
-    mixed = PoseSequence("S1", "mixed", "cam0", 50.0, tuple(frames), skeleton)
+    points = pts.copy()
+    points[7] = flat
+    kind = np.arange(40) % 3
+    mixed = sequence_of(("S1", "mixed", "cam0"), skeleton, range(40), pix, points, has_2d=kind != 1, has_3d=kind != 0)
     canonical = canonicalize_dataset([make_sequence(pose_batch, intrinsics, skeleton, n=9, seed=47)], intrinsics, "3d-path")[0]
-    bare_canonical = PoseSequence(
-        "S2", "bare", "cam0", 50.0, tuple(FramePair(None, f.pose_3d, f.index) for f in canonical.frames), skeleton
+    bare_canonical = sequence_of(
+        ("S2", "bare", "cam0"), skeleton, canonical.frame_numbers(), None, canonical.joints_3d(),
+        frame_3d=canonical.frame_3d,
     )
     sequences = [mixed, canonical, bare_canonical]
 

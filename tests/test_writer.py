@@ -7,14 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from sequence_arrays import rebuilt, sequence_of
 from test_serializer import _skeleton, reference_serialize
 
 from canonpose import dataset
-from canonpose.camera import Frame, Pose2D, Pose3D, Space, batch_project
+from canonpose.camera import batch_project
 from canonpose.cli import run
 from canonpose.dataset import (
     _BLOCK_ROWS,
-    FramePair,
     PoseSequence,
     WindowSpec,
     canonicalize_dataset,
@@ -41,15 +41,13 @@ def sources(pose_batch, intrinsics):
     skeleton = _skeleton(5, "writer5")
     points = pose_batch(n, seed=31)[:, :5]
     pixels = batch_project(points, intrinsics)
-    frames = [FramePair(Pose2D(pixels[t], Space.IMAGE), Pose3D(points[t], Frame.CAMERA), t) for t in range(n)]
-    long = PoseSequence("S1", "walk", "cam0", 50.0, frames, skeleton)
+    long = sequence_of(("S1", "walk", "cam0"), skeleton, range(n), pixels, points)
     (long,) = canonicalize_dataset([long], intrinsics, "3d-path")
-    short = []
-    for t in range(50):
-        pose_2d = Pose2D(pixels[t], Space.IMAGE) if t % 3 != 1 else None
-        pose_3d = Pose3D(points[t], Frame.CAMERA) if t % 3 != 0 else None
-        short.append(FramePair(pose_2d, pose_3d, 1000 + t))
-    return long, PoseSequence("S2", "eat", "cam1", 50.0, short, skeleton)
+    rows = np.arange(50)
+    short = sequence_of(
+        ("S2", "eat", "cam1"), skeleton, range(1000, 1050), pixels, points, has_2d=rows % 3 != 1, has_3d=rows % 3 != 0
+    )
+    return long, short
 
 
 @pytest.mark.parametrize("pad", ["drop", "repeat-last"])
@@ -97,8 +95,8 @@ def test_every_writer_refuses_two_kinds_before_writing(sources, tmp_path):
     long, short = sources
     # The short source at 25 fps, and under another skeleton: neither can
     # share the one header with a 50 fps writer5 sequence.
-    slow = PoseSequence("S2", "eat", "cam1", 25.0, short.frames, short.skeleton)
-    other = PoseSequence("S3", "eat", "cam1", 50.0, short.frames, _skeleton(5, "other5"))
+    slow = rebuilt(short, fps=25.0)
+    other = rebuilt(short, key=("S3", "eat", "cam1"), skeleton=_skeleton(5, "other5"))
     writes = []
 
     class Handle:
