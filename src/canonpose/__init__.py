@@ -45,7 +45,7 @@ from .errors import (
 )
 from .lift import LiftingStudyConfig, StudyReport, run_study
 from .metrics import SimilarityTransform, mpjpe, p_mpjpe, procrustes_align
-from .skeleton import H36M17, Skeleton, available_skeletons, get_skeleton, register_skeleton
+from .skeleton import H36M17, Skeleton, available_skeletons, get_skeleton
 from .stats import (
     DistributionSummary,
     body_orientation_distribution,
@@ -96,7 +96,6 @@ __all__ = [
     "p_mpjpe",
     "pelvis_position_distribution",
     "procrustes_align",
-    "register_skeleton",
     "residual_offset",
     "run_study",
     "save_sequences",

@@ -154,13 +154,6 @@ class CameraIntrinsics:
         if not (0 < self.cy < self.height):
             raise ValueError(f"cy={self.cy} must lie strictly inside (0, {self.height})")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The 3x3 intrinsic matrix K."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
     def to_dict(self) -> dict:
         return plain(self)
 

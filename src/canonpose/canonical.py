@@ -81,6 +81,20 @@ def _root_depth(value) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _alignable_norms(vectors: np.ndarray) -> np.ndarray:
+    """The norms of (N, 3) ``vectors``; DegenerateVectorError naming every
+    one <= EPS_VEC, else every one that is not finite, as neither aligns."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm that overflows is inf, refused below
+        norms = np.linalg.norm(vectors, axis=-1)
+    for bad, what in (
+        (norms <= EPS_VEC, f"too short to align (norm <= {EPS_VEC})"),
+        (~np.isfinite(norms), "with a norm that is not finite cannot be aligned"),
+    ):
+        if bad.any():
+            raise DegenerateVectorError(f"{int(bad.sum())} vector(s) {what}", indices=np.nonzero(bad)[0])
+    return norms
+
+
 def batch_rodrigues_align(vectors: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Rotation matrices aligning each of (N, 3) ``vectors`` with ``target``.
 
@@ -100,20 +114,7 @@ def batch_rodrigues_align(vectors: np.ndarray, target: np.ndarray) -> np.ndarray
     vecs = np.atleast_2d(vecs)
     tgt = np.asarray(target, dtype=np.float64)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a norm that overflows is inf, refused below
-        norms = np.linalg.norm(vecs, axis=-1)
-    short = norms <= EPS_VEC
-    if short.any():
-        raise DegenerateVectorError(
-            f"{int(short.sum())} vector(s) too short to align (norm <= {EPS_VEC})",
-            indices=np.nonzero(short)[0],
-        )
-    unbounded = ~np.isfinite(norms)
-    if unbounded.any():
-        raise DegenerateVectorError(
-            f"{int(unbounded.sum())} vector(s) with a norm that is not finite cannot be aligned",
-            indices=np.nonzero(unbounded)[0],
-        )
+    norms = _alignable_norms(vecs)
     unit = vecs / norms[:, None]
 
     cos_theta = unit @ tgt

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics, _check_depths, batch_project, batch_screen_normalize
-from .canonical import batch_back_transform, batch_canonicalize_2d, batch_canonicalize_3d, batch_project_centered
+from .canonical import _alignable_norms, batch_back_transform, batch_canonicalize_2d, batch_canonicalize_3d
+from .canonical import batch_project_centered
 from .errors import SingularMatrixError
 from .jsonfmt import dumps, json_float, json_int, plain
 from .metrics import mpjpe, p_mpjpe
@@ -235,13 +236,13 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     camera-frame poses, its targets made root-relative one fit block at a
     time; its inputs are then freed and the poses are canonicalized in place,
     a block at a time, for the canonical arm, whose targets are made
-    root-relative in place. Each set of joints gets one depth check: a refusal
-    names every pose with a joint at or behind the camera plane as one batch.
-    Refusals come in the order camera depth, canonical depth, canonical fit,
-    conventional fit, so a conventional fit's refusal is held until the
-    canonical arm is fit. What grows with ``n_train`` is at most the kept
-    poses and one arm's inputs: 5J numbers per pose, since the fit sums its
-    normal equations in blocks.
+    root-relative in place. Each set of joints gets one depth check, and the
+    roots one alignability check: a refusal names every pose at fault as one
+    batch. Refusals come in the order camera depth, root alignability,
+    canonical depth, canonical fit, conventional fit, so a conventional fit's
+    refusal is held until the canonical arm is fit. What grows with
+    ``n_train`` is at most the kept poses and one arm's inputs: 5J numbers per
+    pose, since the fit sums its normal equations in blocks.
     """
     skeleton = get_skeleton(config.skeleton)
     intr = config.camera
@@ -294,7 +295,9 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     # The same buffer, canonicalized in place, trains the canonical arm. Its
     # targets are made root-relative in place, as nothing reads the poses
     # after; the canonical root is exactly (0, 0, depth), so only the depths
-    # change.
+    # change. The roots are checked as one batch first, so a refusal names
+    # poses by their place in the training set, not in a block.
+    _alignable_norms(poses[:, root])
     for lo in range(0, n_train, _CANON_ROWS):
         poses[lo : lo + _CANON_ROWS] = batch_canonicalize_3d(poses[lo : lo + _CANON_ROWS], root)[0]
     _check_depths(poses[..., 2], "canonical joint(s)")

@@ -46,10 +46,6 @@ class SimilarityTransform:
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", trans)
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return self.scale * (pts @ self.rotation.T) + self.translation
-
 
 def _as_frames(poses, name: str) -> np.ndarray:
     """Coerce a (J, 3) or (T, J, 3) array to (T, J, 3)."""
@@ -78,6 +74,10 @@ def _refuse(flags: np.ndarray, what: str, error=GeometryError) -> None:
         raise error(f"{what} in {int(flags.sum())} frame(s)", indices=np.nonzero(flags)[0])
 
 
+# Frames ``mpjpe`` scores, or ``p_mpjpe`` aligns, at once, into one (T, J) array.
+_ALIGN_ROWS = 256
+
+
 def mpjpe(pred, gt) -> float:
     """Mean per-joint position error in meters.
 
@@ -85,22 +85,23 @@ def mpjpe(pred, gt) -> float:
     corresponding joints. Inputs are expected root-relative; no re-centering
     is applied here.
 
-    A frame with a joint distance that is not finite (one whose square
-    overflows, say) is refused; one refusal names every such frame.
+    Frames are scored in blocks, so no (T, J, 3) temporary is made. A frame
+    with a joint distance that is not finite (one whose square overflows,
+    say) is refused; one refusal names every such frame.
 
     Args:
         pred, gt: arrays of shape (J, 3) or (T, J, 3); shapes must match,
             and an empty pair is refused.
     """
     p, g = _as_pair(pred, gt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        errors = np.linalg.norm(p - g, axis=-1)
+    errors = np.empty(p.shape[:2])
+    with np.errstate(over="ignore", invalid="ignore"):  # a distance that overflows is inf, refused below
+        for rows in (slice(lo, lo + _ALIGN_ROWS) for lo in range(0, len(p), _ALIGN_ROWS)):
+            errors[rows] = np.linalg.norm(p[rows] - g[rows], axis=-1)
     _refuse(~np.isfinite(errors).all(axis=-1), "the joint distance is not finite")
     return float(np.mean(errors))
 
 
-# Frames ``p_mpjpe`` aligns at once; their errors fill one (T, J) array.
-_ALIGN_ROWS = 256
 # The rank screen in front of the collinearity SVD (module docstring).
 _RANK_SCREEN = 1e-6
 # Below this trace the screen's products may underflow, so its bound is not

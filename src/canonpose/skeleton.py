@@ -1,10 +1,9 @@
 """Skeleton metadata: joint names, the root and orientation joints, and the
 bone tree.
 
-One skeleton ships by default: ``h36m17``, the common 17-joint layout with
-the pelvis as root. Additional skeletons can be registered at runtime; data
-files name their skeleton in the optional header line and the CLI selects one
-with ``--skeleton``.
+One skeleton ships: ``h36m17``, the common 17-joint layout with the pelvis
+as root. Data files name their skeleton in the optional header line and the
+CLI selects one by name with ``--skeleton``.
 """
 
 from __future__ import annotations
@@ -129,11 +128,6 @@ def get_skeleton(name: str) -> Skeleton:
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown skeleton {name!r} (known: {known})") from None
-
-
-def register_skeleton(skeleton: Skeleton) -> None:
-    """Add a skeleton to the registry (replacing any same-named entry)."""
-    _REGISTRY[skeleton.name] = skeleton
 
 
 def available_skeletons() -> tuple[str, ...]:

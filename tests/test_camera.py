@@ -155,7 +155,6 @@ def test_intrinsics_validation():
     with pytest.raises(ValueError, match=r"^cy=480.0 must lie strictly inside \(0, 480.0\)$"):
         CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=480.0, width=640.0, height=480.0)
     intr = CameraIntrinsics(fx=500.0, fy=510.0, cx=320.0, cy=240.0, width=640.0, height=480.0)
-    assert np.allclose(intr.matrix, [[500.0, 0.0, 320.0], [0.0, 510.0, 240.0], [0.0, 0.0, 1.0]])
     assert intr.to_dict()["fy"] == 510.0
 
 

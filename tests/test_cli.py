@@ -876,6 +876,23 @@ def test_a_study_whose_weights_overflow_exits_two(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
+def test_a_study_names_each_training_root_whose_norm_overflows_by_its_pose(tmp_path, capsys):
+    # The training poses are canonicalized 256 at a time, yet the refusal
+    # names each pose by its place in the whole set (290, not 290 - 256).
+    config = tmp_path / "study.json"
+    out = tmp_path / "report.json"
+    region = {"low": [0, 0, 3], "high": [1.36e154, 0, 5]}
+    config.write_text(json.dumps({"train_root_region": region, "n_train": 2000, "n_test": 10, "seed": 3}))
+    assert run(["study", "--config", str(config), "--output", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: 25 vector(s) with a norm that is not finite cannot be aligned (at positions [290, 294, 571, 601, 637,"
+        " 643, 662, 667, 707, 725, 730, 834, 910, 962, 1254, 1323, 1426, 1453, 1592, 1660], ...)\n",
+    )
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "case", ["detection-1e200-px", "focal-length-1e-308", "root-1e200-m", "focal-length-1e-308-root-at-cx-cy"]
 )
@@ -1028,14 +1045,17 @@ def test_a_file_of_contiguous_and_interleaved_sequences_holds_its_rows_once(tmp_
     assert peak <= 2.50e6, peak
 
 
-def test_eval_peak_is_about_its_two_sides(tmp_path, capsys):
+@pytest.mark.parametrize("metric", ["mpjpe", "pmpjpe"])
+def test_eval_peak_is_about_its_two_sides(tmp_path, capsys, metric):
     """``eval`` root-centers each sequence into one array per side and
     drops each loaded sequence once copied; sequences loaded as slices of
-    one file's arrays free them only once the last is dropped. On 3,000
-    frames of 3D alone in eight sequences, scored against themselves, the
-    traced peak was 3.42 copies of one side's joints (3.41 as one sequence),
-    against 5.1 while the loaded sequences lived through the score; the
-    bound leaves 17% headroom."""
+    one file's arrays free them only once the last is dropped. Both metrics
+    score 256 frames at a time. On 3,000 frames of 3D alone in eight
+    sequences, scored against themselves, the traced peak was 3.30 copies of
+    one side's joints with mpjpe and 3.26 with pmpjpe, against 5.1 for
+    pmpjpe while the loaded sequences lived through the score and 4.83 for
+    mpjpe while it made whole (T, J, 3) temporaries; the bound leaves 21%
+    headroom."""
     lines = Path(synth_file(tmp_path, count=3000, seed=5)).read_text().splitlines()
     records = [json.loads(line) for line in lines[1:]]
     for k, record in enumerate(records):
@@ -1045,11 +1065,11 @@ def test_eval_peak_is_about_its_two_sides(tmp_path, capsys):
     one_copy = 3000 * 17 * 3 * 8
     tracemalloc.start()
     try:
-        assert run(["eval", "--pred", data, "--gt", data, "--metric", "pmpjpe"]) == 0
+        assert run(["eval", "--pred", data, "--gt", data, "--metric", metric]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert capsys.readouterr().out == "pmpjpe 0.000000 mm\n"
+    assert capsys.readouterr().out == f"{metric} 0.000000 mm\n"
     assert peak <= 4 * one_copy, peak / one_copy
 
 

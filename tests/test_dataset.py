@@ -511,39 +511,6 @@ def test_canonical_3d_needs_every_root_on_the_axis(tmp_path, pose_batch, intrins
     assert moved.joints_3d() is not None and moved.frame_3d is Frame.CAMERA
 
 
-def _assert_channels_share_one_array(seq):
-    arrays = {
-        "pose_2d": [joints for joints in rows_of(seq, 2) if joints is not None],
-        "pose_3d": [joints for joints in rows_of(seq, 3) if joints is not None],
-        "rotation": [] if seq.canon() is None else list(seq.canon()[0]),
-        "source": [] if seq.canon() is None else list(seq.canon()[1]),
-    }
-    for channel, views in arrays.items():
-        bases = {id(view.base) for view in views}
-        assert views == [] or (views[0].base is not None and len(bases) == 1), channel
-
-
-def test_every_channel_views_one_shared_array(tmp_path, pose_batch, intrinsics, skeleton, rotation_factory):
-    from canonpose.camera import CameraExtrinsics
-    from canonpose.dataset import apply_extrinsics
-
-    full = make_sequence(pose_batch, intrinsics, skeleton, n=6, seed=53)
-    other = make_sequence(pose_batch, intrinsics, skeleton, n=6, seed=54, key=("S2", "b", "c"))
-    partial = _with_some_3d_dropped(other)
-    raw_path = tmp_path / "raw.ndjson"
-    save_sequences([full, partial], raw_path)
-    loaded_full, loaded_partial = loaded = load_sequences(raw_path, skeleton)
-    via_3d = canonicalize_dataset([loaded_full], intrinsics, "3d-path")
-    via_2d = canonicalize_dataset(loaded, intrinsics, "2d-path")
-    canon_3d_path, canon_2d_path = tmp_path / "canon3d.ndjson", tmp_path / "canon2d.ndjson"
-    save_sequences(via_3d, canon_3d_path)
-    save_sequences(via_2d, canon_2d_path)
-    reloaded = load_sequences(canon_3d_path, skeleton) + load_sequences(canon_2d_path, skeleton)
-    moved = apply_extrinsics(loaded, CameraExtrinsics(rotation_factory(6), [0.1, 0.2, 4.0]))
-    for seq in loaded + via_3d + via_2d + reloaded + moved:
-        _assert_channels_share_one_array(seq)
-
-
 def test_the_3d_path_output_shares_no_memory_with_its_input(pose_batch, intrinsics, skeleton, rotation_factory):
     """A canonical sequence owns its arrays, so its camera-frame input can be
     freed; a sequence is moved whole, to the bits of moving only the frames

@@ -11,8 +11,7 @@ contract; the production generator must reproduce it bit for bit on every pose.
 import numpy as np
 import pytest
 
-from canonpose import skeleton as skeleton_module
-from canonpose.skeleton import H36M17, Skeleton, get_skeleton, register_skeleton
+from canonpose.skeleton import H36M17, Skeleton
 from canonpose.synth import (
     BONE_LENGTH_JITTER,
     MAX_BODY_TILT,
@@ -88,25 +87,21 @@ def reference_build(config, skeleton, roots, yaws, lean_azimuths, lean_angles, j
 
 
 def _spiral_skeleton():
-    """A registered non-h36m17 skeleton, so E != 16 and the golden-spiral template is used."""
-    register_skeleton(
-        Skeleton(
-            name="chain6",
-            joint_names=("root", "left_hip", "right_hip", "torso", "neck", "head"),
-            root_index=0,
-            left_hip_index=1,
-            right_hip_index=2,
-            torso_index=3,
-            edges=((0, 1), (0, 2), (0, 3), (3, 4), (4, 5)),
-        )
+    """A non-h36m17 skeleton, so E != 16 and the golden-spiral template is used."""
+    return Skeleton(
+        name="chain6",
+        joint_names=("root", "left_hip", "right_hip", "torso", "neck", "head"),
+        root_index=0,
+        left_hip_index=1,
+        right_hip_index=2,
+        torso_index=3,
+        edges=((0, 1), (0, 2), (0, 3), (3, 4), (4, 5)),
     )
-    return get_skeleton("chain6")
 
 
 @pytest.mark.parametrize("seed", [0, TOP_SEED], ids=["seed-0", "seed-top"])
 @pytest.mark.parametrize("stream", [0, 1, 2])
-def test_generator_matches_per_pose_reference(monkeypatch, seed, stream):
-    monkeypatch.setattr(skeleton_module, "_REGISTRY", dict(skeleton_module._REGISTRY))  # undone after the test
+def test_generator_matches_per_pose_reference(seed, stream):
     configs = (
         (SynthConfig(seed=seed, n_poses=300), H36M17),
         (SynthConfig(seed=seed, n_poses=300, limb_scale=0.85, root_region=Box3((-2, 0.5, 6), (-1, 1.5, 9))), H36M17),

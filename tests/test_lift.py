@@ -359,6 +359,27 @@ def test_study_refuses_canonical_joints_behind_the_camera_before_a_conventional_
     assert str(got.value) == "1 canonical joint(s) at or behind the camera plane (Z <= 1e-06) (at positions [26])"
 
 
+def test_study_holds_a_refused_conventional_fit_until_the_canonical_fit_returns(monkeypatch):
+    # Roots 1e154 m off the axis overflow the conventional inputs' spread;
+    # the canonical inputs sit about the image center and fit.
+    outcomes = []
+
+    def spy(x, y, ridge_lambda):
+        try:
+            weights = _fit_arrays(x, y, ridge_lambda)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+            raise
+        outcomes.append("returned")
+        return weights
+
+    monkeypatch.setattr(lift, "_fit_arrays", spy)
+    config = LiftingStudyConfig(train_root_region=Box3((1e154, 0, 3), (1.3e154, 0, 5)), n_train=2000, n_test=10, seed=1)
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        run_study(config)
+    assert outcomes == ["weights must be finite", "returned"]
+
+
 def test_study_refuses_a_fit_without_finite_weights():
     # 1e308 px of noise overflows the inputs' spread.
     with pytest.raises(ValueError, match="^weights must be finite$"):

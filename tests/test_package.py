@@ -5,17 +5,19 @@ import sys
 from pathlib import Path
 
 import canonpose
-from canonpose import camera, canonical, errors, lift, synth
-from canonpose.camera import Frame
+from canonpose import camera, canonical, errors, lift, skeleton, synth
+from canonpose.camera import CameraIntrinsics, Frame
 from canonpose.dataset import PoseSequence, load_sequences
+from canonpose.metrics import SimilarityTransform
 from canonpose.skeleton import H36M17
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Test-only helpers, the per-pose lifter API, the lifter class, the 2D
 # path's own dehomogenization error, the tagged single-pose operations
-# with their rotation and record types, and the per-frame view of a
-# sequence, that the package no longer ships.
+# with their rotation and record types, the per-frame view of a sequence,
+# and the skeleton registration, intrinsic matrix and similarity map that
+# only tests called, that the package no longer ships.
 _REMOVED = {
     "world_to_camera": camera,
     "project": camera,
@@ -41,6 +43,9 @@ _REMOVED = {
     "MAPPING_KINDS": lift,
     "DegenerateHomogeneousError": errors,
     "frames": PoseSequence,
+    "register_skeleton": skeleton,
+    "matrix": CameraIntrinsics,
+    "apply": SimilarityTransform,
 }
 
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from canonpose import skeleton as skeleton_module
 from canonpose.camera import CameraIntrinsics, batch_project, batch_screen_normalize
 from canonpose.canonical import batch_canonicalize_2d, batch_canonicalize_3d, batch_project_centered, residual_offset
 from canonpose.errors import BehindCameraError
-from canonpose.skeleton import Skeleton, get_skeleton, register_skeleton
+from canonpose.skeleton import Skeleton
 from canonpose.synth import DEFAULT_ROOT_REGION, Box3, SynthConfig, generate_pose_array, pose_rng, random_intrinsics
 
 
@@ -203,9 +202,8 @@ def test_many_to_one_demo_identical_placements(skeleton, intrinsics):
     assert residual_error < 1e-9
 
 
-def test_other_skeletons_grow_from_the_golden_spiral_template(monkeypatch):
-    monkeypatch.setattr(skeleton_module, "_REGISTRY", dict(skeleton_module._REGISTRY))  # undone after the test
-    chain = Skeleton(
+def test_other_skeletons_grow_from_the_golden_spiral_template():
+    skeleton = Skeleton(
         name="chain4",
         joint_names=("root", "left_hip", "right_hip", "torso"),
         root_index=0,
@@ -214,8 +212,6 @@ def test_other_skeletons_grow_from_the_golden_spiral_template(monkeypatch):
         torso_index=3,
         edges=((0, 1), (1, 2), (2, 3)),
     )
-    register_skeleton(chain)
-    skeleton = get_skeleton("chain4")
     config = SynthConfig(seed=5, n_poses=200, limb_scale=1.5)
     pts = generate_pose_array(config, skeleton)
     assert pts.shape == (200, 4, 3) and np.isfinite(pts).all()
