@@ -118,9 +118,16 @@ def _vector_norms(vectors: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (N, 3) array.
 
     Bit-identical to ``np.linalg.norm`` of each row on its own (a dot
-    product per row), which ``np.linalg.norm(..., axis=-1)`` is not.
+    product per row), which ``_xyz_norms`` is not.
     """
     return np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
+
+
+def _xyz_norms(points: np.ndarray) -> np.ndarray:
+    """Norms over the last, length-3 axis, as (x*x + y*y) + z*z on the
+    planes: the bits and warnings of ``np.linalg.norm`` over that axis."""
+    x, y, z = points[..., 0], points[..., 1], points[..., 2]
+    return np.sqrt((x * x + y * y) + z * z)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,10 @@ Canonical 2D poses are centered: the root is placed at the image center
 (W/2, H/2) rather than at the principal point, so cameras with different
 principal-point offsets produce identically-distributed canonical data. The
 2D path applies a final translation to satisfy the same convention.
+
+Per-frame rotations and norms run on the x/y/z planes, each (N, J), summing
+in the order of the ``einsum`` and ``linalg.norm`` calls they replaced, whose
+bits they keep: those bits are part of the bytes contract.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .camera import (
     _pinhole,
     _rigid,
     _vector_norms,
+    _xyz_norms,
     batch_to_normalized_plane,
 )
 from .errors import AntiparallelError, DegenerateVectorError
@@ -85,7 +90,7 @@ def _alignable_norms(vectors: np.ndarray) -> np.ndarray:
     """The norms of (N, 3) ``vectors``; DegenerateVectorError naming every
     one <= EPS_VEC, else every one that is not finite, as neither aligns."""
     with np.errstate(over="ignore", invalid="ignore"):  # a norm that overflows is inf, refused below
-        norms = np.linalg.norm(vectors, axis=-1)
+        norms = _xyz_norms(vectors)
     for bad, what in (
         (norms <= EPS_VEC, f"too short to align (norm <= {EPS_VEC})"),
         (~np.isfinite(norms), "with a norm that is not finite cannot be aligned"),
@@ -126,7 +131,7 @@ def batch_rodrigues_align(vectors: np.ndarray, target: np.ndarray) -> np.ndarray
         )
 
     cross = np.cross(unit, tgt)
-    sin_theta = np.linalg.norm(cross, axis=-1)
+    sin_theta = _xyz_norms(cross)
     # Parallel vectors have sin(theta) = 0; the axis is arbitrary there and
     # multiplies out to the identity, so any placeholder direction works.
     safe = np.where(sin_theta > 0.0, sin_theta, 1.0)
@@ -147,9 +152,25 @@ def batch_rodrigues_align(vectors: np.ndarray, target: np.ndarray) -> np.ndarray
     return rot[0] if squeeze else rot
 
 
+def _rotated(rotations: np.ndarray, points: np.ndarray, order: tuple[int, int, int]) -> np.ndarray:
+    """(N, J, 3) ``points`` rotated by (N, 3, 3) ``rotations``: coordinate i
+    is (R[i, a] p_a + R[i, b] p_b) + R[i, c] p_c for ``order`` (a, b, c). As
+    ``einsum``, it never warns: an inf times 0 is NaN."""
+    planes = points[..., 0], points[..., 1], points[..., 2]
+    a, b, c = order
+    out = np.empty(points.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(3):
+            r = rotations[:, i, :, None]
+            out[..., i] = (r[:, a] * planes[a] + r[:, b] * planes[b]) + r[:, c] * planes[c]
+    return out
+
+
 def batch_rotate(rotations: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Apply per-frame rotations (N, 3, 3) to joints (N, J, 3)."""
-    return np.einsum("nij,nkj->nki", rotations, points)
+    """Apply per-frame rotations (N, 3, 3) to joints (N, J, 3), in the order
+    the einsum ``nij,nkj->nki`` sums C-contiguous operands: terms 0 and 2,
+    then 1."""
+    return _rotated(np.asarray(rotations, dtype=np.float64), np.asarray(points, dtype=np.float64), (0, 2, 1))
 
 
 def batch_canonicalize_3d(points: np.ndarray, root_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,7 +187,7 @@ def batch_canonicalize_3d(points: np.ndarray, root_index: int) -> tuple[np.ndarr
     _check_depths(roots[:, 2], "root joint(s)")
     rotations = batch_rodrigues_align(roots, PRINCIPAL_AXIS)
     canonical = batch_rotate(rotations, pts)
-    depths = np.linalg.norm(roots, axis=-1)
+    depths = _xyz_norms(roots)
     canonical[:, root_index, 0] = 0.0
     canonical[:, root_index, 1] = 0.0
     canonical[:, root_index, 2] = depths
@@ -238,9 +259,11 @@ def batch_back_transform(predictions: np.ndarray, rotations: np.ndarray) -> np.n
     No root depth is needed: rotating the pose about its root at
     (0, 0, d) and re-centering on the rotated root gives
     R^T (p + d z) - R^T (d z) = R^T p.
+    The terms are summed 0, 1, 2, as the einsum ``nij,nkj->nki`` sums the
+    strided ``rotations.transpose(0, 2, 1)``.
     """
     rots = np.asarray(rotations, dtype=np.float64)
-    return batch_rotate(rots.transpose(0, 2, 1), np.asarray(predictions, dtype=np.float64))
+    return _rotated(rots.transpose(0, 2, 1), np.asarray(predictions, dtype=np.float64), (0, 1, 2))
 
 
 def residual_offset(root, intrinsics: CameraIntrinsics) -> np.ndarray:

@@ -58,7 +58,10 @@ determinant, finite entries, source norm above EPS_VEC, over
 file is read, and report the lowest failing line.
 A canonical sequence's 3D loads as canonical-frame when every frame with 3D
 has its root at exactly (0, 0, root_depth), as the 3D path writes it, and as
-camera-frame otherwise, as the 2D path leaves it.
+camera-frame otherwise, as the 2D path leaves it. A sequence where some
+frames' roots are there and others' are not is refused, naming the first
+line whose root is not, unless every frame whose root is there has the
+identity rotation, which leaves its 3D the same in either frame.
 
 A sequence is stored as per-sequence arrays, each read-only and checked once
 where it is built: (T, J, 2) and (T, J, 3) joints with a (T,) presence mask
@@ -762,10 +765,17 @@ def _loaded(key, arrays: dict, at: slice, skeleton: Skeleton) -> _Columns:
             bad = int(linenos[start + fault[0]])
             raise SchemaError(f"line {bad}: invalid canon block: {fault[1]}", bad) from fault[1]
     depths, has_depth = arrays["depth"][at], arrays["has_depth"][at]
-    # The 3D path's root rule: every root at exactly (0, 0, depth).
+    # The 3D path's root rule, per frame with 3D: its root at exactly (0, 0,
+    # depth). A frame rotated by the identity has the same 3D in either frame,
+    # so only a frame with another rotation that keeps the rule shows a mix.
     roots = joints_3d[has_3d, skeleton.root_index] if joints_3d is not None else np.zeros((0, 3))
-    canonical = has_depth[has_3d].all() and not roots[:, :2].any() and np.array_equal(roots[:, 2], depths[has_3d])
-    frame_3d = Frame.CANONICAL_CAMERA if canonical else Frame.CAMERA
+    on_axis = has_depth[has_3d] & ~roots[:, :2].any(axis=1) & (roots[:, 2] == depths[has_3d])
+    moved = ~(rotations[has_3d] == np.eye(3)).all(axis=(1, 2))
+    if (on_axis & moved).any() and not on_axis.all():
+        bad = int(linenos[has_3d][np.argmin(on_axis)])
+        what = "mixes canonical-frame and camera-frame 3D: this root is not at (0, 0, root_depth)"
+        raise SchemaError(f"line {bad}: sequence ({', '.join(key)}) {what}", bad)
+    frame_3d = Frame.CANONICAL_CAMERA if on_axis.all() else Frame.CAMERA
     return replace(columns, frame_3d=frame_3d, rotations=rotations, sources=sources, depths=depths, has_depth=has_depth)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, _check_depths, batch_project, batch_screen_normalize
+from .camera import CameraIntrinsics, _check_depths, _xyz_norms, batch_project, batch_screen_normalize
 from .canonical import _alignable_norms, batch_back_transform, batch_canonicalize_2d, batch_canonicalize_3d
 from .canonical import batch_project_centered
 from .errors import SingularMatrixError
@@ -261,7 +261,7 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
         for lo in range(0, len(x), _TRAIN_ROWS):
             rows = slice(lo, lo + _TRAIN_ROWS)
             gaps = _predict_arrays(weights, x[rows]) - y[rows].reshape(-1, n_joints, 3)
-            errors[rows] = np.linalg.norm(gaps, axis=-1).mean(axis=-1)
+            errors[rows] = _xyz_norms(gaps).mean(axis=-1)
         return weights, float(errors.mean()), float(errors.std())
 
     def inputs(joints: np.ndarray, project) -> np.ndarray:

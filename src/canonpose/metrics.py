@@ -17,6 +17,10 @@ above the tolerance, and passes without an SVD. Every other frame, including
 zero, overflowing and tiny ones, goes to the SVD. A frame with a joint that
 is not finite is refused before any of this. The screen, the SVD and the
 alignment read one centered copy of each block of frames.
+
+Joint distances, joint means and the alignment's rotations run on the x/y/z
+planes, summing in the order of the ``linalg.norm``, ``mean`` and ``einsum``
+calls they replaced, whose bits they keep.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import _rigid
+from .camera import _rigid, _xyz_norms
+from .canonical import batch_rotate
 from .errors import DegenerateShapeError, DimensionMismatchError, GeometryError
 
 
@@ -97,7 +102,7 @@ def mpjpe(pred, gt) -> float:
     errors = np.empty(p.shape[:2])
     with np.errstate(over="ignore", invalid="ignore"):  # a distance that overflows is inf, refused below
         for rows in (slice(lo, lo + _ALIGN_ROWS) for lo in range(0, len(p), _ALIGN_ROWS)):
-            errors[rows] = np.linalg.norm(p[rows] - g[rows], axis=-1)
+            errors[rows] = _xyz_norms(p[rows] - g[rows])
     _refuse(~np.isfinite(errors).all(axis=-1), "the joint distance is not finite")
     return float(np.mean(errors))
 
@@ -121,6 +126,15 @@ def _surely_full_rank(centered: np.ndarray) -> np.ndarray:
         t = xx + yy + zz
         e2 = (xx * yy - xy * xy) + (xx * zz - xz * xz) + (yy * zz - yz * yz)
         return (e2 > _RANK_SCREEN * t * t) & (t > _SCREEN_MIN_TRACE)
+
+
+def _joint_means(frames: np.ndarray) -> np.ndarray:
+    """``frames.mean(axis=1)`` of (m, J, 3) ``frames``, its bits and warnings:
+    the joints summed in turn from joint 0, then divided by J."""
+    total = frames[:, 0].copy()
+    for joint in range(1, frames.shape[1]):
+        total += frames[:, joint]
+    return total / frames.shape[1]
 
 
 def _aligned_blocks(pred: np.ndarray, gt: np.ndarray, blocks: list):
@@ -149,8 +163,8 @@ def _aligned_blocks(pred: np.ndarray, gt: np.ndarray, blocks: list):
     collinear = np.zeros((2, len(pred)), dtype=bool)
     seen = False
     for rows in blocks:
-        mu_p = pred[rows].mean(axis=1)
-        mu_g = gt[rows].mean(axis=1)
+        mu_p = _joint_means(pred[rows])
+        mu_g = _joint_means(gt[rows])
         p0 = pred[rows] - mu_p[:, None]
         g0 = gt[rows] - mu_g[:, None]
         for flags, centered in zip(collinear, (p0, g0)):
@@ -176,7 +190,7 @@ def _aligned_blocks(pred: np.ndarray, gt: np.ndarray, blocks: list):
             scales = (s[:, 0] + s[:, 1] + sign * s[:, 2]) / np.einsum("tji,tji->t", p0, p0)
             scales[unbounded] = np.inf
             translations = mu_g - scales[:, None] * np.einsum("tij,tj->ti", rotations, mu_p)
-            aligned = scales[:, None, None] * np.einsum("tij,tkj->tki", rotations, p0) + mu_g[:, None]
+            aligned = scales[:, None, None] * batch_rotate(rotations, p0) + mu_g[:, None]
         yield rows, aligned, scales, rotations, translations
     for name, flags in zip(("pred", "gt"), collinear):
         _refuse(flags, f"{name} joints are collinear", DegenerateShapeError)
@@ -224,7 +238,7 @@ def p_mpjpe(pred, gt) -> float:
     unscaled = np.zeros(len(p), dtype=bool)
     for rows, aligned, scales, _, _ in _aligned_blocks(p, g, blocks):
         with np.errstate(over="ignore", invalid="ignore"):  # a distance that overflows is inf, refused below
-            errors[rows] = np.linalg.norm(aligned - g[rows], axis=-1)
+            errors[rows] = _xyz_norms(aligned - g[rows])
         unscaled[rows] = ~(np.isfinite(scales) & (scales > 0))
     _refuse(unscaled, "the fitted alignment scale is not positive and finite")
     _refuse(~np.isfinite(errors).all(axis=-1), "the aligned joint distance is not finite")

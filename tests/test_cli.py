@@ -340,6 +340,29 @@ def test_eval_refuses_to_score_across_frames(tmp_path, camera_file, capsys):
     assert capsys.readouterr().out.strip() == "mpjpe 0.000000 mm"
 
 
+def test_a_canonical_file_whose_3d_roots_leave_the_axis_in_one_frame_is_refused(tmp_path, capsys):
+    # One root 1e-12 m off the axis once made all 300 frames load as
+    # camera-frame, and eval scored them against the raw file: 36.5 mm.
+    camera = tmp_path / "square.json"
+    camera.write_text(json.dumps({"fx": 1100, "fy": 1100, "cx": 500, "cy": 500, "width": 1000, "height": 1000}))
+    data = synth_file(tmp_path, count=300, seed=4, camera=str(camera))
+    canon = tmp_path / "canon.ndjson"
+    assert run(["canonicalize", "--input", data, "--camera", str(camera), "--mode", "3d", "--output", str(canon)]) == 0
+    lines = canon.read_text().splitlines(keepends=True)
+    record = json.loads(lines[5])
+    record["joints_3d"][H36M17.root_index][0] += 1e-12
+    edited = tmp_path / "edited.ndjson"
+    edited.write_text("".join(lines[:5] + [json.dumps(record) + "\n"] + lines[6:]))
+    capsys.readouterr()
+    assert run(["eval", "--pred", str(edited), "--gt", data]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 6: sequence (synth, seed4, cam0) mixes canonical-frame and camera-frame 3D" in captured.err
+    # The file as canonicalize wrote it still loads as canonical-frame.
+    (seq,) = load_sequences(canon, H36M17)
+    assert seq.frame_3d is Frame.CANONICAL_CAMERA
+
+
 def test_extrinsics_moved_joints_are_read_only(tmp_path, skeleton, camera_file, rotation_factory):
     from canonpose.camera import CameraExtrinsics, Frame
     from canonpose.dataset import apply_extrinsics

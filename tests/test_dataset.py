@@ -500,13 +500,19 @@ def test_canonical_3d_needs_every_root_on_the_axis(tmp_path, pose_batch, intrins
     path.write_text(text)
     loaded = load_sequences(path, skeleton)[0]
     assert loaded.joints_3d() is not None and loaded.frame_3d is Frame.CANONICAL_CAMERA
-    # Move one frame's root off the axis: the whole sequence reads as camera-frame.
+    # Move one frame's root off the axis: the sequence mixes two frames, and
+    # is refused at that line. Move every root: it reads as camera-frame.
     lines = text.splitlines()
     root = skeleton.root_index
-    record = json.loads(lines[2])
-    record["joints_3d"][root][0] = 1e-3
-    lines[2] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
+    for lineno in range(2, len(lines) + 1):
+        record = json.loads(lines[lineno - 1])
+        record["joints_3d"][root][0] = 1e-3
+        lines[lineno - 1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        if lineno == 2:
+            with pytest.raises(SchemaError, match=r"^line 2: .* mixes canonical-frame and camera-frame 3D") as info:
+                load_sequences(path, skeleton)
+            assert info.value.line_number == 2
     moved = load_sequences(path, skeleton)[0]
     assert moved.joints_3d() is not None and moved.frame_3d is Frame.CAMERA
 

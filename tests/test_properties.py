@@ -113,13 +113,28 @@ def _parse_canon(value, lineno, unit_scale):
         raise SchemaError(f"line {lineno}: {exc}", lineno) from exc
 
 
-def _roots_on_axis(joints_3d, has_3d, root, depths, has_depth):
+def _frame_3d(key, linenos, rotations, joints_3d, has_3d, root, depths, has_depth):
+    """Canonical-frame when every frame with 3D has its root at exactly (0,
+    0, depth), else camera-frame; but a mix is refused at the first line
+    whose root is not, if a frame whose root is there was not rotated by the
+    identity."""
     if joints_3d is None:
-        return True
-    if not has_depth[has_3d].all():
-        return False
-    roots = joints_3d[has_3d, root]
-    return not roots[:, :2].any() and np.array_equal(roots[:, 2], depths[has_3d])
+        return Frame.CANONICAL_CAMERA
+    frames = np.flatnonzero(has_3d)
+    on_axis = [
+        bool(has_depth[t]) and joints_3d[t, root, 0] == 0 and joints_3d[t, root, 1] == 0
+        and joints_3d[t, root, 2] == depths[t]
+        for t in frames
+    ]
+    if all(on_axis):
+        return Frame.CANONICAL_CAMERA
+    if not any(keeps and not np.array_equal(rotations[t], np.eye(3)) for t, keeps in zip(frames, on_axis)):
+        return Frame.CAMERA
+    bad = linenos[frames[on_axis.index(False)]]
+    raise SchemaError(
+        f"line {bad}: sequence ({', '.join(key)}) mixes canonical-frame and camera-frame 3D: "
+        "this root is not at (0, 0, root_depth)", bad,
+    )
 
 
 def _loaded(key, rows, skeleton, unit_scale):
@@ -142,8 +157,7 @@ def _loaded(key, rows, skeleton, unit_scale):
         bad = linenos[fault[0]]
         raise SchemaError(f"line {bad}: invalid canon block: {fault[1]}", bad) from fault[1]
     depths = _depths([depth for _, _, depth in canons])
-    canonical = _roots_on_axis(joints_3d, has_3d, skeleton.root_index, **depths)
-    frame_3d = Frame.CANONICAL_CAMERA if canonical else Frame.CAMERA
+    frame_3d = _frame_3d(key, linenos, rotations, joints_3d, has_3d, skeleton.root_index, **depths)
     return replace(columns, frame_3d=frame_3d, rotations=rotations, sources=sources, **depths)
 
 
@@ -272,12 +286,14 @@ def _joints(width):
 
 
 @st.composite
-def _sequence(draw, number):
+def _sequence(draw, number, mixed=False):
     """One sequence's records: raw, or canonical with every root at (0, 0,
     depth), so that its 3D loads as canonical-frame, or with any roots and
-    depths, some of them null."""
+    depths, some of them null. When ``mixed``, canonical with each record's
+    root drawn at (0, 0, depth) or anywhere: a sequence with both is
+    refused unless each root there has the identity rotation."""
     key = {"subject": draw(st.sampled_from(NAMES)), "action": draw(st.sampled_from(NAMES)), "camera": f"cam{number}"}
-    canonical = draw(st.booleans())
+    canonical = mixed or draw(st.booleans())
     on_axis = canonical and draw(st.booleans())
     records = []
     for _ in range(draw(st.integers(1, 6))):
@@ -287,6 +303,7 @@ def _sequence(draw, number):
         record["joints_2d"] = draw(_joints(2)) if has_2d else None
         record["joints_3d"] = draw(_joints(3)) if has_3d else None
         if canonical:
+            on_axis = draw(st.booleans()) if mixed else on_axis
             depth = draw(DEPTHS) if on_axis else draw(st.one_of(st.none(), DEPTHS))
             if on_axis and has_3d:
                 record["joints_3d"][TINY.root_index] = [0, 0, depth]
@@ -297,11 +314,12 @@ def _sequence(draw, number):
 
 
 @st.composite
-def pose_files(draw):
-    """(text, records) of a file whose sequences' lines are interleaved."""
+def pose_files(draw, mixed=False):
+    """(text, records) of a file whose sequences' lines are interleaved;
+    ``mixed`` as ``_sequence`` takes it."""
     header = {"skeleton": TINY.name, "unit_scale": draw(st.sampled_from([1, 0.001, 2.5]))}
     header["fps"] = draw(st.sampled_from([50, 29.97, 0.5, 240]))
-    sequences = [draw(_sequence(number)) for number in range(draw(st.integers(1, 3)))]
+    sequences = [draw(_sequence(number, mixed)) for number in range(draw(st.integers(1, 3)))]
     order = draw(st.permutations([n for n, seq in enumerate(sequences) for _ in seq]))
     pending = [iter(seq) for seq in sequences]
     records = [next(pending[n]) for n in order]
@@ -339,6 +357,15 @@ def test_loader_matches_reference_and_round_trips(tmp_path_factory, generated, r
                 assert np.array_equal(win._channel(2)[1], cols.has_2d[rows_taken])
                 if cols.joints_3d is not None:
                     assert np.array_equal(win._channel(3)[0], cols.joints_3d[rows_taken])
+
+
+@PROFILE
+@given(pose_files(mixed=True), BLOCK_ROWS)
+def test_loader_refuses_mixed_root_placements_as_the_reference_does(tmp_path_factory, generated, rows):
+    text, _ = generated
+    path = tmp_path_factory.mktemp("generated") / "poses.ndjson"
+    path.write_text(text, encoding="utf-8")
+    _assert_agree(path, rows)
 
 
 def test_negative_zero_survives_a_round_trip(tmp_path):
