@@ -240,6 +240,9 @@ def _cmd_stats(args) -> int:
         "joint_scatter_2d_px": joint_scatter_extent(sequences, "2d"),
         "joint_scatter_3d_root_relative_m": joint_scatter_extent(sequences, "3d-root-relative"),
     }
+    for name, summary in summaries.items():
+        if not summary.finite:
+            raise DataError(f"summary {name} is not finite: a sample, the samples' sum or their range overflows")
     # The CSVs are written first, so a run refused for one leaves the report as it was.
     if args.csv:
         os.makedirs(args.csv, exist_ok=True)

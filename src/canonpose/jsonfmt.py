@@ -15,6 +15,7 @@ a dataclass, config or report, into a JSON object.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields, is_dataclass
 from itertools import chain
 
@@ -89,7 +90,8 @@ def plain(value):
 
 def dumps(obj) -> str:
     """Serialize nested dicts/lists/scalars with deterministic float text,
-    indented by two spaces per level."""
+    indented by two spaces per level; ValueError for a float that is not
+    finite, which strict JSON has no text for."""
     return _json_text(obj, "\n")
 
 
@@ -110,6 +112,8 @@ def _json_text(obj, newline: str) -> str:
     elif isinstance(obj, (int, np.integer)):
         return str(int(obj))
     elif isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize the non-finite float {float(obj)!r}")
         return format_float(obj)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -7,11 +7,11 @@ an affine map cannot absorb the placement-dependent distortion left in
 conventional 2D inputs, so the gap between training on conventional and on
 canonical inputs isolates what canonicalization contributes.
 
-The study trains both variants on identical synthetic poses and identical
-noise draws, then evaluates on poses whose roots sit in a region the
-training set never covered. The canonical arm is evaluated end to end the
-way it would be deployed: canonicalize the observed 2D, predict, rotate the
-prediction back.
+The study trains both variants, through one training path, on identical
+synthetic poses and the same noise streams, then scores both, through one
+scoring path, on poses whose roots sit in a region the training set never
+covered. The canonical arm is evaluated end to end the way it would be
+deployed: canonicalize the observed 2D, predict, rotate the prediction back.
 """
 
 from __future__ import annotations
@@ -223,20 +223,20 @@ class _RootRelative:
 def run_study(config: LiftingStudyConfig) -> StudyReport:
     """Run the full comparison; byte-identical reports for identical configs.
 
-    Both arms share the same pose draws and the same 2D noise draws, so the
-    only difference between them is the input representation. The canonical
-    arm's test path mirrors deployment: canonicalize observed pixels (no 3D
-    available), lift, rotate back into the camera frame, then score against
-    the root-relative ground truth.
+    Both arms share the same pose draws and noise streams; the conventional
+    arm adds the noise to image pixels, the canonical arm to centered
+    canonical pixels. The canonical arm's test path mirrors deployment:
+    canonicalize observed pixels (no 3D available), lift, rotate back into
+    the camera frame, then score against the root-relative ground truth.
 
-    The arms are trained one after the other from one buffer of training
-    poses, drawn and kept with ``generate_pose_array``. Each arm's inputs are
-    its projected joints plus the training noise stream read from its start, a
-    block of poses at a time. The conventional arm runs first, on the
-    camera-frame poses, its targets made root-relative one fit block at a
-    time; its inputs are then freed and the poses are canonicalized in place,
-    a block at a time, for the canonical arm, whose targets are made
-    root-relative in place. Each set of joints gets one depth check, and the
+    Both arms are trained by one ``train`` and scored by one ``score``, one
+    after the other, from one buffer of training poses drawn and kept with
+    ``generate_pose_array``. ``train`` builds an arm's inputs from its
+    projected joints plus the training noise stream read from its start, a
+    block of poses at a time, and reads its targets root-relative one fit
+    block at a time. The conventional arm runs first, on the camera-frame
+    poses; the poses are then canonicalized in place, a block at a time, for
+    the canonical arm. Each set of joints gets one depth check, and the
     roots one alignability check: a refusal names every pose at fault as one
     batch. Refusals come in the order camera depth, root alignability,
     canonical depth, canonical fit, conventional fit, so a conventional fit's
@@ -249,24 +249,14 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     root = skeleton.root_index
     n_joints = skeleton.n_joints
     n_train = config.n_train
-    lam = config.ridge_lambda
+    mm = 1000.0
 
     def flatten2(pixels: np.ndarray) -> np.ndarray:
         return batch_screen_normalize(pixels, intr).reshape(pixels.shape[0], -1)
 
-    def fit_and_score(x: np.ndarray, y: np.ndarray | _RootRelative) -> tuple[np.ndarray, float, float]:
-        """The weights fit to (x, y) and their mean and spread of training error."""
-        weights = _fit_arrays(x, y, lam)
-        errors = np.empty(len(x))
-        for lo in range(0, len(x), _TRAIN_ROWS):
-            rows = slice(lo, lo + _TRAIN_ROWS)
-            gaps = _predict_arrays(weights, x[rows]) - y[rows].reshape(-1, n_joints, 3)
-            errors[rows] = _xyz_norms(gaps).mean(axis=-1)
-        return weights, float(errors.mean()), float(errors.std())
-
-    def inputs(joints: np.ndarray, project) -> np.ndarray:
-        """The (n_train, 2J) noisy screen-normalized inputs of the ``project``ed
-        ``joints``, with the training noise stream read from its start."""
+    def train(joints: np.ndarray, project) -> tuple[np.ndarray, float, float]:
+        """Weights fit from the ``project``ed ``joints`` plus noise to them made
+        root-relative, and their training error's mean and spread in mm."""
         x = _empty((n_train, 2 * n_joints), "n_train")
         noise_rng = pose_rng(config.seed, _NOISE_TRAIN_INDEX)
         for lo in range(0, n_train, _CANON_ROWS):
@@ -275,7 +265,25 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
             with np.errstate(over="ignore"):
                 noise = config.noise_sigma * noise_rng.standard_normal((len(block), n_joints, 2))
                 x[lo : lo + len(block)] = flatten2(project(block, intr) + noise)
-        return x
+        y = _RootRelative(joints, root)
+        weights = _fit_arrays(x, y, config.ridge_lambda)
+        errors = np.empty(n_train)
+        for lo in range(0, n_train, _TRAIN_ROWS):
+            rows = slice(lo, lo + _TRAIN_ROWS)
+            gaps = _predict_arrays(weights, x[rows]) - y[rows].reshape(-1, n_joints, 3)
+            errors[rows] = _xyz_norms(gaps).mean(axis=-1)
+        return weights, float(errors.mean()) * mm, float(errors.std()) * mm
+
+    def score(trained: tuple, x: np.ndarray, rotations: np.ndarray | None = None) -> ArmResult:
+        """The ``train``ed arm scored on test inputs ``x``; with ``rotations``,
+        before and after its predictions are rotated back."""
+        weights, train_mean, train_std = trained
+        pred = _predict_arrays(weights, x)
+        before = None
+        if rotations is not None:
+            before = mpjpe(pred, gt_rel) * mm
+            pred = batch_back_transform(pred, rotations)
+        return ArmResult(train_mean, train_std, mpjpe(pred, gt_rel) * mm, p_mpjpe(pred, gt_rel) * mm, before)
 
     try:
         poses = generate_pose_array(config._draw("train"), skeleton, stream=_STREAM_TRAIN)
@@ -285,29 +293,22 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
 
     # The conventional arm runs first. A refusal of its fit is held, so the
     # canonical depth check and the canonical fit still refuse before it.
-    x = inputs(poses, batch_project)
     try:
-        conventional_fit = fit_and_score(x, _RootRelative(poses, root))
+        conventional = train(poses, batch_project)
     except ValueError as exc:
-        conventional_fit = exc
-    del x
+        conventional = exc
 
-    # The same buffer, canonicalized in place, trains the canonical arm. Its
-    # targets are made root-relative in place, as nothing reads the poses
-    # after; the canonical root is exactly (0, 0, depth), so only the depths
-    # change. The roots are checked as one batch first, so a refusal names
-    # poses by their place in the training set, not in a block.
+    # The same buffer, canonicalized in place, trains the canonical arm. The
+    # roots are checked as one batch first, so a refusal names poses by their
+    # place in the training set, not in a block.
     _alignable_norms(poses[:, root])
     for lo in range(0, n_train, _CANON_ROWS):
         poses[lo : lo + _CANON_ROWS] = batch_canonicalize_3d(poses[lo : lo + _CANON_ROWS], root)[0]
     _check_depths(poses[..., 2], "canonical joint(s)")
-    x = inputs(poses, batch_project_centered)
-    poses -= poses[:, root : root + 1].copy()
-    weights_canon, canon_train_mean, canon_train_std = fit_and_score(x, poses.reshape(n_train, -1))
-    del x, poses
-    if isinstance(conventional_fit, ValueError):
-        raise conventional_fit
-    weights_conv, conv_train_mean, conv_train_std = conventional_fit
+    canonical = train(poses, batch_project_centered)
+    del poses
+    if isinstance(conventional, ValueError):
+        raise conventional
 
     # Each test array is freed once it is scored. The detector sees the same
     # noisy pixels no matter which lifter runs behind it.
@@ -322,28 +323,7 @@ def run_study(config: LiftingStudyConfig) -> StudyReport:
     gt_rel = test - test[:, root : root + 1]
     del test
 
-    mm = 1000.0
-    pred_conv = _predict_arrays(weights_conv, flatten2(observed))
-    conventional = ArmResult(
-        train_mpjpe_mm=conv_train_mean * mm,
-        train_mpjpe_std_mm=conv_train_std * mm,
-        test_mpjpe_mm=mpjpe(pred_conv, gt_rel) * mm,
-        test_pmpjpe_mm=p_mpjpe(pred_conv, gt_rel) * mm,
-    )
-    del pred_conv
-
+    conventional = score(conventional, flatten2(observed))
     canon_pix, rotations, _ = batch_canonicalize_2d(observed, intr, root)
     del observed
-    pred_canon = _predict_arrays(weights_canon, flatten2(canon_pix))
-    del canon_pix
-    before_back_transform = mpjpe(pred_canon, gt_rel) * mm
-    pred_back = batch_back_transform(pred_canon, rotations)
-    del pred_canon, rotations
-    canonical = ArmResult(
-        train_mpjpe_mm=canon_train_mean * mm,
-        train_mpjpe_std_mm=canon_train_std * mm,
-        test_mpjpe_mm=mpjpe(pred_back, gt_rel) * mm,
-        test_pmpjpe_mm=p_mpjpe(pred_back, gt_rel) * mm,
-        test_mpjpe_before_back_transform_mm=before_back_transform,
-    )
-    return StudyReport(config=config, conventional=conventional, canonical=canonical)
+    return StudyReport(config, conventional, score(canonical, flatten2(canon_pix), rotations))

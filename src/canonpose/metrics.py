@@ -14,9 +14,11 @@ centered joints, with eigenvalues l1 >= l2 >= l3 >= 0, trace t and e2 the sum
 of its principal 2x2 minors, e2 <= 3 * l1 * l2 and l1 <= t. So a frame with
 e2 > 1e-6 * t**2 has sigma2 / sigma1 >= 5.7e-4, eleven orders of magnitude
 above the tolerance, and passes without an SVD. Every other frame, including
-zero, overflowing and tiny ones, goes to the SVD. A frame with a joint that
-is not finite is refused before any of this. The screen, the SVD and the
-alignment read one centered copy of each block of frames.
+zero, overflowing and tiny ones, goes to the SVD, except one whose centered
+joints overflow: it is not collinear, and its alignment scale is refused. A
+frame with a joint that is not finite is refused before any of this. The
+screen, the SVD and the alignment read one centered copy of each block of
+frames.
 
 Joint distances, joint means and the alignment's rotations run on the x/y/z
 planes, summing in the order of the ``linalg.norm``, ``mean`` and ``einsum``
@@ -148,10 +150,10 @@ def _aligned_blocks(pred: np.ndarray, gt: np.ndarray, blocks: list):
     joints are collinear (rank < 2) has no unique alignment: once one is
     seen, no later block is aligned, and after the last block one refusal
     names every collinear pred frame, or else every collinear gt frame. The
-    singular values decide every frame the rank screen does not pass. Each
-    block is centered once, for the screen, the SVD and the alignment. The
-    alignment itself neither raises nor warns, so no block can pre-empt the
-    refusal of a later one's collinear frame.
+    singular values decide every frame the rank screen does not pass whose
+    centered joints are finite. Each block is centered once, for the screen,
+    the SVD and the alignment. The alignment itself neither raises nor warns,
+    so no block can pre-empt the refusal of a later one's collinear frame.
     """
     j = pred.shape[1]
     if j < 3:
@@ -163,12 +165,16 @@ def _aligned_blocks(pred: np.ndarray, gt: np.ndarray, blocks: list):
     collinear = np.zeros((2, len(pred)), dtype=bool)
     seen = False
     for rows in blocks:
-        mu_p = _joint_means(pred[rows])
-        mu_g = _joint_means(gt[rows])
-        p0 = pred[rows] - mu_p[:, None]
-        g0 = gt[rows] - mu_g[:, None]
+        # Means of finite joints may overflow, and so may their centering. A
+        # frame whose centered joints are not finite has no singular values
+        # to test: it is not collinear, and its alignment scale is refused.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu_p = _joint_means(pred[rows])
+            mu_g = _joint_means(gt[rows])
+            p0 = pred[rows] - mu_p[:, None]
+            g0 = gt[rows] - mu_g[:, None]
         for flags, centered in zip(collinear, (p0, g0)):
-            suspect = ~_surely_full_rank(centered)
+            suspect = ~_surely_full_rank(centered) & np.isfinite(centered).all(axis=(1, 2))
             if suspect.any():
                 sv = np.linalg.svd(centered[suspect], compute_uv=False)
                 flags[rows][suspect] = (sv[:, 1] <= j * np.finfo(np.float64).eps * sv[:, 0]) | (sv[:, 0] == 0.0)

@@ -44,6 +44,9 @@ class DistributionSummary:
     order, so their bits are those of numpy's axis-0 reductions of the
     pooled samples. ``n_degenerate`` counts inputs that produced no sample;
     only ``body_orientation_distribution`` sets it (near-zero cross products).
+    Samples, sums and ranges that overflow are made without a warning; a
+    summary whose mean or bounds, or the span between them, is not finite
+    is made without histograms, and ``finite`` is False.
     """
 
     blocks: Callable[[], Iterable[np.ndarray]]
@@ -55,6 +58,7 @@ class DistributionSummary:
     n_degenerate: int = 0
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")
     def from_blocks(cls, blocks, width: int) -> "DistributionSummary":
         """Two passes over ``blocks()``: the count, bounds and mean, then the
         histograms over edges spanning the bounds."""
@@ -74,13 +78,22 @@ class DistributionSummary:
                 # nonzero width so every sample still lands in a bin.
                 lo, hi = lo - 0.5, hi + 0.5
             edges.append(np.linspace(lo, hi, HIST_BINS + 1))
+        mean = total / n
+        if not (np.isfinite(mean).all() and np.isfinite(edges).all()):
+            return cls(blocks, width, n, bounds, mean, ())
         counts = np.zeros((width, HIST_BINS), dtype=np.intp)
         for block in blocks():
             for axis, axis_edges in enumerate(edges):
                 counts[axis] += np.histogram(block[:, axis], bins=axis_edges)[0]
             del block
         histograms = tuple(map(AxisHistogram, edges, counts))
-        return cls(blocks, width, n, bounds, total / n, histograms)
+        return cls(blocks, width, n, bounds, mean, histograms)
+
+    @property
+    def finite(self) -> bool:
+        """Whether the mean, the bounds and every histogram edge are finite,
+        as they are in a summary with histograms or with no samples."""
+        return self.mean is None or bool(self.histograms)
 
     def to_dict(self) -> dict:
         out: dict = {"count": self.n_samples, "degenerate_count": self.n_degenerate}
@@ -180,7 +193,8 @@ def body_orientation_distribution(sequences) -> DistributionSummary:
     with the joints of each sequence's own skeleton.
 
     Frames whose cross product is shorter than EPS_ORIENTATION (hips parallel
-    to the spine) yield no direction and are tallied in ``n_degenerate``.
+    to the spine) yield no direction and are tallied in ``n_degenerate``;
+    one whose length overflows yields a NaN direction, so no finite summary.
     Frames without 3D joints are skipped.
     """
     sequences = tuple(sequences)
@@ -198,6 +212,9 @@ def _directions(seq) -> np.ndarray:
     up = joints[present, skel.torso_index] - joints[present, skel.root_index]
     cross = np.cross(across, up)
     norms = _vector_norms(cross)
+    # A norm that overflows would scale its direction to 0; NaN marks it, so
+    # its summary is not finite.
+    norms[np.isinf(norms)] = np.nan
     flat = norms <= EPS_ORIENTATION
     return cross[~flat] / norms[~flat, None]
 

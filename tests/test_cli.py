@@ -768,7 +768,7 @@ _TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array"
      "header-fps-nested-5000-deep", "mpjpe-overflow", "eval-mpjpe-root-centering-overflow",
      "eval-pmpjpe-root-centering-overflow", "file-starts-with-utf8-bom", "camera-empty", "camera-utf8-bom",
      "camera-directory", "camera-missing", "input-directory", "input-missing",
-     "pmpjpe-cross-covariance-overflow", "pmpjpe-aligned-distance-overflow"],
+     "pmpjpe-cross-covariance-overflow", "pmpjpe-aligned-distance-overflow", "pmpjpe-joint-means-overflow"],
 )
 def test_input_that_crashed_or_traced_back_exits_two_in_one_line(tmp_path, camera_file, case):
     # Each case runs in a child process: the 200,000-deep line once killed
@@ -823,6 +823,15 @@ def test_input_that_crashed_or_traced_back_exits_two_in_one_line(tmp_path, camer
         lines[3] = json.dumps(dict(record, joints_3d=[[v * 1e160 for v in joint] for joint in record["joints_3d"]]))
         argv = ["eval", "--pred", data, "--gt", str(bad), "--metric", "mpjpe"]
         error = "error: sequence ('synth', 'seed1', 'cam0'): the joint distance is not finite in 1 frame(s) (frames [2])"
+    elif case == "pmpjpe-joint-means-overflow":
+        # The root at 1e308 m on each axis, the other joints up to 5e307 m
+        # beyond it: finite once root-centered, but their joint means
+        # overflow. The SVD of that frame printed LAPACK's complaints to stdout.
+        n = len(record["joints_3d"])
+        lines[3] = json.dumps(dict(record, joints_3d=[[1e308 + 5e307 * (k / (n - 1))] * 3 for k in range(n)]))
+        argv = ["eval", "--pred", str(bad), "--gt", data, "--metric", "pmpjpe"]
+        error = ("error: sequence ('synth', 'seed1', 'cam0'): the fitted alignment scale is not positive and finite "
+                 "in 1 frame(s) (frames [2])\n")
     elif case.startswith("pmpjpe-"):
         # Both sides 1e160 across: their cross-covariance overflows (numpy's
         # SVD failed on it). A gt 1e170 across: the aligned distances
@@ -1140,3 +1149,29 @@ def test_a_camera_file_with_an_unknown_key_exits_two_naming_it(tmp_path, intrins
     assert run(["canonicalize", "--input", data, "--camera", str(camera), "--output", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {camera}: unknown camera file keys ['T', 'k1']\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "joint_x, root_x, name",
+    [(1.2e308, None, "pelvis_xy_m"), (1.2e308, -1.2e308, "pelvis_xy_m"), (None, -1e200, "body_orientation")],
+    ids=["joints-at-1.2e308", "root-at-minus-1.2e308", "root-at-minus-1e200"],
+)
+def test_stats_refuses_a_summary_that_is_not_finite(tmp_path, joint_x, root_x, name):
+    # Every joint at x = 1.2e308 m overflows the pelvis x-y sum: the report
+    # held inf and the run exited 0. With the root at -1.2e308 m it held nan
+    # too, after four warnings. With the root alone at -1e200 m, each body
+    # direction's length overflows, which scaled the direction to (0, 0, 0).
+    data = synth_file(tmp_path, count=3, seed=1)
+    lines = Path(data).read_text().splitlines()
+    records = [json.loads(line) for line in lines[1:]]
+    for record in records:
+        for joint in record["joints_3d"]:
+            joint[0] = joint_x or joint[0]
+        record["joints_3d"][0][0] = root_x or record["joints_3d"][0][0]
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+    csv = tmp_path / "csv"
+    proc = run_module("stats", "--input", str(bad), "--csv", str(csv))
+    error = f"error: summary {name} is not finite: a sample, the samples' sum or their range overflows\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+    assert not csv.exists()

@@ -77,3 +77,10 @@ def test_dumps_rejects_unknown_types():
     for value in (object(), np.bool_(True), {"key": {1, 2}}):
         with pytest.raises(TypeError):
             dumps(value)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), np.float64("-inf"), np.array([1.0, np.nan])])
+def test_dumps_refuses_a_float_that_is_not_finite(value):
+    # Strict JSON has no text for these; "inf" or "nan" in a report is refused by its readers.
+    with pytest.raises(ValueError, match="non-finite float"):
+        dumps({"x": value})

@@ -405,17 +405,26 @@ def test_study_draws_each_pose_set_with_one_generator_call(monkeypatch):
     assert calls == [(300, 1), (40, 2)]
 
 
+def _study_peak(**fields) -> int:
+    """The traced peak of ``run_study`` on the config of ``fields``."""
+    config = LiftingStudyConfig(**fields)
+    tracemalloc.start()
+    try:
+        run_study(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_study_memory_grows_only_by_its_fit_arrays():
     # The kept poses and one arm's inputs: (3 + 2) * 17 numbers, 680 bytes
     # per h36m17 training pose.
-    def peak(n_train):
-        config = LiftingStudyConfig(n_train=n_train, n_test=500, seed=9)
-        tracemalloc.start()
-        try:
-            run_study(config)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    small, large = peak(4096), peak(16384)
+    small, large = (_study_peak(n_train=n, n_test=500, seed=9) for n in (4096, 16384))
     assert (large - small) / (16384 - 4096) <= 720, (small, large)
+
+
+def test_study_test_phase_grows_only_by_its_test_arrays():
+    # Both arms are scored through one path; neither arm's test arrays may
+    # outlive its scoring. 2,093 bytes grow per h36m17 test pose.
+    small, large = (_study_peak(n_train=500, n_test=n, seed=9) for n in (4096, 16384))
+    assert (large - small) / (16384 - 4096) <= 2200, (small, large)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,20 @@ def test_p_mpjpe_is_invariant_to_gt_similarity(pose_batch):
     scale, rotation, translation = _random_similarity(rng)
     moved_pred = scale * pred @ rotation.T + translation
     assert p_mpjpe(moved_pred, gt) == pytest.approx(base, abs=1e-9)
+
+
+def test_p_mpjpe_refuses_a_frame_whose_joint_means_overflow_without_a_warning():
+    # Pred frame 0 is finite, at +1.5e308 in its first nine joints and
+    # -1.5e308 in the rest: its joint means overflow, so its centered joints
+    # are not finite. It warned, and its SVD made LAPACK print to stdout.
+    gt = np.random.default_rng(62).normal(size=(2, 17, 3))
+    pred = gt.copy()
+    pred[0] = np.where(np.arange(17) < 9, 1.5e308, -1.5e308)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="the fitted alignment scale is not positive and finite") as excinfo:
+            p_mpjpe(pred, gt)
+    assert excinfo.value.indices == (0,)
 
 
 def test_degenerate_shapes_are_rejected():
